@@ -75,6 +75,30 @@ func BenchmarkDistributedEndToEnd(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveRMAT solves the benchmark's rmat-solve graph (160 k
+// vertices, 1.05 M edges, 8 parts) through the streaming facade, one mode
+// per sub-benchmark.  It is the profiling target of CONTRIBUTING.md's
+// profile recipe; CI smoke-runs it once.
+func BenchmarkSolveRMAT(b *testing.B) {
+	g, _ := NewEulerianRMAT(400_000, 5, 42)
+	for _, mode := range []Mode{ModeCurrent, ModeDedup, ModeProposed} {
+		b.Run(mode.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(g.NumEdges())
+			for i := 0; i < b.N; i++ {
+				var n int64
+				_, err := FindCircuitStream(g, func(Step) error { n++; return nil }, WithPartitions(8), WithMode(mode))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if n != g.NumEdges() {
+					b.Fatal("short circuit")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSequentialHierholzer is the O(|E|) baseline on the same input.
 func BenchmarkSequentialHierholzer(b *testing.B) {
 	g := benchGraph(b)

@@ -244,6 +244,32 @@ func TestReportShape(t *testing.T) {
 	}
 }
 
+// TestLedgerCoversMerge pins the Fig. 6 ledger around Phase 2: every merge
+// parent books its own-state pass as CopySink, and the four user-time
+// terms are disjoint slices of the worker's Compute call, so their total
+// can never exceed the engine's measured compute.  What share of compute
+// they cover is logged, not gated (it is a timing).
+func TestLedgerCoversMerge(t *testing.T) {
+	g, _ := gen.EulerianRMAT(gen.RMATParams{Vertices: 50_000, AvgDegree: 5, A: 0.57, B: 0.19, C: 0.19, Seed: 42})
+	a := partition.LDG(g, 8, 1)
+	for _, mode := range allModes {
+		res, err := Run(g, a, Config{Mode: mode})
+		if err != nil {
+			t.Fatalf("mode %v: %v", mode, err)
+		}
+		for _, p := range res.Report.Parts {
+			if p.Level > 0 && p.CopySink <= 0 {
+				t.Errorf("mode %v: L%d P%d merged without a CopySink time", mode, p.Level, p.Part)
+			}
+		}
+		user, compute := res.Report.UserComputeTotal(), res.Report.BSP.SumCompute
+		if user > compute {
+			t.Errorf("mode %v: user time %v exceeds measured compute %v (a term is double-counted)", mode, user, compute)
+		}
+		t.Logf("mode %v: user time %v is %.1f%% of compute %v", mode, user, 100*float64(user)/float64(compute), compute)
+	}
+}
+
 func TestMatchingStrategiesAllCorrect(t *testing.T) {
 	g, _ := gen.EulerianRMAT(gen.DefaultRMAT(9, 37))
 	a := partition.LDG(g, 8, 1)

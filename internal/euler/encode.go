@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/bsp"
 )
@@ -204,16 +205,49 @@ func DecodeBody(buf []byte) ([]Item, error) {
 	return items, nil
 }
 
-// EncodeState serialises a PartState for transfer to a merge parent.
+// EncodeState serialises a PartState for transfer to a merge parent, into
+// a buffer of exactly the encoded size.
 func EncodeState(s *PartState) []byte {
-	return AppendState(make([]byte, 0, 16+8*(len(s.Local)+len(s.Remote)+len(s.Stubs))), s)
+	return AppendState(nil, s)
+}
+
+// encodedStateLen returns len(EncodeState(s)) without encoding.
+func encodedStateLen(s *PartState) int {
+	n := 1 + uvarintLen(uint64(s.Parent)) + uvarintLen(uint64(len(s.Leaves)))
+	prevLeaf := int64(0)
+	for _, l := range s.Leaves {
+		n += varintLen(int64(l) - prevLeaf)
+		prevLeaf = int64(l)
+	}
+	n += uvarintLen(uint64(len(s.Local)))
+	var prevU, prevRef int64
+	for _, e := range s.Local {
+		n += uvarintLen(zigzag(e.U-prevU)<<1|uint64(e.Kind&1)) + varintLen(e.V-e.U) + varintLen(e.Ref-prevRef)
+		prevU, prevRef = e.U, e.Ref
+	}
+	n += uvarintLen(uint64(len(s.Remote)))
+	var prevLocal, prevRemote, prevEdge int64
+	for _, r := range s.Remote {
+		n += varintLen(r.Local-prevLocal) + varintLen(r.Remote-prevRemote) +
+			varintLen(r.Edge-prevEdge) + varintLen(int64(r.ConvertLevel))
+		prevLocal, prevRemote, prevEdge = r.Local, r.Remote, r.Edge
+	}
+	n += uvarintLen(uint64(len(s.Stubs)))
+	var prevVert int64
+	for _, st := range s.Stubs {
+		n += varintLen(st.Vertex-prevVert) + varintLen(int64(st.ConvertLevel)) + varintLen(st.Count)
+		prevVert = st.Vertex
+	}
+	return n
 }
 
 // AppendState appends the EncodeState serialisation of s to dst and
-// returns the extended buffer.  Writing the message tag first and the
-// state after it into one reused buffer replaces the old
-// append([]byte{tag}, enc...) double copy on the BSP send path.
+// returns the extended buffer, growing dst at most once (to the exact
+// final size).  Writing the message tag first and the state after it into
+// one reused buffer replaces the old append([]byte{tag}, enc...) double
+// copy on the BSP send path.
 func AppendState(dst []byte, s *PartState) []byte {
+	dst = slices.Grow(dst, encodedStateLen(s))
 	dst = append(dst, WireV3)
 	dst = binary.AppendUvarint(dst, uint64(s.Parent))
 	dst = binary.AppendUvarint(dst, uint64(len(s.Leaves)))

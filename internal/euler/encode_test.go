@@ -168,8 +168,10 @@ func TestQuickStateRoundTrip(t *testing.T) {
 				Count: rng.Int63n(100) + 1,
 			})
 		}
-		got, err := DecodeState(EncodeState(s))
-		return err == nil && reflect.DeepEqual(got, s)
+		// AppendState sizes its one buffer growth from encodedStateLen.
+		enc := EncodeState(s)
+		got, err := DecodeState(enc)
+		return len(enc) == encodedStateLen(s) && err == nil && reflect.DeepEqual(got, s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

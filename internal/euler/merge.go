@@ -2,7 +2,9 @@ package euler
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -25,10 +27,11 @@ import (
 func BuildLeafStates(g graph.Source, a partition.Assignment, tree *MergeTree, mode Mode) ([]*PartState, []map[int32][]RemoteEdge, error) {
 	n := int(a.Parts)
 	states := make([]*PartState, n)
-	for i := 0; i < n; i++ {
-		states[i] = &PartState{Parent: i, Leaves: []int{i}}
-	}
-	parked, err := buildLeafStates(g, a, tree, mode, func(p int32, e graph.Edge) error {
+	parked, err := buildLeafStates(g, a, tree, mode, func(locals []int64) {
+		for i := range states {
+			states[i] = &PartState{Parent: i, Leaves: []int{i}, Local: make([]CoarseEdge, 0, locals[i])}
+		}
+	}, func(p int32, e graph.Edge) error {
 		states[p].Local = append(states[p].Local,
 			CoarseEdge{U: e.U, V: e.V, Kind: ItemEdge, Ref: e.ID})
 		return nil
@@ -45,31 +48,46 @@ func BuildLeafStates(g graph.Source, a partition.Assignment, tree *MergeTree, mo
 
 // buildLeafStates is the shared leaf-state scan behind BuildLeafStates
 // (in-memory states) and BuildSpilledLeafStates (states encoded to a
-// store one partition at a time).  local is called for every
-// same-partition edge in EdgeID order; finish once per partition with
-// its remote edges and stubs.  It returns the parked pools.
+// store one partition at a time).  It makes two passes over the source:
+// the first counts, the second writes into slices sized from those
+// counts.  start is called between the two with every partition's
+// same-partition edge count; local is then called for every
+// same-partition edge in EdgeID order; finish once per partition with its
+// remote edges and stubs.  It returns the parked pools.
 func buildLeafStates(g graph.Source, a partition.Assignment, tree *MergeTree, mode Mode,
+	start func(locals []int64),
 	local func(p int32, e graph.Edge) error,
 	finish func(p int32, remote []RemoteEdge, stubs []Stub) error) ([]map[int32][]RemoteEdge, error) {
 	n := int(a.Parts)
-	parked := make([]map[int32][]RemoteEdge, n)
-	remotes := make([][]RemoteEdge, n)
-	for i := 0; i < n; i++ {
-		parked[i] = make(map[int32][]RemoteEdge)
-	}
 
-	// Cut-edge loads decide the keeper side per partition pair (Sec. 5:
-	// the heavier partition drops its copies).
-	load := make([]int64, n)
+	// Counting pass: same-partition edges per partition and cut edges per
+	// partition pair (cut[i*n+j], i < j — O(n²) like the meta-graph).
+	locals := make([]int64, n)
+	cut := make([]int64, n*n)
 	err := g.ForEachEdge(func(e graph.Edge) error {
-		if a.Of[e.U] != a.Of[e.V] {
-			load[a.Of[e.U]]++
-			load[a.Of[e.V]]++
+		pu, pv := int(a.Of[e.U]), int(a.Of[e.V])
+		switch {
+		case pu == pv:
+			locals[pu]++
+		case pu < pv:
+			cut[pu*n+pv]++
+		default:
+			cut[pv*n+pu]++
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+
+	// Cut-edge loads decide the keeper side per partition pair (Sec. 5:
+	// the heavier partition drops its copies).
+	load := make([]int64, n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			load[i] += cut[i*n+j]
+			load[j] += cut[i*n+j]
+		}
 	}
 	keeperOf := func(pu, pv int32) int32 {
 		if load[pu] != load[pv] {
@@ -83,6 +101,44 @@ func buildLeafStates(g graph.Source, a partition.Assignment, tree *MergeTree, mo
 		}
 		return pv
 	}
+
+	// Every pair's edges land in one place per mode, so the pair counts
+	// size each remote list and parked pool exactly.
+	remoteCap := make([]int64, n)
+	parkedCap := make([]map[int32]int64, n)
+	for i := range parkedCap {
+		parkedCap[i] = make(map[int32]int64)
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			c := cut[i*n+j]
+			if c == 0 {
+				continue
+			}
+			keeper := keeperOf(int32(i), int32(j))
+			switch lvl := tree.ConvertLevel(i, j); {
+			case mode == ModeCurrent:
+				remoteCap[i] += c
+				remoteCap[j] += c
+			case mode == ModeProposed && lvl >= 1:
+				parkedCap[keeper][lvl] += c
+			default:
+				remoteCap[keeper] += c
+			}
+		}
+	}
+	remotes := make([][]RemoteEdge, n)
+	parked := make([]map[int32][]RemoteEdge, n)
+	for i := 0; i < n; i++ {
+		if remoteCap[i] > 0 {
+			remotes[i] = make([]RemoteEdge, 0, remoteCap[i])
+		}
+		parked[i] = make(map[int32][]RemoteEdge, len(parkedCap[i]))
+		for lvl, c := range parkedCap[i] {
+			parked[i][lvl] = make([]RemoteEdge, 0, c)
+		}
+	}
+	start(locals)
 
 	stubCount := make([]map[[2]int64]int64, n) // (vertex, level) → count
 	for i := range stubCount {
@@ -137,86 +193,315 @@ func stubsFromMap(m map[[2]int64]int64) []Stub {
 	for k, c := range m {
 		stubs = append(stubs, Stub{Vertex: k[0], ConvertLevel: int32(k[1]), Count: c})
 	}
-	sort.Slice(stubs, func(i, j int) bool {
-		if stubs[i].Vertex != stubs[j].Vertex {
-			return stubs[i].Vertex < stubs[j].Vertex
-		}
-		return stubs[i].ConvertLevel < stubs[j].ConvertLevel
-	})
+	sort.Slice(stubs, func(i, j int) bool { return stubLess(stubs[i], stubs[j]) })
 	return stubs
 }
 
-// MergeStates merges a child partition state into its parent at the given
-// level (Phase 2): remote edges whose ConvertLevel equals level become
-// local coarse edges, stubs at that level are retired, and everything else
-// is carried.  delivered carries parked remote edges shipped from leaf
-// hosts in ModeProposed.  Both input states must already have had Phase 1
-// applied (their Local sets are OB-pair edges only).
-func MergeStates(parent, child *PartState, level int, mode Mode, delivered []RemoteEdge) (*PartState, error) {
-	merged := &PartState{Parent: parent.Parent}
-	merged.Leaves = mergeSortedLeaves(parent.Leaves, child.Leaves)
-	merged.Local = append(append([]CoarseEdge{}, parent.Local...), child.Local...)
-
-	all := make([]RemoteEdge, 0, len(parent.Remote)+len(child.Remote)+len(delivered))
-	all = append(all, parent.Remote...)
-	all = append(all, child.Remote...)
-	all = append(all, delivered...)
-
-	seen := make(map[graph.EdgeID]int8)
-	for _, r := range all {
-		if int(r.ConvertLevel) == level {
-			seen[r.Edge]++
-			continue
-		}
-		if int(r.ConvertLevel) < level {
-			return nil, fmt.Errorf("euler: merge at level %d found stale remote edge %d (convert level %d)",
-				level, r.Edge, r.ConvertLevel)
-		}
-		merged.Remote = append(merged.Remote, r)
+// stubLess orders stubs by (Vertex, ConvertLevel), the order every stub
+// list is kept in from the leaf build through every merge.
+func stubLess(a, b Stub) bool {
+	if a.Vertex != b.Vertex {
+		return a.Vertex < b.Vertex
 	}
-	wantCopies := int8(1)
-	if mode == ModeCurrent {
-		wantCopies = 2 // the directed-pair duplication stores both sides
-	}
-	for _, r := range all {
-		if int(r.ConvertLevel) != level {
-			continue
-		}
-		c := seen[r.Edge]
-		if c == -1 {
-			continue // duplicate copy of an already-converted edge
-		}
-		if c != wantCopies {
-			return nil, fmt.Errorf("euler: merge at level %d: edge %d has %d stored copies, want %d (mode %v)",
-				level, r.Edge, c, wantCopies, mode)
-		}
-		seen[r.Edge] = -1 // convert each undirected edge exactly once
-		merged.Local = append(merged.Local,
-			CoarseEdge{U: r.Local, V: r.Remote, Kind: ItemEdge, Ref: r.Edge})
-	}
-
-	// Retire stubs for this level; coalesce the rest.
-	stubs := make(map[[2]int64]int64)
-	for _, src := range [][]Stub{parent.Stubs, child.Stubs} {
-		for _, st := range src {
-			if int(st.ConvertLevel) == level {
-				continue
-			}
-			if int(st.ConvertLevel) < level {
-				return nil, fmt.Errorf("euler: merge at level %d found stale stub at vertex %d (convert level %d)",
-					level, st.Vertex, st.ConvertLevel)
-			}
-			stubs[[2]int64{st.Vertex, int64(st.ConvertLevel)}] += st.Count
-		}
-	}
-	merged.Stubs = stubsFromMap(stubs)
-	return merged, nil
+	return a.ConvertLevel < b.ConvertLevel
 }
 
-func mergeSortedLeaves(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	out = append(out, a...)
-	out = append(out, b...)
-	sort.Ints(out)
-	return out
+// mergeScratch is one worker's Phase 2 working memory, reused across
+// levels like phase1Scratch.  local backs the merged state's Local set —
+// deliberately not the Phase 1 scratch's OB-pair buffer, which the tour
+// appends to while it still reads the merged Local.
+type mergeScratch struct {
+	local []CoarseEdge
+	stubs []Stub // spare stub list, swapped with the state's at each merge
+	// convA and convB are the sorted IDs of the edges converting at this
+	// level, as stored by the parent and by the child plus deliveries.
+	convA, convB []graph.EdgeID
+	convTmp      []graph.EdgeID // the other half of the run merge that sorts them
+	seen         []bool         // per conv entry; only when one side holds an edge twice
+}
+
+// merge folds a child partition state into its parent, in place, at the
+// given level (Phase 2): remote edges whose ConvertLevel equals level
+// become local coarse edges, stubs at that level are retired, and
+// everything else is carried.  delivered carries parked remote edges
+// shipped from leaf hosts in ModeProposed.  Both input states must already
+// have had Phase 1 applied (their Local sets are OB-pair edges only).
+//
+// Every input is validated before parent is touched.  Then each part of
+// the merged state is written once into memory sized beforehand: Local
+// into the scratch buffer, Remote compacted inside the parent's own slice
+// (reallocated once, exactly, when the carried edges outgrow it), Stubs
+// into the spare list.  Converted edges keep the order of their first
+// stored copy in parent, child, delivered order.  child is left unchanged;
+// parent.Local aliases the scratch until the scratch's next merge.
+//
+// sink is the time spent on the parent's own state (Fig. 6's copy-sink
+// term); the caller books the rest of the call as create-obj.
+func (ms *mergeScratch) merge(parent, child *PartState, level int, mode Mode, delivered []RemoteEdge) (sink time.Duration, err error) {
+	lvl := int32(level)
+	want := 1
+	if mode == ModeCurrent {
+		want = 2 // the directed-pair duplication stores both sides
+	}
+
+	t := time.Now()
+	keepP, convP, err := countRemote(parent.Remote, lvl)
+	if err != nil {
+		return 0, err
+	}
+	ms.convA, ms.convTmp = sortedConverting(ms.convA, ms.convTmp, convP, lvl, parent.Remote)
+	sink = time.Since(t)
+
+	keepC, convC, err := countRemote(child.Remote, lvl)
+	if err != nil {
+		return 0, err
+	}
+	keepD, convD, err := countRemote(delivered, lvl)
+	if err != nil {
+		return 0, err
+	}
+	ms.convB, ms.convTmp = sortedConverting(ms.convB, ms.convTmp, convC+convD, lvl, child.Remote, delivered)
+	twice, ok := copiesMatch(ms.convA, ms.convB, want)
+	if !ok {
+		return 0, ms.copyCountError(level, mode, want, parent.Remote, child.Remote, delivered)
+	}
+	stubsP, err := countStubs(parent.Stubs, lvl)
+	if err != nil {
+		return 0, err
+	}
+	stubsC, err := countStubs(child.Stubs, lvl)
+	if err != nil {
+		return 0, err
+	}
+	if twice {
+		ms.seen = growBool(ms.seen, len(ms.convA)+len(ms.convB))
+	}
+
+	// The parent's own state: its Local moves into the merge buffer, its
+	// Remote is compacted where it lies.
+	t = time.Now()
+	nConv := (convP + convC + convD) / want
+	ms.local = grow(ms.local, len(parent.Local)+len(child.Local)+nConv)
+	copy(ms.local, parent.Local)
+	converted := ms.local[len(parent.Local)+len(child.Local):][:0]
+	remote := parent.Remote[:0]
+	if need := keepP + keepC + keepD; cap(remote) < need {
+		remote = make([]RemoteEdge, 0, need)
+	}
+	for _, r := range parent.Remote { // reads stay ahead of the compacting writes
+		if r.ConvertLevel != lvl {
+			remote = append(remote, r)
+		} else if !twice || ms.firstCopy(r.Edge, false) {
+			converted = append(converted, CoarseEdge{U: r.Local, V: r.Remote, Kind: ItemEdge, Ref: r.Edge})
+		}
+	}
+	sink += time.Since(t)
+
+	copy(ms.local[len(parent.Local):], child.Local)
+	for _, list := range [2][]RemoteEdge{child.Remote, delivered} {
+		for _, r := range list {
+			if r.ConvertLevel != lvl {
+				remote = append(remote, r)
+			} else if want == 1 || (twice && ms.firstCopy(r.Edge, true)) {
+				converted = append(converted, CoarseEdge{U: r.Local, V: r.Remote, Kind: ItemEdge, Ref: r.Edge})
+			}
+		}
+	}
+	if len(converted) != nConv {
+		return 0, fmt.Errorf("euler: merge at level %d converted %d edges, counted %d (internal inconsistency)",
+			level, len(converted), nConv)
+	}
+	parent.Local, parent.Remote = ms.local, remote
+
+	// Retire stubs for this level; coalesce the rest.
+	stubs := ms.stubs[:0]
+	if cap(stubs) < stubsP+stubsC {
+		stubs = make([]Stub, 0, stubsP+stubsC)
+	}
+	a, b := parent.Stubs, child.Stubs
+	for {
+		for len(a) > 0 && a[0].ConvertLevel == lvl {
+			a = a[1:]
+		}
+		for len(b) > 0 && b[0].ConvertLevel == lvl {
+			b = b[1:]
+		}
+		if len(a) == 0 && len(b) == 0 {
+			break
+		}
+		switch {
+		case len(b) == 0 || (len(a) > 0 && stubLess(a[0], b[0])):
+			stubs, a = append(stubs, a[0]), a[1:]
+		case len(a) == 0 || stubLess(b[0], a[0]):
+			stubs, b = append(stubs, b[0]), b[1:]
+		default:
+			a[0].Count += b[0].Count
+			stubs, a, b = append(stubs, a[0]), a[1:], b[1:]
+		}
+	}
+	ms.stubs, parent.Stubs = parent.Stubs[:0], stubs
+
+	parent.Leaves = append(parent.Leaves, child.Leaves...)
+	sort.Ints(parent.Leaves)
+	return sink, nil
+}
+
+// countRemote returns how many of edges are carried past level and how
+// many convert at it; an edge that should have converted earlier is an
+// error.
+func countRemote(edges []RemoteEdge, lvl int32) (keep, conv int, err error) {
+	for _, r := range edges {
+		switch {
+		case r.ConvertLevel == lvl:
+			conv++
+		case r.ConvertLevel < lvl:
+			return 0, 0, fmt.Errorf("euler: merge at level %d found stale remote edge %d (convert level %d)",
+				lvl, r.Edge, r.ConvertLevel)
+		}
+	}
+	return len(edges) - conv, conv, nil
+}
+
+// sortedConverting returns, sorted, the IDs of the n edges of lists that
+// convert at lvl.  buf and tmp are scratch slices, reallocated here when
+// too small; the result lives in one, spare is the other.
+func sortedConverting(buf, tmp []graph.EdgeID, n int, lvl int32, lists ...[]RemoteEdge) (ids, spare []graph.EdgeID) {
+	buf = grow(buf, n)[:0]
+	for _, list := range lists {
+		for _, r := range list {
+			if r.ConvertLevel == lvl {
+				buf = append(buf, r.Edge)
+			}
+		}
+	}
+	if runEnd(buf, 0) == len(buf) {
+		return buf, tmp // one run: sorted as collected, as every leaf-level list is
+	}
+	return sortRuns(buf, grow(tmp, n))
+}
+
+// sortRuns sorts src by merging neighbouring ascending runs, round by
+// round, between src and the equally long dst, and returns the slice the
+// result ended in and the other one.  A leaf's remote list is in EdgeID
+// order and a merge concatenates what it carries, so the IDs collected at
+// level l form about 2^l runs: a few linear passes, where a general sort
+// would spend most of the merge's time.
+func sortRuns(src, dst []graph.EdgeID) (sorted, spare []graph.EdgeID) {
+	for runEnd(src, 0) < len(src) {
+		for i := 0; i < len(src); {
+			j := runEnd(src, i)
+			k := runEnd(src, j)
+			a, b, n := src[i:j], src[j:k], i
+			for ; len(a) > 0 && len(b) > 0; n++ {
+				if a[0] <= b[0] {
+					dst[n], a = a[0], a[1:]
+				} else {
+					dst[n], b = b[0], b[1:]
+				}
+			}
+			n += copy(dst[n:], a)
+			copy(dst[n:], b)
+			i = k
+		}
+		src, dst = dst, src
+	}
+	return src, dst
+}
+
+// runEnd returns the end of the ascending run of s that starts at i
+// (len(s) when i is already there).
+func runEnd(s []graph.EdgeID, i int) int {
+	for i++; i < len(s) && s[i-1] <= s[i]; i++ {
+	}
+	return min(i, len(s))
+}
+
+// copiesMatch reports whether every edge ID of the sorted lists a and b
+// occurs want times in the two together, and whether some edge occurs
+// twice in one list (legal only when want is 2).
+func copiesMatch(a, b []graph.EdgeID, want int) (twice, ok bool) {
+	for len(a) > 0 || len(b) > 0 {
+		var id graph.EdgeID
+		if len(b) == 0 || (len(a) > 0 && a[0] <= b[0]) {
+			id = a[0]
+		} else {
+			id = b[0]
+		}
+		na, nb := runLen(a, id), runLen(b, id)
+		if na+nb != want {
+			return false, false
+		}
+		twice = twice || na > 1 || nb > 1
+		a, b = a[na:], b[nb:]
+	}
+	return twice, true
+}
+
+// runLen is the number of leading elements of s equal to id.
+func runLen(s []graph.EdgeID, id graph.EdgeID) int {
+	n := 0
+	for n < len(s) && s[n] == id {
+		n++
+	}
+	return n
+}
+
+// firstCopy reports whether the copy of edge id being visited — on the
+// child side when childSide is set — is the first one in parent, child,
+// delivered order.  It is needed only when a side stores an edge twice;
+// otherwise a parent copy is always first and a child copy is first
+// exactly when there is no parent copy (want == 1).
+func (ms *mergeScratch) firstCopy(id graph.EdgeID, childSide bool) bool {
+	i, inParent := slices.BinarySearch(ms.convA, id)
+	if childSide {
+		if inParent {
+			return false
+		}
+		j, _ := slices.BinarySearch(ms.convB, id)
+		i = len(ms.convA) + j
+	}
+	if ms.seen[i] {
+		return false
+	}
+	ms.seen[i] = true
+	return true
+}
+
+// copyCountError names the first converting edge, in parent, child,
+// delivered order, whose stored copies do not number want.
+func (ms *mergeScratch) copyCountError(level int, mode Mode, want int, lists ...[]RemoteEdge) error {
+	for _, list := range lists {
+		for _, r := range list {
+			if int(r.ConvertLevel) != level {
+				continue
+			}
+			i, _ := slices.BinarySearch(ms.convA, r.Edge)
+			j, _ := slices.BinarySearch(ms.convB, r.Edge)
+			if c := runLen(ms.convA[i:], r.Edge) + runLen(ms.convB[j:], r.Edge); c != want {
+				return fmt.Errorf("euler: merge at level %d: edge %d has %d stored copies, want %d (mode %v)",
+					level, r.Edge, c, want, mode)
+			}
+		}
+	}
+	return fmt.Errorf("euler: merge at level %d: stored copy counts do not match mode %v (internal inconsistency)", level, mode)
+}
+
+// countStubs checks that stubs is strictly ordered by (Vertex,
+// ConvertLevel) with nothing left over from an earlier level, and returns
+// how many entries are carried past lvl.
+func countStubs(stubs []Stub, lvl int32) (keep int, err error) {
+	for i, st := range stubs {
+		if st.ConvertLevel < lvl {
+			return 0, fmt.Errorf("euler: merge at level %d found stale stub at vertex %d (convert level %d)",
+				lvl, st.Vertex, st.ConvertLevel)
+		}
+		if i > 0 && !stubLess(stubs[i-1], st) {
+			return 0, fmt.Errorf("euler: merge at level %d found stub (vertex %d, convert level %d) out of order",
+				lvl, st.Vertex, st.ConvertLevel)
+		}
+		if st.ConvertLevel > lvl {
+			keep++
+		}
+	}
+	return keep, nil
 }

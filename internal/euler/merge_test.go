@@ -1,9 +1,15 @@
 package euler
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/partition"
 )
 
@@ -111,23 +117,23 @@ func TestBuildLeafStatesProposedParks(t *testing.T) {
 	}
 }
 
+// mergeStates folds child into parent in place with a fresh scratch.
+func mergeStates(parent, child *PartState, level int, mode Mode, delivered []RemoteEdge) error {
+	_, err := new(mergeScratch).merge(parent, child, level, mode, delivered)
+	return err
+}
+
 func TestMergeStatesFigure1Level0(t *testing.T) {
 	// Merge P3 into P4 at level 0 (current mode) after Phase 1 — here we
 	// merge the raw leaf states (their locals are original edges, which is
-	// fine for MergeStates: it only touches Remote/Stubs).
+	// fine for the merge: it only touches Remote/Stubs).
 	states, _, _ := figure1Setup(t, ModeCurrent)
-	merged, err := MergeStates(states[3], states[2], 0, ModeCurrent, nil)
-	if err != nil {
+	merged := states[3]
+	wantLocals := len(states[3].Local) + len(states[2].Local) + 2
+	if err := mergeStates(merged, states[2], 0, ModeCurrent, nil); err != nil {
 		t.Fatal(err)
 	}
 	// P3–P4 cut edges e6,11 and e9,10 become local.
-	var converted int
-	for _, e := range merged.Local {
-		if e.Kind == ItemEdge {
-			converted++
-		}
-	}
-	wantLocals := len(states[3].Local) + len(states[2].Local) + 2
 	if len(merged.Local) != wantLocals {
 		t.Fatalf("merged locals = %d, want %d", len(merged.Local), wantLocals)
 	}
@@ -143,14 +149,29 @@ func TestMergeStatesFigure1Level0(t *testing.T) {
 	}
 }
 
+// wantMergeError runs both the in-place merge and the old copying merge on
+// the same inputs and requires the same error from both.
+func wantMergeError(t *testing.T, parent, child *PartState, level int, mode Mode, delivered []RemoteEdge, text string) {
+	t.Helper()
+	_, oldErr := oldMergeStates(parent, child, level, mode, delivered)
+	err := mergeStates(parent, child, level, mode, delivered)
+	if err == nil || oldErr == nil || err.Error() != oldErr.Error() {
+		t.Fatalf("in-place merge: %v\nold merge:      %v", err, oldErr)
+	}
+	if !strings.Contains(err.Error(), text) {
+		t.Fatalf("error %q does not mention %q", err, text)
+	}
+}
+
 func TestMergeStatesRejectsStale(t *testing.T) {
 	parent := &PartState{Parent: 1, Leaves: []int{1},
 		Remote: []RemoteEdge{{Local: 1, Remote: 2, Edge: 0, ConvertLevel: 0}}}
 	child := &PartState{Parent: 0, Leaves: []int{0},
 		Remote: []RemoteEdge{{Local: 2, Remote: 1, Edge: 0, ConvertLevel: 0}}}
-	if _, err := MergeStates(parent, child, 1, ModeCurrent, nil); err == nil {
-		t.Fatal("stale remote edge should be rejected")
-	}
+	wantMergeError(t, parent, child, 1, ModeCurrent, nil, "stale remote edge 0")
+
+	stub := &PartState{Parent: 1, Leaves: []int{1}, Stubs: []Stub{{Vertex: 4, ConvertLevel: 0, Count: 1}}}
+	wantMergeError(t, stub, &PartState{Leaves: []int{0}}, 1, ModeDedup, nil, "stale stub at vertex 4")
 }
 
 func TestMergeStatesRejectsMissingCopy(t *testing.T) {
@@ -158,27 +179,286 @@ func TestMergeStatesRejectsMissingCopy(t *testing.T) {
 	parent := &PartState{Parent: 1, Leaves: []int{1},
 		Remote: []RemoteEdge{{Local: 1, Remote: 2, Edge: 0, ConvertLevel: 0}}}
 	child := &PartState{Parent: 0, Leaves: []int{0}}
-	if _, err := MergeStates(parent, child, 0, ModeCurrent, nil); err == nil {
-		t.Fatal("single copy in current mode should be rejected")
+	wantMergeError(t, parent, child, 0, ModeCurrent, nil, "edge 0 has 1 stored copies, want 2")
+}
+
+func TestMergeStatesRejectsExtraCopies(t *testing.T) {
+	re := func(edge int64, lvl int32) RemoteEdge {
+		return RemoteEdge{Local: 1, Remote: 2, Edge: edge, ConvertLevel: lvl}
+	}
+	// A duplicate copy in a de-duplicating mode, on either side or split.
+	for _, mode := range []Mode{ModeDedup, ModeProposed} {
+		parent := &PartState{Leaves: []int{1}, Remote: []RemoteEdge{re(5, 0), re(7, 0)}}
+		child := &PartState{Leaves: []int{0}, Remote: []RemoteEdge{re(9, 1)}}
+		wantMergeError(t, parent, child, 0, mode, []RemoteEdge{re(7, 0)}, "edge 7 has 2 stored copies, want 1")
+	}
+	// Three copies in the duplicating mode: the first bad edge in parent,
+	// child, delivered order is reported, after a well-formed one.
+	parent := &PartState{Leaves: []int{1}, Remote: []RemoteEdge{re(3, 0), re(8, 0)}}
+	child := &PartState{Leaves: []int{0}, Remote: []RemoteEdge{re(8, 0), re(3, 0), re(8, 0)}}
+	wantMergeError(t, parent, child, 0, ModeCurrent, nil, "edge 8 has 3 stored copies, want 2")
+}
+
+func TestMergeStatesRejectsUnsortedStubs(t *testing.T) {
+	// Stub lists are kept ordered by (vertex, level) from the leaf build
+	// on; the two-pointer coalesce depends on it and says so.
+	unsorted := []Stub{{Vertex: 9, ConvertLevel: 2, Count: 1}, {Vertex: 4, ConvertLevel: 1, Count: 1}}
+	repeated := []Stub{{Vertex: 4, ConvertLevel: 1, Count: 1}, {Vertex: 4, ConvertLevel: 1, Count: 2}}
+	for _, stubs := range [][]Stub{unsorted, repeated} {
+		for _, asParent := range []bool{true, false} {
+			parent, child := &PartState{Leaves: []int{1}}, &PartState{Leaves: []int{0}}
+			if asParent {
+				parent.Stubs = stubs
+			} else {
+				child.Stubs = stubs
+			}
+			err := mergeStates(parent, child, 0, ModeDedup, nil)
+			if err == nil || !strings.Contains(err.Error(), "out of order") {
+				t.Fatalf("stubs %+v (parent=%v): err = %v, want an out-of-order error", stubs, asParent, err)
+			}
+		}
 	}
 }
 
 func TestMergeStatesDelivered(t *testing.T) {
-	// Proposed mode: the converting edge arrives via a parked delivery.
+	// Proposed mode: the converting edge arrives via a parked delivery; a
+	// delivered edge of a later level is carried, after the child's.
 	parent := &PartState{Parent: 1, Leaves: []int{1},
-		Stubs: []Stub{{Vertex: 1, ConvertLevel: 0, Count: 1}}}
+		Remote: []RemoteEdge{{Local: 1, Remote: 8, Edge: 2, ConvertLevel: 1}},
+		Stubs:  []Stub{{Vertex: 1, ConvertLevel: 0, Count: 1}}}
 	child := &PartState{Parent: 0, Leaves: []int{0},
-		Stubs: []Stub{{Vertex: 2, ConvertLevel: 0, Count: 1}}}
-	delivered := []RemoteEdge{{Local: 2, Remote: 1, Edge: 7, ConvertLevel: 0}}
-	merged, err := MergeStates(parent, child, 0, ModeProposed, delivered)
+		Remote: []RemoteEdge{{Local: 2, Remote: 9, Edge: 3, ConvertLevel: 2}},
+		Stubs:  []Stub{{Vertex: 2, ConvertLevel: 0, Count: 1}}}
+	delivered := []RemoteEdge{
+		{Local: 5, Remote: 6, Edge: 11, ConvertLevel: 1},
+		{Local: 2, Remote: 1, Edge: 7, ConvertLevel: 0},
+		{Local: 5, Remote: 7, Edge: 4, ConvertLevel: 3},
+	}
+	want, err := oldMergeStates(parent, child, 0, ModeProposed, delivered)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(merged.Local) != 1 || merged.Local[0].Ref != 7 {
-		t.Fatalf("merged locals = %+v", merged.Local)
+	if err := mergeStates(parent, child, 0, ModeProposed, delivered); err != nil {
+		t.Fatal(err)
 	}
-	if len(merged.Stubs) != 0 {
-		t.Fatalf("stubs not retired: %+v", merged.Stubs)
+	if len(parent.Local) != 1 || parent.Local[0].Ref != 7 {
+		t.Fatalf("merged locals = %+v", parent.Local)
+	}
+	if len(parent.Stubs) != 0 {
+		t.Fatalf("stubs not retired: %+v", parent.Stubs)
+	}
+	var carried []int64
+	for _, r := range parent.Remote {
+		carried = append(carried, r.Edge)
+	}
+	if !slices.Equal(carried, []int64{2, 3, 11, 4}) {
+		t.Fatalf("carried remote edges = %v, want [2 3 11 4]", carried)
+	}
+	if !sameState(parent, want) {
+		t.Fatalf("in-place merge %+v\nold merge %+v", parent, want)
+	}
+}
+
+func TestMergeStatesEmptyChild(t *testing.T) {
+	// A child with nothing in it (its edges all converted earlier, or all
+	// parked) still hands over its leaves.
+	parent := &PartState{Parent: 3, Leaves: []int{2, 3},
+		Local:  []CoarseEdge{{U: 1, V: 2, Kind: ItemPath, Ref: 77}},
+		Remote: []RemoteEdge{{Local: 1, Remote: 5, Edge: 4, ConvertLevel: 2}},
+		Stubs:  []Stub{{Vertex: 2, ConvertLevel: 1, Count: 3}}}
+	child := &PartState{Parent: 1, Leaves: []int{0, 1}}
+	for _, mode := range allModes {
+		p := cloneState(parent)
+		want, err := oldMergeStates(p, child, 1, mode, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mergeStates(p, child, 1, mode, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !sameState(p, want) || !slices.Equal(p.Leaves, []int{0, 1, 2, 3}) || len(p.Stubs) != 0 {
+			t.Fatalf("mode %v: merged %+v, want %+v", mode, p, want)
+		}
+	}
+}
+
+// oldMergeStates is the copying, map-based merge this package used before
+// the in-place fold, kept verbatim as the oracle the new code is compared
+// against.
+func oldMergeStates(parent, child *PartState, level int, mode Mode, delivered []RemoteEdge) (*PartState, error) {
+	merged := &PartState{Parent: parent.Parent}
+	merged.Leaves = append(append([]int{}, parent.Leaves...), child.Leaves...)
+	sort.Ints(merged.Leaves)
+	merged.Local = append(append([]CoarseEdge{}, parent.Local...), child.Local...)
+
+	all := make([]RemoteEdge, 0, len(parent.Remote)+len(child.Remote)+len(delivered))
+	all = append(all, parent.Remote...)
+	all = append(all, child.Remote...)
+	all = append(all, delivered...)
+
+	seen := make(map[graph.EdgeID]int8)
+	for _, r := range all {
+		if int(r.ConvertLevel) == level {
+			seen[r.Edge]++
+			continue
+		}
+		if int(r.ConvertLevel) < level {
+			return nil, fmt.Errorf("euler: merge at level %d found stale remote edge %d (convert level %d)",
+				level, r.Edge, r.ConvertLevel)
+		}
+		merged.Remote = append(merged.Remote, r)
+	}
+	wantCopies := int8(1)
+	if mode == ModeCurrent {
+		wantCopies = 2 // the directed-pair duplication stores both sides
+	}
+	for _, r := range all {
+		if int(r.ConvertLevel) != level {
+			continue
+		}
+		c := seen[r.Edge]
+		if c == -1 {
+			continue // duplicate copy of an already-converted edge
+		}
+		if c != wantCopies {
+			return nil, fmt.Errorf("euler: merge at level %d: edge %d has %d stored copies, want %d (mode %v)",
+				level, r.Edge, c, wantCopies, mode)
+		}
+		seen[r.Edge] = -1 // convert each undirected edge exactly once
+		merged.Local = append(merged.Local,
+			CoarseEdge{U: r.Local, V: r.Remote, Kind: ItemEdge, Ref: r.Edge})
+	}
+
+	// Retire stubs for this level; coalesce the rest.
+	stubs := make(map[[2]int64]int64)
+	for _, src := range [][]Stub{parent.Stubs, child.Stubs} {
+		for _, st := range src {
+			if int(st.ConvertLevel) == level {
+				continue
+			}
+			if int(st.ConvertLevel) < level {
+				return nil, fmt.Errorf("euler: merge at level %d found stale stub at vertex %d (convert level %d)",
+					level, st.Vertex, st.ConvertLevel)
+			}
+			stubs[[2]int64{st.Vertex, int64(st.ConvertLevel)}] += st.Count
+		}
+	}
+	merged.Stubs = stubsFromMap(stubs)
+	return merged, nil
+}
+
+// cloneState deep-copies a state, so one input can go through both merges.
+func cloneState(s *PartState) *PartState {
+	return &PartState{Parent: s.Parent, Leaves: slices.Clone(s.Leaves),
+		Local: slices.Clone(s.Local), Remote: slices.Clone(s.Remote), Stubs: slices.Clone(s.Stubs)}
+}
+
+// sameState compares two states field by field; nil and empty slices are
+// the same state.
+func sameState(a, b *PartState) bool {
+	return a.Parent == b.Parent && slices.Equal(a.Leaves, b.Leaves) && slices.Equal(a.Local, b.Local) &&
+		slices.Equal(a.Remote, b.Remote) && slices.Equal(a.Stubs, b.Stubs)
+}
+
+// randomMergeCase draws one merge input.  Most draws are well formed for
+// their mode; about one in four is then damaged (a copy dropped, added or
+// moved to the wrong side, a level made stale) so the error paths and the
+// stored-twice-on-one-side path are compared as well.
+func randomMergeCase(rng *rand.Rand) (parent, child *PartState, level int, mode Mode, delivered []RemoteEdge) {
+	mode = allModes[rng.Intn(len(allModes))]
+	level = rng.Intn(3)
+	parent = &PartState{Parent: 7, Leaves: []int{5, 7}}
+	child = &PartState{Parent: 3, Leaves: []int{1, 3}}
+	coarse := func(n int) []CoarseEdge {
+		var out []CoarseEdge
+		for i := 0; i < n; i++ {
+			out = append(out, CoarseEdge{U: rng.Int63n(50), V: rng.Int63n(50), Kind: ItemPath, Ref: rng.Int63()})
+		}
+		return out
+	}
+	parent.Local, child.Local = coarse(rng.Intn(6)), coarse(rng.Intn(6))
+
+	sides := []*[]RemoteEdge{&parent.Remote, &child.Remote}
+	if mode == ModeProposed {
+		sides = append(sides, &delivered)
+	}
+	for e, n := int64(0), rng.Intn(40); e < int64(n); e++ {
+		r := RemoteEdge{Local: rng.Int63n(50), Remote: 50 + rng.Int63n(50), Edge: e, ConvertLevel: int32(level + rng.Intn(3))}
+		at := rng.Intn(len(sides))
+		*sides[at] = append(*sides[at], r)
+		if mode == ModeCurrent && int(r.ConvertLevel) == level {
+			// The mirrored copy sits on the other side.
+			*sides[1-at] = append(*sides[1-at], RemoteEdge{Local: r.Remote, Remote: r.Local, Edge: e, ConvertLevel: r.ConvertLevel})
+		}
+	}
+	for _, side := range sides {
+		rng.Shuffle(len(*side), func(i, j int) { (*side)[i], (*side)[j] = (*side)[j], (*side)[i] })
+	}
+	stubs := func() []Stub {
+		m := make(map[[2]int64]int64)
+		for i, n := 0, rng.Intn(12); i < n; i++ {
+			m[[2]int64{rng.Int63n(20), int64(level + rng.Intn(3))}] += 1 + rng.Int63n(3)
+		}
+		return stubsFromMap(m)
+	}
+	parent.Stubs, child.Stubs = stubs(), stubs()
+
+	if rng.Intn(4) == 0 {
+		side := sides[rng.Intn(len(sides))]
+		switch damage := rng.Intn(5); {
+		case len(*side) == 0:
+		case damage == 0: // drop a copy
+			*side = (*side)[1:]
+		case damage == 1: // a further copy on the same side
+			*side = append(*side, (*side)[rng.Intn(len(*side))])
+		case damage == 2: // move a copy to the other side
+			other := sides[(rng.Intn(len(sides)-1)+1+slices.Index(sides, side))%len(sides)]
+			*other = append(*other, (*side)[0])
+			*side = (*side)[1:]
+		case damage == 3 && level > 0:
+			(*side)[rng.Intn(len(*side))].ConvertLevel = int32(level - 1)
+		case damage == 4 && level > 0 && len(child.Stubs) > 0:
+			child.Stubs[len(child.Stubs)-1].ConvertLevel = int32(level - 1)
+		}
+	}
+	return parent, child, level, mode, delivered
+}
+
+// TestMergeStatesMatchesOldMerge is the old-versus-new comparison: on
+// 1000 seeded random inputs the in-place fold returns the same error text
+// or leaves the parent equal to what the copying merge returned, reusing
+// one scratch throughout as a worker does.
+func TestMergeStatesMatchesOldMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	ms := new(mergeScratch)
+	var failed, twice int
+	for i := 0; i < 1000; i++ {
+		parent, child, level, mode, delivered := randomMergeCase(rng)
+		childBefore := cloneState(child)
+		want, wantErr := oldMergeStates(parent, child, level, mode, delivered)
+		_, err := ms.merge(parent, child, level, mode, delivered)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("case %d (level %d, %v): in-place merge: %v\nold merge: %v", i, level, mode, err, wantErr)
+		}
+		if !sameState(child, childBefore) {
+			t.Fatalf("case %d: the merge changed its child", i)
+		}
+		if err != nil {
+			failed++
+			continue
+		}
+		if !sameState(parent, want) {
+			t.Fatalf("case %d (level %d, %v):\nin-place %+v\nold      %+v", i, level, mode, parent, want)
+		}
+		if len(ms.seen) > 0 {
+			twice++
+			ms.seen = ms.seen[:0]
+		}
+	}
+	// The comparison must have reached the error paths and the path for an
+	// edge stored twice on one side, not only well-formed merges.
+	if failed < 50 || failed > 500 || twice == 0 {
+		t.Fatalf("%d of 1000 cases failed in both merges, %d took the stored-twice path", failed, twice)
 	}
 }
 
@@ -193,16 +473,5 @@ func TestStateLongsAccounting(t *testing.T) {
 	// Vertices {1,2}: 4 longs; 1 local edge: 3; 1 remote: 2; 1 stub: 3.
 	if got := s.Longs(); got != 12 {
 		t.Fatalf("Longs = %d, want 12", got)
-	}
-}
-
-func TestStateClone(t *testing.T) {
-	s := &PartState{Parent: 1, Leaves: []int{1},
-		Local: []CoarseEdge{{U: 1, V: 2, Kind: ItemEdge, Ref: 0}}}
-	c := s.Clone()
-	c.Local[0].U = 99
-	c.Leaves[0] = 7
-	if s.Local[0].U != 1 || s.Leaves[0] != 1 {
-		t.Fatal("Clone aliases the original")
 	}
 }

@@ -55,6 +55,72 @@ func BenchmarkPhase1(b *testing.B) {
 	}
 }
 
+// benchRMAT50k is the input of the Phase 2 regression benchmarks: the
+// 50 k-vertex Eulerian RMAT graph of the root benchmarks in 8 parts, with
+// its merge tree.
+func benchRMAT50k(b *testing.B) (*graph.Graph, partition.Assignment, *MergeTree) {
+	b.Helper()
+	g, _ := gen.EulerianRMAT(gen.RMATParams{Vertices: 50_000, AvgDegree: 5, A: 0.57, B: 0.19, C: 0.19, Seed: 42})
+	a := partition.LDG(g, 8, 1)
+	meta, err := BuildMetaGraph(g, a)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g, a, BuildMergeTree(meta, GreedyMaxWeight)
+}
+
+// BenchmarkBuildLeafStates measures the level-0 state build.  Its
+// allocs/op budget (scripts/alloc_budget.txt) is a few per partition: an
+// append that regrows a per-partition slice again would multiply it.
+func BenchmarkBuildLeafStates(b *testing.B) {
+	g, a, tree := benchRMAT50k(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := BuildLeafStates(g, a, tree, ModeCurrent); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMergeStates measures the four level-0 merges of the same run,
+// each parent folding its child in place with its own scratch, as the
+// workers do.  Only the folds are timed; restoring the toured leaf states
+// between iterations is not.  Its allocs/op budget is a handful of
+// exactly-sized buffers per merge: a map or an unsized append in the merge
+// would multiply it.
+func BenchmarkMergeStates(b *testing.B) {
+	g, a, tree := benchRMAT50k(b)
+	toured, _, err := BuildLeafStates(g, a, tree, ModeCurrent)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, st := range toured {
+		res, err := phase1(st, 0, discardStore{}, nil, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		st.Local = res.OBPairs
+	}
+	pairs := tree.Levels[0]
+	scratch := make([]mergeScratch, len(pairs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		parents := make([]*PartState, len(pairs))
+		for j, pr := range pairs {
+			parents[j] = cloneState(toured[pr.Parent])
+		}
+		b.StartTimer()
+		for j, pr := range pairs {
+			if _, err := scratch[j].merge(parents[j], toured[pr.Child], 0, ModeCurrent, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkEncodeState measures merge-transfer serialisation alone.
 func BenchmarkEncodeState(b *testing.B) {
 	st := benchLeafState(b, 14, 4)

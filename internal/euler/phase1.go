@@ -29,7 +29,7 @@ func (s Phase1Stats) Expected() int64 { return s.Boundary + s.Internal + s.Local
 //
 // When a scratch was supplied to phase1, every slice of the result aliases
 // scratch memory and is only valid until the scratch's next tour; consumers
-// (Registry.Absorb, MergeStates) copy what they keep.
+// (Registry.Absorb, the next level's merge) copy what they keep.
 type Phase1Result struct {
 	// OBPairs are the coarse OB-pair edges replacing the consumed local
 	// edges; they become the partition's Local set for the next level.
@@ -76,61 +76,8 @@ func phase1(state *PartState, level int, store spill.Store, globallyVisited func
 	}
 	res := &Phase1Result{}
 
-	// Local vertex index: all endpoints of local edges plus remote-only
-	// boundary vertices, interned in first-occurrence order through an
-	// open-addressing table (linear probing, Fibonacci hash, at least half
-	// empty).  First-occurrence order is a deterministic function of the
-	// state, so runs stay reproducible — without the map+sort build and
-	// its per-level heap churn the old code paid here.
-	occ := 2*len(state.Local) + len(state.Remote) + len(state.Stubs)
-	tabBits := 3
-	for (1 << tabBits) < 2*occ {
-		tabBits++
-	}
-	htab := growI32(sc.htab, 1<<tabBits)
-	sc.htab = htab
-	clear(htab)
-	mask := uint64(1)<<tabBits - 1
-	shift := uint(64 - tabBits)
-	verts := sc.verts[:0]
-	// idxOf interns v, returning its local index.
-	idxOf := func(v graph.VertexID) int32 {
-		h := (uint64(v) * 0x9E3779B97F4A7C15) >> shift
-		for {
-			e := htab[h]
-			if e == 0 {
-				verts = append(verts, v)
-				htab[h] = int32(len(verts))
-				return int32(len(verts) - 1)
-			}
-			if verts[e-1] == v {
-				return e - 1
-			}
-			h = (h + 1) & mask
-		}
-	}
-
-	// Translate every edge endpoint once; the CSR build below reads the
-	// translation twice (degree count, then fill).
-	eu := growI32(sc.eu, len(state.Local))
-	ev := growI32(sc.ev, len(state.Local))
-	sc.eu, sc.ev = eu, ev
-	for i, e := range state.Local {
-		eu[i] = idxOf(e.U)
-		ev[i] = idxOf(e.V)
-	}
-	ri := growI32(sc.ri, len(state.Remote))
-	sc.ri = ri
-	for i, r := range state.Remote {
-		ri[i] = idxOf(r.Local)
-	}
-	si := growI32(sc.si, len(state.Stubs))
-	sc.si = si
-	for i, st := range state.Stubs {
-		si[i] = idxOf(st.Vertex)
-	}
-	sc.verts = verts
-	nv := int32(len(verts))
+	nv := sc.intern(state)
+	verts, eu, ev, ri, si := sc.verts, sc.eu, sc.ev, sc.ri, sc.si
 
 	// Boundary classification straight off the remote edges and stubs,
 	// replacing the RemoteDegree map (only the >0 test was ever used).
@@ -146,7 +93,7 @@ func phase1(state *PartState, level int, store spill.Store, globallyVisited func
 	}
 
 	// CSR over the coarse local multigraph.
-	adjOff := growI32(sc.adjOff, int(nv)+1)
+	adjOff := grow(sc.adjOff, int(nv)+1)
 	sc.adjOff = adjOff
 	clear(adjOff)
 	for i := range eu {
@@ -156,9 +103,9 @@ func phase1(state *PartState, level int, store spill.Store, globallyVisited func
 	for i := int32(1); i <= nv; i++ {
 		adjOff[i] += adjOff[i-1]
 	}
-	adjHalf := growHalf(sc.adjHalf, 2*len(state.Local))
+	adjHalf := grow(sc.adjHalf, 2*len(state.Local))
 	sc.adjHalf = adjHalf
-	cursor := growI32(sc.cursor, int(nv))
+	cursor := grow(sc.cursor, int(nv))
 	sc.cursor = cursor
 	copy(cursor, adjOff[:nv])
 	for ei := range eu {
@@ -169,7 +116,7 @@ func phase1(state *PartState, level int, store spill.Store, globallyVisited func
 		cursor[v]++
 	}
 
-	unvis := growI32(sc.unvis, int(nv))
+	unvis := grow(sc.unvis, int(nv))
 	sc.unvis = unvis
 	for i := int32(0); i < nv; i++ {
 		unvis[i] = adjOff[i+1] - adjOff[i]

@@ -38,6 +38,11 @@ type workerState struct {
 	parked  map[int32][]RemoteEdge
 	reports []PartReport
 	scratch *phase1Scratch
+	merge   mergeScratch
+	// carried is the distinct-vertex count of state between tours: a
+	// post-tour state's vertices are exactly its boundary vertices (every
+	// OB-pair endpoint has a remote edge or a stub), which Phase 1 counts.
+	carried int64
 	// stateBuf carries the one msgState payload a worker ever sends
 	// (after that its state is owned by the parent, forever).
 	stateBuf []byte
@@ -176,17 +181,17 @@ func (p *partProgram) Compute(ctx *bsp.Context) error {
 			if child == nil {
 				return fmt.Errorf("worker %d superstep %d: parent missing child state", w, s)
 			}
-			// Materialise own state into the new level's RDD, the
-			// paper's "copy sink partition" cost — a real deep copy,
-			// without the old EncodeState→DecodeState round trip.
+			// Fold the child into this worker's own state.  The pass
+			// over the own state is the paper's "copy sink partition"
+			// cost; the child and convert fold builds the new level's
+			// partition object.
 			t0 := time.Now()
-			own := wc.state.Clone()
-			pr.CopySink = time.Since(t0)
-			merged, err := MergeStates(own, child, s-1, plan.Mode, delivered)
+			sink, err := wc.merge.merge(wc.state, child, s-1, plan.Mode, delivered)
 			if err != nil {
 				return fmt.Errorf("worker %d superstep %d: %w", w, s, err)
 			}
-			wc.state = merged
+			pr.CopySink = sink
+			pr.CreateObj = time.Since(t0) - sink
 			computing = true
 		} else if child != nil || len(delivered) > 0 {
 			return fmt.Errorf("worker %d superstep %d: unexpected merge input", w, s)
@@ -195,7 +200,6 @@ func (p *partProgram) Compute(ctx *bsp.Context) error {
 
 	if computing {
 		pr.Level, pr.Part = s, w
-		pr.LongsAtStart = wc.state.Longs()
 		pr.RemoteEdges = int64(len(wc.state.Remote))
 		pr.StubGroups = int64(len(wc.state.Stubs))
 		if plan.Validate {
@@ -214,7 +218,10 @@ func (p *partProgram) Compute(ctx *bsp.Context) error {
 			return fmt.Errorf("worker %d superstep %d: %d OB paths for %d OBs (Lemma 1 count violated)",
 				w, s, res.Stats.Paths, res.Stats.OB)
 		}
+		// Phase 1 interned every vertex of the state it toured.
+		pr.LongsAtStart = wc.state.longsWith(res.Stats.Boundary + res.Stats.Internal)
 		wc.state.Local = res.OBPairs
+		wc.carried = res.Stats.Boundary
 		isRoot := s == plan.Height && w == plan.Root
 		if err := p.deps.absorb(w, res, isRoot); err != nil {
 			return err
@@ -223,11 +230,12 @@ func (p *partProgram) Compute(ctx *bsp.Context) error {
 			p.deps.record(w, s, res, wc.state)
 		}
 		wc.reports = append(wc.reports, pr)
-	}
-	if computing {
 		p.liveLongs[w-plan.Lo][s] = pr.LongsAtStart
 	} else if wc.state != nil {
-		p.liveLongs[w-plan.Lo][s] = wc.state.Longs()
+		if replayed {
+			wc.carried = int64(wc.scratch.intern(wc.state))
+		}
+		p.liveLongs[w-plan.Lo][s] = wc.state.longsWith(wc.carried)
 	}
 
 	if s < plan.Height {

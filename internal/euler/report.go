@@ -13,15 +13,24 @@ type PartReport struct {
 	Level int
 	Part  int // parent leaf ID naming the (merged) partition
 
-	// User compute time split (Fig. 6).
-	CopySrc   time.Duration // deserialising received child states
-	CopySink  time.Duration // materialising own state into the new level
-	CreateObj time.Duration // building the partition object (index + CSR)
-	Phase1    time.Duration // the tour itself
+	// User compute time split (Fig. 6).  The four terms are disjoint
+	// slices of the worker's Compute call for this level; what they leave
+	// out is sending the state on and absorbing the tour's results.
+	//
+	// CopySrc is deserialising the received child state and parked
+	// batches.  CopySink is the merge's pass over the parent's own state
+	// (zero at level 0).  CreateObj is building the partition object:
+	// decoding the leaf state at level 0, folding the child and the
+	// converted edges in above it, then Phase 1's vertex index and CSR.
+	// Phase1 is the tour itself.
+	CopySrc   time.Duration
+	CopySink  time.Duration
+	CreateObj time.Duration
+	Phase1    time.Duration
 
 	Stats Phase1Stats // includes |B|, |I|, |L| for Fig. 7
 
-	LongsAtStart int64 // in-memory state size when Phase 1 begins (Fig. 8)
+	LongsAtStart int64 // in-memory state size when Phase 1 begins (Fig. 8; equals PartState.Longs)
 	RemoteEdges  int64 // stored remote-edge copies (Fig. 9)
 	StubGroups   int64 // stub entries carried (Sec. 5 modes)
 }

@@ -10,9 +10,12 @@ import "repro/internal/graph"
 // A scratch must only be reused once every slice handed out through the
 // previous Phase1Result has been consumed.  The driver guarantees this:
 // results are absorbed into the Registry (which copies) within the same
-// superstep, and the OBPairs slice that lives on as the partition's Local
-// set is copied by MergeStates/Clone before the next tour of the same
-// worker begins.
+// superstep.  The OBPairs slice lives on as the partition's Local set and
+// so keeps aliasing the scratch between tours; before the same worker's
+// next tour its merge copies that set into the worker's mergeScratch
+// buffer (never into this one: the tour appends OB pairs here while it
+// still reads the merged Local), and a worker that sends its state away
+// instead encodes it in the superstep that toured it.
 type phase1Scratch struct {
 	verts   []graph.VertexID // interned vertex IDs, first-occurrence order
 	htab    []int32          // open-addressing vertex→index table (idx+1, 0=empty)
@@ -41,11 +44,74 @@ type phase1Scratch struct {
 // newPhase1Scratch returns an empty scratch; buffers grow on first use.
 func newPhase1Scratch() *phase1Scratch { return &phase1Scratch{} }
 
-// growI32 returns a length-n slice reusing s's storage when possible.
+// intern builds the state's local vertex index into the scratch and
+// returns the number of distinct vertices: all endpoints of local edges
+// plus remote-only boundary vertices, interned in first-occurrence order
+// through an open-addressing table (linear probing, Fibonacci hash, at
+// least half empty).  First-occurrence order is a deterministic function
+// of the state, so runs stay reproducible.  On return sc.verts lists the
+// vertices and sc.eu/ev, sc.ri and sc.si hold the local index of every
+// local-edge endpoint, remote-edge Local endpoint and stub vertex.
+//
+// The count is exactly the vertex term of PartState.Longs, which is how
+// the run keeps the Fig. 8 accounting without building a vertex set.
+func (sc *phase1Scratch) intern(state *PartState) int32 {
+	occ := 2*len(state.Local) + len(state.Remote) + len(state.Stubs)
+	tabBits := 3
+	for (1 << tabBits) < 2*occ {
+		tabBits++
+	}
+	htab := grow(sc.htab, 1<<tabBits)
+	sc.htab = htab
+	clear(htab)
+	mask := uint64(1)<<tabBits - 1
+	shift := uint(64 - tabBits)
+	verts := sc.verts[:0]
+	// idxOf interns v, returning its local index.
+	idxOf := func(v graph.VertexID) int32 {
+		h := (uint64(v) * 0x9E3779B97F4A7C15) >> shift
+		for {
+			e := htab[h]
+			if e == 0 {
+				verts = append(verts, v)
+				htab[h] = int32(len(verts))
+				return int32(len(verts) - 1)
+			}
+			if verts[e-1] == v {
+				return e - 1
+			}
+			h = (h + 1) & mask
+		}
+	}
+
+	// Translate every edge endpoint once; the CSR build reads the
+	// translation twice (degree count, then fill).
+	eu := grow(sc.eu, len(state.Local))
+	ev := grow(sc.ev, len(state.Local))
+	sc.eu, sc.ev = eu, ev
+	for i, e := range state.Local {
+		eu[i] = idxOf(e.U)
+		ev[i] = idxOf(e.V)
+	}
+	ri := grow(sc.ri, len(state.Remote))
+	sc.ri = ri
+	for i, r := range state.Remote {
+		ri[i] = idxOf(r.Local)
+	}
+	si := grow(sc.si, len(state.Stubs))
+	sc.si = si
+	for i, st := range state.Stubs {
+		si[i] = idxOf(st.Vertex)
+	}
+	sc.verts = verts
+	return int32(len(verts))
+}
+
+// grow returns a length-n slice reusing s's storage when possible.
 // Contents are unspecified; callers overwrite or clear.
-func growI32(s []int32, n int) []int32 {
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -58,12 +124,4 @@ func growBool(s []bool, n int) []bool {
 	s = s[:n]
 	clear(s)
 	return s
-}
-
-// growHalf returns a length-n slice reusing s's storage when possible.
-func growHalf(s []half, n int) []half {
-	if cap(s) < n {
-		return make([]half, n)
-	}
-	return s[:n]
 }

@@ -56,8 +56,11 @@ func BuildSpilledLeafStates(g graph.Source, a partition.Assignment, tree *MergeT
 		stubs  []Stub
 	}
 	extras := make([]partExtra, n)
+	var locals []int64
 	var rec [3 * 8]byte
-	parked, err := buildLeafStates(g, a, tree, mode, func(p int32, e graph.Edge) error {
+	parked, err := buildLeafStates(g, a, tree, mode, func(counts []int64) {
+		locals = counts
+	}, func(p int32, e graph.Edge) error {
 		binary.LittleEndian.PutUint64(rec[0:], uint64(e.U))
 		binary.LittleEndian.PutUint64(rec[8:], uint64(e.V))
 		binary.LittleEndian.PutUint64(rec[16:], uint64(e.ID))
@@ -79,7 +82,8 @@ func BuildSpilledLeafStates(g graph.Source, a partition.Assignment, tree *MergeT
 		if _, err := files[i].Seek(0, io.SeekStart); err != nil {
 			return nil, err
 		}
-		st := &PartState{Parent: i, Leaves: []int{i}, Remote: extras[i].remote, Stubs: extras[i].stubs}
+		st := &PartState{Parent: i, Leaves: []int{i}, Remote: extras[i].remote, Stubs: extras[i].stubs,
+			Local: make([]CoarseEdge, 0, locals[i])}
 		rd := bufio.NewReaderSize(files[i], 256<<10)
 		for {
 			if _, err := io.ReadFull(rd, rec[:]); err != nil {

@@ -179,16 +179,6 @@ type PartState struct {
 	Stubs []Stub
 }
 
-// Clone returns a deep copy of s.
-func (s *PartState) Clone() *PartState {
-	c := &PartState{Parent: s.Parent}
-	c.Leaves = append([]int(nil), s.Leaves...)
-	c.Local = append([]CoarseEdge(nil), s.Local...)
-	c.Remote = append([]RemoteEdge(nil), s.Remote...)
-	c.Stubs = append([]Stub(nil), s.Stubs...)
-	return c
-}
-
 // RemoteDegree returns the per-vertex remote degree implied by stored
 // remote edges plus stubs.
 func (s *PartState) RemoteDegree() map[graph.VertexID]int64 {
@@ -217,6 +207,10 @@ func (s *PartState) LocalDegree() map[graph.VertexID]int64 {
 // (ID and classification flags), 3 per coarse local edge (endpoints and
 // body reference), 2 per stored remote-edge copy (endpoints), 3 per stub
 // group.
+//
+// It builds a vertex set per call and is the reference implementation for
+// tests and reports; the run itself counts with longsWith from the vertex
+// count Phase 1 already has.
 func (s *PartState) Longs() int64 {
 	verts := make(map[graph.VertexID]struct{})
 	for _, e := range s.Local {
@@ -229,7 +223,13 @@ func (s *PartState) Longs() int64 {
 	for _, st := range s.Stubs {
 		verts[st.Vertex] = struct{}{}
 	}
-	return 2*int64(len(verts)) + 3*int64(len(s.Local)) +
+	return s.longsWith(int64(len(verts)))
+}
+
+// longsWith is Longs for a caller that already knows the state's distinct
+// vertex count.
+func (s *PartState) longsWith(verts int64) int64 {
+	return 2*verts + 3*int64(len(s.Local)) +
 		2*int64(len(s.Remote)) + 3*int64(len(s.Stubs))
 }
 
