@@ -206,28 +206,7 @@ func BenchmarkStateEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkUnroll isolates Phase 3 on a prepared registry.
-func BenchmarkUnroll(b *testing.B) {
-	g := benchGraph(b)
-	a := partition.LDG(g, 8, 1)
-	res, err := euler.Run(g, a, euler.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.SetBytes(g.NumEdges())
-	for i := 0; i < b.N; i++ {
-		var n int64
-		if err := res.Registry.Unroll(func(euler.Step) error { n++; return nil }); err != nil {
-			b.Fatal(err)
-		}
-		if n != g.NumEdges() {
-			b.Fatal("short unroll")
-		}
-	}
-}
-
-// --- Ablation benches (DESIGN.md §4) ---
+// --- Ablation benches: the design choices of internal/bench.Ablations ---
 
 // BenchmarkAblationMatching compares merge-pair strategies end to end.
 func BenchmarkAblationMatching(b *testing.B) {

@@ -2,6 +2,7 @@ package euler
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -224,5 +225,34 @@ func TestOptionValidationSharedAcrossEntryPoints(t *testing.T) {
 	}
 	if err := VerifyTour(g, tour); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFindCircuitFailsAfterEmissionBegan pins what callers see when Phase 3
+// fails late.  Unroll streams: on two disjoint triangles the first has
+// reached emit by the time the second turns out to share no vertex with
+// it.  (A disconnected input always has floating cycles; the same
+// contract on the direct-emission path is pinned with a failing store in
+// internal/euler's TestUnrollErrorAfterDirectEmission.)  FindCircuit must
+// return no circuit at all, not the prefix.
+func TestFindCircuitFailsAfterEmissionBegan(t *testing.T) {
+	b := NewBuilder(6, 6)
+	for _, e := range [][2]int64{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}} {
+		b.AddEdge(e[0], e[1])
+	}
+	g := b.Build()
+	split := WithAssignment(Assignment{Parts: 2, Of: []int32{0, 0, 0, 1, 1, 1}})
+
+	var prefix []Step
+	report, err := FindCircuitStream(g, func(s Step) error { prefix = append(prefix, s); return nil }, split)
+	if err == nil || !strings.Contains(err.Error(), "disconnected") || report != nil {
+		t.Fatalf("FindCircuitStream = %v, %v; want a disconnected-input error and no report", report, err)
+	}
+	if len(prefix) != 3 {
+		t.Fatalf("%d steps emitted before the failure, want the first triangle", len(prefix))
+	}
+	c, err := FindCircuit(g, split)
+	if err == nil || !strings.Contains(err.Error(), "disconnected") || c != nil {
+		t.Fatalf("FindCircuit = %v, %v; want a disconnected-input error and no circuit", c, err)
 	}
 }

@@ -3,7 +3,7 @@
 // configurable scale factor relative to the paper's 20M–50M-vertex inputs.
 // Each experiment builds its workload with the generators, runs the
 // distributed algorithm on the BSP engine, and renders the same rows or
-// series the paper plots.  See EXPERIMENTS.md for paper-vs-measured notes.
+// series the paper plots.
 package bench
 
 import (

@@ -290,7 +290,7 @@ func CoordinationCost(o Options) (string, error) {
 	return b.String(), nil
 }
 
-// Ablations quantifies the design choices DESIGN.md calls out: merge-pair
+// Ablations quantifies the engine's design choices: merge-pair
 // matching strategy (greedy max vs min vs random), partitioner quality
 // (LDG vs hash), and the two Section 5 heuristics toggled independently.
 func Ablations(o Options) (string, error) {

@@ -5,10 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 	"sync/atomic"
 
-	"repro/internal/graph"
 	"repro/internal/spill"
 )
 
@@ -58,10 +56,9 @@ func (r *Registry) Save(w io.Writer) error {
 	if err := flush(); err != nil {
 		return err
 	}
-	// Deterministic order is unnecessary for correctness but keeps
-	// checkpoints byte-comparable across runs of the same computation.
-	for _, id := range sortedRecIDs(r.recs) {
-		rec := r.recs[id]
+	// The sealed pathMap is sorted by ID, which also keeps checkpoints
+	// byte-comparable across runs of the same computation.
+	for _, rec := range r.recs {
 		buf = binary.AppendVarint(buf, rec.ID)
 		buf = append(buf, byte(rec.Type))
 		buf = binary.AppendVarint(buf, rec.Src)
@@ -74,12 +71,12 @@ func (r *Registry) Save(w io.Writer) error {
 		}
 	}
 
-	buf = binary.AppendUvarint(buf, uint64(len(r.anchored)))
+	buf = binary.AppendUvarint(buf, uint64(len(r.anchorVerts)))
 	if err := flush(); err != nil {
 		return err
 	}
-	for _, v := range sortedAnchorVertices(r.anchored) {
-		ids := r.anchored[v]
+	for k, v := range r.anchorVerts {
+		ids := r.anchorIDs[r.anchorOff[k]:r.anchorOff[k+1]]
 		buf = binary.AppendVarint(buf, v)
 		buf = binary.AppendUvarint(buf, uint64(len(ids)))
 		for _, id := range ids {
@@ -141,7 +138,7 @@ func LoadRegistry(rd io.Reader, store spill.Store) (*Registry, error) {
 	if err != nil {
 		return nil, err
 	}
-	recs := make(map[PathID]PathRec, nRecs)
+	var recs []PathRec
 	for i := uint64(0); i < nRecs; i++ {
 		id, err := readV()
 		if err != nil {
@@ -171,17 +168,17 @@ func LoadRegistry(rd io.Reader, store spill.Store) (*Registry, error) {
 		if err != nil {
 			return nil, err
 		}
-		recs[id] = PathRec{
+		recs = append(recs, PathRec{
 			ID: id, Type: PathType(tb), Src: src, Dst: dst,
 			Level: int(level), Part: int(part), Items: items,
-		}
+		})
 	}
 
 	nAnch, err := readU()
 	if err != nil {
 		return nil, err
 	}
-	anchored := make(map[graph.VertexID][]PathID, nAnch)
+	var anch []anchor
 	for i := uint64(0); i < nAnch; i++ {
 		v, err := readV()
 		if err != nil {
@@ -191,15 +188,13 @@ func LoadRegistry(rd io.Reader, store spill.Store) (*Registry, error) {
 		if err != nil {
 			return nil, err
 		}
-		ids := make([]PathID, 0, n)
 		for j := uint64(0); j < n; j++ {
 			id, err := readV()
 			if err != nil {
 				return nil, err
 			}
-			ids = append(ids, id)
+			anch = append(anch, anchor{v: v, id: id})
 		}
-		anchored[v] = ids
 	}
 
 	nVerts, err := readU()
@@ -219,37 +214,14 @@ func LoadRegistry(rd io.Reader, store spill.Store) (*Registry, error) {
 
 	r := &Registry{
 		store:    store,
-		recs:     recs,
-		anchored: anchored,
 		visited:  visited,
 		numVerts: int64(nVerts),
 		master:   master,
 		seeds:    seeds,
 	}
+	if err := r.buildIndex(recs, anch); err != nil {
+		return nil, fmt.Errorf("euler: checkpoint pathMap: %w", err)
+	}
 	r.sealed.Store(true) // loaded registries are read-only: no shards to merge
 	return r, nil
-}
-
-func sortedRecIDs(m map[PathID]PathRec) []PathID {
-	ids := make([]PathID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sortPathIDs(ids)
-	return ids
-}
-
-func sortedAnchorVertices(m map[graph.VertexID][]PathID) []graph.VertexID {
-	vs := make([]graph.VertexID, 0, len(m))
-	for v := range m {
-		vs = append(vs, v)
-	}
-	sortPathIDs(vs)
-	return vs
-}
-
-// sortPathIDs sorts a slice of int64 in place (PathID and VertexID are both
-// int64 aliases).
-func sortPathIDs(xs []int64) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
 }

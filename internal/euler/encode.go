@@ -54,6 +54,11 @@ func (d *decoder) uvarint() (uint64, error) {
 }
 
 func (d *decoder) varint() (int64, error) {
+	// Deltas between neighbouring IDs mostly fit one byte.
+	if d.off < len(d.buf) && d.buf[d.off] < 0x80 {
+		d.off++
+		return unzigzag(uint64(d.buf[d.off-1])), nil
+	}
 	v, n := binary.Varint(d.buf[d.off:])
 	if n <= 0 {
 		return 0, fmt.Errorf("euler: truncated varint at offset %d", d.off)
@@ -158,51 +163,90 @@ func appendKindBitmap(dst []byte, items []Item) []byte {
 
 // DecodeBody parses a body written by EncodeBody.
 func DecodeBody(buf []byte) ([]Item, error) {
-	d := &decoder{buf: buf}
-	if err := d.marker("body"); err != nil {
-		return nil, err
-	}
-	n, err := d.uvarint()
+	c, err := newBodyCursor(buf)
 	if err != nil {
 		return nil, err
 	}
-	// Each item takes at least 3 varint bytes plus a bitmap bit; bound
-	// the count before allocating from it.
-	if n > uint64(len(d.buf)-d.off)/3 {
-		return nil, fmt.Errorf("euler: body item count %d exceeds payload size", n)
-	}
-	nbitmap := (int(n) + 7) / 8
-	if len(d.buf)-d.off < nbitmap {
-		return nil, fmt.Errorf("euler: truncated body kind bitmap at offset %d", d.off)
-	}
-	bitmap := d.buf[d.off : d.off+nbitmap]
-	d.off += nbitmap
-	items := make([]Item, 0, n)
-	var prevRef, prevTo int64
-	for i := uint64(0); i < n; i++ {
-		kind := ItemKind(bitmap[i>>3] >> (i & 7) & 1)
-		dRef, err := d.varint()
-		if err != nil {
-			return nil, err
-		}
-		dFrom, err := d.varint()
-		if err != nil {
-			return nil, err
-		}
-		hop, err := d.varint()
-		if err != nil {
-			return nil, err
-		}
-		ref := prevRef + dRef
-		from := prevTo + dFrom
-		to := from + hop
-		items = append(items, Item{Kind: kind, Ref: ref, From: from, To: to})
-		prevRef, prevTo = ref, to
-	}
-	if err := d.done(); err != nil {
+	items, err := c.appendTo(make([]Item, 0, c.n))
+	if err != nil {
 		return nil, err
 	}
 	return items, nil
+}
+
+// bodyCursor iterates a body written by EncodeBody straight off its
+// bytes, one item per next call, so Phase 3 can walk a body without a
+// slice to hold it.  It is the only body parser: DecodeBody drains one.
+type bodyCursor struct {
+	d               decoder
+	bitmap          []byte
+	n, i            uint64
+	prevRef, prevTo int64
+}
+
+// newBodyCursor checks the body header (marker, item count against the
+// payload size, kind bitmap) and positions the cursor on the first item.
+func newBodyCursor(buf []byte) (bodyCursor, error) {
+	c := bodyCursor{d: decoder{buf: buf}}
+	if err := c.d.marker("body"); err != nil {
+		return c, err
+	}
+	n, err := c.d.uvarint()
+	if err != nil {
+		return c, err
+	}
+	// Each item takes at least 3 varint bytes plus a bitmap bit; bound
+	// the count before anything is sized from it.
+	if n > uint64(len(buf)-c.d.off)/3 {
+		return c, fmt.Errorf("euler: body item count %d exceeds payload size", n)
+	}
+	nbitmap := (int(n) + 7) / 8
+	if len(buf)-c.d.off < nbitmap {
+		return c, fmt.Errorf("euler: truncated body kind bitmap at offset %d", c.d.off)
+	}
+	c.bitmap = buf[c.d.off : c.d.off+nbitmap]
+	c.d.off += nbitmap
+	c.n = n
+	return c, nil
+}
+
+// next returns the following item.  After the last one it reports
+// ok=false, with an error if the payload does not end there.
+func (c *bodyCursor) next() (it Item, ok bool, err error) {
+	if c.i == c.n {
+		return Item{}, false, c.d.done()
+	}
+	dRef, err := c.d.varint()
+	if err != nil {
+		return Item{}, false, err
+	}
+	dFrom, err := c.d.varint()
+	if err != nil {
+		return Item{}, false, err
+	}
+	hop, err := c.d.varint()
+	if err != nil {
+		return Item{}, false, err
+	}
+	it.Kind = ItemKind(c.bitmap[c.i>>3] >> (c.i & 7) & 1)
+	it.Ref = c.prevRef + dRef
+	it.From = c.prevTo + dFrom
+	it.To = it.From + hop
+	c.prevRef, c.prevTo = it.Ref, it.To
+	c.i++
+	return it, true, nil
+}
+
+// appendTo appends the cursor's remaining items to dst, checking the
+// payload ends after them.
+func (c *bodyCursor) appendTo(dst []Item) ([]Item, error) {
+	for {
+		it, ok, err := c.next()
+		if !ok {
+			return dst, err
+		}
+		dst = append(dst, it)
+	}
 }
 
 // EncodeState serialises a PartState for transfer to a merge parent, into

@@ -97,15 +97,11 @@ func TestCorruptedBodySurfaces(t *testing.T) {
 	if err := store.Put(1, []byte{0xFF, 0xFF, 0xFF}); err != nil {
 		t.Fatal(err)
 	}
-	reg := &Registry{
-		store:    store,
-		recs:     map[PathID]PathRec{1: {ID: 1, Type: IVCycle, Src: 0, Dst: 0}},
-		visited:  make([]atomic.Uint32, 1),
-		numVerts: 4,
-		master:   1,
+	reg := NewRegistry(store, 4, 1)
+	res := &Phase1Result{Recs: []PathRec{{ID: 1, Type: IVCycle, Src: 0, Dst: 0}}}
+	if err := reg.Absorb(0, res, true); err != nil {
+		t.Fatal(err)
 	}
-	reg.anchored = map[int64][]PathID{}
-	reg.sealed.Store(true)
 	_, err := reg.CollectCircuit()
 	if err == nil {
 		t.Fatal("corrupted body accepted")

@@ -186,6 +186,47 @@ func BenchmarkDecodeBody(b *testing.B) {
 	}
 }
 
+// BenchmarkUnroll measures Phase 3 alone, after the run that fills the
+// registry: the torus has floating cycles, so every root expands into the
+// one circuit buffer before the stitch; the RMAT graph has none, so steps
+// go from the walker straight to emit.  The allocs/op budgets
+// (scripts/alloc_budget.txt) are a handful of sized buffers plus the
+// reversed-body arena's growth; a slice per body or a map per vertex
+// would cost thousands.
+func BenchmarkUnroll(b *testing.B) {
+	rmat, _ := gen.EulerianRMAT(gen.RMATParams{Vertices: 50_000, AvgDegree: 5, A: 0.57, B: 0.19, C: 0.19, Seed: 42})
+	for _, in := range []struct {
+		name      string
+		g         *graph.Graph
+		multiRoot bool
+	}{
+		{"torus", gen.Torus(256, 256), true},
+		{"rmat", rmat, false},
+	} {
+		b.Run(in.name, func(b *testing.B) {
+			res, err := Run(in.g, partition.LDG(in.g, 8, 1), Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if got := len(res.Registry.Seeds()) > 0; got != in.multiRoot {
+				b.Fatalf("input has floating cycles: %v, benchmark expects %v", got, in.multiRoot)
+			}
+			var steps int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				steps = 0
+				if err := res.Registry.Unroll(func(Step) error { steps++; return nil }); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if steps != in.g.NumEdges() {
+				b.Fatalf("unrolled %d steps of %d edges", steps, in.g.NumEdges())
+			}
+		})
+	}
+}
+
 // BenchmarkRegistryAbsorb measures absorbing one partition's Phase 1 result
 // into the run-wide registry, as every worker does once per superstep.
 func BenchmarkRegistryAbsorb(b *testing.B) {

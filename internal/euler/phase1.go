@@ -65,7 +65,7 @@ type half struct {
 //
 // globallyVisited reports whether a vertex was absorbed into any body at an
 // earlier level; seed cycles prefer such vertices so that Phase 3 can
-// always splice them (see DESIGN.md).  It may be nil at level 0.
+// always splice them (see Registry.Unroll).  It may be nil at level 0.
 //
 // sc supplies reusable working memory; nil allocates a private scratch, in
 // which case the result does not alias shared storage.

@@ -2,6 +2,7 @@ package euler
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 )
@@ -22,9 +23,19 @@ type Step = graph.Step
 // contributing coarse edges, so a merged partition may fall apart into
 // components whose only attachments to the rest of the circuit lie inside
 // already-spilled path bodies.  Phase 1 seeds such components as floating
-// cycles; Unroll expands every floating cycle into its own closed walk and
-// then stitches the edge-disjoint walks together at shared vertices,
-// exactly as sequential Hierholzer merges its cycles.  See DESIGN.md.
+// cycles.  A floating cycle is still anchored at its pivot, so the walk
+// of another root splices it if it passes that pivot first; the rest are
+// expanded as roots of their own.  Every root expands to a closed walk,
+// the walks are edge-disjoint, and in a connected input each shares a
+// vertex with the union of the others, so stitching them at shared
+// vertices — exactly as sequential Hierholzer merges its cycles — yields
+// one closed walk over every edge.
+//
+// With no floating cycles (the usual case) the master's walk is the
+// circuit and its steps go straight to emit.  Otherwise all roots expand
+// into one buffer first, because where a pool walk splices in depends on
+// walks expanded after the master's.  Either way emit may have received a
+// prefix of the circuit when Unroll returns an error.
 //
 // Unroll verifies completeness: every registered path and cycle must be
 // consumed exactly once and the stitched walk must be a single closed
@@ -35,103 +46,129 @@ func (r *Registry) Unroll(emit func(Step) error) error {
 	if master == 0 {
 		return fmt.Errorf("euler: no master cycle registered (run the driver first)")
 	}
-	u := &unroller{reg: r, emitted: make(map[PathID]bool)}
+	if err := r.ensureSealed(); err != nil {
+		return err
+	}
+	seeds := r.Seeds()
+	w := &walker{
+		reg:     r,
+		emitted: make([]uint64, (len(r.recs)+63)/64),
+		spliced: make([]int32, len(r.anchorVerts)),
+	}
+	if len(seeds) == 0 {
+		w.emit = emit
+	} else {
+		w.buf = make([]Step, 0, r.circuitCap())
+	}
 
 	// Expand each root (the master, plus any floating seed not already
-	// spliced into an earlier stream) into a closed walk of original edges.
-	roots := append([]PathID{master}, r.Seeds()...)
-	var streams [][]Step
-	for _, root := range roots {
-		if u.emitted[root] {
+	// spliced into an earlier walk) into a closed walk of original edges.
+	var starts []int // where each root's walk begins in w.buf
+	for _, root := range append([]PathID{master}, seeds...) {
+		if !w.takeID(root) {
 			continue
 		}
-		u.emitted[root] = true
-		u.consumed++
-		u.cur = u.cur[:0:0]
-		if err := u.walk(root, true); err != nil {
+		starts = append(starts, len(w.buf))
+		w.rootSteps = 0
+		if err := w.walk(root, true); err != nil {
 			return err
 		}
-		if len(u.cur) == 0 {
+		if w.rootSteps == 0 {
 			return fmt.Errorf("euler: root cycle %d expanded to an empty walk", root)
 		}
-		if u.cur[0].From != u.cur[len(u.cur)-1].To {
+		if w.first != w.last {
 			return fmt.Errorf("euler: root cycle %d expansion is not closed (%d → %d)",
-				root, u.cur[0].From, u.cur[len(u.cur)-1].To)
+				root, w.first, w.last)
 		}
-		streams = append(streams, u.cur)
 	}
-	if u.consumed != r.NumPaths() {
+	if w.consumed != len(r.recs) {
 		return fmt.Errorf("euler: circuit incomplete: %d of %d paths/cycles unrolled (registry corruption)",
-			u.consumed, r.NumPaths())
+			w.consumed, len(r.recs))
 	}
-
-	return stitchEmit(streams, emit)
+	if w.emit != nil {
+		return nil
+	}
+	return stitchEmit(w.buf, append(starts, len(w.buf)), r.numVerts, emit)
 }
 
-// stitch merges edge-disjoint closed walks into one closed walk by
-// inserting each pool walk, rotated appropriately, at the first shared
-// vertex encountered along the growing circuit.  Kept for tests; large
-// runs stream through stitchEmit without materialising the result.
-func stitch(streams [][]Step) ([]Step, error) {
-	var out []Step
-	if err := stitchEmit(streams, func(s Step) error { out = append(out, s); return nil }); err != nil {
-		return nil, err
+// circuitCap is the capacity to give a buffer for the whole circuit: the
+// step count the sealed records imply, which is exact for a registry the
+// driver built.  Item counts can also arrive over the cluster wire, so an
+// absurd total is dropped and the buffer grows by append instead.
+func (r *Registry) circuitCap() int {
+	const trusted = 1 << 28 // steps; 6 GiB of buffer
+	if r.steps < 0 || r.steps > trusted {
+		return 0
 	}
-	return out, nil
+	return int(r.steps)
 }
 
-// stitchEmit emits the stitched circuit without building it: it walks
-// the first stream and, at each step, splices every not-yet-used pool
-// walk that passes through the step's source vertex — rotated to start
-// there, emitted recursively so walks that only touch the circuit
-// transitively still merge.  The emission order is exactly the order
-// the old copy-based stitch produced (walks found at one position
-// splice in reverse discovery order, because each insertion landed in
-// front of the previous one), so circuits stay byte-identical; what
-// changed is the cost — the copy-based version re-copied the growing
-// circuit once per spliced walk, O(total²) bytes of churn on
-// floating-cycle-heavy graphs.
-func stitchEmit(streams [][]Step, emit func(Step) error) error {
-	merged := streams[0]
-	pool := streams[1:]
-	if len(pool) == 0 {
-		for _, s := range merged {
+// stitchEmit emits the closed walks buf[starts[i]:starts[i+1]] as one
+// closed walk without building it: it walks the first and, at each step,
+// splices every not-yet-used pool walk that passes through the step's
+// source vertex — rotated to start there, emitted recursively so walks
+// that only touch the circuit transitively still merge.  Walks found at
+// one position splice in reverse discovery order (discovery is by walk,
+// then position), the order a copy-based insert-in-front stitch produces.
+//
+// The pool index is flat: head[v] starts the chain of pool steps leaving
+// v, in discovery order, and a step that meets no pool walk — all but a
+// few — costs one load.  Vertices outside [0, numVerts), which only a
+// corrupt body can name, share one chain.
+func stitchEmit(buf []Step, starts []int, numVerts int64, emit func(Step) error) error {
+	remaining := len(starts) - 2
+	if remaining == 0 {
+		for _, s := range buf {
 			if err := emit(s); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	// Index every pool walk by the vertices it passes through.
-	type ref struct{ stream, pos int }
-	index := make(map[graph.VertexID][]ref)
-	for si, s := range pool {
-		for pos, step := range s {
-			index[step.From] = append(index[step.From], ref{stream: si, pos: pos})
+	pool := buf[starts[1]:]
+	if len(pool) > math.MaxInt32 {
+		return fmt.Errorf("euler: %d floating-cycle steps overflow the stitch index", len(pool))
+	}
+	chain := func(v graph.VertexID) int64 {
+		if uint64(v) < uint64(numVerts) {
+			return v
+		}
+		return numVerts
+	}
+	// Chain links are pool positions plus one; zero ends a chain.
+	head := make([]int32, numVerts+1)
+	next := make([]int32, len(pool))
+	walkOf := make([]int32, len(pool))
+	for walk := len(starts) - 2; walk >= 1; walk-- {
+		for at := starts[walk+1] - 1; at >= starts[walk]; at-- {
+			i, c := at-starts[1], chain(buf[at].From)
+			next[i], head[c] = head[c], int32(i+1)
+			walkOf[i] = int32(walk)
 		}
 	}
-	used := make([]bool, len(pool))
-	remaining := len(pool)
+
+	spliced := make([]bool, len(starts))
+	var picked []int32 // pool positions found by the probes in progress
 	var emitSeq func(steps []Step) error
 	emitSeq = func(steps []Step) error {
-		for i := range steps {
-			st := steps[i]
+		for _, st := range steps {
 			if remaining > 0 {
-				var picked []ref
-				for _, rf := range index[st.From] {
-					if used[rf.stream] {
-						continue
+				base := len(picked)
+				for link := head[chain(st.From)]; link != 0; link = next[link-1] {
+					if i := link - 1; !spliced[walkOf[i]] && pool[i].From == st.From {
+						spliced[walkOf[i]] = true
+						remaining--
+						picked = append(picked, i)
 					}
-					used[rf.stream] = true
-					remaining--
-					picked = append(picked, rf)
 				}
-				for j := len(picked) - 1; j >= 0; j-- {
-					s := pool[picked[j].stream]
-					if err := emitSeq(s[picked[j].pos:]); err != nil {
+				for len(picked) > base {
+					i := picked[len(picked)-1]
+					picked = picked[:len(picked)-1]
+					at, walk := starts[1]+int(i), walkOf[i]
+					if err := emitSeq(buf[at:starts[walk+1]]); err != nil {
 						return err
 					}
-					if err := emitSeq(s[:picked[j].pos]); err != nil {
+					if err := emitSeq(buf[starts[walk]:at]); err != nil {
 						return err
 					}
 				}
@@ -142,7 +179,7 @@ func stitchEmit(streams [][]Step, emit func(Step) error) error {
 		}
 		return nil
 	}
-	if err := emitSeq(merged); err != nil {
+	if err := emitSeq(buf[:starts[1]]); err != nil {
 		return err
 	}
 	if remaining > 0 {
@@ -151,95 +188,165 @@ func stitchEmit(streams [][]Step, emit func(Step) error) error {
 	return nil
 }
 
-type unroller struct {
-	reg      *Registry
-	emitted  map[PathID]bool
+// walker is the state of one Unroll: which paths and anchored cycles
+// have been consumed, indexed by the registry's sealed ranks, and where
+// the steps land.
+type walker struct {
+	reg *Registry
+	// emitted has one bit per pathMap rank.
+	emitted  []uint64
 	consumed int
-	cur      []Step
-	// anchorPos tracks how many anchored cycles at a vertex have already
-	// been spliced, so re-visits continue where the last splice stopped.
-	anchorPos map[graph.VertexID]int
+	// spliced counts, per pivot-vertex rank, how many of the cycles
+	// anchored there have already been taken, so re-visits continue where
+	// the last splice stopped.
+	spliced []int32
+	// arena holds the items of the reversed bodies on the walk's stack.
+	arena []Item
+	// Steps go to emit when it is set, to buf otherwise.
+	emit func(Step) error
+	buf  []Step
+	// rootSteps, first and last describe the current root's walk so far.
+	rootSteps   int
+	first, last graph.VertexID
+}
+
+// take marks the path at pathMap rank k consumed, reporting false if it
+// already was.
+func (w *walker) take(k int) bool {
+	if w.emitted[k>>6]&(1<<(uint(k)&63)) != 0 {
+		return false
+	}
+	w.emitted[k>>6] |= 1 << (uint(k) & 63)
+	w.consumed++
+	return true
+}
+
+// takeID is take for a root or an anchored cycle.  An ID the pathMap does
+// not hold (a corrupt checkpoint can name one) is only counted: its walk
+// fails at the store, or the count check catches it.
+func (w *walker) takeID(id PathID) bool {
+	if k, ok := w.reg.rank(id); ok {
+		return w.take(k)
+	}
+	w.consumed++
+	return true
 }
 
 // splice unrolls every not-yet-consumed cycle anchored at v.  Splicing may
-// recursively pass v again; the position index makes that re-entrant.
-func (u *unroller) splice(v graph.VertexID) error {
-	if u.anchorPos == nil {
-		u.anchorPos = make(map[graph.VertexID]int)
+// recursively pass v again; the per-vertex count makes that re-entrant.
+func (w *walker) splice(v graph.VertexID) error {
+	k, ok := w.reg.anchorRank(v)
+	if !ok {
+		return nil
 	}
-	for {
-		cycles := u.reg.AnchoredAt(v)
-		pos := u.anchorPos[v]
-		if pos >= len(cycles) {
-			return nil
-		}
-		u.anchorPos[v] = pos + 1
-		id := cycles[pos]
-		if u.emitted[id] {
+	cycles := w.reg.anchorIDs[w.reg.anchorOff[k]:w.reg.anchorOff[k+1]]
+	for int(w.spliced[k]) < len(cycles) {
+		id := cycles[w.spliced[k]]
+		w.spliced[k]++
+		if !w.takeID(id) {
 			continue
 		}
-		u.emitted[id] = true
-		u.consumed++
-		if err := u.walk(id, true); err != nil {
+		if err := w.walk(id, true); err != nil {
 			return err
-		}
-	}
-}
-
-// walk expands one body into u.cur.  forward selects the traversal
-// direction: an OB-pair edge traversed Dst→Src unrolls its body reversed
-// with each item's endpoints swapped.
-func (u *unroller) walk(id PathID, forward bool) error {
-	body, err := u.reg.Store().Get(id)
-	if err != nil {
-		return fmt.Errorf("euler: loading body %d: %w", id, err)
-	}
-	items, err := DecodeBody(body)
-	if err != nil {
-		return fmt.Errorf("euler: decoding body %d: %w", id, err)
-	}
-	for i := range items {
-		it := items[i]
-		if !forward {
-			it = items[len(items)-1-i]
-			it.From, it.To = it.To, it.From
-		}
-		// The walk is now at it.From: consume any cycles pivoting here.
-		if err := u.splice(it.From); err != nil {
-			return err
-		}
-		switch it.Kind {
-		case ItemEdge:
-			u.cur = append(u.cur, Step{Edge: it.Ref, From: it.From, To: it.To})
-		case ItemPath:
-			sub, ok := u.reg.Rec(it.Ref)
-			if !ok {
-				return fmt.Errorf("euler: body %d references unknown path %d", id, it.Ref)
-			}
-			if u.emitted[it.Ref] {
-				return fmt.Errorf("euler: path %d referenced twice", it.Ref)
-			}
-			u.emitted[it.Ref] = true
-			u.consumed++
-			subForward := it.From == sub.Src
-			if !subForward && it.From != sub.Dst {
-				return fmt.Errorf("euler: body %d enters path %d at %d, which is neither endpoint (%d,%d)",
-					id, it.Ref, it.From, sub.Src, sub.Dst)
-			}
-			if err := u.walk(it.Ref, subForward); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("euler: body %d has bad item kind %d", id, it.Kind)
 		}
 	}
 	return nil
 }
 
+// walk expands one body.  forward selects the traversal direction: an
+// OB-pair edge traversed Dst→Src unrolls its body reversed with each
+// item's endpoints swapped.  A forward body is iterated off its encoded
+// bytes; a reversed one has to be decoded first, into the shared arena.
+func (w *walker) walk(id PathID, forward bool) error {
+	body, err := w.reg.store.Get(id)
+	if err != nil {
+		return fmt.Errorf("euler: loading body %d: %w", id, err)
+	}
+	c, err := newBodyCursor(body)
+	if err != nil {
+		return badBody(id, err)
+	}
+	if forward {
+		for {
+			it, ok, err := c.next()
+			if err != nil {
+				return badBody(id, err)
+			}
+			if !ok {
+				return nil
+			}
+			if err := w.item(id, it); err != nil {
+				return err
+			}
+		}
+	}
+	base := len(w.arena)
+	if w.arena, err = c.appendTo(w.arena); err != nil {
+		return badBody(id, err)
+	}
+	// Nested walks push and pop above len(w.arena) and may move it.
+	for i := len(w.arena) - 1; i >= base; i-- {
+		it := w.arena[i]
+		it.From, it.To = it.To, it.From
+		if err := w.item(id, it); err != nil {
+			return err
+		}
+	}
+	w.arena = w.arena[:base]
+	return nil
+}
+
+func badBody(id PathID, err error) error {
+	return fmt.Errorf("euler: decoding body %d: %w", id, err)
+}
+
+// item advances the walk over one oriented item of body id.
+func (w *walker) item(id PathID, it Item) error {
+	// The walk is now at it.From: consume any cycles pivoting here.
+	if w.reg.anchorScreen.mayHold(it.From) {
+		if err := w.splice(it.From); err != nil {
+			return err
+		}
+	}
+	switch it.Kind {
+	case ItemEdge:
+		if w.rootSteps == 0 {
+			w.first = it.From
+		}
+		w.last = it.To
+		w.rootSteps++
+		st := Step{Edge: it.Ref, From: it.From, To: it.To}
+		if w.emit != nil {
+			return w.emit(st)
+		}
+		w.buf = append(w.buf, st)
+		return nil
+	case ItemPath:
+		k, ok := w.reg.rank(it.Ref)
+		if !ok {
+			return fmt.Errorf("euler: body %d references unknown path %d", id, it.Ref)
+		}
+		if !w.take(k) {
+			return fmt.Errorf("euler: path %d referenced twice", it.Ref)
+		}
+		sub := &w.reg.recs[k]
+		subForward := it.From == sub.Src
+		if !subForward && it.From != sub.Dst {
+			return fmt.Errorf("euler: body %d enters path %d at %d, which is neither endpoint (%d,%d)",
+				id, it.Ref, it.From, sub.Src, sub.Dst)
+		}
+		return w.walk(it.Ref, subForward)
+	}
+	return fmt.Errorf("euler: body %d has bad item kind %d", id, it.Kind)
+}
+
 // CollectCircuit runs Unroll and gathers the steps in memory.  Intended
 // for tests and small graphs; large runs should stream via Unroll.
 func (r *Registry) CollectCircuit() ([]Step, error) {
-	var steps []Step
+	if err := r.ensureSealed(); err != nil {
+		return nil, err
+	}
+	steps := make([]Step, 0, r.circuitCap())
 	err := r.Unroll(func(s Step) error {
 		steps = append(steps, s)
 		return nil

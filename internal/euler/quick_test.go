@@ -10,10 +10,9 @@ import (
 	"repro/internal/verify"
 )
 
-// TestQuickEndToEnd is the headline property test (DESIGN.md invariant 5):
-// for random connected Eulerian multigraphs, random partition counts,
-// random partitioners, and every execution mode, the full pipeline yields a
-// verified Euler circuit.
+// TestQuickEndToEnd is the headline property test: for random connected
+// Eulerian multigraphs, random partition counts, random partitioners, and
+// every execution mode, the full pipeline yields a verified Euler circuit.
 func TestQuickEndToEnd(t *testing.T) {
 	f := func(seed int64, nRaw, kRaw, mRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -1,7 +1,9 @@
 package euler
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,7 +25,7 @@ import (
 // atomic bitset, so IsVisited — queried from inside every worker's tour —
 // is a plain atomic load, and marking is an atomic OR.  Path metadata goes
 // into a per-worker shard that no other worker touches; Seal merges the
-// shards into read-optimised maps once, after the run, without any
+// shards into read-only dense indexes once, after the run, without any
 // cross-worker locking.  Only the master/seed bookkeeping (a few entries
 // per run) takes a mutex.
 type Registry struct {
@@ -41,12 +43,61 @@ type Registry struct {
 	master PathID
 	seeds  []PathID // floating seed cycles, in absorption order
 
-	// sealed flips once Seal has merged the shards; afterwards recs and
-	// anchored are immutable and read without locks.
-	sealed   atomic.Bool
-	sealErr  error
-	recs     map[PathID]PathRec
-	anchored map[graph.VertexID][]PathID
+	// sealed flips once Seal has merged the shards; afterwards the
+	// indexes below are immutable and read without locks.
+	sealed  atomic.Bool
+	sealErr error
+	// recs is the pathMap sorted by ID.  A record's position is its rank,
+	// which Phase 3 indexes its per-path state by.  IDs are consecutive
+	// within one Phase 1 execution, so idRuns — the first ID and rank of
+	// every run of consecutive IDs — turns an ID into its rank in a search
+	// over a few entries per partition and level, not over every record.
+	recs   []PathRec
+	idRuns []idRun
+	// The anchored-cycle index: anchorIDs[anchorOff[k]:anchorOff[k+1]] are
+	// the cycles pivoting at anchorVerts[k] (ascending), in discovery
+	// order.  anchorScreen holds the pivots, so the Phase 3 walker pays one
+	// bit test per body item, not a lookup.
+	anchorVerts  []graph.VertexID
+	anchorOff    []int32
+	anchorIDs    []PathID
+	anchorScreen vertexScreen
+	// steps is the circuit length the records imply: every body item is an
+	// edge except the one reference that consumes each OB path.
+	steps int64
+}
+
+// idRun is a maximal run of consecutive IDs in the sorted pathMap.
+type idRun struct {
+	first PathID
+	rank  int
+}
+
+// vertexScreen is a bitset over the graph's vertices in front of a sparse
+// vertex-keyed index: mayHold is true for every added vertex and for any
+// vertex beyond the set's range (only a corrupt body or checkpoint names
+// one), which the index behind it then resolves.
+type vertexScreen []uint64
+
+func newVertexScreen(numVerts int64) vertexScreen {
+	return make(vertexScreen, (numVerts+63)/64)
+}
+
+func (s vertexScreen) add(v graph.VertexID) {
+	if i := uint64(v); i>>6 < uint64(len(s)) {
+		s[i>>6] |= 1 << (i & 63)
+	}
+}
+
+func (s vertexScreen) mayHold(v graph.VertexID) bool {
+	i := uint64(v)
+	return i>>6 >= uint64(len(s)) || s[i>>6]&(1<<(i&63)) != 0
+}
+
+// anchor is one (pivot vertex, cycle) pair on its way into the index.
+type anchor struct {
+	v  graph.VertexID
+	id PathID
 }
 
 // registryShard is one worker's private absorption buffer.  Padding keeps
@@ -140,28 +191,57 @@ func (r *Registry) sealLocked() error {
 	for i := range r.shards {
 		total += len(r.shards[i].recs)
 	}
-	recs := make(map[PathID]PathRec, total)
-	anchored := make(map[graph.VertexID][]PathID)
+	recs := make([]PathRec, 0, total)
+	var anch []anchor
 	for i := range r.shards {
 		for _, rec := range r.shards[i].recs {
-			if _, dup := recs[rec.ID]; dup {
-				r.sealErr = fmt.Errorf("euler: duplicate path ID %d", rec.ID)
-				r.sealed.Store(true)
-				return r.sealErr
-			}
-			recs[rec.ID] = rec
 			// Cycles are anchored at their pivot vertex for Phase 3
 			// splicing; the master itself is unrolled directly, and OB
 			// paths are referenced by the coarse edges that consumed them.
 			if rec.Type != OBPath && rec.ID != r.master {
-				anchored[rec.Src] = append(anchored[rec.Src], rec.ID)
+				anch = append(anch, anchor{v: rec.Src, id: rec.ID})
 			}
 		}
+		recs = append(recs, r.shards[i].recs...)
 		r.shards[i].recs = nil
 	}
-	r.recs = recs
-	r.anchored = anchored
+	r.sealErr = r.buildIndex(recs, anch)
 	r.sealed.Store(true)
+	return r.sealErr
+}
+
+// buildIndex installs the sealed indexes from the pathMap records (in any
+// order; sorted in place) and the anchored cycles (in discovery order,
+// which is kept within each vertex).  On error nothing is installed.
+func (r *Registry) buildIndex(recs []PathRec, anch []anchor) error {
+	slices.SortFunc(recs, func(a, b PathRec) int { return cmp.Compare(a.ID, b.ID) })
+	var steps int64
+	var runs []idRun
+	for i := range recs {
+		if i > 0 && recs[i].ID == recs[i-1].ID {
+			return fmt.Errorf("euler: duplicate path ID %d", recs[i].ID)
+		}
+		if i == 0 || recs[i].ID != recs[i-1].ID+1 {
+			runs = append(runs, idRun{first: recs[i].ID, rank: i})
+		}
+		steps += recs[i].Items
+		if recs[i].Type == OBPath {
+			steps--
+		}
+	}
+	slices.SortStableFunc(anch, func(a, b anchor) int { return cmp.Compare(a.v, b.v) })
+	r.anchorScreen = newVertexScreen(r.numVerts)
+	r.anchorIDs = make([]PathID, len(anch))
+	for i, a := range anch {
+		if i == 0 || a.v != anch[i-1].v {
+			r.anchorVerts = append(r.anchorVerts, a.v)
+			r.anchorOff = append(r.anchorOff, int32(i))
+			r.anchorScreen.add(a.v)
+		}
+		r.anchorIDs[i] = a.id
+	}
+	r.anchorOff = append(r.anchorOff, int32(len(anch)))
+	r.recs, r.idRuns, r.steps = recs, runs, steps
 	return nil
 }
 
@@ -177,12 +257,44 @@ func (r *Registry) ensureSealed() error {
 	return r.sealLocked()
 }
 
-// Rec returns the metadata for a path ID.  A failed seal leaves the maps
-// empty; Unroll surfaces that as an incomplete-circuit error.
+// rank returns the position of id in the sorted pathMap.  It requires a
+// sealed registry.
+func (r *Registry) rank(id PathID) (int, bool) {
+	// The last run starting at or below id is the only one that can hold it.
+	lo, hi := 0, len(r.idRuns)
+	for lo < hi {
+		if mid := (lo + hi) / 2; r.idRuns[mid].first <= id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == 0 {
+		return 0, false
+	}
+	run, end := r.idRuns[lo-1], len(r.recs)
+	if lo < len(r.idRuns) {
+		end = r.idRuns[lo].rank
+	}
+	off := uint64(id) - uint64(run.first)
+	return run.rank + int(off), off < uint64(end-run.rank)
+}
+
+// anchorRank returns the position of v among the pivot vertices.  It
+// requires a sealed registry.
+func (r *Registry) anchorRank(v graph.VertexID) (int, bool) {
+	return slices.BinarySearch(r.anchorVerts, v)
+}
+
+// Rec returns the metadata for a path ID.  A failed seal leaves the
+// pathMap empty; Unroll reports the seal error itself.
 func (r *Registry) Rec(id PathID) (PathRec, bool) {
 	_ = r.ensureSealed()
-	rec, ok := r.recs[id]
-	return rec, ok
+	k, ok := r.rank(id)
+	if !ok {
+		return PathRec{}, false
+	}
+	return r.recs[k], true
 }
 
 // NumPaths returns the number of registered paths and cycles (see Rec for
@@ -234,5 +346,9 @@ func (r *Registry) Seeds() []PathID {
 // The returned slice is shared; callers must not modify it.
 func (r *Registry) AnchoredAt(v graph.VertexID) []PathID {
 	_ = r.ensureSealed()
-	return r.anchored[v]
+	k, ok := r.anchorRank(v)
+	if !ok {
+		return nil
+	}
+	return r.anchorIDs[r.anchorOff[k]:r.anchorOff[k+1]]
 }

@@ -75,7 +75,7 @@ const (
 	// IVCycle is a maximal local cycle anchored at an internal (or
 	// previously visited) vertex; the paper merges these into a host entry
 	// at a pivot vertex, which we realise by anchoring them at that pivot
-	// and splicing during Phase 3 (see DESIGN.md).
+	// and splicing during Phase 3 (see Registry.Unroll).
 	IVCycle
 )
 

@@ -6,10 +6,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/partition"
 	"repro/internal/spill"
 )
 
@@ -114,13 +117,132 @@ func FuzzDecodeBand(f *testing.F) {
 	})
 }
 
-// TestWriteFuzzCorpus refreshes the checked-in seed corpus from
-// bandSeeds.  Guarded so a normal test run never rewrites testdata.
+// bodySeeds are the checked-in corpus for FuzzBodyCursor: the bodies a
+// real run spilled (a 6x6 torus in two parts: edge items, path
+// references, cycles and OB paths), every truncation of the shortest of
+// them, and the header shapes the cursor rejects before the first item.
+func bodySeeds(tb testing.TB) [][]byte {
+	g := gen.Torus(6, 6)
+	res, err := Run(g, partition.LDG(g, 2, 1), Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var seeds [][]byte
+	shortest := -1
+	for _, rec := range res.Registry.recs {
+		body, err := res.Registry.Store().Get(rec.ID)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if rec.Items > 1 && (shortest < 0 || len(body) < len(seeds[shortest])) {
+			shortest = len(seeds)
+		}
+		seeds = append(seeds, body)
+	}
+	for cut := range seeds[shortest] {
+		seeds = append(seeds, seeds[shortest][:cut])
+	}
+	return append(seeds,
+		append(slices.Clone(seeds[shortest]), 0), // trailing byte
+		seeds[shortest][1:],                      // marker stripped: a v2-shaped legacy body
+		[]byte{WireV3, 0x7f},                     // count beyond the payload
+		[]byte{WireV3, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0, 0, 0},
+	)
+}
+
+// refDecodeBody is the slice-building body decoder this package had
+// before bodyCursor became the only parser, kept as the reference the
+// cursor is fuzzed against.  Unlike the old DecodeBody it returns the
+// items decoded before an error, so the cursor's prefix can be checked.
+func refDecodeBody(buf []byte) ([]Item, error) {
+	d := &decoder{buf: buf}
+	if err := d.marker("body"); err != nil {
+		return nil, err
+	}
+	n, err := d.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(len(d.buf)-d.off)/3 {
+		return nil, fmt.Errorf("euler: body item count %d exceeds payload size", n)
+	}
+	nbitmap := (int(n) + 7) / 8
+	if len(d.buf)-d.off < nbitmap {
+		return nil, fmt.Errorf("euler: truncated body kind bitmap at offset %d", d.off)
+	}
+	bitmap := d.buf[d.off : d.off+nbitmap]
+	d.off += nbitmap
+	items := make([]Item, 0, n)
+	var prevRef, prevTo int64
+	for i := uint64(0); i < n; i++ {
+		kind := ItemKind(bitmap[i>>3] >> (i & 7) & 1)
+		dRef, n1 := binary.Varint(d.buf[d.off:])
+		if n1 <= 0 {
+			return items, fmt.Errorf("euler: truncated varint at offset %d", d.off)
+		}
+		d.off += n1
+		dFrom, n2 := binary.Varint(d.buf[d.off:])
+		if n2 <= 0 {
+			return items, fmt.Errorf("euler: truncated varint at offset %d", d.off)
+		}
+		d.off += n2
+		hop, n3 := binary.Varint(d.buf[d.off:])
+		if n3 <= 0 {
+			return items, fmt.Errorf("euler: truncated varint at offset %d", d.off)
+		}
+		d.off += n3
+		ref := prevRef + dRef
+		from := prevTo + dFrom
+		to := from + hop
+		items = append(items, Item{Kind: kind, Ref: ref, From: from, To: to})
+		prevRef, prevTo = ref, to
+	}
+	return items, d.done()
+}
+
+// FuzzBodyCursor drives arbitrary bytes through the in-place body cursor
+// Phase 3 walks spilled bodies with — bodies reach the coordinator's store
+// over the cluster wire and are first parsed there.  The cursor must never
+// panic and must agree with the reference decoder item for item and error
+// for error, as must DecodeBody, which drains a cursor.
+func FuzzBodyCursor(f *testing.F) {
+	for _, s := range bodySeeds(f) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantErr := refDecodeBody(data)
+		var got []Item
+		c, err := newBodyCursor(data)
+		for err == nil {
+			it, ok, nextErr := c.next()
+			if !ok {
+				err = nextErr
+				break
+			}
+			got = append(got, it)
+		}
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("cursor error %v, reference error %v", err, wantErr)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("cursor items %v, reference items %v", got, want)
+		}
+		items, err := DecodeBody(data)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || (err == nil && !slices.Equal(items, want)) || (err != nil && items != nil) {
+			t.Fatalf("DecodeBody = %v, %v; reference %v, %v", items, err, want, wantErr)
+		}
+	})
+}
+
+// TestWriteFuzzCorpus refreshes the checked-in seed corpora from
+// bandSeeds and bodySeeds.  Guarded so a normal test run never rewrites
+// testdata.
 func TestWriteFuzzCorpus(t *testing.T) {
 	if os.Getenv("WRITE_FUZZ_CORPUS") == "" {
 		t.Skip("set WRITE_FUZZ_CORPUS=1 to refresh testdata/fuzz seeds")
 	}
 	writeFuzzCorpus(t, "FuzzDecodeBand", bandSeeds())
+	writeFuzzCorpus(t, "FuzzBodyCursor", bodySeeds(t))
 }
 
 func writeFuzzCorpus(t *testing.T, target string, seeds [][]byte) {

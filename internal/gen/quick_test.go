@@ -8,8 +8,8 @@ import (
 	"repro/internal/graph"
 )
 
-// TestQuickEulerizeAlwaysEven checks invariant 1 of DESIGN.md: Eulerize
-// output has even degree everywhere, for arbitrary random multigraphs.
+// TestQuickEulerizeAlwaysEven checks that Eulerize output has even degree
+// everywhere, for arbitrary random multigraphs.
 func TestQuickEulerizeAlwaysEven(t *testing.T) {
 	f := func(seed int64, nRaw uint8, mRaw uint16) bool {
 		n := int64(nRaw%64) + 3

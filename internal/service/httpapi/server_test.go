@@ -845,3 +845,63 @@ func TestListJobs(t *testing.T) {
 		}
 	}
 }
+
+// lateFailRunner solves two disjoint triangles whatever was submitted, so
+// Phase 3 fails after it has already streamed the first triangle into the
+// job's sink (a generator job is not precondition-checked).
+type lateFailRunner struct{}
+
+func (lateFailRunner) RunCircuit(ctx context.Context, spec job.Spec, dir string, _ *graph.Graph, emit func(graph.Step) error) (*euler.Report, error) {
+	g := graph.FromEdges(6, [][2]graph.VertexID{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}})
+	split := euler.WithAssignment(euler.Assignment{Parts: 2, Of: []int32{0, 0, 0, 1, 1, 1}})
+	return euler.FindCircuitStream(g, emit, split)
+}
+
+// TestUnrollFailureAfterEmissionFailsJob: Phase 3 streams steps into the
+// sink as it walks, so a failure it detects late arrives after a prefix of
+// the circuit has been appended.  The job must end FAILED with no circuit
+// to serve, and nothing may be published to the result cache: an identical
+// resubmission runs again.
+func TestUnrollFailureAfterEmissionFailsJob(t *testing.T) {
+	cache, err := sched.NewResultCache(filepath.Join(t.TempDir(), "cache.log"), 64<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := sched.NewFair(sched.FairConfig{Workers: 1, MaxQueuePerTenant: 4})
+	s := New(Config{Store: job.NewStore(50), Sched: sc, Cache: cache, DataDir: t.TempDir(), Runner: lateFailRunner{}})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		sc.Drain(ctx)
+		cache.Close()
+	})
+
+	const spec = `{"generator":{"family":"torus","width":6,"height":4},"parts":2}`
+	for attempt := 1; attempt <= 2; attempt++ {
+		snap := submitJSON(t, ts, spec)
+		if snap.State == job.StateDone {
+			t.Fatalf("attempt %d answered from the cache", attempt)
+		}
+		failed := waitState(t, ts, snap.ID, job.StateFailed)
+		if !strings.Contains(failed.Error, "disconnected") {
+			t.Fatalf("attempt %d failed with %q, want the disconnected-input error", attempt, failed.Error)
+		}
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + snap.ID + "/circuit")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusConflict {
+			t.Fatalf("circuit of a failed job: status %d, want 409", resp.StatusCode)
+		}
+	}
+	var m map[string]any
+	if err := json.Unmarshal(fetchBody(t, ts.URL+"/v1/metrics"), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m["cache_entries"].(float64) != 0 || m["jobs_started"].(float64) != 2 || m["cache_hits"].(float64) != 0 {
+		t.Fatalf("cache_entries=%v jobs_started=%v cache_hits=%v, want 0/2/0", m["cache_entries"], m["jobs_started"], m["cache_hits"])
+	}
+}
