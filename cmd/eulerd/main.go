@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	eulerd -addr :8080 -workers 4 -backlog 64 -data /var/lib/eulerd
+//	eulerd -addr :8080 -workers 4 -data /var/lib/eulerd
 //
 // Beyond plain Euler circuits, the spec's "kind" field selects a
 // workload family from the internal/jobkind registry — "euler"
@@ -14,15 +14,13 @@
 // cluster path, with kind-isolated fingerprints and per-kind
 // kinds.<name>.{started,completed,cache_hits} metrics.
 //
-// Scheduling is multi-tenant by default (-sched fair): the tenant comes
-// from the X-Tenant header (or a digest of X-API-Key), submissions are
-// dispatched by weighted fair queueing with per-tenant queue and
-// concurrency quotas (-tenants, -max-queue-per-tenant,
-// -max-running-per-tenant), over-quota submissions are rejected early
-// with 429 + Retry-After, and identical submissions are coalesced and
-// served from a content-addressed result cache (-cache-bytes).  `-sched
-// fifo` restores the original single-queue behavior (and, unless
-// -cache-bytes is set explicitly, disables the result cache).
+// Scheduling is multi-tenant: the tenant comes from the X-Tenant header
+// (or a digest of X-API-Key), submissions are dispatched by weighted fair
+// queueing with per-tenant queue and concurrency quotas (-tenants,
+// -max-queue-per-tenant, -max-running-per-tenant) under a shared backlog
+// cap (-max-queue-total), over-quota submissions are rejected early with
+// 429 + Retry-After, and identical submissions are coalesced and served
+// from a content-addressed result cache (-cache-bytes; 0 disables it).
 //
 // Cluster mode splits the BSP engine across processes: a coordinator
 // serves the HTTP API and fans each job's partitions out over joined
@@ -79,17 +77,15 @@ func main() {
 		role      = flag.String("role", "standalone", "process role: standalone, coordinator, or worker")
 		addr      = flag.String("addr", ":8080", "HTTP listen address (standalone/coordinator)")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent jobs")
-		backlog   = flag.Int("backlog", 64, "queued-job capacity (fifo: the shared backlog; fair: ignored, see the per-tenant quotas)")
 		dataDir   = flag.String("data", "", "scratch directory (default: a fresh temp dir)")
 		retention = flag.Int("retention", 100, "finished jobs to retain")
 		maxUpload = flag.Int64("max-upload", httpapi.DefaultMaxUploadBytes, "max uploaded graph bytes")
 		grace     = flag.Duration("grace", 30*time.Second, "shutdown grace period")
 
-		schedMode   = flag.String("sched", "fair", "scheduler: fair (multi-tenant WFQ) or fifo (legacy single queue)")
 		tenants     = flag.String("tenants", "", "per-tenant overrides, name:weight[:maxqueue[:maxrunning]],... (e.g. gold:4,free:1:8:2)")
-		maxQueueTen = flag.Int("max-queue-per-tenant", 64, "fair: default per-tenant queued-job quota")
-		maxRunTen   = flag.Int("max-running-per-tenant", 0, "fair: default per-tenant concurrency quota (0 = workers)")
-		maxQueueAll = flag.Int("max-queue-total", 1024, "fair: global queued-job backstop across all tenants (0 = unlimited); also caps attached-graph memory at ~4 MiB per queued job")
+		maxQueueTen = flag.Int("max-queue-per-tenant", 64, "default per-tenant queued-job quota")
+		maxRunTen   = flag.Int("max-running-per-tenant", 0, "default per-tenant concurrency quota (0 = workers)")
+		maxQueueAll = flag.Int("max-queue-total", 1024, "global queued-job backstop across all tenants (0 = unlimited); also caps attached-graph memory at ~4 MiB per queued job")
 		cacheBytes  = flag.Int64("cache-bytes", 256<<20, "result-cache live-entry byte budget; 0 disables dedup and caching (the backing log is append-only: disk is reclaimed on restart, watch cache_log_bytes)")
 		deltaBytes  = flag.Int64("delta-bytes", 64<<20, "retained delta-base replay-state byte budget for edge-diff submissions; 0 disables delta retention (requires the result cache; cluster runs never retain)")
 
@@ -121,17 +117,6 @@ func main() {
 		fatal(err)
 	}
 
-	// `-sched fifo` is the reproduce-old-behavior switch: unless the
-	// operator asked for a cache explicitly, it turns dedup off too.
-	cacheSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "cache-bytes" {
-			cacheSet = true
-		}
-	})
-	if *schedMode == "fifo" && !cacheSet {
-		*cacheBytes = 0
-	}
 	tenantCfg, err := sched.ParseTenantSpec(*tenants)
 	if err != nil {
 		fatal(err)
@@ -142,13 +127,12 @@ func main() {
 		runWorkerRole(*join, *capacity, *nodeName)
 	case "standalone", "coordinator":
 		runServerRole(*role == "coordinator", serverConfig{
-			addr: *addr, workers: *workers, backlog: *backlog, dataDir: *dataDir,
+			addr: *addr, workers: *workers, dataDir: *dataDir,
 			retention: *retention, maxUpload: *maxUpload, grace: *grace,
 			clusterAddr: *clusterAddr, minNodes: *minNodes, waitNodes: *waitNodes,
 			stepTimeout: *stepTimeout, jobRetries: *jobRetries,
 			retryBackoff: *retryBackoff, degradedLocal: *degraded,
-			schedMode: *schedMode, tenants: tenantCfg,
-			maxQueuePerTenant: *maxQueueTen, maxRunningPerTenant: *maxRunTen,
+			tenants: tenantCfg, maxQueuePerTenant: *maxQueueTen, maxRunningPerTenant: *maxRunTen,
 			maxQueueTotal: *maxQueueAll, cacheBytes: *cacheBytes,
 			deltaBytes: *deltaBytes,
 			oocEdges:   *oocEdges, graphMemBytes: *graphMem,
@@ -186,7 +170,6 @@ func runWorkerRole(join string, capacity int, name string) {
 type serverConfig struct {
 	addr          string
 	workers       int
-	backlog       int
 	dataDir       string
 	retention     int
 	maxUpload     int64
@@ -199,7 +182,6 @@ type serverConfig struct {
 	retryBackoff  time.Duration
 	degradedLocal bool
 
-	schedMode           string
 	tenants             map[string]sched.TenantConfig
 	maxQueuePerTenant   int
 	maxRunningPerTenant int
@@ -241,21 +223,13 @@ func runServerRole(coordinator bool, cfg serverConfig) {
 		fatal(err)
 	}
 
-	var scheduler sched.Scheduler
-	switch cfg.schedMode {
-	case "fifo":
-		scheduler = sched.NewFIFO(cfg.workers, cfg.backlog)
-	case "fair":
-		scheduler = sched.NewFair(sched.FairConfig{
-			Workers:             cfg.workers,
-			MaxQueuePerTenant:   cfg.maxQueuePerTenant,
-			MaxRunningPerTenant: cfg.maxRunningPerTenant,
-			MaxQueueTotal:       cfg.maxQueueTotal,
-			Tenants:             cfg.tenants,
-		})
-	default:
-		fatal(fmt.Errorf("unknown scheduler %q (want fair or fifo)", cfg.schedMode))
-	}
+	scheduler := sched.NewFair(sched.FairConfig{
+		Workers:             cfg.workers,
+		MaxQueuePerTenant:   cfg.maxQueuePerTenant,
+		MaxRunningPerTenant: cfg.maxRunningPerTenant,
+		MaxQueueTotal:       cfg.maxQueueTotal,
+		Tenants:             cfg.tenants,
+	})
 	var cache *sched.ResultCache
 	if cfg.cacheBytes > 0 {
 		c, err := sched.NewResultCache(filepath.Join(dir, "result-cache.log"), cfg.cacheBytes)
@@ -313,7 +287,7 @@ func runServerRole(coordinator bool, cfg serverConfig) {
 		}
 		coord = c
 		defer coord.Close()
-		apiCfg.Runner = &cluster.Runner{Coordinator: coord}
+		apiCfg.Runner = coord.Solve
 		apiCfg.Cluster = coord
 	}
 
@@ -335,11 +309,11 @@ func runServerRole(coordinator bool, cfg serverConfig) {
 		cacheDesc = fmt.Sprintf("%d MiB", cfg.cacheBytes>>20)
 	}
 	if coordinator {
-		fmt.Printf("eulerd: coordinator listening on %s (cluster %s, min %d nodes, %d job slots, sched %s, cache %s, data %s)\n",
-			cfg.addr, coord.Addr(), cfg.minNodes, scheduler.Workers(), cfg.schedMode, cacheDesc, dir)
+		fmt.Printf("eulerd: coordinator listening on %s (cluster %s, min %d nodes, %d job slots, cache %s, data %s)\n",
+			cfg.addr, coord.Addr(), cfg.minNodes, scheduler.Workers(), cacheDesc, dir)
 	} else {
-		fmt.Printf("eulerd: listening on %s (%d workers, sched %s, cache %s, data %s)\n",
-			cfg.addr, scheduler.Workers(), cfg.schedMode, cacheDesc, dir)
+		fmt.Printf("eulerd: listening on %s (%d workers, cache %s, data %s)\n",
+			cfg.addr, scheduler.Workers(), cacheDesc, dir)
 	}
 
 	select {

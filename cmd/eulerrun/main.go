@@ -70,16 +70,9 @@ func main() {
 		return
 	}
 
-	var mode euler.Mode
-	switch *modeName {
-	case "current":
-		mode = euler.ModeCurrent
-	case "dedup":
-		mode = euler.ModeDedup
-	case "proposed":
-		mode = euler.ModeProposed
-	default:
-		fmt.Fprintf(os.Stderr, "eulerrun: unknown mode %q\n", *modeName)
+	mode, err := euler.ParseMode(*modeName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "eulerrun: %v\n", err)
 		os.Exit(2)
 	}
 

@@ -18,10 +18,9 @@
 package euler
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/bsp"
@@ -31,7 +30,6 @@ import (
 	"repro/internal/partition"
 	"repro/internal/postman"
 	"repro/internal/seq"
-	"repro/internal/spill"
 	"repro/internal/verify"
 )
 
@@ -67,15 +65,10 @@ type Report = euler.RunReport
 // Assignment maps vertices to partitions.
 type Assignment = partition.Assignment
 
-// Options configures FindCircuit.
+// Options configures FindCircuit: the options write straight into the
+// solve pipeline's spec.
 type Options struct {
-	parts    int32
-	mode     Mode
-	seed     int64
-	assign   *Assignment
-	spillDir string
-	cost     bsp.CostModel
-	validate bool
+	spec euler.SolveSpec
 }
 
 // Option mutates Options.
@@ -84,21 +77,22 @@ type Option func(*Options)
 // WithPartitions sets the partition count (default 4, or 1 for tiny
 // graphs); vertices are assigned with the LDG streaming partitioner unless
 // WithAssignment overrides it.
-func WithPartitions(k int32) Option { return func(o *Options) { o.parts = k } }
+func WithPartitions(k int32) Option { return func(o *Options) { o.spec.Parts = k } }
 
 // WithMode selects the remote-edge strategy (default ModeCurrent).
-func WithMode(m Mode) Option { return func(o *Options) { o.mode = m } }
+func WithMode(m Mode) Option { return func(o *Options) { o.spec.Mode = m } }
 
 // WithSeed seeds the partitioner (default 1).
-func WithSeed(s int64) Option { return func(o *Options) { o.seed = s } }
+func WithSeed(s int64) Option { return func(o *Options) { o.spec.Seed = s } }
 
 // WithAssignment supplies an explicit partition assignment, bypassing the
 // built-in partitioner.
-func WithAssignment(a Assignment) Option { return func(o *Options) { o.assign = &a } }
+func WithAssignment(a Assignment) Option { return func(o *Options) { o.spec.Assign = &a } }
 
-// WithSpillDir spills path bodies to a log file in dir instead of keeping
-// them in memory, as the paper prescribes for large graphs.
-func WithSpillDir(dir string) Option { return func(o *Options) { o.spillDir = dir } }
+// WithSpillDir spills path bodies to a log file in dir (created if missing)
+// instead of keeping them in memory, as the paper prescribes for large
+// graphs.
+func WithSpillDir(dir string) Option { return func(o *Options) { o.spec.SpillDir = dir } }
 
 // WithCostModel installs a platform cost model so the report's modeled
 // times include network/scheduler overhead.  Passing all zeros models a
@@ -106,7 +100,7 @@ func WithSpillDir(dir string) Option { return func(o *Options) { o.spillDir = di
 // by the experiment harness.
 func WithCostModel(bytesPerSec float64, latency, task, barrier time.Duration) Option {
 	return func(o *Options) {
-		o.cost = bsp.CostModel{
+		o.spec.Cost = bsp.CostModel{
 			BytesPerSecond:    bytesPerSec,
 			LatencyPerMessage: latency,
 			TaskOverhead:      task,
@@ -118,11 +112,11 @@ func WithCostModel(bytesPerSec float64, latency, task, barrier time.Duration) Op
 // WithCommodityCluster models the paper's 8-VM Azure testbed (1 Gbps
 // shuffle bandwidth, 100 ms task scheduling, 250 ms barriers).
 func WithCommodityCluster() Option {
-	return func(o *Options) { o.cost = bsp.CommodityCluster() }
+	return func(o *Options) { o.spec.Cost = bsp.CommodityCluster() }
 }
 
 // WithValidation enables per-level invariant checking during the run.
-func WithValidation() Option { return func(o *Options) { o.validate = true } }
+func WithValidation() Option { return func(o *Options) { o.spec.Validate = true } }
 
 // Circuit is the result of FindCircuit.
 type Circuit struct {
@@ -138,7 +132,7 @@ type Circuit struct {
 // bad circuits.
 func FindCircuit(g *Graph, opts ...Option) (*Circuit, error) {
 	var c Circuit
-	report, err := findCircuit(g, func(s Step) error {
+	report, err := FindCircuitStream(g, func(s Step) error {
 		c.Steps = append(c.Steps, s)
 		return nil
 	}, opts...)
@@ -153,7 +147,11 @@ func FindCircuit(g *Graph, opts ...Option) (*Circuit, error) {
 // each step in circuit order, so the circuit never needs to fit in the
 // caller's memory.
 func FindCircuitStream(g *Graph, emit func(Step) error, opts ...Option) (*Report, error) {
-	report, _, err := findCircuitRetain(g, emit, false, nil, opts)
+	spec, err := resolveOptions(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	report, _, err := solve(g, spec, emit)
 	return report, err
 }
 
@@ -162,7 +160,12 @@ func FindCircuitStream(g *Graph, emit func(Step) error, opts ...Option) (*Report
 // every partition's Phase 1 outcome) that a later FindCircuitStreamDelta
 // call can reuse when solving a slightly different graph.
 func FindCircuitStreamRetain(g *Graph, emit func(Step) error, opts ...Option) (*Report, []byte, error) {
-	return findCircuitRetain(g, emit, true, nil, opts)
+	spec, err := resolveOptions(g, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	spec.Retain = true
+	return solve(g, spec, emit)
 }
 
 // FindCircuitStreamDelta solves g — typically a small edit of a previously
@@ -180,77 +183,39 @@ func FindCircuitStreamDelta(g *Graph, emit func(Step) error, retained []byte, op
 	if err != nil {
 		return nil, nil, fmt.Errorf("euler: decoding retained record: %w", err)
 	}
-	return findCircuitRetain(g, emit, true, base, opts)
+	spec, err := resolveOptions(g, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	spec.Retain, spec.Replay = true, base
+	return solve(g, spec, emit)
 }
 
-// resolveOptions applies the option defaults, rejects invalid partition
-// counts, and clamps parts to the vertex count.  Every facade entry point
-// that accepts ...Option resolves through here, and the policy itself
-// (euler.ResolveParts/ResolveSeed) is shared with the cluster runner so
-// the two execution paths cannot drift.
-func resolveOptions(g *Graph, opts []Option) (Options, error) {
-	return resolveOptionsN(g.NumVertices(), opts)
-}
-
-func resolveOptionsN(vertices int64, opts []Option) (Options, error) {
-	o := Options{parts: euler.DefaultParts, seed: euler.DefaultSeed}
+// resolveOptions applies opts over the defaults into the pipeline's spec.
+// Unlike a job spec's unset zero, an explicit WithPartitions(0) is invalid;
+// the default policy itself lives in euler.Solve.
+func resolveOptions(g GraphSource, opts []Option) (euler.SolveSpec, error) {
+	o := Options{spec: euler.SolveSpec{Parts: euler.DefaultParts}}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	parts, err := euler.ClampParts(o.parts, vertices)
-	if err != nil {
-		return o, err
-	}
-	o.parts = parts
-	return o, nil
+	var err error
+	o.spec.Parts, err = euler.ClampParts(o.spec.Parts, g.NumVertices())
+	return o.spec, err
 }
 
-func findCircuit(g *Graph, emit func(Step) error, opts ...Option) (*Report, error) {
-	report, _, err := findCircuitRetain(g, emit, false, nil, opts)
-	return report, err
-}
-
-func findCircuitRetain(g *Graph, emit func(Step) error, record bool, replay *euler.RunRecord, opts []Option) (*Report, []byte, error) {
-	o, err := resolveOptions(g, opts)
+// solve runs the one pipeline, euler.Solve, and encodes the replay record
+// a retaining spec produced.
+func solve(g GraphSource, spec euler.SolveSpec, emit func(Step) error) (*Report, []byte, error) {
+	report, record, err := euler.Solve(context.TODO(), g, spec, emit)
 	if err != nil {
-		return nil, nil, err
-	}
-	var a Assignment
-	if o.assign != nil {
-		a = *o.assign
-	} else {
-		a = partition.LDG(g, o.parts, o.seed)
-	}
-
-	var store spill.Store
-	if o.spillDir != "" {
-		ds, err := spill.NewDiskStore(filepath.Join(o.spillDir, euler.SpillLogName))
-		if err != nil {
-			return nil, nil, fmt.Errorf("euler: opening spill store: %w", err)
-		}
-		defer ds.Close()
-		store = ds
-	}
-
-	res, err := euler.Run(g, a, euler.Config{
-		Mode:     o.mode,
-		Store:    store,
-		Cost:     o.cost,
-		Validate: o.validate,
-		Record:   record,
-		Replay:   replay,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := res.Registry.Unroll(emit); err != nil {
 		return nil, nil, err
 	}
 	var retained []byte
-	if res.Retained != nil {
-		retained = euler.EncodeRunRecord(res.Retained)
+	if record != nil {
+		retained = euler.EncodeRunRecord(record)
 	}
-	return res.Report, retained, nil
+	return report, retained, nil
 }
 
 // GraphSource is the read seam an out-of-core graph implements: vertex and
@@ -270,54 +235,13 @@ type GraphSource = graph.Source
 // returns.  Record/Replay (delta retention) are not supported on this
 // path.
 func FindCircuitStreamSource(g GraphSource, spillDir string, emit func(Step) error, opts ...Option) (*Report, error) {
-	o, err := resolveOptionsN(g.NumVertices(), opts)
+	spec, err := resolveOptions(g, opts)
 	if err != nil {
 		return nil, err
 	}
-	dir := spillDir
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "eulerooc-")
-		if err != nil {
-			return nil, fmt.Errorf("euler: creating spill dir: %w", err)
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
-	} else if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("euler: creating spill dir: %w", err)
-	}
-	var a Assignment
-	if o.assign != nil {
-		a = *o.assign
-	} else {
-		a = partition.LDG(g, o.parts, o.seed)
-	}
-	store, err := spill.NewDiskStore(filepath.Join(dir, euler.SpillLogName))
-	if err != nil {
-		return nil, fmt.Errorf("euler: opening spill store: %w", err)
-	}
-	defer store.Close()
-	initStore, err := spill.NewDiskStore(filepath.Join(dir, "leaf-init.log"))
-	if err != nil {
-		return nil, fmt.Errorf("euler: opening leaf-state store: %w", err)
-	}
-	defer initStore.Close()
-
-	res, err := euler.Run(g, a, euler.Config{
-		Mode:       o.mode,
-		Store:      store,
-		Cost:       o.cost,
-		Validate:   o.validate,
-		Sequential: true,
-		InitStore:  initStore,
-		ScratchDir: dir,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := res.Registry.Unroll(emit); err != nil {
-		return nil, err
-	}
-	return res.Report, nil
+	spec.OutOfCore, spec.SpillDir = true, spillDir
+	report, _, err := solve(g, spec, emit)
+	return report, err
 }
 
 // CheckInputSource is CheckInput over a GraphSource: the even-degree scan
@@ -379,11 +303,11 @@ func PartitionHash(g *Graph, k int32) Assignment { return partition.Hash(g, k) }
 // with a virtual edge and rotated; see internal/postman).  The walk starts
 // at one odd vertex, ends at the other, and covers every edge once.
 func FindEulerPath(g *Graph, opts ...Option) ([]Step, error) {
-	o, err := resolveOptions(g, opts)
+	spec, err := resolveOptions(g, opts)
 	if err != nil {
 		return nil, err
 	}
-	return postman.EulerPath(g, postman.Config{Parts: o.parts, Mode: o.mode, Seed: o.seed})
+	return postman.EulerPath(g, postman.Config{Parts: spec.Parts, Mode: spec.Mode, Seed: spec.Seed})
 }
 
 // CoveringTour solves the undirected route-inspection (Chinese postman)
@@ -393,11 +317,11 @@ func FindEulerPath(g *Graph, opts ...Option) ([]Step, error) {
 // covering every edge at least once.  Tour.Revisits counts the deadheading
 // traversals.
 func CoveringTour(g *Graph, opts ...Option) (*postman.Tour, error) {
-	o, err := resolveOptions(g, opts)
+	spec, err := resolveOptions(g, opts)
 	if err != nil {
 		return nil, err
 	}
-	return postman.CoveringTour(g, postman.Config{Parts: o.parts, Mode: o.mode, Seed: o.seed})
+	return postman.CoveringTour(g, postman.Config{Parts: spec.Parts, Mode: spec.Mode, Seed: spec.Seed})
 }
 
 // VerifyTour checks a covering tour produced by CoveringTour.

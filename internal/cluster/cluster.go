@@ -2,14 +2,13 @@
 // owns the bsp.Hub, fans jobs out over joined worker nodes, and finishes
 // Phase 3 locally; and a Worker loop that joins a coordinator and hosts
 // engine workers.  The algorithm lives in internal/euler; this package is
-// role wiring, spec resolution, and status reporting.
+// role wiring, the retry policy, and status reporting.
 package cluster
 
 import (
 	"context"
 	"fmt"
 	"net"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,8 +17,6 @@ import (
 	"repro/internal/euler"
 	"repro/internal/graph"
 	"repro/internal/partition"
-	"repro/internal/service/job"
-	"repro/internal/spill"
 )
 
 // Options configures a Coordinator.
@@ -35,8 +32,8 @@ type Options struct {
 	StepTimeout time.Duration
 	// JobRetries is how many times a job is re-executed after a
 	// retryable cluster failure (node lost, step timeout).  Each retry
-	// re-waits for quorum and re-plans over the surviving membership.
-	// 0 disables retries.
+	// re-waits for quorum and rebuilds the plan over the surviving
+	// membership.  0 disables retries.
 	JobRetries int
 	// RetryBackoff is the pause before each retry, giving dropped
 	// participants time to re-register (default 500ms).
@@ -170,29 +167,19 @@ type RunInfo struct {
 	Degraded bool
 }
 
-// Replanner produces the partition assignment for one attempt.  It is
-// re-invoked on every retry with the current live node count, so the
-// plan is rebuilt against the surviving membership; deterministic
-// planners (LDG with a fixed seed and part count) keep retried runs
-// byte-identical to the first attempt.
-type Replanner func(attempt, liveNodes int) (partition.Assignment, error)
-
-// Run executes one circuit computation across the cluster with a fixed
-// assignment and returns the Result ready for Phase 3 in this process.
-func (c *Coordinator) Run(ctx context.Context, g *graph.Graph, a partition.Assignment, cfg euler.Config) (*euler.Result, RunInfo, error) {
-	return c.RunReplan(ctx, g, cfg, func(int, int) (partition.Assignment, error) { return a, nil })
-}
-
-// RunReplan executes one circuit computation across the cluster under the
-// coordinator's retry policy.  Each attempt waits for quorum, plans via
-// replan, and runs under a fresh hub epoch (the epoch machinery rejects
-// stale frames from aborted attempts).  On a retryable failure — a node
-// lost mid-barrier or a superstep timeout — it backs off, re-waits for
-// quorum, re-plans over the surviving membership, and goes again, up to
-// JobRetries times.  With DegradedLocal set, a job the cluster cannot
+// Run executes Phases 1 and 2 of one circuit computation across the
+// cluster under the coordinator's retry policy and returns the Result
+// ready for Phase 3 in this process.  Each attempt waits for quorum and
+// runs under a fresh hub epoch (the epoch machinery rejects stale frames
+// from aborted attempts).  On a retryable failure — a node lost
+// mid-barrier or a superstep timeout — it backs off, re-waits for quorum,
+// and goes again, up to JobRetries times; every attempt reuses the
+// caller's assignment (RunOverCluster rebuilds the plan and re-slices it
+// over whatever membership survived), so a retried run is byte-identical
+// to the first attempt.  With DegradedLocal set, a job the cluster cannot
 // serve (no quorum, or retries exhausted on a retryable error) falls back
 // to the in-process engine and completes flagged degraded.
-func (c *Coordinator) RunReplan(ctx context.Context, g *graph.Graph, cfg euler.Config, replan Replanner) (*euler.Result, RunInfo, error) {
+func (c *Coordinator) Run(ctx context.Context, g *graph.Graph, a partition.Assignment, cfg euler.Config) (*euler.Result, RunInfo, error) {
 	var info RunInfo
 	for attempt := 1; ; attempt++ {
 		info.Attempts = attempt
@@ -216,17 +203,12 @@ func (c *Coordinator) RunReplan(ctx context.Context, g *graph.Graph, cfg euler.C
 		if err != nil {
 			c.recordError(err)
 			if c.opts.DegradedLocal && ctx.Err() == nil {
-				return c.runDegraded(g, cfg, &info, replan)
+				return c.runDegraded(g, a, cfg, info)
 			}
 			c.jobsFail.Add(1)
 			return nil, info, err
 		}
 
-		a, err := replan(attempt, c.hub.NumNodes())
-		if err != nil {
-			c.jobsFail.Add(1)
-			return nil, info, err
-		}
 		attemptCtx, cancelAttempt := context.WithCancel(ctx)
 		res, _, err := euler.RunOverCluster(attemptCtx, c.hub, g, a, cfg, quorum)
 		cancelAttempt()
@@ -249,7 +231,7 @@ func (c *Coordinator) RunReplan(ctx context.Context, g *graph.Graph, cfg euler.C
 			continue
 		}
 		if retryable && c.opts.DegradedLocal {
-			return c.runDegraded(g, cfg, &info, replan)
+			return c.runDegraded(g, a, cfg, info)
 		}
 		c.jobsFail.Add(1)
 		return nil, info, err
@@ -260,22 +242,17 @@ func (c *Coordinator) RunReplan(ctx context.Context, g *graph.Graph, cfg euler.C
 // engine in-process over LocalTransport.  The circuit is identical to
 // what the cluster would have produced for the same plan; only the
 // execution placement degrades.
-func (c *Coordinator) runDegraded(g *graph.Graph, cfg euler.Config, info *RunInfo, replan Replanner) (*euler.Result, RunInfo, error) {
-	a, err := replan(info.Attempts, 0)
-	if err != nil {
-		c.jobsFail.Add(1)
-		return nil, *info, err
-	}
+func (c *Coordinator) runDegraded(g *graph.Graph, a partition.Assignment, cfg euler.Config, info RunInfo) (*euler.Result, RunInfo, error) {
 	c.opts.Logf("cluster: falling back to degraded in-process execution")
 	res, err := euler.Run(g, a, cfg)
 	if err != nil {
 		c.jobsFail.Add(1)
-		return nil, *info, err
+		return nil, info, err
 	}
 	info.Degraded = true
 	c.degradedRuns.Add(1)
 	c.jobsRun.Add(1)
-	return res, *info, nil
+	return res, info, nil
 }
 
 // sleepCtx sleeps for d, returning false early if ctx is cancelled.
@@ -290,51 +267,24 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// Runner adapts the Coordinator to the httpapi CircuitRunner seam: it
-// resolves a job spec the way the single-process facade does (partition
-// count defaults and clamping, LDG assignment, spill placement) and runs
-// the job over the cluster instead of in-process goroutines.
-type Runner struct {
-	Coordinator *Coordinator
-}
-
-// RunCircuit implements httpapi.CircuitRunner.
-func (r *Runner) RunCircuit(ctx context.Context, spec job.Spec, dir string, g *graph.Graph, emit func(graph.Step) error) (*euler.RunReport, error) {
-	parts, err := euler.ResolveParts(spec.Parts, g.NumVertices())
+// Solve is euler.Solve with Phases 1–2 executed over the cluster: the
+// serving layer installs it as its solver.  Spec resolution, partitioning,
+// spill placement and Phase 3 are the one pipeline's; only the executor
+// and the report's Attempts/Degraded differ from an in-process solve.
+func (c *Coordinator) Solve(ctx context.Context, src graph.Source, spec euler.SolveSpec, emit func(graph.Step) error) (*euler.RunReport, *euler.RunRecord, error) {
+	var info RunInfo
+	spec.Exec = func(ctx context.Context, g *graph.Graph, a partition.Assignment, cfg euler.Config) (*euler.Result, error) {
+		res, ri, err := c.Run(ctx, g, a, cfg)
+		info = ri
+		return res, err
+	}
+	report, record, err := euler.Solve(ctx, src, spec, emit)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	seed := euler.ResolveSeed(spec.Seed)
-	mode, err := job.ParseMode(spec.Mode)
-	if err != nil {
-		return nil, err
-	}
-	cfg := euler.Config{Mode: mode}
-	if spec.Spill {
-		ds, err := spill.NewDiskStore(filepath.Join(dir, euler.SpillLogName))
-		if err != nil {
-			return nil, fmt.Errorf("cluster: opening spill store: %w", err)
-		}
-		defer ds.Close()
-		cfg.Store = ds
-	}
-	// The planner runs once per attempt: a retry rebuilds the LDG
-	// assignment and the euler plan from scratch against whatever
-	// membership survived.  Part count and seed come from the spec, so
-	// the rebuilt plan — and therefore the circuit — is byte-identical
-	// across attempts and to a single-process run.
-	res, info, err := r.Coordinator.RunReplan(ctx, g, cfg, func(attempt, liveNodes int) (partition.Assignment, error) {
-		return partition.LDG(g, parts, seed), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := res.Registry.Unroll(emit); err != nil {
-		return nil, err
-	}
-	res.Report.Attempts = info.Attempts
-	res.Report.Degraded = info.Degraded
-	return res.Report, nil
+	report.Attempts = info.Attempts
+	report.Degraded = info.Degraded
+	return report, record, nil
 }
 
 // WorkerOptions configures RunWorker.

@@ -2,10 +2,9 @@ package euler
 
 import "fmt"
 
-// Facade-level run policy, shared by the single-process facade (repro's
-// root package) and the cluster runner so the two paths cannot drift: a
-// spec that relies on defaults must resolve identically wherever it runs,
-// or the cluster's byte-identical guarantee breaks.
+// Run policy applied by Solve's partition stage, so a spec that relies on
+// defaults resolves identically from every entry point — the facade, a
+// served job, a cluster run — or their byte-identical guarantee breaks.
 
 // DefaultParts is the partition count applied when a caller passes zero.
 const DefaultParts = 4

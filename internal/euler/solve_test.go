@@ -1,0 +1,175 @@
+package euler
+
+import (
+	"context"
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/partition"
+	"repro/internal/verify"
+)
+
+// untouchedSource fails the test on any read: a solve that must stop
+// before partitioning never looks at its input.
+type untouchedSource struct{ t *testing.T }
+
+func (s untouchedSource) NumVertices() int64 { s.t.Error("NumVertices read"); return 0 }
+func (s untouchedSource) NumEdges() int64    { s.t.Error("NumEdges read"); return 0 }
+func (s untouchedSource) Degree(graph.VertexID) int64 {
+	s.t.Error("Degree read")
+	return 0
+}
+func (s untouchedSource) Adj(graph.VertexID) []graph.Half { s.t.Error("Adj read"); return nil }
+func (s untouchedSource) ForEachEdge(func(graph.Edge) error) error {
+	s.t.Error("ForEachEdge read")
+	return nil
+}
+
+func TestSolveCancelledBeforeStart(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	report, record, err := Solve(ctx, untouchedSource{t}, SolveSpec{Retain: true}, func(Step) error {
+		t.Error("emit called")
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) || report != nil || record != nil {
+		t.Fatalf("Solve = %v, %v, %v; want context.Canceled and nothing else", report, record, err)
+	}
+}
+
+// TestSolveCancelledMidStream: a cancellation that lands during Phase 3 is
+// observed before the next step reaches emit.
+func TestSolveCancelledMidStream(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	emitted := 0
+	_, _, err := Solve(ctx, gen.Torus(8, 8), SolveSpec{Parts: 2}, func(Step) error {
+		emitted++
+		cancel()
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) || emitted != 1 {
+		t.Fatalf("Solve = %v after %d steps; want context.Canceled after 1", err, emitted)
+	}
+}
+
+func solveSteps(t *testing.T, src graph.Source, spec SolveSpec) ([]Step, *RunReport, *RunRecord) {
+	t.Helper()
+	var steps []Step
+	report, record, err := Solve(context.Background(), src, spec, func(s Step) error {
+		steps = append(steps, s)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Solve(%+v): %v", spec, err)
+	}
+	return steps, report, record
+}
+
+// TestSolveStoreStage pins where each spec puts its logs: nowhere without
+// a spill dir, under a (created) spill dir with one, and in a temp dir that
+// is gone on return for an out-of-core run without one.
+func TestSolveStoreStage(t *testing.T) {
+	g := gen.Torus(10, 6)
+	want, _, _ := solveSteps(t, g, SolveSpec{Parts: 3})
+	if err := verify.Circuit(g, want); err != nil {
+		t.Fatal(err)
+	}
+	same := func(name string, got []Step) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d steps, want %d", name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: step %d = %v, want %v", name, i, got[i], want[i])
+			}
+		}
+	}
+
+	dir := filepath.Join(t.TempDir(), "missing", "spill")
+	got, _, _ := solveSteps(t, g, SolveSpec{Parts: 3, SpillDir: dir})
+	same("spilled", got)
+	if _, err := os.Stat(filepath.Join(dir, SpillLogName)); err != nil {
+		t.Fatalf("spilled run left no body log: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "leaf-init.log")); err == nil {
+		t.Fatal("in-memory run wrote a leaf-state log")
+	}
+
+	oocDir := filepath.Join(t.TempDir(), "ooc")
+	got, report, _ := solveSteps(t, g, SolveSpec{Parts: 3, SpillDir: oocDir, OutOfCore: true})
+	same("out of core", got)
+	if _, err := os.Stat(filepath.Join(oocDir, "leaf-init.log")); err != nil {
+		t.Fatalf("out-of-core run left no leaf-state log: %v", err)
+	}
+	if report == nil {
+		t.Fatal("out-of-core run returned no report")
+	}
+
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	got, _, _ = solveSteps(t, g, SolveSpec{Parts: 3, OutOfCore: true})
+	same("out of core, temp dir", got)
+	if left, _ := os.ReadDir(tmp); len(left) != 0 {
+		t.Fatalf("out-of-core temp dir not removed: %v", left)
+	}
+}
+
+// TestSolveExecutor: an executor replaces Run for Phases 1–2 and nothing
+// else; it is refused the runs it cannot serve.
+func TestSolveExecutor(t *testing.T) {
+	g := gen.RingOfCliques(5, 5)
+	want, _, _ := solveSteps(t, g, SolveSpec{Parts: 4, Seed: 3, Mode: ModeDedup})
+
+	calls := 0
+	exec := func(_ context.Context, eg *graph.Graph, a partition.Assignment, cfg Config) (*Result, error) {
+		calls++
+		if eg != g || a.Parts != 4 || cfg.Mode != ModeDedup {
+			t.Errorf("executor got graph %p, %d parts, mode %v", eg, a.Parts, cfg.Mode)
+		}
+		return Run(eg, a, cfg)
+	}
+	got, _, _ := solveSteps(t, g, SolveSpec{Parts: 4, Seed: 3, Mode: ModeDedup, Exec: exec})
+	if calls != 1 || len(got) != len(want) {
+		t.Fatalf("executor called %d times, %d steps; want 1 call, %d steps", calls, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("step %d = %v through the executor, want %v", i, got[i], want[i])
+		}
+	}
+
+	for _, spec := range []SolveSpec{
+		{Exec: exec, Retain: true},
+		{Exec: exec, OutOfCore: true},
+	} {
+		_, _, err := Solve(context.Background(), g, spec, func(Step) error { return nil })
+		if err == nil || !strings.Contains(err.Error(), "executor") {
+			t.Errorf("Solve(%+v) = %v, want the executor refusal", spec, err)
+		}
+	}
+	if calls != 1 {
+		t.Fatalf("a refused spec reached the executor")
+	}
+}
+
+func TestParseMode(t *testing.T) {
+	for _, m := range allModes {
+		got, err := ParseMode(m.String())
+		if err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	if m, err := ParseMode(""); err != nil || m != ModeCurrent {
+		t.Errorf(`ParseMode("") = %v, %v; want the default`, m, err)
+	}
+	if _, err := ParseMode("fast"); err == nil {
+		t.Error("unknown mode parsed")
+	}
+}

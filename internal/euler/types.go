@@ -162,6 +162,19 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", uint8(m))
 }
 
+// ParseMode is String's inverse over the wire names; "" means ModeCurrent.
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "", "current":
+		return ModeCurrent, nil
+	case "dedup":
+		return ModeDedup, nil
+	case "proposed":
+		return ModeProposed, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q (want current, dedup, or proposed)", s)
+}
+
 // PartState is the in-memory state of one (possibly merged) partition
 // between levels: the coarse local multigraph plus its stored remote edges
 // and stubs.  Vertex sets are implicit in the edges.

@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"strconv"
 
-	euler "repro"
+	"repro/internal/euler"
 	"repro/internal/graph"
 	"repro/internal/seq"
 )
@@ -62,7 +62,7 @@ func (debruijnKind) Material(req Request) []byte {
 	return buf
 }
 
-func (debruijnKind) Solve(ctx context.Context, req Request, _ *graph.Graph, _ GraphRunner, emit func(graph.Step) error) (*euler.Report, error) {
+func (debruijnKind) Solve(ctx context.Context, req Request, _ *graph.Graph, _ GraphRunner, emit func(graph.Step) error) (*euler.RunReport, error) {
 	symbols, err := seq.DeBruijn(req.DeBruijn.Alphabet, req.DeBruijn.Length)
 	if err != nil {
 		return nil, err

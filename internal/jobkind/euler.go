@@ -6,8 +6,9 @@ import (
 	"fmt"
 	"strconv"
 
-	euler "repro"
+	"repro/internal/euler"
 	"repro/internal/graph"
+	"repro/internal/verify"
 )
 
 // eulerKind is the default workload family: an Euler circuit of an
@@ -30,15 +31,15 @@ func (eulerKind) Normalize(req *Request) error {
 // sched.FingerprintGraph, fully determine an euler result.
 func (eulerKind) Material(Request) []byte { return nil }
 
-func (eulerKind) Solve(ctx context.Context, req Request, g *graph.Graph, run GraphRunner, emit func(graph.Step) error) (*euler.Report, error) {
+func (eulerKind) Solve(ctx context.Context, req Request, g *graph.Graph, run GraphRunner, emit func(graph.Step) error) (*euler.RunReport, error) {
 	if run == nil {
-		run = DefaultRunner(req.Options)
+		run = solveLocal(req.Options)
 	}
 	return run(ctx, g, emit)
 }
 
 func (eulerKind) Verify(req Request, g *graph.Graph, steps []graph.Step) error {
-	return euler.Verify(g, steps)
+	return verify.Circuit(g, steps)
 }
 
 func (eulerKind) AppendLine(dst []byte, st graph.Step) []byte {

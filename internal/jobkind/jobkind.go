@@ -28,10 +28,11 @@ package jobkind
 import (
 	"context"
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 
-	euler "repro"
+	"repro/internal/euler"
 	"repro/internal/graph"
 )
 
@@ -74,11 +75,11 @@ func badSpec(kind, format string, args ...any) *SpecError {
 }
 
 // GraphRunner computes an Euler circuit of g, streaming steps through
-// emit and returning the engine report.  The serving layer injects its
-// CircuitRunner here (cluster coordinators fan the run out over worker
-// nodes); a nil runner makes the kind solve in-process via
-// DefaultRunner.
-type GraphRunner func(ctx context.Context, g *graph.Graph, emit func(graph.Step) error) (*euler.Report, error)
+// emit and returning the engine report.  The serving layer injects a
+// call to its solver here (cluster coordinators fan the run out over
+// worker nodes); a nil runner makes the kind solve in-process via
+// solveLocal.
+type GraphRunner func(ctx context.Context, g *graph.Graph, emit func(graph.Step) error) (*euler.RunReport, error)
 
 // Kind is one workload family's plug-in surface.
 type Kind interface {
@@ -101,7 +102,7 @@ type Kind interface {
 	// kinds); run is the serving layer's circuit runner (nil = solve
 	// in-process).  The report is nil for kinds that never run the
 	// engine.
-	Solve(ctx context.Context, req Request, g *graph.Graph, run GraphRunner, emit func(graph.Step) error) (*euler.Report, error)
+	Solve(ctx context.Context, req Request, g *graph.Graph, run GraphRunner, emit func(graph.Step) error) (*euler.RunReport, error)
 	// Verify checks a decoded result stream against the request (and
 	// input graph, when there is one); the load runner re-verifies
 	// every returned result through this.
@@ -173,47 +174,44 @@ func Names() []string {
 
 // ParseMode maps the wire name of a remote-edge strategy to the engine
 // mode; "" means the default (current).
-func ParseMode(s string) (euler.Mode, error) {
-	switch s {
-	case "", "current":
-		return euler.ModeCurrent, nil
-	case "dedup":
-		return euler.ModeDedup, nil
-	case "proposed":
-		return euler.ModeProposed, nil
+func ParseMode(s string) (euler.Mode, error) { return euler.ParseMode(s) }
+
+// SolveSpec is the one translation of a submission's engine options into
+// the solve pipeline's spec; a Spill job's logs go under spillDir.
+func (o Options) SolveSpec(spillDir string) (euler.SolveSpec, error) {
+	mode, err := ParseMode(o.Mode)
+	if err != nil {
+		return euler.SolveSpec{}, err
 	}
-	return 0, fmt.Errorf("unknown mode %q (want current, dedup, or proposed)", s)
+	spec := euler.SolveSpec{Parts: o.Parts, Seed: o.Seed, Mode: mode}
+	if o.Spill {
+		spec.SpillDir = spillDir
+	}
+	return spec, nil
 }
 
-// DefaultRunner returns the in-process GraphRunner for the given engine
-// options: the facade engine over goroutine workers, exactly what a
-// standalone eulerd runs.  Library clients (the examples) and kinds
-// handed a nil runner use it.
-func DefaultRunner(opts Options) GraphRunner {
-	return func(ctx context.Context, g *graph.Graph, emit func(graph.Step) error) (*euler.Report, error) {
-		mode, err := ParseMode(opts.Mode)
+// solveLocal returns the in-process GraphRunner for the given engine
+// options: euler.Solve over goroutine workers, exactly what a standalone
+// eulerd runs.  Library clients (the examples) and kinds handed a nil
+// runner use it; a Spill job spills to a temp directory removed on
+// return.
+func solveLocal(opts Options) GraphRunner {
+	return func(ctx context.Context, g *graph.Graph, emit func(graph.Step) error) (*euler.RunReport, error) {
+		dir := ""
+		if opts.Spill {
+			tmp, err := os.MkdirTemp("", "eulerspill-")
+			if err != nil {
+				return nil, err
+			}
+			defer os.RemoveAll(tmp)
+			dir = tmp
+		}
+		spec, err := opts.SolveSpec(dir)
 		if err != nil {
 			return nil, err
 		}
-		eopts := []euler.Option{euler.WithMode(mode)}
-		if opts.Parts > 0 {
-			eopts = append(eopts, euler.WithPartitions(opts.Parts))
-		}
-		if opts.Seed != 0 {
-			eopts = append(eopts, euler.WithSeed(opts.Seed))
-		}
-		// The engine's merge phases are not context-aware; callers that
-		// need cancellation observe ctx in their emit wrapper.
-		wrapped := emit
-		if ctx != nil {
-			wrapped = func(st graph.Step) error {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				return emit(st)
-			}
-		}
-		return euler.FindCircuitStream(g, wrapped, eopts...)
+		report, _, err := euler.Solve(ctx, g, spec, emit)
+		return report, err
 	}
 }
 

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	euler "repro"
+	"repro/internal/euler"
 	"repro/internal/graph"
 	"repro/internal/postman"
 )
@@ -33,20 +33,16 @@ func (postmanKind) Normalize(req *Request) error {
 // fingerprint).
 func (postmanKind) Material(Request) []byte { return nil }
 
-func (postmanKind) Solve(ctx context.Context, req Request, g *graph.Graph, run GraphRunner, emit func(graph.Step) error) (*euler.Report, error) {
+func (postmanKind) Solve(ctx context.Context, req Request, g *graph.Graph, run GraphRunner, emit func(graph.Step) error) (*euler.RunReport, error) {
 	if run == nil {
-		run = DefaultRunner(req.Options)
-	}
-	mode, err := ParseMode(req.Options.Mode)
-	if err != nil {
-		return nil, err
+		run = solveLocal(req.Options)
 	}
 	// The tour's circuit runs over the Eulerised multigraph, not g, so
-	// it must go through the injected runner (a cluster coordinator
-	// fans it out); postman's Circuit seam is exactly that hook.
-	var report *euler.Report
+	// it must go through the runner (a cluster coordinator fans it
+	// out); postman's Circuit seam is exactly that hook, and with it set
+	// the engine options reach the run through the runner alone.
+	var report *euler.RunReport
 	cfg := postman.Config{
-		Parts: req.Options.Parts, Mode: mode, Seed: req.Options.Seed,
 		Circuit: func(mg *graph.Graph, _ postman.Config) ([]graph.Step, error) {
 			var steps []graph.Step
 			r, err := run(ctx, mg, func(st graph.Step) error {

@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"sort"
 
-	euler "repro"
+	"repro/internal/euler"
 	"repro/internal/graph"
 	"repro/internal/seq"
 )
@@ -121,7 +121,7 @@ func materializeReads(s *SuperwalkSpec) ([]string, error) {
 	return seq.Shred(seq.SyntheticGenome(s.GenomeLen, s.Seed), s.K)
 }
 
-func (superwalkKind) Solve(ctx context.Context, req Request, _ *graph.Graph, _ GraphRunner, emit func(graph.Step) error) (*euler.Report, error) {
+func (superwalkKind) Solve(ctx context.Context, req Request, _ *graph.Graph, _ GraphRunner, emit func(graph.Step) error) (*euler.RunReport, error) {
 	reads, err := materializeReads(req.Superwalk)
 	if err != nil {
 		return nil, err

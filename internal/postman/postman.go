@@ -20,56 +20,46 @@
 package postman
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"repro/internal/euler"
 	"repro/internal/graph"
-	"repro/internal/partition"
 )
 
 // Config controls the underlying distributed run.
 type Config struct {
-	// Parts is the partition count; 0 means 4 (clamped to the vertex
-	// count).
+	// Parts is the partition count, clamped to the vertex count; ≤ 0
+	// means the engine default.
 	Parts int32
 	// Mode selects the remote-edge strategy.
 	Mode euler.Mode
-	// Seed drives the partitioner.
+	// Seed drives the partitioner; 0 means the engine default.
 	Seed int64
-	// Circuit, when set, replaces the built-in in-process pipeline for
-	// the Euler-circuit runs over the closed/Eulerised graphs; the
-	// serving layer injects its (possibly cluster-backed) runner here.
-	// It receives the normalised Config.
+	// Circuit, when set, replaces the in-process pipeline for the
+	// Euler-circuit runs over the closed/Eulerised graphs; the serving
+	// layer injects its (possibly cluster-backed) solver here.  It
+	// receives the Config as given.
 	Circuit func(g *graph.Graph, c Config) ([]graph.Step, error)
 }
 
-func (c Config) normalise(g *graph.Graph) Config {
-	if c.Parts <= 0 {
-		c.Parts = 4
-	}
-	if int64(c.Parts) > g.NumVertices() {
-		c.Parts = int32(g.NumVertices())
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
 // runCircuit executes the configured circuit pipeline over g: the
-// injected Config.Circuit when one is set, else the in-process
-// distributed pipeline.
+// injected Config.Circuit when one is set, else euler.Solve in-process.
 func runCircuit(g *graph.Graph, c Config) ([]graph.Step, error) {
 	if c.Circuit != nil {
 		return c.Circuit(g, c)
 	}
-	a := partition.LDG(g, c.Parts, c.Seed)
-	res, err := euler.Run(g, a, euler.Config{Mode: c.Mode})
+	steps := make([]graph.Step, 0, g.NumEdges())
+	_, _, err := euler.Solve(context.TODO(), g, euler.SolveSpec{Parts: max(c.Parts, 0), Mode: c.Mode, Seed: c.Seed},
+		func(s graph.Step) error {
+			steps = append(steps, s)
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	return res.Registry.CollectCircuit()
+	return steps, nil
 }
 
 // EulerPath returns an open Euler path of g, which must be connected with
@@ -89,7 +79,7 @@ func EulerPath(g *graph.Graph, c Config) ([]graph.Step, error) {
 	}
 	virtual := closed.AddEdge(u, v)
 
-	circuit, err := runCircuit(closed.Build(), c.normalise(g))
+	circuit, err := runCircuit(closed.Build(), c)
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +151,7 @@ func CoveringTour(g *graph.Graph, c Config) (*Tour, error) {
 		revisits++
 	}
 
-	circuit, err := runCircuit(b.Build(), c.normalise(g))
+	circuit, err := runCircuit(b.Build(), c)
 	if err != nil {
 		return nil, err
 	}

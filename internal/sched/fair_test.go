@@ -398,3 +398,18 @@ func TestParseTenantSpec(t *testing.T) {
 		}
 	}
 }
+
+func TestParseClass(t *testing.T) {
+	for in, want := range map[string]Class{"": Batch, "batch": Batch, "interactive": Interactive} {
+		got, err := ParseClass(in)
+		if err != nil || got != want {
+			t.Errorf("ParseClass(%q) = %v, %v", in, got, err)
+		}
+	}
+	if _, err := ParseClass("realtime"); err == nil {
+		t.Error("ParseClass accepted an unknown class")
+	}
+	if Interactive.String() != "interactive" || Batch.String() != "batch" {
+		t.Error("Class.String round trip broken")
+	}
+}

@@ -4,15 +4,11 @@
 // fairly — instead of letting one flooding tenant starve everyone
 // behind a single FIFO.
 //
-// Two schedulers implement the same contract:
-//
-//   - Fair: per-tenant weighted fair queueing (start-time fair queueing
-//     over job counts) with interactive/batch priority classes inside
-//     each tenant, per-tenant concurrency and queue-depth quotas, and
-//     admission control that rejects early with a Retry-After hint
-//     computed from the observed service rate.
-//   - FIFO: the original single-queue worker pool, kept behind
-//     `eulerd -sched fifo` so pre-scheduler behavior stays reproducible.
+// Fair is the scheduler: per-tenant weighted fair queueing (start-time
+// fair queueing over job counts) with interactive/batch priority classes
+// inside each tenant, per-tenant concurrency and queue-depth quotas, a
+// global backlog cap, and admission control that rejects early with a
+// Retry-After hint computed from the observed service rate.
 //
 // The package also provides the content-addressed result layer
 // (Fingerprint, ResultCache): a canonical graph fingerprint used to

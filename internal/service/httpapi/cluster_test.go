@@ -40,7 +40,7 @@ func newClusterServer(t *testing.T, nodes int) (*cluster.Coordinator, *httptest.
 		Store:   job.NewStore(50),
 		Sched:   sc,
 		DataDir: t.TempDir(),
-		Runner:  &cluster.Runner{Coordinator: coord},
+		Runner:  coord.Solve,
 		Cluster: coord,
 	})
 	ts := httptest.NewServer(s.Handler())

@@ -59,7 +59,7 @@ func specRoutes(t *testing.T, path string) map[string]bool {
 func TestOpenAPIRouteSync(t *testing.T) {
 	s := New(Config{
 		Store:   job.NewStore(1),
-		Sched:   sched.NewFIFO(1, 1),
+		Sched:   sched.NewFair(sched.FairConfig{Workers: 1}),
 		DataDir: t.TempDir(),
 	})
 	served := make(map[string]bool)

@@ -29,12 +29,13 @@ import (
 	"strings"
 	"time"
 
-	euler "repro"
+	"repro/internal/euler"
 	"repro/internal/graph"
 	"repro/internal/jobkind"
 	"repro/internal/oocgraph"
 	"repro/internal/sched"
 	"repro/internal/service/job"
+	"repro/internal/verify"
 )
 
 // DefaultMaxUploadBytes bounds uploaded EULGRPH1 bodies (256 MiB).
@@ -55,15 +56,6 @@ const buildSlotWait = 10 * time.Second
 // watch when raising either knob.
 const keepGraphMaxEdges = 1 << 16
 
-// CircuitRunner executes one job's circuit computation: given the
-// validated spec, the job's scratch directory, and the built input graph,
-// it streams the circuit through emit and returns the run report.  The
-// default runner computes in-process; a cluster coordinator installs a
-// runner that fans the job out over its worker nodes instead.
-type CircuitRunner interface {
-	RunCircuit(ctx context.Context, spec job.Spec, dir string, g *graph.Graph, emit func(graph.Step) error) (*euler.Report, error)
-}
-
 // ClusterStatus supplies the GET /v1/cluster payload; a server without
 // one reports itself standalone.
 type ClusterStatus interface {
@@ -77,7 +69,11 @@ type Server struct {
 	cache   *sched.ResultCache
 	deltas  *sched.DeltaStore
 	dataDir string
-	runner  CircuitRunner
+	// solve is the solve pipeline every graph-backed job runs through;
+	// local marks the in-process euler.Solve, the only solver that can
+	// run out of core or retain delta replay state.
+	solve   euler.Solver
+	local   bool
 	cluster ClusterStatus
 
 	// batchSched, when non-nil, is the second admission lane: jobs whose
@@ -112,7 +108,7 @@ type Config struct {
 	// Store is the job registry (required).
 	Store *job.Store
 	// Sched is the scheduler feeding the worker pool (required); see
-	// sched.NewFair and sched.NewFIFO.
+	// sched.NewFair.
 	Sched sched.Scheduler
 	// DataDir is where per-job scratch directories are created
 	// (required; must exist).
@@ -120,8 +116,10 @@ type Config struct {
 	// MaxUploadBytes caps uploaded graph bodies; 0 means
 	// DefaultMaxUploadBytes.
 	MaxUploadBytes int64
-	// Runner executes jobs; nil means the in-process engine.
-	Runner CircuitRunner
+	// Runner is the solve pipeline jobs run through; nil means the
+	// in-process euler.Solve.  A cluster coordinator installs its Solve
+	// here to fan Phases 1–2 out over its worker nodes.
+	Runner euler.Solver
 	// Cluster, when set, serves cluster topology at GET /v1/cluster.
 	Cluster ClusterStatus
 	// Cache, when set, coalesces duplicate submissions and serves
@@ -156,9 +154,9 @@ func New(cfg Config) *Server {
 	if max <= 0 {
 		max = DefaultMaxUploadBytes
 	}
-	runner := cfg.Runner
-	if runner == nil {
-		runner = localRunner{}
+	solve := cfg.Runner
+	if solve == nil {
+		solve = euler.Solve
 	}
 	builds := 1
 	if cfg.Sched != nil && cfg.Sched.Workers() > 1 {
@@ -170,7 +168,8 @@ func New(cfg Config) *Server {
 		cache:          cfg.Cache,
 		deltas:         cfg.Deltas,
 		dataDir:        cfg.DataDir,
-		runner:         runner,
+		solve:          solve,
+		local:          cfg.Runner == nil,
 		cluster:        cfg.Cluster,
 		maxUploadBytes: max,
 		buildSem:       make(chan struct{}, builds),
@@ -231,27 +230,6 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc(rt.Method+" "+rt.Pattern, rt.handler)
 	}
 	return mux
-}
-
-// localRunner is the single-process CircuitRunner: the facade engine over
-// goroutine workers and a LocalTransport.
-type localRunner struct{}
-
-// RunCircuit implements CircuitRunner.
-func (localRunner) RunCircuit(ctx context.Context, spec job.Spec, dir string, g *graph.Graph, emit func(graph.Step) error) (*euler.Report, error) {
-	var opts []euler.Option
-	if spec.Parts > 0 {
-		opts = append(opts, euler.WithPartitions(spec.Parts))
-	}
-	if spec.Seed != 0 {
-		opts = append(opts, euler.WithSeed(spec.Seed))
-	}
-	mode, _ := job.ParseMode(spec.Mode) // validated at submit
-	opts = append(opts, euler.WithMode(mode))
-	if spec.Spill {
-		opts = append(opts, euler.WithSpillDir(dir))
-	}
-	return euler.FindCircuitStream(g, emit, opts...)
 }
 
 // errorBody is the uniform error response shape: every non-2xx answer
@@ -684,7 +662,7 @@ func (s *Server) resolveDelta(tenant string, spec *job.Spec) (*sched.DeltaEntry,
 	// The patched graph must still be solvable.  Checking here gives the
 	// client — at submit time — exactly the error a full submission of
 	// the patched graph would fail with at run time.
-	if err := euler.CheckInput(g); err != nil {
+	if err := verify.EulerianInput(g); err != nil {
 		return nil, nil, http.StatusBadRequest, err
 	}
 	spec.Parts, spec.Mode, spec.Seed = entry.Opts.Parts, entry.Opts.Mode, entry.Opts.Seed
@@ -883,15 +861,10 @@ func (s *Server) runJob(poolCtx context.Context, j *job.Job, lease *sched.Lease)
 	// materialise their CSR in heap: the on-disk file is scattered into a
 	// paged CSR whose resident pages are bounded by graphMemBytes, and
 	// the engine runs sequentially with spilled partition states.  Only
-	// the local runner can do this — a cluster coordinator ships CSR
+	// the in-process solver can do this — a cluster coordinator ships CSR
 	// slices to workers, which requires the in-memory build.
-	ooc := s.oocEdges > 0 && kind.Name() == jobkind.DefaultName &&
+	ooc := s.local && s.oocEdges > 0 && kind.Name() == jobkind.DefaultName &&
 		j.Spec.Uploaded && !j.Spec.IsDelta() && j.Spec.DeclaredEdges >= s.oocEdges
-	if ooc {
-		if _, local := s.runner.(localRunner); !local {
-			ooc = false
-		}
-	}
 
 	// Small cached-path graphs arrive prebuilt from submission-time
 	// fingerprinting; everything else (no cache, big graphs, promoted
@@ -912,13 +885,6 @@ func (s *Server) runJob(poolCtx context.Context, j *job.Job, lease *sched.Lease)
 			return
 		}
 	}
-	// The engine's merge phases are not context-aware; observe a
-	// cancellation that arrived while queued here rather than
-	// launching the engine.
-	if err := ctx.Err(); err != nil {
-		fail(err)
-		return
-	}
 	var pg *oocgraph.PagedGraph
 	if ooc {
 		var err error
@@ -938,17 +904,40 @@ func (s *Server) runJob(poolCtx context.Context, j *job.Job, lease *sched.Lease)
 		// (Postman uploads are allowed odd degrees — covering them is
 		// the job — and the kind reports imbalance itself if any.)
 		if ooc {
-			if err := euler.CheckInputSource(pg); err != nil {
+			if err := verify.EulerianSource(pg); err != nil {
 				fail(err)
 				return
 			}
-		} else if err := euler.CheckInput(g); err != nil {
+		} else if err := verify.EulerianInput(g); err != nil {
 			fail(err)
 			return
 		}
 	}
 
-	var err error
+	// One spec says how this job solves.  In-process euler runs retain
+	// replay state when delta retention is on, so this job's result can
+	// serve as a delta base, and delta jobs replay their base's retained
+	// state.  Cluster runs never retain: the engine state lives on the
+	// workers, not the coordinator.  Out-of-core runs never retain either
+	// — a delta base pins the full edge list in memory, exactly what that
+	// path exists to avoid — and always spill to the job directory.
+	spec, err := j.Spec.KindRequest().Options.SolveSpec(j.Dir)
+	if err != nil {
+		fail(err)
+		return
+	}
+	spec.OutOfCore = ooc
+	spec.Retain = s.local && !ooc && s.deltas != nil && j.Fingerprint() != "" && kind.Name() == jobkind.DefaultName
+	if ooc {
+		spec.SpillDir = j.Dir
+	}
+	if state := j.DeltaState(); spec.Retain && state != nil {
+		if spec.Replay, err = euler.DecodeRunRecord(state); err != nil {
+			fail(fmt.Errorf("decoding retained record: %w", err))
+			return
+		}
+	}
+
 	// The kind's line codec renders batches to NDJSON at append time, so
 	// the stored frames are exactly the bytes the circuit endpoint
 	// serves (and the result cache copies them frame-for-frame).
@@ -958,53 +947,25 @@ func (s *Server) runJob(poolCtx context.Context, j *job.Job, lease *sched.Lease)
 		return
 	}
 
-	emit := func(st graph.Step) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return sink.Append(st)
-	}
 	// The kind drives the solve; graph-backed kinds route their circuit
-	// runs through the server's CircuitRunner (engine options, spill,
-	// cluster mode), sequence kinds solve in-process from the spec.
-	run := func(ctx context.Context, rg *graph.Graph, emit func(graph.Step) error) (*euler.Report, error) {
-		return s.runner.RunCircuit(ctx, j.Spec, j.Dir, rg, emit)
-	}
-	if ooc {
-		// The kind passes whatever graph it holds (often nil here) straight
-		// through to run; the out-of-core run reads adjacency from the
-		// paged CSR instead and is byte-identical to the in-memory solve.
-		run = func(ctx context.Context, _ *graph.Graph, emit func(graph.Step) error) (*euler.Report, error) {
-			var opts []euler.Option
-			if j.Spec.Parts > 0 {
-				opts = append(opts, euler.WithPartitions(j.Spec.Parts))
-			}
-			if j.Spec.Seed != 0 {
-				opts = append(opts, euler.WithSeed(j.Spec.Seed))
-			}
-			mode, _ := job.ParseMode(j.Spec.Mode) // validated at submit
-			opts = append(opts, euler.WithMode(mode))
-			return euler.FindCircuitStreamSource(pg, j.Dir, emit, opts...)
-		}
-	}
-	// Local euler runs additionally retain replay state when delta
-	// retention is on, so this job's result can serve as a delta base;
-	// delta jobs themselves solve against their base's retained state.
-	// Cluster runners never retain: the engine state lives on the
-	// workers, not the coordinator.  Out-of-core runs never retain
-	// either — a delta base pins the full edge list in memory, exactly
-	// what this path exists to avoid.
+	// runs through the server's solver, sequence kinds solve in-process
+	// from the spec, and both observe ctx before every emitted step.  The
+	// kind passes whatever graph it holds (nil out of core) straight
+	// through to run; the out-of-core run reads adjacency from the paged
+	// CSR instead and is byte-identical to the in-memory solve.
 	var retained []byte
-	if !ooc && s.deltas != nil && j.Fingerprint() != "" && kind.Name() == jobkind.DefaultName {
-		if _, local := s.runner.(localRunner); local {
-			run = func(ctx context.Context, rg *graph.Graph, emit func(graph.Step) error) (*euler.Report, error) {
-				rep, ret, err := runRetained(j, rg, emit)
-				retained = ret
-				return rep, err
-			}
+	run := func(ctx context.Context, rg *graph.Graph, emit func(graph.Step) error) (*euler.RunReport, error) {
+		var src graph.Source = rg
+		if ooc {
+			src = pg
 		}
+		report, record, err := s.solve(ctx, src, spec, emit)
+		if record != nil {
+			retained = euler.EncodeRunRecord(record)
+		}
+		return report, err
 	}
-	report, err := kind.Solve(ctx, j.Spec.KindRequest(), g, run, emit)
+	report, err := kind.Solve(ctx, j.Spec.KindRequest(), g, run, sink.Append)
 	if err != nil {
 		sink.Close()
 		fail(err)
@@ -1039,7 +1000,7 @@ func (s *Server) runJob(poolCtx context.Context, j *job.Job, lease *sched.Lease)
 	}
 	// Retain this run as a delta base under its own fingerprint; the
 	// store's LRU budget decides how long it survives.
-	if retained != nil && s.deltas != nil {
+	if retained != nil {
 		if fp, perr := sched.ParseFingerprint(j.Fingerprint()); perr == nil {
 			s.deltas.Put(fp, &sched.DeltaEntry{
 				Opts: sched.SolveOptions{
@@ -1053,29 +1014,6 @@ func (s *Server) runJob(poolCtx context.Context, j *job.Job, lease *sched.Lease)
 		}
 	}
 	sink = nil // owned by the job now; keep the panic path off it
-}
-
-// runRetained is the localRunner solve path with replay-state retention:
-// delta jobs solve against their base's retained record, everything else
-// records a fresh one.  Engine options mirror localRunner.RunCircuit.
-func runRetained(j *job.Job, g *graph.Graph, emit func(graph.Step) error) (*euler.Report, []byte, error) {
-	spec := j.Spec
-	var opts []euler.Option
-	if spec.Parts > 0 {
-		opts = append(opts, euler.WithPartitions(spec.Parts))
-	}
-	if spec.Seed != 0 {
-		opts = append(opts, euler.WithSeed(spec.Seed))
-	}
-	mode, _ := job.ParseMode(spec.Mode) // validated at submit
-	opts = append(opts, euler.WithMode(mode))
-	if spec.Spill {
-		opts = append(opts, euler.WithSpillDir(j.Dir))
-	}
-	if state := j.DeltaState(); state != nil {
-		return euler.FindCircuitStreamDelta(g, emit, state, opts...)
-	}
-	return euler.FindCircuitStreamRetain(g, emit, opts...)
 }
 
 // pageTokenPrefix versions the list endpoint's pagination tokens.  The

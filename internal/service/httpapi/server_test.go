@@ -16,8 +16,10 @@ import (
 	"time"
 
 	euler "repro"
+	ieuler "repro/internal/euler"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/partition"
 	"repro/internal/sched"
 	"repro/internal/service/job"
 )
@@ -592,11 +594,12 @@ func TestBacklogFullRejectsSubmission(t *testing.T) {
 	}
 }
 
-// TestFIFOFallbackRejectsLikeLegacy: the FIFO scheduler reproduces the
-// single-backlog behavior (any tenant fills the shared queue) while
-// still answering with the structured throttle response.
+// TestFIFOFallbackRejectsLikeLegacy: a fair scheduler capped by
+// MaxQueueTotal reproduces the single-backlog behavior (any tenant fills
+// the shared queue) while still answering with the structured throttle
+// response.
 func TestFIFOFallbackRejectsLikeLegacy(t *testing.T) {
-	s, ts := newSchedServer(t, sched.NewFIFO(1, 1), nil)
+	s, ts := newSchedServer(t, sched.NewFair(sched.FairConfig{Workers: 1, MaxQueueTotal: 1}), nil)
 	release := make(chan struct{})
 	defer close(release)
 	s.beforeRun = func(j *job.Job) { <-release }
@@ -605,7 +608,7 @@ func TestFIFOFallbackRejectsLikeLegacy(t *testing.T) {
 	waitState(t, ts, a.ID, job.StateRunning)
 	submitJSON(t, ts, `{"generator":{"family":"torus","width":4,"height":4}}`)
 
-	// A different tenant shares the FIFO backlog, so it bounces too —
+	// A different tenant shares the global backlog, so it bounces too —
 	// the pre-scheduler behavior.
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs",
 		strings.NewReader(`{"generator":{"family":"torus"}}`))
@@ -617,10 +620,10 @@ func TestFIFOFallbackRejectsLikeLegacy(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("FIFO full backlog: status %d, want 429", resp.StatusCode)
+		t.Fatalf("full shared backlog: status %d, want 429", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("FIFO 429 without a Retry-After header")
+		t.Fatal("shared-backlog 429 without a Retry-After header")
 	}
 }
 
@@ -849,12 +852,10 @@ func TestListJobs(t *testing.T) {
 // lateFailRunner solves two disjoint triangles whatever was submitted, so
 // Phase 3 fails after it has already streamed the first triangle into the
 // job's sink (a generator job is not precondition-checked).
-type lateFailRunner struct{}
-
-func (lateFailRunner) RunCircuit(ctx context.Context, spec job.Spec, dir string, _ *graph.Graph, emit func(graph.Step) error) (*euler.Report, error) {
+func lateFailRunner(ctx context.Context, _ graph.Source, spec ieuler.SolveSpec, emit func(graph.Step) error) (*ieuler.RunReport, *ieuler.RunRecord, error) {
 	g := graph.FromEdges(6, [][2]graph.VertexID{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}})
-	split := euler.WithAssignment(euler.Assignment{Parts: 2, Of: []int32{0, 0, 0, 1, 1, 1}})
-	return euler.FindCircuitStream(g, emit, split)
+	spec.Assign = &partition.Assignment{Parts: 2, Of: []int32{0, 0, 0, 1, 1, 1}}
+	return ieuler.Solve(ctx, g, spec, emit)
 }
 
 // TestUnrollFailureAfterEmissionFailsJob: Phase 3 streams steps into the
@@ -868,7 +869,7 @@ func TestUnrollFailureAfterEmissionFailsJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := sched.NewFair(sched.FairConfig{Workers: 1, MaxQueuePerTenant: 4})
-	s := New(Config{Store: job.NewStore(50), Sched: sc, Cache: cache, DataDir: t.TempDir(), Runner: lateFailRunner{}})
+	s := New(Config{Store: job.NewStore(50), Sched: sc, Cache: cache, DataDir: t.TempDir(), Runner: lateFailRunner})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()

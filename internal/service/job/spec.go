@@ -3,7 +3,6 @@ package job
 import (
 	"fmt"
 
-	"repro/internal/euler"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/jobkind"
@@ -363,10 +362,4 @@ func (s *Spec) EstimatedEdges() int64 {
 		}
 	}
 	return 0
-}
-
-// ParseMode maps the wire name of a remote-edge strategy to the engine
-// mode; "" means the default (current).
-func ParseMode(s string) (euler.Mode, error) {
-	return jobkind.ParseMode(s)
 }

@@ -1,0 +1,33 @@
+#!/usr/bin/env sh
+# One solve pipeline: outside the stage-level tools, nothing assembles
+# partition -> Run -> Unroll by hand; everything calls euler.Solve.
+#
+# Fails when a non-test .go file outside internal/euler/, cmd/eulerrun/,
+# internal/bench/ and benchmark/ calls euler.Run(, euler.RunOverCluster(,
+# .Unroll( or .CollectCircuit( — except internal/cluster/cluster.go, the
+# executor euler.Solve delegates Phases 1-2 to, which may call Run and
+# RunOverCluster.  Then prints the two sizes ROADMAP aim 2 tracks per PR.
+set -eu
+cd "$(dirname "$0")/.."
+
+files=$(find . -name '*.go' ! -name '*_test.go' \
+	! -path './internal/euler/*' ! -path './cmd/eulerrun/*' \
+	! -path './internal/bench/*' ! -path './benchmark/*' ! -path './.bench_build/*')
+# shellcheck disable=SC2086
+bad=$(grep -nE 'euler\.Run\(|euler\.RunOverCluster\(|\.Unroll\(|\.CollectCircuit\(' $files |
+	grep -vE '^\./internal/cluster/cluster\.go:[0-9]+:.*euler\.(Run|RunOverCluster)\(' || true)
+if [ -n "$bad" ]; then
+	echo "hand-assembled solve pipeline outside euler.Solve:" >&2
+	echo "$bad" >&2
+	exit 1
+fi
+
+lines=$({ ls ./*.go | grep -v '_test\.go$'
+	find internal/euler internal/cluster internal/jobkind internal/postman \
+		internal/sched internal/service cmd/eulerd -name '*.go' ! -name '*_test.go'; } | xargs cat | wc -l)
+# shellcheck disable=SC2046
+exported=$(grep -hcE '^(func|type) [A-Z]|^	[A-Z][A-Za-z0-9_]* += ' $(ls ./*.go | grep -v '_test\.go$') |
+	awk '{n += $1} END {print n}')
+echo "one pipeline: ok"
+echo "non-test Go lines (root + internal/{euler,cluster,jobkind,postman,sched,service} + cmd/eulerd): $lines"
+echo "root package exported identifiers: $exported"

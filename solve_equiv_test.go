@@ -1,0 +1,111 @@
+package euler_test
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"path/filepath"
+	"testing"
+
+	euler "repro"
+	ieuler "repro/internal/euler"
+)
+
+// TestEntryPointsMatchSolve: each FindCircuit* entry point is option
+// resolution plus one euler.Solve call, so it must emit the circuit — and
+// report the replay coverage and retained record — of a direct Solve with
+// the equivalent spec.
+func TestEntryPointsMatchSolve(t *testing.T) {
+	rmat, _ := euler.NewEulerianRMAT(600, 6, 9)
+	inputs := map[string]*euler.Graph{"torus": euler.NewTorus(14, 10), "rmat": rmat}
+	for name, g := range inputs {
+		for _, mode := range []euler.Mode{euler.ModeCurrent, euler.ModeDedup, euler.ModeProposed} {
+			t.Run(fmt.Sprintf("%s/%v", name, mode), func(t *testing.T) {
+				opts := []euler.Option{euler.WithPartitions(4), euler.WithSeed(3), euler.WithMode(mode)}
+				direct := func(spec ieuler.SolveSpec) (stepSum, *euler.Report, []byte) {
+					t.Helper()
+					spec.Parts, spec.Seed, spec.Mode = 4, 3, mode
+					var sum stepSum
+					report, record, err := ieuler.Solve(context.Background(), g, spec, sum.emit)
+					if err != nil {
+						t.Fatalf("Solve(%+v): %v", spec, err)
+					}
+					var retained []byte
+					if record != nil {
+						retained = ieuler.EncodeRunRecord(record)
+					}
+					return sum, report, retained
+				}
+				check := func(entry string, err error, got, want stepSum, report, wantReport *euler.Report, retained, wantRetained []byte) {
+					t.Helper()
+					if err != nil {
+						t.Fatalf("%s: %v", entry, err)
+					}
+					if got != want || got.steps != g.NumEdges() {
+						t.Errorf("%s: circuit %016x/%d, Solve's is %016x/%d", entry, got.sum, got.steps, want.sum, want.steps)
+					}
+					if report.ReusedParts != wantReport.ReusedParts {
+						t.Errorf("%s: ReusedParts = %d, Solve's is %d", entry, report.ReusedParts, wantReport.ReusedParts)
+					}
+					if !bytes.Equal(retained, wantRetained) {
+						t.Errorf("%s: retained %d bytes differ from Solve's %d", entry, len(retained), len(wantRetained))
+					}
+				}
+
+				want, wantReport, _ := direct(ieuler.SolveSpec{})
+				c, err := euler.FindCircuit(g, opts...)
+				if err != nil {
+					t.Fatalf("FindCircuit: %v", err)
+				}
+				var collected stepSum
+				for _, s := range c.Steps {
+					collected.emit(s)
+				}
+				check("FindCircuit", nil, collected, want, c.Report, wantReport, nil, nil)
+
+				var streamed stepSum
+				report, err := euler.FindCircuitStream(g, streamed.emit, opts...)
+				check("FindCircuitStream", err, streamed, want, report, wantReport, nil, nil)
+
+				want, wantReport, wantRetained := direct(ieuler.SolveSpec{Retain: true})
+				var kept stepSum
+				report, retained, err := euler.FindCircuitStreamRetain(g, kept.emit, opts...)
+				check("FindCircuitStreamRetain", err, kept, want, report, wantReport, retained, wantRetained)
+				if len(retained) == 0 {
+					t.Fatal("FindCircuitStreamRetain retained nothing")
+				}
+
+				base, err := ieuler.DecodeRunRecord(retained)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, wantReport, wantRetained = direct(ieuler.SolveSpec{Retain: true, Replay: base})
+				var replayed stepSum
+				report, chained, err := euler.FindCircuitStreamDelta(g, replayed.emit, retained, opts...)
+				check("FindCircuitStreamDelta", err, replayed, want, report, wantReport, chained, wantRetained)
+				if report.ReusedParts == 0 {
+					t.Error("FindCircuitStreamDelta of the unchanged graph reused nothing")
+				}
+
+				want, wantReport, _ = direct(ieuler.SolveSpec{OutOfCore: true, SpillDir: filepath.Join(t.TempDir(), "direct")})
+				var paged stepSum
+				report, err = euler.FindCircuitStreamSource(g, filepath.Join(t.TempDir(), "facade"), paged.emit, opts...)
+				check("FindCircuitStreamSource", err, paged, want, report, wantReport, nil, nil)
+			})
+		}
+	}
+}
+
+// TestSpillDirCreated: WithSpillDir names where the body log goes; the
+// directory need not exist yet (FindCircuitStreamSource always created it).
+func TestSpillDirCreated(t *testing.T) {
+	g := euler.NewTorus(8, 6)
+	dir := filepath.Join(t.TempDir(), "missing")
+	c, err := euler.FindCircuit(g, euler.WithPartitions(3), euler.WithSpillDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := euler.Verify(g, c.Steps); err != nil {
+		t.Fatal(err)
+	}
+}
