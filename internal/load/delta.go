@@ -18,9 +18,9 @@ import (
 // scenario: one full solve establishes the retained base, then every
 // job diffs an edge against its fingerprint.  Each delta job's circuit
 // is verified on the locally patched graph and compared byte for byte
-// (and fingerprint for fingerprint) against a from-scratch solve of the
-// identical patched graph on the standalone reference server; the
-// from-scratch exec times are what the delta exec p95 is gated against.
+// against a from-scratch solve of the identical patched graph on the
+// standalone reference server; the from-scratch exec times are what
+// the delta exec p95 is gated against.
 func runDeltaStorm(ctx context.Context, sc Scenario, env Env) (bench.ScenarioResult, error) {
 	timeout := sc.JobTimeout
 	if timeout <= 0 {
@@ -132,12 +132,9 @@ func runDeltaStorm(ctx context.Context, sc Scenario, env Env) (bench.ScenarioRes
 			res.failed = true
 			return
 		}
-		if fullSnap.Fingerprint != "" && fullSnap.Fingerprint != snap.Fingerprint {
-			res.diffErr = fmt.Errorf("delta fingerprint %s != from-scratch fingerprint %s for the same patched graph",
-				snap.Fingerprint, fullSnap.Fingerprint)
-			res.failed = true
-			return
-		}
+		// Fingerprints are not compared across the two servers: each
+		// server keys its multiset hash with its own secret, so the same
+		// graph has a different fingerprint on the reference server.
 		if fullSnap.Started != nil && fullSnap.Finished != nil {
 			execMu.Lock()
 			fullExecMS = append(fullExecMS, float64(fullSnap.Finished.Sub(*fullSnap.Started))/float64(time.Millisecond))

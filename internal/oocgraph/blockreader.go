@@ -1,9 +1,9 @@
 // Package oocgraph is the out-of-core graph subsystem: a chunked
-// EULGRPH1 block parser, an external-memory pair sorter, and a paged
-// CSR (PagedGraph) whose adjacency lives on disk behind a bounded LRU
-// of partition pages.  Together they let the service ingest,
-// fingerprint, partition, and tour graphs far larger than the process
-// heap while producing byte-identical circuits to the in-memory path.
+// EULGRPH1 block parser and a paged CSR (PagedGraph) whose adjacency
+// lives on disk behind a bounded LRU of partition pages.  Together
+// they let the service ingest, fingerprint, partition, and tour graphs
+// far larger than the process heap while producing byte-identical
+// circuits to the in-memory path.
 package oocgraph
 
 import (

@@ -1,14 +1,14 @@
 package sched
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
-	"hash"
 	"io"
-	"slices"
-	"sort"
+	"math/bits"
 
 	"repro/internal/graph"
 	"repro/internal/oocgraph"
@@ -27,8 +27,9 @@ func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 
 // fingerprintVersion is hashed first so a future canonicalization
 // change cannot alias entries produced by an old scheme.  fp2 added the
-// workload kind and its kind-specific material to the hash.
-const fingerprintVersion = "eulerfp2"
+// workload kind and its kind-specific material to the hash; fp3 replaced
+// the sorted edge list with the keyed multiset sum.
+const fingerprintVersion = "eulerfp3"
 
 // SolveOptions is the option subset that determines the output stream
 // for a given input graph.  Spill location and transport topology are
@@ -52,44 +53,57 @@ type SolveOptions struct {
 	KindMaterial []byte
 }
 
-// fingerprintHasher feeds the canonical byte stream into SHA-256
-// incrementally: version + counts up front, then sorted normalised edge
-// pairs one at a time, then the option suffix.  FingerprintGraph and
-// the streaming FingerprintUpload produce byte-identical digests
-// because both route every write through this type.
-type fingerprintHasher struct {
-	h   hash.Hash
-	buf [4 * binary.MaxVarintLen64]byte
+// edgeCipher is the multiset hash's secret key, drawn once per process.
+// A fingerprint therefore names a result only inside the process that
+// computed it; making the cache durable or shared means persisting or
+// distributing this key.  cipher.Block is safe for concurrent use.
+var edgeCipher = func() cipher.Block {
+	var key [16]byte
+	rand.Read(key[:]) // never fails; crypto/rand panics instead
+	b, err := aes.NewCipher(key[:])
+	if err != nil {
+		panic(err)
+	}
+	return b
+}()
+
+// edgeMultiset is an MSet-Add-Hash accumulator (Clarke, Devadas, van
+// Dijk, Gassend & Suh, ASIACRYPT 2003) over the input's undirected
+// edges: each edge's normalised pair (min, max), both endpoints as full
+// 64-bit values, is one AES-128 block under edgeCipher, and the
+// ciphertexts are added mod 2^128.  Addition commutes, so edge order,
+// edge IDs and endpoint orientation (all artifacts of how the graph was
+// submitted) do not affect the sum, while two different multisets
+// collide only with negligible probability as long as the key stays in
+// the process.  FingerprintGraph and FingerprintUpload feed the same
+// accumulator, so their digests agree on the same graph.
+type edgeMultiset struct {
+	lo, hi uint64
+	edges  int64
+	block  [aes.BlockSize]byte // scratch; a field so Encrypt's argument is not a per-edge allocation
 }
 
-// newFingerprintHasher starts a hash over a graph with the given counts.
-func newFingerprintHasher(vertices, edges int64) *fingerprintHasher {
-	fh := &fingerprintHasher{h: sha256.New()}
-	n := copy(fh.buf[:], fingerprintVersion)
-	n += binary.PutUvarint(fh.buf[n:], uint64(vertices))
-	n += binary.PutUvarint(fh.buf[n:], uint64(edges))
-	fh.h.Write(fh.buf[:n])
-	return fh
+// add folds a batch of edges into the sum.
+func (m *edgeMultiset) add(edges []graph.Edge) {
+	for _, e := range edges {
+		lo, hi := e.U, e.V
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		binary.LittleEndian.PutUint64(m.block[:8], uint64(lo))
+		binary.LittleEndian.PutUint64(m.block[8:], uint64(hi))
+		edgeCipher.Encrypt(m.block[:], m.block[:])
+		var carry uint64
+		m.lo, carry = bits.Add64(m.lo, binary.LittleEndian.Uint64(m.block[:8]), 0)
+		m.hi += binary.LittleEndian.Uint64(m.block[8:]) + carry
+	}
+	m.edges += int64(len(edges))
 }
 
-// addPacked hashes one normalised edge pair packed as min<<32|max.
-// Pairs must arrive in ascending packed order.
-func (fh *fingerprintHasher) addPacked(p uint64) {
-	n := binary.PutUvarint(fh.buf[:], p>>32)
-	n += binary.PutUvarint(fh.buf[n:], p&0xffffffff)
-	fh.h.Write(fh.buf[:n])
-}
-
-// addPair hashes one normalised (min, max) pair for graphs whose vertex
-// IDs exceed the packed range.  Pairs must arrive in sorted order.
-func (fh *fingerprintHasher) addPair(lo, hi int64) {
-	n := binary.PutUvarint(fh.buf[:], uint64(lo))
-	n += binary.PutUvarint(fh.buf[n:], uint64(hi))
-	fh.h.Write(fh.buf[:n])
-}
-
-// finish hashes the option suffix and returns the fingerprint.
-func (fh *fingerprintHasher) finish(opts SolveOptions) Fingerprint {
+// fingerprint hashes version, vertex count, edge count and the sum,
+// then the option suffix.  The sum never leaves the process except
+// through this digest.
+func (m *edgeMultiset) fingerprint(vertices int64, opts SolveOptions) Fingerprint {
 	mode := opts.Mode
 	if mode == "" {
 		mode = "current"
@@ -98,28 +112,26 @@ func (fh *fingerprintHasher) finish(opts SolveOptions) Fingerprint {
 	if kind == "" {
 		kind = "euler"
 	}
-	n := binary.PutVarint(fh.buf[:], int64(opts.Parts))
-	n += binary.PutVarint(fh.buf[n:], opts.Seed)
-	fh.h.Write(fh.buf[:n])
+	var scratch [128]byte
+	buf := append(scratch[:0], fingerprintVersion...)
+	buf = binary.AppendUvarint(buf, uint64(vertices))
+	buf = binary.AppendUvarint(buf, uint64(m.edges))
+	buf = binary.LittleEndian.AppendUint64(buf, m.lo)
+	buf = binary.LittleEndian.AppendUint64(buf, m.hi)
+	buf = binary.AppendVarint(buf, int64(opts.Parts))
+	buf = binary.AppendVarint(buf, opts.Seed)
 	// Length-prefix the variable-length trailing fields so no two
 	// (mode, kind, material) triples can concatenate to the same bytes.
 	for _, field := range [][]byte{[]byte(mode), []byte(kind), opts.KindMaterial} {
-		n = binary.PutUvarint(fh.buf[:], uint64(len(field)))
-		fh.h.Write(fh.buf[:n])
-		fh.h.Write(field)
+		buf = binary.AppendUvarint(buf, uint64(len(field)))
+		buf = append(buf, field...)
 	}
-	var fp Fingerprint
-	fh.h.Sum(fp[:0])
-	return fp
+	return sha256.Sum256(buf)
 }
 
-// FingerprintGraph computes the canonical fingerprint of g under opts.
-//
-// Canonical graph form: vertex count, edge count, then the multiset of
-// undirected edges as (min endpoint, max endpoint) pairs in sorted
-// order — so edge insertion order, edge IDs, and endpoint orientation
-// (all artifacts of how the graph was submitted: generator walk order,
-// shuffled upload, etc.) do not affect the hash.
+// FingerprintGraph computes the canonical fingerprint of g under opts:
+// vertex count, edge count and the multiset of undirected edges, in one
+// pass over g's edge list with no per-edge memory.
 //
 // Consequence of that normalization: the deduplicated circuit stream's
 // edge IDs are those of the execution that computed it.  A client that
@@ -131,99 +143,35 @@ func (fh *fingerprintHasher) finish(opts SolveOptions) Fingerprint {
 // Graphless workload kinds (whose input is entirely kind material, e.g.
 // a de Bruijn spec) pass g == nil, which hashes as the empty graph.
 func FingerprintGraph(g *graph.Graph, opts SolveOptions) Fingerprint {
-	var vertices, numEdges int64
-	var edges []graph.Edge
+	var m edgeMultiset
+	var vertices int64
 	if g != nil {
-		vertices, numEdges = g.NumVertices(), g.NumEdges()
-		edges = g.Edges()
+		vertices = g.NumVertices()
+		m.add(g.Edges())
 	}
-	fh := newFingerprintHasher(vertices, numEdges)
-
-	if vertices <= 1<<31 {
-		// Pack each normalised pair into one uint64 for a fast sort.
-		packed := make([]uint64, len(edges))
-		for i, e := range edges {
-			lo, hi := e.U, e.V
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			packed[i] = uint64(lo)<<32 | uint64(hi)
-		}
-		slices.Sort(packed)
-		for _, p := range packed {
-			fh.addPacked(p)
-		}
-	} else {
-		pairs := make([][2]int64, len(edges))
-		for i, e := range edges {
-			lo, hi := e.U, e.V
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			pairs[i] = [2]int64{lo, hi}
-		}
-		sort.Slice(pairs, func(i, j int) bool {
-			if pairs[i][0] != pairs[j][0] {
-				return pairs[i][0] < pairs[j][0]
-			}
-			return pairs[i][1] < pairs[j][1]
-		})
-		for _, p := range pairs {
-			fh.addPair(p[0], p[1])
-		}
-	}
-	return fh.finish(opts)
+	return m.fingerprint(vertices, opts)
 }
 
-// FingerprintUpload computes the same canonical fingerprint as
-// FingerprintGraph over a saved EULGRPH1 upload without ever building
-// the graph in memory: the file is scanned in blocks, the normalised
-// pairs go through an external merge sort in tmpDir, and the sorted
-// stream feeds the incremental hasher.  Peak memory is one sort chunk
-// (a few MiB) regardless of graph size.
-//
-// The upload caps guarantee vertex IDs fit the packed-pair range; a
-// file declaring more than 2^31 vertices is rejected here rather than
-// silently hashed under a different scheme.
-func FingerprintUpload(path, tmpDir string, opts SolveOptions) (Fingerprint, error) {
-	var fp Fingerprint
+// FingerprintUpload computes the same fingerprint as FingerprintGraph
+// over a saved EULGRPH1 upload without ever building the graph in
+// memory: the file is scanned in blocks and each block is folded into
+// the multiset sum.  Peak memory is one parse block regardless of graph
+// size.
+func FingerprintUpload(path string, opts SolveOptions) (Fingerprint, error) {
 	br, closeFile, err := oocgraph.OpenBlockFile(path, oocgraph.DefaultBlockSize)
 	if err != nil {
-		return fp, err
+		return Fingerprint{}, err
 	}
 	defer closeFile()
-	if br.NumVertices() > 1<<31 {
-		return fp, fmt.Errorf("sched: %d vertices exceed the packed fingerprint range", br.NumVertices())
-	}
-	sorter, err := oocgraph.NewPairSorter(tmpDir)
-	if err != nil {
-		return fp, err
-	}
-	defer sorter.Close()
+	var m edgeMultiset
 	for {
 		block, err := br.Next()
+		if err == io.EOF {
+			return m.fingerprint(br.NumVertices(), opts), nil
+		}
 		if err != nil {
-			if err == io.EOF {
-				break
-			}
-			return fp, err
+			return Fingerprint{}, err
 		}
-		for _, e := range block {
-			lo, hi := e.U, e.V
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			if err := sorter.Add(uint64(lo)<<32 | uint64(hi)); err != nil {
-				return fp, err
-			}
-		}
+		m.add(block)
 	}
-	fh := newFingerprintHasher(br.NumVertices(), br.NumEdges())
-	if err := sorter.Sorted(func(p uint64) error {
-		fh.addPacked(p)
-		return nil
-	}); err != nil {
-		return fp, err
-	}
-	return fh.finish(opts), nil
 }

@@ -2,9 +2,12 @@ package sched
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/gen"
@@ -90,10 +93,115 @@ func TestFingerprintCanonicalization(t *testing.T) {
 	}
 }
 
+// canonicalForm is the sorted-edge-list canonical form the fingerprint
+// hashed before the multiset sum: the vertex count plus every edge as a
+// normalised (min, max) pair, sorted.  It is the reference the
+// fingerprint's equality must agree with.
+func canonicalForm(n int64, edges [][2]graph.VertexID) (int64, [][2]graph.VertexID) {
+	pairs := make([][2]graph.VertexID, len(edges))
+	for i, e := range edges {
+		pairs[i] = [2]graph.VertexID{min(e[0], e[1]), max(e[0], e[1])}
+	}
+	slices.SortFunc(pairs, func(a, b [2]graph.VertexID) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	return n, pairs
+}
+
+// TestFingerprintMatchesCanonicalForm: over random multigraphs and one
+// mutation of each, two fingerprints are equal exactly when the graphs'
+// canonical forms (vertex count, sorted normalised pair list) are.
+func TestFingerprintMatchesCanonicalForm(t *testing.T) {
+	opts := SolveOptions{Parts: 3, Seed: 5}
+	rng := rand.New(rand.NewSource(37))
+	seen := make(map[string]bool)
+	for i := 0; i < 200; i++ {
+		g := gen.RandomEulerian(3+rng.Int63n(12), rng.Intn(5), 3+rng.Int63n(5), rng)
+		n := g.NumVertices()
+		edges := make([][2]graph.VertexID, 0, g.NumEdges()+1)
+		for _, e := range g.Edges() {
+			edges = append(edges, [2]graph.VertexID{e.U, e.V})
+		}
+		mutated := slices.Clone(edges)
+		var mutation string
+		switch k := rng.Intn(len(mutated)); rng.Intn(5) {
+		case 0:
+			mutation = "shuffle"
+			for j := range mutated {
+				if rng.Intn(2) == 0 {
+					mutated[j][0], mutated[j][1] = mutated[j][1], mutated[j][0]
+				}
+			}
+			rng.Shuffle(len(mutated), func(a, b int) { mutated[a], mutated[b] = mutated[b], mutated[a] })
+		case 1:
+			mutation = "add parallel copy"
+			mutated = append(mutated, [2]graph.VertexID{mutated[k][1], mutated[k][0]})
+		case 2:
+			mutation = "remove one copy"
+			mutated = slices.Delete(mutated, k, k+1)
+		case 3:
+			// Moving an endpoint onto itself leaves the multiset as it
+			// was, so this mutation yields both equal and unequal pairs.
+			mutation = "move endpoint"
+			w := rng.Int63n(n)
+			for w == mutated[k][0] {
+				w = rng.Int63n(n)
+			}
+			mutated[k][1] = w
+		case 4:
+			mutation = "add isolated vertex"
+			n++
+		}
+		n0, want0 := canonicalForm(g.NumVertices(), edges)
+		n1, want1 := canonicalForm(n, mutated)
+		wantEqual := n0 == n1 && slices.Equal(want0, want1)
+		gotEqual := FingerprintGraph(g, opts) == FingerprintGraph(graph.FromEdges(n, mutated), opts)
+		if gotEqual != wantEqual {
+			t.Fatalf("case %d (%s): fingerprints equal = %v, canonical forms equal = %v", i, mutation, gotEqual, wantEqual)
+		}
+		seen[mutation] = true
+		seen["equal"] = seen["equal"] || wantEqual
+		seen["unequal"] = seen["unequal"] || !wantEqual
+	}
+	if len(seen) != 7 {
+		t.Fatalf("cases reached %v, want all five mutations and both outcomes", seen)
+	}
+
+	// Endpoints are hashed as full 64-bit values: IDs that agree in
+	// their low 32 bits stay distinct.
+	var a, b edgeMultiset
+	a.add([]graph.Edge{{U: 1, V: 1<<32 | 2}})
+	b.add([]graph.Edge{{U: 1, V: 2}})
+	if a.fingerprint(1<<33, opts) == b.fingerprint(1<<33, opts) {
+		t.Fatal("endpoints differing above bit 32 fingerprinted alike")
+	}
+}
+
+// TestFingerprintConcurrent: every submit handler shares the process's
+// cipher, so concurrent fingerprints of one graph must all agree.
+func TestFingerprintConcurrent(t *testing.T) {
+	g := gen.Torus(40, 30)
+	opts := SolveOptions{Parts: 4, Seed: 7}
+	want := FingerprintGraph(g, opts)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if got := FingerprintGraph(g, opts); got != want {
+					t.Errorf("concurrent fingerprint %s, want %s", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestFingerprintUploadMatchesGraph: the streaming upload fingerprint
-// (chunked parse + external sort) must equal the in-memory fingerprint of
-// the same file, including when the edge set overflows a single sorter
-// chunk... exercised separately in TestFingerprintUploadSpills.
+// (block-by-block parse into the multiset sum) must equal the in-memory
+// fingerprint of the same file.
 func TestFingerprintUploadMatchesGraph(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -111,7 +219,7 @@ func TestFingerprintUploadMatchesGraph(t *testing.T) {
 			}
 			opts := SolveOptions{Parts: 4, Seed: 9, Mode: "proposed"}
 			want := FingerprintGraph(tc.g, opts)
-			got, err := FingerprintUpload(path, dir, opts)
+			got, err := FingerprintUpload(path, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +236,20 @@ func TestFingerprintUploadRejectsMalformed(t *testing.T) {
 	if err := os.WriteFile(path, []byte("EULGRPH1\x04"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FingerprintUpload(path, dir, SolveOptions{Parts: 1, Seed: 1}); err == nil {
+	if _, err := FingerprintUpload(path, SolveOptions{Parts: 1, Seed: 1}); err == nil {
 		t.Fatal("truncated upload fingerprinted without error")
+	}
+}
+
+// BenchmarkFingerprintGraph fingerprints the rmat-solve benchmark graph
+// (1.05 M edges); b.Loop starts the clock after generation.  Its
+// allocs/op budget in scripts/alloc_budget.txt catches a per-edge
+// allocation or a sort buffer coming back.
+func BenchmarkFingerprintGraph(b *testing.B) {
+	g, _ := gen.EulerianRMAT(gen.RMATParams{Vertices: 400_000, AvgDegree: 5, A: 0.57, B: 0.19, C: 0.19, Seed: 42})
+	opts := SolveOptions{Parts: 8, Mode: "current", Seed: 1, Kind: "euler"}
+	b.ReportAllocs()
+	for b.Loop() {
+		FingerprintGraph(g, opts)
 	}
 }

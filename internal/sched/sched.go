@@ -11,10 +11,11 @@
 // Retry-After hint computed from the observed service rate.
 //
 // The package also provides the content-addressed result layer
-// (Fingerprint, ResultCache): a canonical graph fingerprint used to
-// coalesce in-flight duplicate submissions onto one execution and to
-// serve completed circuits from a bounded, byte-budgeted LRU backed by
-// spill.DiskStore.
+// (Fingerprint, ResultCache): a fingerprint over the input's vertex
+// count, its edge multiset (a keyed multiset hash, one pass, no sort)
+// and the solve options, used to coalesce in-flight duplicate
+// submissions onto one execution and to serve completed circuits from
+// a bounded, byte-budgeted LRU backed by spill.DiskStore.
 package sched
 
 import (

@@ -436,8 +436,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		g := deltaGraph
 		var fp sched.Fingerprint
 		// Uploads too big to keep attached are fingerprinted straight off
-		// the on-disk file — block reads plus an external-memory edge
-		// sort — so submission never materialises their CSR at all.  This
+		// the on-disk file — one pass of block reads into the multiset
+		// hash — so submission never materialises their CSR at all.  This
 		// is the submit half of the out-of-core path; the worker side
 		// decides separately (runJob) whether to solve in memory or paged.
 		bigUpload := kind.NeedsGraph() && !spec.IsDelta() &&
@@ -470,7 +470,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				return // client gone; nothing to answer
 			}
 			if bigUpload {
-				fp, err = sched.FingerprintUpload(spec.GraphFile, dir, fpOpts)
+				fp, err = sched.FingerprintUpload(spec.GraphFile, fpOpts)
 				if err != nil {
 					<-s.buildSem
 					s.jobs.Remove(j.ID)
