@@ -17,10 +17,11 @@ import (
 // runDeltaStorm drives the delta-submission flow of a DeltaStorm
 // scenario: one full solve establishes the retained base, then every
 // job diffs an edge against its fingerprint.  Each delta job's circuit
-// is verified on the locally patched graph and compared byte for byte
+// is verified on the locally patched graph, compared byte for byte
 // against a from-scratch solve of the identical patched graph on the
-// standalone reference server; the from-scratch exec times are what
-// the delta exec p95 is gated against.
+// standalone reference server, and must be what a full upload of that
+// graph to the delta's own server hits in its cache; the from-scratch
+// exec times are what the delta exec p95 is gated against.
 func runDeltaStorm(ctx context.Context, sc Scenario, env Env) (bench.ScenarioResult, error) {
 	timeout := sc.JobTimeout
 	if timeout <= 0 {
@@ -132,9 +133,22 @@ func runDeltaStorm(ctx context.Context, sc Scenario, env Env) (bench.ScenarioRes
 			res.failed = true
 			return
 		}
-		// Fingerprints are not compared across the two servers: each
-		// server keys its multiset hash with its own secret, so the same
-		// graph has a different fingerprint on the reference server.
+		// The same patched graph submitted in full to the server that ran
+		// the delta must name the delta's result: the same fingerprint,
+		// served from its cache.  (Each server keys its fingerprints with
+		// its own secret, so the reference server's are not comparable.)
+		again, err := env.Client.SubmitUploadAs(patched, spec, opts)
+		if err != nil {
+			res.diffErr = fmt.Errorf("full resubmission of the patched graph: %w", err)
+			res.failed = true
+			return
+		}
+		if again.Fingerprint != snap.Fingerprint || again.State != job.StateDone {
+			res.diffErr = fmt.Errorf("full resubmission of the patched graph got fingerprint %s (%s), want a cache hit on the delta fingerprint %s",
+				again.Fingerprint, again.State, snap.Fingerprint)
+			res.failed = true
+			return
+		}
 		if fullSnap.Started != nil && fullSnap.Finished != nil {
 			execMu.Lock()
 			fullExecMS = append(fullExecMS, float64(fullSnap.Finished.Sub(*fullSnap.Started))/float64(time.Millisecond))

@@ -129,9 +129,11 @@ type Scenario struct {
 	// one full solve of the single template establishes a retained base
 	// fingerprint, then every job submits an edge diff against it.  Each
 	// delta must carry the delta flag with reused_parts > 0, verify
-	// against the locally patched graph, and (with CompareSolo, which
-	// DeltaStorm requires) stream byte-identically to a from-scratch
-	// solve of the same patched graph on the reference server.
+	// against the locally patched graph, be the cache hit a full upload
+	// of that graph gets on the same server, and (with CompareSolo,
+	// which DeltaStorm requires) stream byte-identically to a
+	// from-scratch solve of the same patched graph on the reference
+	// server.
 	DeltaStorm bool
 	// DeltaMaxExecRatio is a hard ceiling on delta exec p95 divided by
 	// from-scratch exec p95 — the incremental recompute must actually be

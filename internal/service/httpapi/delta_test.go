@@ -134,6 +134,16 @@ func TestDeltaSubmission(t *testing.T) {
 			t.Fatalf("step %d: delta %+v, from-scratch %+v", i, got[i], want[i])
 		}
 	}
+	// A full upload of the patched graph names the delta's result: the
+	// same fingerprint, served from the cache.
+	full, code := uploadGraph(t, ts, patched, "?parts=2")
+	if code != http.StatusAccepted {
+		t.Fatalf("full upload of the patched graph: status %d", code)
+	}
+	if full.Fingerprint != deltaSnap.Fingerprint || full.State != job.StateDone {
+		t.Fatalf("full upload of the patched graph: fingerprint %q (%s), want a cache hit on the delta fingerprint %q",
+			full.Fingerprint, full.State, deltaSnap.Fingerprint)
+	}
 
 	// Chain: the delta's own fingerprint is a valid base.
 	if deltaSnap.Fingerprint == "" || deltaSnap.Fingerprint == baseSnap.Fingerprint {
