@@ -11,13 +11,26 @@ import (
 	"repro/internal/graph"
 )
 
-// DefaultPageHalves is the adjacency-page granularity: 64Ki halves =
-// 1 MiB decoded per page, so even a few-MiB budget holds several pages.
-const DefaultPageHalves = 64 << 10
+// DefaultPageHalves is the adjacency-page granularity: 256 halves =
+// 4 KiB per page, one OS page and one pread per fault.  The pager's Adj
+// reader is the partitioner's BFS, whose frontier touches scattered
+// vertices, so small pages make the budget hold many distant adjacency
+// lists instead of a few large runs.
+const DefaultPageHalves = 256
+
+// defaultMemBytes is the resident page budget when BuildOptions.MemBytes
+// is zero: 2 MiB, 512 default-size pages.
+const defaultMemBytes = 2 << 20
 
 // halfBytes is the on-disk size of one adjacency half (to, edge as
 // little-endian int64s).
 const halfBytes = 16
+
+// scatterSpanHalves is the CSR scatter's bucket span: the halves one
+// bucket file covers and one in-memory fill buffer (4 MiB) places.  It
+// is independent of the page size, since a span per small page would
+// open hundreds of bucket files, each with its own write buffer.
+const scatterSpanHalves int64 = 256 << 10
 
 // maxScatterBuckets caps the temp files the CSR scatter keeps open at
 // once; beyond it the bucket span (and its in-memory fill buffer)
@@ -28,11 +41,13 @@ const maxScatterBuckets = 512
 type BuildOptions struct {
 	// Dir holds the halves blob and the scatter's temp bucket files.
 	Dir string
-	// MemBytes is the resident page budget; it is clamped to at least
-	// two pages so a single Adj call spanning a page boundary cannot
-	// thrash.  Zero means DefaultPageHalves*2 halves worth of bytes.
+	// MemBytes is the resident page budget, honoured down to two pages
+	// (8 KiB at the default page size): below that it is raised to two
+	// so a single Adj call spanning a page boundary cannot thrash.  Zero
+	// means 2 MiB.
 	MemBytes int64
-	// PageHalves is the halves-per-page granularity (0 = default).
+	// PageHalves is the halves-per-page granularity (0 =
+	// DefaultPageHalves); a page holds PageHalves*16 bytes.
 	PageHalves int64
 	// BlockSize is the edge-file scan block size (0 = default).
 	BlockSize int
@@ -97,7 +112,7 @@ func BuildPaged(edgePath string, opt BuildOptions) (*PagedGraph, error) {
 		opt.BlockSize = DefaultBlockSize
 	}
 	if opt.MemBytes <= 0 {
-		opt.MemBytes = 2 * opt.PageHalves * halfBytes
+		opt.MemBytes = defaultMemBytes
 	}
 	maxPages := int(opt.MemBytes / (opt.PageHalves * halfBytes))
 	if maxPages < 2 {
@@ -152,7 +167,7 @@ func BuildPaged(edgePath string, opt BuildOptions) (*PagedGraph, error) {
 // the blob.
 func (pg *PagedGraph) scatter(opt BuildOptions) error {
 	totalHalves := 2 * pg.m
-	span := opt.PageHalves * 4 // bucket fill buffer: 4 pages = 4 MiB at defaults
+	span := scatterSpanHalves
 	if totalHalves/span+1 > maxScatterBuckets {
 		span = totalHalves/maxScatterBuckets + 1
 	}
@@ -232,7 +247,7 @@ func (pg *PagedGraph) scatter(opt BuildOptions) error {
 
 	// Place each bucket and append it to the blob in position order.
 	bw := bufio.NewWriterSize(pg.blob, 1<<20)
-	fill := make([]graph.Half, span)
+	fill := make([]graph.Half, min(span, totalHalves))
 	var out [halfBytes]byte
 	for i, f := range buckets {
 		if err := writers[i].Flush(); err != nil {

@@ -12,7 +12,7 @@ import (
 )
 
 // writeGraphFile serialises g to an EULGRPH1 file in a test temp dir.
-func writeGraphFile(t *testing.T, g *graph.Graph) string {
+func writeGraphFile(t testing.TB, g *graph.Graph) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "graph.bin")
 	if err := graph.WriteFile(path, g); err != nil {

@@ -7,7 +7,9 @@
 // package substitutes a Linear Deterministic Greedy (LDG) streaming
 // partitioner over a BFS vertex ordering, which produces realistic edge-cut
 // fractions and load imbalance on power-law graphs, plus hash and range
-// baselines for the ablation benchmarks.
+// baselines for the ablation benchmarks.  LDG makes one BFS pass: each
+// vertex's adjacency is read once, which matters when the source is a
+// paged on-disk CSR.
 package partition
 
 import (
@@ -80,30 +82,60 @@ func Range(g graph.Source, k int32) Assignment {
 	return a
 }
 
+// Sentinels in Assignment.Of while LDG runs: a vertex is unseen until
+// the BFS enqueues it, queued until it is dequeued and placed.
+const (
+	unseen int32 = -1
+	queued int32 = -2
+)
+
 // LDG runs Linear Deterministic Greedy streaming partitioning over a BFS
 // vertex ordering: each vertex goes to the partition holding most of its
 // already-placed neighbours, discounted by a load penalty (1 - size/cap).
 // The BFS order makes neighbour information available early, which is what
 // gives streaming partitioners their edge-cut advantage on power-law
 // graphs.
+//
+// The BFS and the scoring share one pass: a vertex is placed as it is
+// dequeued, so the neighbours placed before it are exactly those dequeued
+// before it, and one Adj call per vertex both scores it and extends the
+// frontier.  The BFS starts at a seeded random root and restarts at the
+// lowest unseen vertex for each further component.
 func LDG(g graph.Source, k int32, seed int64) Assignment {
 	n := g.NumVertices()
 	a := Assignment{Parts: k, Of: make([]int32, n)}
 	for i := range a.Of {
-		a.Of[i] = -1
+		a.Of[i] = unseen
 	}
 	capacity := float64(n)/float64(k) + 1
 	sizes := make([]int64, k)
-	order := bfsOrder(g, seed)
 	neigh := make([]int64, k) // scratch: neighbours already in each part
-
-	for _, v := range order {
-		for i := range neigh {
-			neigh[i] = 0
+	// Every vertex is enqueued exactly once, so queue ends as the full
+	// BFS order and never grows past n.
+	queue := make([]graph.VertexID, 0, n)
+	if n > 0 {
+		start := rand.New(rand.NewSource(seed)).Int63n(n)
+		a.Of[start] = queued
+		queue = append(queue, start)
+	}
+	next := graph.VertexID(0) // restart cursor: all vertices below it are seen
+	for head := 0; head < int(n); head++ {
+		if head == len(queue) {
+			for a.Of[next] != unseen {
+				next++
+			}
+			a.Of[next] = queued
+			queue = append(queue, next)
 		}
+		v := queue[head]
+		clear(neigh)
 		for _, h := range g.Adj(v) {
-			if p := a.Of[h.To]; p >= 0 {
+			switch p := a.Of[h.To]; {
+			case p >= 0:
 				neigh[p]++
+			case p == unseen:
+				a.Of[h.To] = queued
+				queue = append(queue, h.To)
 			}
 		}
 		best := int32(0)
@@ -125,45 +157,6 @@ func LDG(g graph.Source, k int32, seed int64) Assignment {
 	}
 	fixEmpty(&a, g)
 	return a
-}
-
-// bfsOrder returns all vertices in BFS order from a seeded random root,
-// restarting at the lowest unvisited vertex for other components.
-func bfsOrder(g graph.Source, seed int64) []graph.VertexID {
-	n := g.NumVertices()
-	order := make([]graph.VertexID, 0, n)
-	visited := make([]bool, n)
-	var queue []graph.VertexID
-	rng := rand.New(rand.NewSource(seed))
-	start := graph.VertexID(0)
-	if n > 0 {
-		start = rng.Int63n(n)
-	}
-	enqueue := func(v graph.VertexID) {
-		visited[v] = true
-		queue = append(queue, v)
-	}
-	enqueue(start)
-	for next := int64(0); ; {
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			order = append(order, v)
-			for _, h := range g.Adj(v) {
-				if !visited[h.To] {
-					enqueue(h.To)
-				}
-			}
-		}
-		for next < n && visited[next] {
-			next++
-		}
-		if next >= n {
-			break
-		}
-		enqueue(next)
-	}
-	return order
 }
 
 // fixEmpty moves one vertex into any empty partition so downstream code can

@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -131,5 +133,124 @@ func TestMetricsString(t *testing.T) {
 	a := Range(g, 2)
 	if s := ComputeMetrics(g, a).String(); s == "" {
 		t.Fatal("empty string rendering")
+	}
+}
+
+// ldgTwoPass is the two-pass LDG that the fused one replaced, kept as the
+// reference: a full BFS order first, then a second adjacency pass that
+// scores each vertex against the neighbours placed before it.
+func ldgTwoPass(g graph.Source, k int32, seed int64) Assignment {
+	n := g.NumVertices()
+	a := Assignment{Parts: k, Of: make([]int32, n)}
+	for i := range a.Of {
+		a.Of[i] = -1
+	}
+	capacity := float64(n)/float64(k) + 1
+	sizes := make([]int64, k)
+	neigh := make([]int64, k)
+	for _, v := range bfsOrderReference(g, seed) {
+		clear(neigh)
+		for _, h := range g.Adj(v) {
+			if p := a.Of[h.To]; p >= 0 {
+				neigh[p]++
+			}
+		}
+		best := int32(0)
+		bestScore := -1.0
+		for p := int32(0); p < k; p++ {
+			penalty := 1 - float64(sizes[p])/capacity
+			if penalty < 0 {
+				penalty = 0
+			}
+			score := float64(neigh[p]) * penalty
+			if score > bestScore ||
+				(score == bestScore && sizes[p] < sizes[best]) {
+				best, bestScore = p, score
+			}
+		}
+		a.Of[v] = best
+		sizes[best]++
+	}
+	fixEmpty(&a, g)
+	return a
+}
+
+// bfsOrderReference returns all vertices in BFS order from a seeded random
+// root, restarting at the lowest unvisited vertex for other components.
+func bfsOrderReference(g graph.Source, seed int64) []graph.VertexID {
+	n := g.NumVertices()
+	order := make([]graph.VertexID, 0, n)
+	visited := make([]bool, n)
+	var queue []graph.VertexID
+	rng := rand.New(rand.NewSource(seed))
+	enqueue := func(v graph.VertexID) {
+		visited[v] = true
+		queue = append(queue, v)
+	}
+	enqueue(rng.Int63n(n))
+	for next := int64(0); ; {
+		for len(queue) > 0 {
+			v := queue[0]
+			queue = queue[1:]
+			order = append(order, v)
+			for _, h := range g.Adj(v) {
+				if !visited[h.To] {
+					enqueue(h.To)
+				}
+			}
+		}
+		for next < n && visited[next] {
+			next++
+		}
+		if next >= n {
+			break
+		}
+		enqueue(next)
+	}
+	return order
+}
+
+// scatteredComponents is a 40-vertex graph whose components interleave in
+// ID order (so the BFS restarts several times), with isolated vertices
+// and parallel edges.
+func scatteredComponents() *graph.Graph {
+	var edges [][2]graph.VertexID
+	// Three cycles over the residues mod 3 of 0..29, each with a doubled
+	// and a tripled edge.
+	for r := graph.VertexID(0); r < 3; r++ {
+		for i := graph.VertexID(0); i < 10; i++ {
+			edges = append(edges, [2]graph.VertexID{r + 3*i, r + 3*((i+1)%10)})
+		}
+		edges = append(edges, [2]graph.VertexID{r, r + 3}, [2]graph.VertexID{r + 6, r + 9}, [2]graph.VertexID{r + 6, r + 9})
+	}
+	// A path 31-35-33 with a parallel pair; 30, 32, 34 and 36..39 stay
+	// isolated.
+	edges = append(edges, [2]graph.VertexID{31, 35}, [2]graph.VertexID{35, 33}, [2]graph.VertexID{35, 33})
+	return graph.FromEdges(40, edges)
+}
+
+// TestLDGMatchesTwoPass pins the one-pass LDG to the two-pass reference:
+// the assignment must be bit-identical on every family, through BFS
+// restarts, isolated vertices and parallel edges, for every k and seed.
+func TestLDGMatchesTwoPass(t *testing.T) {
+	rmat, _ := gen.EulerianRMAT(gen.DefaultRMAT(10, 11))
+	graphs := map[string]*graph.Graph{
+		"torus":         gen.Torus(24, 17),
+		"rmat":          rmat,
+		"rawRMAT":       gen.RMAT(gen.DefaultRMAT(9, 5)), // many components, isolated vertices
+		"ringOfCliques": gen.RingOfCliques(8, 7),
+		"randomWalks":   gen.RandomEulerian(300, 6, 40, rand.New(rand.NewSource(3))),
+		"components":    scatteredComponents(),
+		"singleVertex":  graph.FromEdges(1, nil),
+	}
+	for name, g := range graphs {
+		for _, k := range []int32{1, 2, 3, 8, 16} {
+			for _, seed := range []int64{1, 2, 7, 42} {
+				got, want := LDG(g, k, seed), ldgTwoPass(g, k, seed)
+				if !slices.Equal(got.Of, want.Of) {
+					t.Fatalf("%s k=%d seed=%d: one-pass assignment differs from the two-pass reference", name, k, seed)
+				}
+			}
+		}
 	}
 }
