@@ -10,8 +10,11 @@ package main
 
 import (
 	"bufio"
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -20,105 +23,95 @@ import (
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/seq"
-	"repro/internal/spill"
 	"repro/internal/stats"
 	"repro/internal/verify"
 )
 
+// usageError marks a bad command line: main exits 2 for it and 1 for a
+// failed run.
+type usageError struct{ error }
+
 func main() {
-	var (
-		graphPath  = flag.String("graph", "", "input graph file (required)")
-		parts      = flag.Int("parts", 4, "partition count")
-		modeName   = flag.String("mode", "current", "remote-edge mode: current, dedup, proposed")
-		seqRun     = flag.Bool("seq", false, "run the sequential Hierholzer baseline instead")
-		circuitOut = flag.String("circuit", "", "write the circuit (one 'from to edge' line per step)")
-		spillDir   = flag.String("spill", "", "spill path bodies to this directory")
-		saveCkpt   = flag.String("save-checkpoint", "", "after Phases 1-2, save the registry checkpoint here (requires -spill)")
-		fromCkpt   = flag.String("from-checkpoint", "", "skip Phases 1-2: run Phase 3 from this checkpoint (requires -spill)")
-		seed       = flag.Int64("seed", 1, "partitioner seed")
-		model      = flag.Bool("model", true, "include the commodity-cluster cost model")
-		noVerify   = flag.Bool("no-verify", false, "skip circuit verification")
-	)
-	flag.Parse()
-	if *graphPath == "" {
-		fmt.Fprintln(os.Stderr, "eulerrun: -graph is required")
-		flag.Usage()
+	err := run(os.Args[1:], os.Stdout)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	fmt.Fprintf(os.Stderr, "eulerrun: %v\n", err)
+	if errors.As(err, new(usageError)) {
 		os.Exit(2)
+	}
+	os.Exit(1)
+}
+
+// run is the command with its arguments (without the program name),
+// printing the report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("eulerrun", flag.ContinueOnError)
+	var (
+		graphPath  = fs.String("graph", "", "input graph file (required)")
+		parts      = fs.Int("parts", 4, "partition count (clamped to the vertex count)")
+		modeName   = fs.String("mode", "current", "remote-edge mode: current, dedup, proposed")
+		seqRun     = fs.Bool("seq", false, "run the sequential Hierholzer baseline instead")
+		circuitOut = fs.String("circuit", "", "write the circuit (one 'from to edge' line per step)")
+		spillDir   = fs.String("spill", "", "spill path bodies to this directory (created if missing)")
+		seed       = fs.Int64("seed", 1, "partitioner seed")
+		model      = fs.Bool("model", true, "include the commodity-cluster cost model")
+		noVerify   = fs.Bool("no-verify", false, "skip circuit verification")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError{err}
+	}
+	if *graphPath == "" {
+		fs.Usage()
+		return usageError{errors.New("-graph is required")}
 	}
 	g, err := graph.ReadFile(*graphPath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("graph: %d vertices, %d undirected edges\n", g.NumVertices(), g.NumEdges())
-
-	if *fromCkpt != "" {
-		if *spillDir == "" {
-			fatal(fmt.Errorf("-from-checkpoint requires -spill"))
-		}
-		runPhase3Only(g, *fromCkpt, *spillDir, *circuitOut, *noVerify)
-		return
-	}
+	fmt.Fprintf(stdout, "graph: %d vertices, %d undirected edges\n", g.NumVertices(), g.NumEdges())
 
 	if *seqRun {
 		start := time.Now()
 		steps, err := seq.Hierholzer(g, firstVertexWithEdges(g))
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("sequential hierholzer: %d steps in %v\n", len(steps), time.Since(start).Round(time.Millisecond))
-		finish(g, steps, *circuitOut, *noVerify)
-		return
+		fmt.Fprintf(stdout, "sequential hierholzer: %d steps in %v\n", len(steps), time.Since(start).Round(time.Millisecond))
+		return finish(stdout, g, steps, *circuitOut, *noVerify)
 	}
 
 	mode, err := euler.ParseMode(*modeName)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "eulerrun: %v\n", err)
-		os.Exit(2)
+		return usageError{err}
 	}
+	if int(int32(*parts)) != *parts {
+		return usageError{fmt.Errorf("-parts %d is out of range", *parts)}
+	}
+	k, err := euler.ClampParts(int32(*parts), g.NumVertices())
+	if err != nil {
+		return usageError{err}
+	}
+	a := partition.LDG(g, k, *seed)
+	fmt.Fprintf(stdout, "partitions: %s\n", partition.ComputeMetrics(g, a))
 
-	cfg := euler.Config{Mode: mode}
+	spec := euler.SolveSpec{Assign: &a, Mode: mode, SpillDir: *spillDir}
 	if *model {
-		cfg.Cost = bsp.CommodityCluster()
+		spec.Cost = bsp.CommodityCluster()
 	}
-	if *spillDir != "" {
-		ds, err := spill.NewDiskStore(*spillDir + "/eulerrun-spill.log")
-		if err != nil {
-			fatal(err)
-		}
-		defer ds.Close()
-		cfg.Store = ds
-	}
-
-	a := partition.LDG(g, int32(*parts), *seed)
-	fmt.Printf("partitions: %s\n", partition.ComputeMetrics(g, a))
-
-	res, err := euler.Run(g, a, cfg)
+	steps := make([]graph.Step, 0, g.NumEdges())
+	r, _, err := euler.Solve(context.Background(), g, spec, func(s euler.Step) error {
+		steps = append(steps, s)
+		return nil
+	})
 	if err != nil {
-		fatal(err)
-	}
-	if *saveCkpt != "" {
-		if *spillDir == "" {
-			fatal(fmt.Errorf("-save-checkpoint requires -spill (bodies must be on disk)"))
-		}
-		f, err := os.Create(*saveCkpt)
-		if err != nil {
-			fatal(err)
-		}
-		if err := res.Registry.Save(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("checkpoint saved to %s (resume with -from-checkpoint)\n", *saveCkpt)
-	}
-	steps, err := res.Registry.CollectCircuit()
-	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	r := res.Report
-	fmt.Printf("\nrun: mode=%v supersteps=%d shuffle=%.1fMB wall=%v user=%v modeled=%v\n",
+	fmt.Fprintf(stdout, "\nrun: mode=%v supersteps=%d shuffle=%.1fMB wall=%v user=%v modeled=%v\n",
 		r.Mode, r.BSP.Supersteps, float64(r.BSP.Bytes)/1e6,
 		r.Wall.Round(time.Millisecond),
 		r.UserComputeTotal().Round(time.Millisecond),
@@ -127,62 +120,38 @@ func main() {
 	for _, l := range r.Levels {
 		tb.AddRow(l.Level, l.Active, l.Live, l.CumulativeLongs, l.AvgLongs, l.ParkedLongs)
 	}
-	fmt.Println(tb.String())
+	fmt.Fprintln(stdout, tb.String())
 
-	finish(g, steps, *circuitOut, *noVerify)
+	return finish(stdout, g, steps, *circuitOut, *noVerify)
 }
 
-func finish(g *graph.Graph, steps []graph.Step, out string, noVerify bool) {
+func finish(stdout io.Writer, g *graph.Graph, steps []graph.Step, out string, noVerify bool) error {
 	if !noVerify {
 		if err := verify.Circuit(g, steps); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("circuit verified: %d edges, closed walk\n", len(steps))
+		fmt.Fprintf(stdout, "circuit verified: %d edges, closed walk\n", len(steps))
 	}
 	if out == "" {
-		return
+		return nil
 	}
 	f, err := os.Create(out)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	w := bufio.NewWriterSize(f, 1<<20)
 	for _, s := range steps {
 		fmt.Fprintf(w, "%d %d %d\n", s.From, s.To, s.Edge)
 	}
 	if err := w.Flush(); err != nil {
-		fatal(err)
+		f.Close()
+		return err
 	}
 	if err := f.Close(); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("wrote circuit to %s\n", out)
-}
-
-// runPhase3Only reconstructs the circuit from a saved checkpoint and the
-// reopened spill store — the paper's "book-keeping persisted to disk"
-// workflow with Phase 3 as a separate process.
-func runPhase3Only(g *graph.Graph, ckptPath, spillDir, circuitOut string, noVerify bool) {
-	ds, err := spill.OpenDiskStore(spillDir + "/eulerrun-spill.log")
-	if err != nil {
-		fatal(err)
-	}
-	defer ds.Close()
-	f, err := os.Open(ckptPath)
-	if err != nil {
-		fatal(err)
-	}
-	reg, err := euler.LoadRegistry(f, ds)
-	f.Close()
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("checkpoint: %d paths/cycles, master %d\n", reg.NumPaths(), reg.Master())
-	steps, err := reg.CollectCircuit()
-	if err != nil {
-		fatal(err)
-	}
-	finish(g, steps, circuitOut, noVerify)
+	fmt.Fprintf(stdout, "wrote circuit to %s\n", out)
+	return nil
 }
 
 func firstVertexWithEdges(g *graph.Graph) graph.VertexID {
@@ -192,9 +161,4 @@ func firstVertexWithEdges(g *graph.Graph) graph.VertexID {
 		}
 	}
 	return 0
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "eulerrun: %v\n", err)
-	os.Exit(1)
 }

@@ -222,8 +222,8 @@ func (w *walker) take(k int) bool {
 }
 
 // takeID is take for a root or an anchored cycle.  An ID the pathMap does
-// not hold (a corrupt checkpoint can name one) is only counted: its walk
-// fails at the store, or the count check catches it.
+// not hold (a corrupt Phase 1 result off the cluster wire can name one) is
+// only counted: its walk fails at the store, or the count check catches it.
 func (w *walker) takeID(id PathID) bool {
 	if k, ok := w.reg.rank(id); ok {
 		return w.take(k)

@@ -1,7 +1,6 @@
 package euler
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -481,8 +480,7 @@ func (c *phase3Coverage) require(t *testing.T) {
 }
 
 // TestUnrollMatchesOldUnroll pins the streaming walker to the old Phase 3
-// step for step: every generator family, mode, part count and store, each
-// also through a checkpoint round trip.
+// step for step: every generator family, mode, part count and store.
 func TestUnrollMatchesOldUnroll(t *testing.T) {
 	rmat, _ := gen.EulerianRMAT(gen.RMATParams{Vertices: 512, AvgDegree: 6, A: 0.57, B: 0.19, C: 0.19, Seed: 17})
 	families := []struct {
@@ -525,19 +523,6 @@ func TestUnrollMatchesOldUnroll(t *testing.T) {
 						t.Fatalf("%s: %v", name, err)
 					}
 					cov.add(res.Registry, seen)
-
-					var ckpt bytes.Buffer
-					if err := res.Registry.Save(&ckpt); err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					loaded, err := LoadRegistry(bytes.NewReader(ckpt.Bytes()), store)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					reloaded, _, err := matchOldUnroll(t, loaded)
-					if err != nil || !slices.Equal(reloaded, steps) {
-						t.Fatalf("%s: circuit changed across the checkpoint (err %v)", name, err)
-					}
 				}
 			}
 		}

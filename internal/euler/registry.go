@@ -13,11 +13,11 @@ import (
 )
 
 // Registry is the run-wide book-keeping the paper persists to disk between
-// phases: the pathMap metadata of every path and cycle, the anchored-cycle
-// index used by Phase 3's pivot-vertex splicing, and the global
-// visited-vertex map that keeps seed cycles splicable.  Path bodies
-// themselves live in the spill store; the Registry only holds fixed-size
-// metadata per entry.
+// phases (here it lives in memory; a run persists as its RunRecord): the
+// pathMap metadata of every path and cycle, the anchored-cycle index used
+// by Phase 3's pivot-vertex splicing, and the global visited-vertex map
+// that keeps seed cycles splicable.  Path bodies live in the spill store;
+// the Registry holds only fixed-size metadata per entry.
 //
 // Concurrency model: workers absorb their Phase 1 results concurrently
 // within a superstep, and their active vertex sets are disjoint (a vertex
@@ -75,8 +75,8 @@ type idRun struct {
 
 // vertexScreen is a bitset over the graph's vertices in front of a sparse
 // vertex-keyed index: mayHold is true for every added vertex and for any
-// vertex beyond the set's range (only a corrupt body or checkpoint names
-// one), which the index behind it then resolves.
+// vertex beyond the set's range (only a corrupt body names one), which the
+// index behind it then resolves.
 type vertexScreen []uint64
 
 func newVertexScreen(numVerts int64) vertexScreen {
@@ -246,7 +246,7 @@ func (r *Registry) buildIndex(recs []PathRec, anch []anchor) error {
 }
 
 // ensureSealed lazily seals for read paths reached without an explicit
-// Seal (tests, checkpoint loads), returning the seal error so callers
+// Seal (hand-built registries in tests), returning the seal error so callers
 // that can propagate it do.  Steady-state reads skip the mutex.
 func (r *Registry) ensureSealed() error {
 	if r.sealed.Load() {

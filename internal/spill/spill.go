@@ -208,8 +208,8 @@ func (s *DiskStore) Close() error {
 }
 
 // OpenDiskStore opens an existing log file written by a previous DiskStore
-// and rebuilds its index by scanning the frames, so a later process (e.g.
-// a standalone Phase 3 run) can read the spilled bodies back.
+// and rebuilds its index by scanning the frames, so a later process can
+// read the spilled bodies back.
 func OpenDiskStore(path string) (*DiskStore, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
