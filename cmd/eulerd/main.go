@@ -247,7 +247,7 @@ func runServerRole(coordinator bool, cfg serverConfig) {
 	// The batch lane is a second scheduler with its own worker pool;
 	// big jobs (estimated edges >= batchEdges) queue there so they
 	// cannot starve interactive submissions.
-	var batchSched sched.Scheduler
+	var batchSched *sched.Fair
 	if cfg.batchWorkers > 0 && cfg.batchEdges > 0 {
 		batchSched = sched.NewFair(sched.FairConfig{
 			Workers:           cfg.batchWorkers,

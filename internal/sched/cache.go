@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/graph"
 	"repro/internal/spill"
 )
 
@@ -14,18 +13,16 @@ import (
 // exceeds the whole cache budget and nobody is waiting on the frames.
 var errCommitOversize = errors.New("sched: circuit exceeds the cache budget")
 
-// cacheBatchSteps is the number of circuit steps framed into one cache
-// record, matching the circuit sink's batching so payload sizes stay
-// comparable.
-const cacheBatchSteps = 4096
-
-// CircuitSource is a readable completed circuit, the shape both the
-// job layer's disk sink and the cache's own Reader expose.
+// CircuitSource is a readable completed circuit stored as frames: the
+// job layer's disk sink and the cache's own Reader both expose one.
+// A frame is a run of the job kind's NDJSON lines, exactly the bytes
+// the HTTP circuit endpoint serves, so everything that moves a circuit
+// (cache commit, egress) copies frames without looking inside them.
 type CircuitSource interface {
 	// Steps returns the circuit length.
 	Steps() int64
-	// Iterate replays the circuit in order.
-	Iterate(fn func(graph.Step) error) error
+	// IterateBatches replays the frames in circuit order.
+	IterateBatches(fn func(frame []byte) error) error
 }
 
 // Outcome classifies an Acquire.
@@ -78,30 +75,7 @@ type Reader struct {
 // Steps implements CircuitSource.
 func (r *Reader) Steps() int64 { return r.steps }
 
-// Iterate implements CircuitSource for binary-framed entries.  NDJSON
-// frames need the job kind's line codec, which the cache does not hold;
-// consumers that may meet them (the HTTP circuit endpoint) must use
-// IterateBatches and dispatch on the frame format themselves.
-func (r *Reader) Iterate(fn func(graph.Step) error) error {
-	return r.IterateBatches(func(data []byte) error {
-		if len(data) > 0 && data[0] == '{' {
-			return fmt.Errorf("sched: cached circuit is NDJSON-framed; replay it via IterateBatches with the kind's codec")
-		}
-		steps, err := graph.DecodeSteps(data)
-		if err != nil {
-			return err
-		}
-		for _, s := range steps {
-			if err := fn(s); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// IterateBatches replays the cached circuit's raw frames in order, the
-// zero-copy path the HTTP layer streams cached NDJSON circuits from.
+// IterateBatches implements CircuitSource.
 func (r *Reader) IterateBatches(fn func(frame []byte) error) error {
 	for _, rec := range r.recs {
 		data, err := r.store.Get(rec)
@@ -270,17 +244,6 @@ func (c *ResultCache) Close() error {
 	return c.store.Close()
 }
 
-// BatchedCircuitSource is an optional CircuitSource extension for
-// sources whose circuit is already persisted as batch frames (the job
-// layer's disk sink is one): Commit copies the raw frames — NDJSON or
-// binary, the cache never looks inside — instead of decoding and
-// re-encoding every step.
-type BatchedCircuitSource interface {
-	CircuitSource
-	// IterateBatches replays the raw frames in circuit order.
-	IterateBatches(fn func(frame []byte) error) error
-}
-
 // Commit stores the leader's completed circuit, publishes the entry
 // (unless it alone exceeds the byte budget), and hands every waiting
 // follower a Reader.  On error the lease degrades to an Abort — the
@@ -289,12 +252,11 @@ type BatchedCircuitSource interface {
 func (l *Lease) Commit(src CircuitSource) error {
 	c := l.c
 
-	// Persist the batches outside the lock; only record-ID reservation
+	// Persist the frames outside the lock; only record-ID reservation
 	// and index publication serialise.
 	var (
 		recs  []int64
 		bytes int64
-		steps int64
 	)
 	put := func(frame []byte) error {
 		c.mu.Lock()
@@ -323,39 +285,9 @@ func (l *Lease) Commit(src CircuitSource) error {
 		bytes += int64(len(frame))
 		return nil
 	}
-	var err error
-	if batched, ok := src.(BatchedCircuitSource); ok {
-		// Frame-copy fast path: the source's on-disk frames are
-		// already in the cache's format, so a multi-million-step
-		// circuit moves log-to-log without a decode/encode pass.
-		steps = batched.Steps()
-		err = batched.IterateBatches(put)
-	} else {
-		batch := make([]graph.Step, 0, cacheBatchSteps)
-		var enc []byte
-		flush := func() error {
-			if len(batch) == 0 {
-				return nil
-			}
-			enc = graph.AppendSteps(enc[:0], batch)
-			if err := put(enc); err != nil {
-				return err
-			}
-			batch = batch[:0]
-			return nil
-		}
-		err = src.Iterate(func(s graph.Step) error {
-			steps++
-			batch = append(batch, s)
-			if len(batch) >= cacheBatchSteps {
-				return flush()
-			}
-			return nil
-		})
-		if err == nil {
-			err = flush()
-		}
-	}
+	// The source's frames are already in the cache's format, so a
+	// multi-million-step circuit moves log-to-log without a decode pass.
+	err := src.IterateBatches(put)
 	if errors.Is(err, errCommitOversize) {
 		// Not a failure for the leader: the result simply cannot be
 		// cached.  Abort clears the flight (and promotes a follower in
@@ -369,6 +301,7 @@ func (l *Lease) Commit(src CircuitSource) error {
 		return fmt.Errorf("sched: caching circuit: %w", err)
 	}
 
+	steps := src.Steps()
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()

@@ -1,32 +1,56 @@
 package sched
 
 import (
+	"bytes"
+	"fmt"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/graph"
 )
 
-// memSource is an in-memory CircuitSource for tests.
-type memSource []graph.Step
+// frameSource is an in-memory CircuitSource for tests.  The cache
+// treats frames as opaque, so any bytes do; these are NDJSON-shaped
+// lines like the ones the job sink stores.
+type frameSource struct {
+	steps  int64
+	frames [][]byte
+}
 
-func (m memSource) Steps() int64 { return int64(len(m)) }
-func (m memSource) Iterate(fn func(graph.Step) error) error {
-	for _, s := range m {
-		if err := fn(s); err != nil {
+func (f frameSource) Steps() int64 { return f.steps }
+func (f frameSource) IterateBatches(fn func([]byte) error) error {
+	for _, frame := range f.frames {
+		if err := fn(frame); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func circuit(n int, salt int64) memSource {
-	steps := make(memSource, n)
-	for i := range steps {
-		steps[i] = graph.Step{Edge: int64(i), From: salt + int64(i), To: salt + int64(i) + 1}
+// size is the total frame payload, the bytes an entry charges against
+// the cache budget.
+func (f frameSource) size() int64 {
+	var n int64
+	for _, frame := range f.frames {
+		n += int64(len(frame))
 	}
-	return steps
+	return n
 }
+
+// framed renders an n-step circuit into frames of per lines, the last
+// one partial when per does not divide n.
+func framed(n int, salt int64, per int) frameSource {
+	src := frameSource{steps: int64(n)}
+	var frame []byte
+	for i := 0; i < n; i++ {
+		frame = fmt.Appendf(frame, "{\"edge\":%d,\"from\":%d,\"to\":%d}\n", i, salt+int64(i), salt+int64(i)+1)
+		if (i+1)%per == 0 || i == n-1 {
+			src.frames = append(src.frames, frame)
+			frame = nil
+		}
+	}
+	return src
+}
+
+func circuit(n int, salt int64) frameSource { return framed(n, salt, 4096) }
 
 func newTestCache(t *testing.T, maxBytes int64) *ResultCache {
 	t.Helper()
@@ -44,11 +68,11 @@ func fpOf(b byte) Fingerprint {
 	return fp
 }
 
-func readAll(t *testing.T, r *Reader) []graph.Step {
+func readAll(t *testing.T, r *Reader) [][]byte {
 	t.Helper()
-	var out []graph.Step
-	if err := r.Iterate(func(s graph.Step) error {
-		out = append(out, s)
+	var out [][]byte
+	if err := r.IterateBatches(func(frame []byte) error {
+		out = append(out, frame)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -56,12 +80,14 @@ func readAll(t *testing.T, r *Reader) []graph.Step {
 	return out
 }
 
-func equalSteps(a, b []graph.Step) bool {
-	if len(a) != len(b) {
+// sameFrames reports whether a reader replayed exactly the source's
+// frames, byte for byte and frame for frame.
+func sameFrames(got [][]byte, src frameSource) bool {
+	if len(got) != len(src.frames) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	for i := range got {
+		if !bytes.Equal(got[i], src.frames[i]) {
 			return false
 		}
 	}
@@ -70,7 +96,7 @@ func equalSteps(a, b []graph.Step) bool {
 
 func TestCacheMissCommitHit(t *testing.T) {
 	c := newTestCache(t, 1<<20)
-	src := circuit(10_000, 0) // spans multiple batches
+	src := circuit(10_000, 0) // spans multiple frames
 	out, r, lease := c.Acquire(fpOf(1), nil)
 	if out != OutcomeLead || r != nil || lease == nil {
 		t.Fatalf("first acquire = %v, want lead", out)
@@ -85,7 +111,7 @@ func TestCacheMissCommitHit(t *testing.T) {
 	if r.Steps() != src.Steps() {
 		t.Fatalf("cached steps %d, want %d", r.Steps(), src.Steps())
 	}
-	if !equalSteps(readAll(t, r), src) {
+	if !sameFrames(readAll(t, r), src) {
 		t.Fatal("cached circuit differs from the committed one")
 	}
 	st := c.Stats()
@@ -116,7 +142,7 @@ func TestCacheCoalesce(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		r := <-got
-		if r == nil || !equalSteps(readAll(t, r), src) {
+		if r == nil || !sameFrames(readAll(t, r), src) {
 			t.Fatal("follower did not receive the committed circuit")
 		}
 	}
@@ -179,7 +205,7 @@ func TestCachePromotedCommitServesRemainingFollowers(t *testing.T) {
 		served = r
 	}})
 	lease.Abort()
-	if served == nil || !equalSteps(readAll(t, served), src) {
+	if served == nil || !sameFrames(readAll(t, served), src) {
 		t.Fatal("second follower was not served by the promoted leader's commit")
 	}
 	if out, r, _ := c.Acquire(fpOf(4), nil); out != OutcomeHit || r == nil {
@@ -192,8 +218,7 @@ func TestCachePromotedCommitServesRemainingFollowers(t *testing.T) {
 func TestCacheEvictionKeepsReadersAlive(t *testing.T) {
 	srcA, srcB := circuit(3000, 0), circuit(3000, 9)
 	// Budget fits one entry but not two.
-	enc := graph.AppendSteps(nil, srcA)
-	c := newTestCache(t, int64(len(enc))+64)
+	c := newTestCache(t, srcA.size()+64)
 
 	_, _, lease := c.Acquire(fpOf(10), nil)
 	if err := lease.Commit(srcA); err != nil {
@@ -214,7 +239,7 @@ func TestCacheEvictionKeepsReadersAlive(t *testing.T) {
 	} else {
 		l.Abort()
 	}
-	if !equalSteps(readAll(t, rA), srcA) {
+	if !sameFrames(readAll(t, rA), srcA) {
 		t.Fatal("pre-eviction reader lost its circuit")
 	}
 	if st := c.Stats(); st.LiveBytes > st.MaxBytes {
@@ -226,10 +251,9 @@ func TestCacheEvictionKeepsReadersAlive(t *testing.T) {
 // next eviction round.
 func TestCacheHitRefreshesLRU(t *testing.T) {
 	srcA, srcB, srcC := circuit(3000, 0), circuit(3000, 1), circuit(3000, 2)
-	enc := graph.AppendSteps(nil, srcA)
-	c := newTestCache(t, 2*int64(len(enc))+128) // fits two entries
+	c := newTestCache(t, 2*srcA.size()+128) // fits two entries
 
-	commit := func(fp Fingerprint, src memSource) {
+	commit := func(fp Fingerprint, src frameSource) {
 		_, _, lease := c.Acquire(fp, nil)
 		if err := lease.Commit(src); err != nil {
 			t.Fatal(err)
@@ -264,7 +288,7 @@ func TestCacheOversizedResultNotIndexed(t *testing.T) {
 	if err := lease.Commit(src); err != nil {
 		t.Fatal(err)
 	}
-	if served == nil || !equalSteps(readAll(t, served), src) {
+	if served == nil || !sameFrames(readAll(t, served), src) {
 		t.Fatal("follower not served for an oversized result")
 	}
 	st := c.Stats()
@@ -273,56 +297,22 @@ func TestCacheOversizedResultNotIndexed(t *testing.T) {
 	}
 }
 
-// batchedSource serves pre-framed batches; Iterate traps so the test
-// proves Commit took the frame-copy fast path.
-type batchedSource struct {
-	t      *testing.T
-	steps  memSource
-	frames [][]byte
-}
-
-func newBatchedSource(t *testing.T, steps memSource, batch int) *batchedSource {
-	b := &batchedSource{t: t, steps: steps}
-	for i := 0; i < len(steps); i += batch {
-		end := i + batch
-		if end > len(steps) {
-			end = len(steps)
-		}
-		b.frames = append(b.frames, graph.AppendSteps(nil, steps[i:end]))
-	}
-	return b
-}
-
-func (b *batchedSource) Steps() int64 { return b.steps.Steps() }
-func (b *batchedSource) Iterate(func(graph.Step) error) error {
-	b.t.Error("Commit must use IterateBatches for a BatchedCircuitSource")
-	return nil
-}
-func (b *batchedSource) IterateBatches(fn func([]byte) error) error {
-	for _, f := range b.frames {
-		if err := fn(f); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// TestCacheCommitFrameCopyFastPath: a batched source commits by raw
-// frame copy (odd batch sizes included) and replays identically.
+// TestCacheCommitFrameCopyFastPath: a commit copies the source's
+// frames verbatim, odd frame sizes included, and a hit replays exactly
+// the committed bytes: the cache never re-frames or looks inside them.
 func TestCacheCommitFrameCopyFastPath(t *testing.T) {
 	c := newTestCache(t, 1<<20)
-	steps := circuit(10_000, 4)
-	src := newBatchedSource(t, steps, 777) // deliberately != cacheBatchSteps
+	src := framed(10_000, 4, 777) // 13 full frames and a partial one
 	_, _, lease := c.Acquire(fpOf(60), nil)
 	if err := lease.Commit(src); err != nil {
 		t.Fatal(err)
 	}
 	out, r, _ := c.Acquire(fpOf(60), nil)
-	if out != OutcomeHit || r.Steps() != int64(len(steps)) {
+	if out != OutcomeHit || r.Steps() != src.Steps() {
 		t.Fatalf("acquire = %v steps %d", out, r.Steps())
 	}
-	if !equalSteps(readAll(t, r), steps) {
-		t.Fatal("frame-copied circuit differs from the source")
+	if !sameFrames(readAll(t, r), src) {
+		t.Fatal("cache hit's frames differ from the committed frames")
 	}
 }
 
@@ -370,8 +360,8 @@ func TestCacheFollowerOverflow(t *testing.T) {
 // the full circuit; the leader sees a clean (nil) commit.
 func TestCacheOversizedCommitStopsEarly(t *testing.T) {
 	c := newTestCache(t, 64)
-	src := circuit(20_000, 0) // several batches, far over budget
-	full := int64(len(graph.AppendSteps(nil, src)))
+	src := circuit(20_000, 0) // several frames, far over budget
+	full := src.size()
 	_, _, lease := c.Acquire(fpOf(70), nil)
 	if err := lease.Commit(src); err != nil {
 		t.Fatalf("oversized commit must not error the leader: %v", err)

@@ -91,6 +91,7 @@ func (t *tenant) pop() Task {
 // Fair is the weighted fair-queueing scheduler: a fixed worker set
 // draining per-tenant queues by start-time fair queueing over job
 // counts, with per-tenant quotas and rate-informed admission control.
+// It is the HTTP layer's scheduler and is safe for concurrent use.
 type Fair struct {
 	cfg FairConfig
 
@@ -226,7 +227,9 @@ func (f *Fair) worker() {
 	}
 }
 
-// Submit implements Scheduler.
+// Submit enqueues task for the tenant at the given class.  It returns
+// *Rejected when admission control refuses the submission and
+// ErrClosed after Drain has begun.
 func (f *Fair) Submit(tenantName string, class Class, task Task) error {
 	if tenantName == "" {
 		tenantName = DefaultTenant
@@ -257,9 +260,13 @@ func (f *Fair) Submit(tenantName string, class Class, task Task) error {
 	return nil
 }
 
-// Resubmit implements Scheduler: enqueue without quota checks.  The
-// global and per-tenant bounds are deliberately skipped — promotions
-// are bounded by the cache's per-flight follower cap.
+// Resubmit enqueues the task of an already-admitted job without quota
+// checks; only ErrClosed is possible.  The HTTP layer uses it when a
+// coalesced follower is promoted after its leader aborted: the job was
+// accepted (202) when it attached, so back-pressure at promotion time
+// must not turn into a terminal failure.  The global and per-tenant
+// bounds are deliberately skipped — promotions are bounded by the
+// cache's per-flight follower cap.
 func (f *Fair) Resubmit(tenantName string, class Class, task Task) error {
 	if tenantName == "" {
 		tenantName = DefaultTenant
@@ -276,8 +283,11 @@ func (f *Fair) Resubmit(tenantName string, class Class, task Task) error {
 	return nil
 }
 
-// Admit implements Scheduler.  Advisory: quotas may change between
-// Admit and Submit.
+// Admit reports whether a submission for tenant would currently be
+// admitted, without queueing anything.  The HTTP layer calls it before
+// the per-request heavy lifting (building the input graph).  It is
+// advisory: quotas may change between Admit and Submit, which remains
+// the authoritative check.
 func (f *Fair) Admit(tenantName string) error {
 	if tenantName == "" {
 		tenantName = DefaultTenant
@@ -336,24 +346,24 @@ func (f *Fair) retryAfterLocked(t *tenant) time.Duration {
 	return clampRetry(time.Duration(float64(time.Second) / rate))
 }
 
-// Depth implements Scheduler.
+// Depth returns the number of queued (not yet running) tasks.
 func (f *Fair) Depth() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.queued
 }
 
-// Running implements Scheduler.
+// Running returns the number of tasks currently executing.
 func (f *Fair) Running() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return int64(f.running)
 }
 
-// Workers implements Scheduler.
+// Workers returns the worker count.
 func (f *Fair) Workers() int { return f.cfg.Workers }
 
-// Tenants implements Scheduler.
+// Tenants returns per-tenant gauges for tenants with live state.
 func (f *Fair) Tenants() []TenantStat {
 	f.mu.Lock()
 	out := make([]TenantStat, 0, len(f.tenants))
@@ -371,10 +381,10 @@ func (f *Fair) Tenants() []TenantStat {
 	return out
 }
 
-// Drain implements Scheduler: stop intake, run the remaining queue, and
-// wait.  If ctx expires first the base context is cancelled — telling
-// in-flight tasks to abort — and Drain waits for the workers to exit
-// before returning ctx's error.  Idempotent.
+// Drain stops intake, runs the remaining queue, and waits for queued
+// and running tasks to finish.  If ctx expires first the base context
+// is cancelled — telling in-flight tasks to abort — and Drain waits
+// for the workers to exit before returning ctx's error.  Idempotent.
 func (f *Fair) Drain(ctx context.Context) error {
 	f.mu.Lock()
 	f.closed = true

@@ -10,7 +10,7 @@ import (
 )
 
 // drain drains a scheduler with a test-scoped deadline.
-func drain(t *testing.T, s Scheduler) {
+func drain(t *testing.T, s *Fair) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -110,38 +110,6 @@ type TenantStat struct {
 	Rejected int64
 }
 
-// Scheduler is the contract between the HTTP layer and a worker-pool
-// scheduler.  Implementations are safe for concurrent use.
-type Scheduler interface {
-	// Submit enqueues task for the tenant at the given class.  It
-	// returns *Rejected when admission control refuses the submission
-	// and ErrClosed after Drain has begun.
-	Submit(tenant string, class Class, task Task) error
-	// Resubmit enqueues the task of an already-admitted job, bypassing
-	// admission quotas; only ErrClosed is possible.  The cache uses it
-	// when a coalesced follower is promoted after its leader aborted:
-	// the job was accepted (202) when it attached, so back-pressure at
-	// promotion time must not convert into a terminal failure.
-	Resubmit(tenant string, class Class, task Task) error
-	// Admit reports whether a submission for tenant would currently be
-	// admitted, without queueing anything.  The HTTP layer calls it
-	// before doing per-request heavy lifting (building the input
-	// graph); Submit remains the authoritative check.
-	Admit(tenant string) error
-	// Depth returns the number of queued (not yet running) tasks.
-	Depth() int
-	// Running returns the number of tasks currently executing.
-	Running() int64
-	// Workers returns the worker count.
-	Workers() int
-	// Tenants returns per-tenant gauges for tenants with live state.
-	Tenants() []TenantStat
-	// Drain stops intake and waits for queued and running tasks to
-	// finish; if ctx expires first the base context is cancelled and
-	// Drain waits for the workers to exit.
-	Drain(ctx context.Context) error
-}
-
 // clampRetry bounds a Retry-After estimate to [1s, 60s] and rounds it
 // up to whole seconds, the resolution of the HTTP header.
 func clampRetry(d time.Duration) time.Duration {

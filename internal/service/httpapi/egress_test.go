@@ -55,14 +55,9 @@ func TestCircuitEgressZeroCopy(t *testing.T) {
 		t.Fatal("circuit not available")
 	}
 	var stored []byte
-	bs, ok := src.(batchedSource)
-	if !ok {
-		release()
-		t.Fatalf("circuit source %T does not expose frames", src)
-	}
-	if err := bs.IterateBatches(func(frame []byte) error {
+	if err := src.IterateBatches(func(frame []byte) error {
 		if len(frame) == 0 || frame[0] != '{' {
-			t.Fatalf("sink frame is not NDJSON (leading byte %q)", frame[0])
+			t.Fatalf("sink frame is not NDJSON: %.20q", frame)
 		}
 		stored = append(stored, frame...)
 		return nil

@@ -65,7 +65,7 @@ type ClusterStatus interface {
 // Server wires the job store, the scheduler, and the HTTP handlers.
 type Server struct {
 	jobs    *job.Store
-	sched   sched.Scheduler
+	sched   *sched.Fair
 	cache   *sched.ResultCache
 	deltas  *sched.DeltaStore
 	dataDir string
@@ -80,7 +80,7 @@ type Server struct {
 	// estimated input size reaches batchEdges queue here, with their own
 	// worker pool and quotas, so one huge solve cannot starve the
 	// interactive lane.
-	batchSched sched.Scheduler
+	batchSched *sched.Fair
 	batchEdges int64
 	// oocEdges routes uploaded euler jobs with at least this many
 	// declared edges to the out-of-core engine (0 = never); graphMemBytes
@@ -109,7 +109,7 @@ type Config struct {
 	Store *job.Store
 	// Sched is the scheduler feeding the worker pool (required); see
 	// sched.NewFair.
-	Sched sched.Scheduler
+	Sched *sched.Fair
 	// DataDir is where per-job scratch directories are created
 	// (required; must exist).
 	DataDir string
@@ -133,7 +133,7 @@ type Config struct {
 	// scheduler lane for big jobs: submissions whose estimated edge
 	// count reaches the threshold queue here instead of on Sched.  The
 	// caller owns both schedulers' lifecycles (drain order included).
-	BatchSched sched.Scheduler
+	BatchSched *sched.Fair
 	// BatchEdgeThreshold is the estimated-edge floor for BatchSched
 	// routing; ignored when BatchSched is nil.
 	BatchEdgeThreshold int64
@@ -571,7 +571,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // is configured, everything else to the interactive scheduler.  Jobs do
 // not carry their lane, so every decision point (submit, promotion)
 // recomputes it from the same spec and lands on the same answer.
-func (s *Server) schedFor(spec *job.Spec) sched.Scheduler {
+func (s *Server) schedFor(spec *job.Spec) *sched.Fair {
 	if s.batchSched != nil && spec.EstimatedEdges() >= s.batchEdges {
 		return s.batchSched
 	}
@@ -938,10 +938,10 @@ func (s *Server) runJob(poolCtx context.Context, j *job.Job, lease *sched.Lease)
 		}
 	}
 
-	// The kind's line codec renders batches to NDJSON at append time, so
-	// the stored frames are exactly the bytes the circuit endpoint
-	// serves (and the result cache copies them frame-for-frame).
-	sink, err = job.NewCircuitSink(filepath.Join(j.Dir, "circuit.log"), 0, kind)
+	// The sink renders each step in the kind's line format as it
+	// arrives, so the stored frames are exactly the bytes the circuit
+	// endpoint serves (and the result cache copies them frame-for-frame).
+	sink, err = job.NewCircuitSink(filepath.Join(j.Dir, "circuit.log"), kind)
 	if err != nil {
 		fail(fmt.Errorf("creating circuit sink: %w", err))
 		return
@@ -1126,21 +1126,14 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.Snapshot())
 }
 
-// batchedSource is a circuit source exposing its raw persisted frames;
-// the job sink and the result-cache reader both do.
-type batchedSource interface {
-	IterateBatches(fn func(frame []byte) error) error
-}
-
 // handleCircuit streams a finished job's result as NDJSON in the job
 // kind's line format — {"edge":e,"from":u,"to":v} circuit steps for
 // euler (plus "revisit" markers for postman tours), {"sym":s} and
-// {"base":"A"} for the sequence kinds.  The sink persists batches
-// pre-rendered in that format, so the hot path copies stored frames
-// straight into the response with no decode/re-encode; binary-framed
-// batches (codec-less sinks, pre-upgrade cache entries) fall back to a
-// per-step render.  Bytes served are accounted per job and in the
-// egress_bytes service counter.
+// {"base":"A"} for the sequence kinds.  The job's sink and the result
+// cache both store the circuit as frames already rendered in that
+// format, so the response body is a straight copy of the stored
+// frames.  Bytes served are accounted per job and in the egress_bytes
+// service counter.
 func (s *Server) handleCircuit(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.Get(r.PathValue("id"))
 	if !ok {
@@ -1153,7 +1146,6 @@ func (s *Server) handleCircuit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	kind := jobkind.MustGet(j.Spec.Kind)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Circuit-Steps", strconv.FormatInt(src.Steps(), 10))
 	cw := &countedWriter{w: w}
@@ -1162,35 +1154,10 @@ func (s *Server) handleCircuit(w http.ResponseWriter, r *http.Request) {
 		s.metrics.egressBytes.Add(cw.n)
 	}()
 	bw := bufio.NewWriterSize(cw, 1<<16)
-	var err error
-	if batched, ok := src.(batchedSource); ok {
-		var buf []byte
-		err = batched.IterateBatches(func(frame []byte) error {
-			if len(frame) > 0 && frame[0] == '{' {
-				// Zero-copy egress: the stored frame is the response body.
-				_, werr := bw.Write(frame)
-				return werr
-			}
-			steps, derr := graph.DecodeSteps(frame)
-			if derr != nil {
-				return derr
-			}
-			for _, st := range steps {
-				buf = kind.AppendLine(buf[:0], st)
-				if _, werr := bw.Write(buf); werr != nil {
-					return werr
-				}
-			}
-			return nil
-		})
-	} else {
-		var buf []byte
-		err = src.Iterate(func(st graph.Step) error {
-			buf = kind.AppendLine(buf[:0], st)
-			_, werr := bw.Write(buf)
-			return werr
-		})
-	}
+	err := src.IterateBatches(func(frame []byte) error {
+		_, werr := bw.Write(frame)
+		return werr
+	})
 	if err != nil {
 		if cw.n == 0 {
 			// Nothing reached the client yet; a real error status can

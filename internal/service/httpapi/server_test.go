@@ -26,7 +26,7 @@ import (
 
 // newSchedServer wires an API server over the given scheduler, with an
 // optional result cache.
-func newSchedServer(t *testing.T, sc sched.Scheduler, cache *sched.ResultCache) (*Server, *httptest.Server) {
+func newSchedServer(t *testing.T, sc *sched.Fair, cache *sched.ResultCache) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(Config{
 		Store:   job.NewStore(50),

@@ -15,17 +15,8 @@ import (
 
 	"repro/internal/euler"
 	"repro/internal/graph"
+	"repro/internal/sched"
 )
-
-// CircuitSource is a readable completed circuit.  A job's own disk
-// sink implements it, and so does the scheduler's result-cache reader,
-// which is how a deduplicated job serves a circuit it never computed.
-type CircuitSource interface {
-	// Steps returns the circuit length.
-	Steps() int64
-	// Iterate replays the circuit in order.
-	Iterate(fn func(graph.Step) error) error
-}
 
 // State is a job lifecycle state.
 type State string
@@ -75,7 +66,7 @@ type Job struct {
 	steps    int64
 	report   *euler.RunReport
 	sink     *CircuitSink
-	cached   CircuitSource
+	cached   sched.CircuitSource
 	tenant   string
 	// fingerprint is the job's content address (hex), recorded when the
 	// scheduler fingerprints the input; clients use it as a delta base.
@@ -187,7 +178,7 @@ func (j *Job) Finish(report *euler.RunReport, sink *CircuitSink) {
 // immediately: a cache-served job will never execute, so keeping the
 // input until retention eviction would pin dead disk for every
 // deduplicated upload.
-func (j *Job) FinishCached(src CircuitSource) bool {
+func (j *Job) FinishCached(src sched.CircuitSource) bool {
 	j.mu.Lock()
 	if j.state != StateQueued {
 		j.mu.Unlock()
@@ -257,7 +248,7 @@ func (j *Job) EgressBytes() int64 { return j.egress.Load() }
 // reading; the caller must invoke the returned release function when
 // done.  Cache-backed sources need no reference (the cache log is
 // append-only), so their release is a no-op.
-func (j *Job) Circuit() (CircuitSource, func(), bool) {
+func (j *Job) Circuit() (sched.CircuitSource, func(), bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateDone {

@@ -1,6 +1,7 @@
 package job
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -8,70 +9,122 @@ import (
 
 	"repro/internal/euler"
 	"repro/internal/graph"
+	"repro/internal/jobkind"
 )
 
-func TestSinkRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "circuit.log")
-	sink, err := NewCircuitSink(path, 3, nil)
-	if err != nil {
-		t.Fatal(err)
+// parseFrames parses stored frames back into steps with the kind's
+// line codec; every frame must end on a line boundary.
+func parseFrames(t *testing.T, kind jobkind.Kind, frames [][]byte) []graph.Step {
+	t.Helper()
+	var out []graph.Step
+	for i, frame := range frames {
+		if len(frame) == 0 || frame[len(frame)-1] != '\n' {
+			t.Fatalf("frame %d does not end on a line boundary", i)
+		}
+		for _, line := range bytes.SplitAfter(frame[:len(frame)-1], []byte{'\n'}) {
+			st, err := kind.ParseLine(bytes.TrimSuffix(line, []byte{'\n'}))
+			if err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+			out = append(out, st)
+		}
 	}
-	defer sink.Close()
+	return out
+}
 
-	want := make([]graph.Step, 10)
-	for i := range want {
-		want[i] = graph.Step{Edge: int64(i), From: int64(i * 2), To: int64(i*2 + 1)}
-		if err := sink.Append(want[i]); err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
-	}
-	if err := sink.Iterate(func(graph.Step) error { return nil }); err == nil {
-		t.Fatal("iterate before Finish should fail")
-	}
-	if err := sink.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if got := sink.Steps(); got != 10 {
-		t.Fatalf("steps = %d, want 10", got)
-	}
-	var got []graph.Step
-	if err := sink.Iterate(func(s graph.Step) error { got = append(got, s); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d steps, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("step %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	if err := sink.Append(graph.Step{}); err == nil {
-		t.Fatal("append after Finish should fail")
+// TestSinkRoundTrip runs the sink over three frames, the last one
+// partial, with the real line codecs: euler steps, and postman steps
+// whose revisit flag rides in the edge sign.  The stored frames must be
+// the kind's rendered lines, and parsing them back must give the
+// appended steps.
+func TestSinkRoundTrip(t *testing.T) {
+	const n = 2*DefaultBatchSteps + 123
+	for _, name := range []string{"euler", "postman"} {
+		t.Run(name, func(t *testing.T) {
+			kind := jobkind.MustGet(name)
+			want := make([]graph.Step, n)
+			var wantBody []byte
+			for i := range want {
+				want[i] = graph.Step{Edge: int64(i), From: int64(i * 2), To: int64(i*2 + 1)}
+				if name == "postman" && i%3 == 1 {
+					want[i].Edge = -want[i].Edge - 1
+				}
+				wantBody = kind.AppendLine(wantBody, want[i])
+			}
+			sink, err := NewCircuitSink(filepath.Join(t.TempDir(), "circuit.log"), kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sink.Close()
+			for i, s := range want {
+				if err := sink.Append(s); err != nil {
+					t.Fatalf("append %d: %v", i, err)
+				}
+			}
+			if err := sink.IterateBatches(func([]byte) error { return nil }); err == nil {
+				t.Fatal("iterate before Finish should fail")
+			}
+			if err := sink.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			if got := sink.Steps(); got != n {
+				t.Fatalf("steps = %d, want %d", got, n)
+			}
+			var frames [][]byte
+			if err := sink.IterateBatches(func(f []byte) error { frames = append(frames, f); return nil }); err != nil {
+				t.Fatal(err)
+			}
+			if len(frames) != 3 {
+				t.Fatalf("%d frames, want 3", len(frames))
+			}
+			if lines := bytes.Count(frames[2], []byte{'\n'}); lines != 123 {
+				t.Fatalf("last frame holds %d lines, want 123", lines)
+			}
+			if !bytes.Equal(bytes.Join(frames, nil), wantBody) {
+				t.Fatal("stored frames are not the kind's rendered lines")
+			}
+			got := parseFrames(t, kind, frames)
+			if len(got) != len(want) {
+				t.Fatalf("got %d steps, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("step %d = %+v, want %+v", i, got[i], want[i])
+				}
+			}
+			if err := sink.Append(graph.Step{}); err == nil {
+				t.Fatal("append after Finish should fail")
+			}
+		})
 	}
 }
 
 // TestSinkCloseDeferredDuringIterate: closing the sink (as retention
-// eviction does) while a reader is mid-Iterate must not cut the stream
-// short; the close completes when the reader leaves.
+// eviction does) while a reader is mid-IterateBatches must not cut the
+// stream short; the close completes when the reader leaves.
 func TestSinkCloseDeferredDuringIterate(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "circuit.log")
-	sink, err := NewCircuitSink(path, 2, nil)
+	const n = 2*DefaultBatchSteps + 1
+	steps := make([]graph.Step, n)
+	for i := range steps {
+		steps[i] = graph.Step{Edge: int64(i), From: int64(i), To: int64(i + 1)}
+	}
+	kind := jobkind.MustGet("euler")
+	sink, err := NewCircuitSink(filepath.Join(t.TempDir(), "circuit.log"), kind)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 9; i++ {
-		if err := sink.Append(graph.Step{Edge: int64(i), From: int64(i), To: int64(i + 1)}); err != nil {
+	for _, s := range steps {
+		if err := sink.Append(s); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := sink.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	var seen int
-	err = sink.Iterate(func(graph.Step) error {
-		seen++
-		if seen == 1 {
+	var frames [][]byte
+	err = sink.IterateBatches(func(f []byte) error {
+		frames = append(frames, f)
+		if len(frames) == 1 {
 			// Concurrent eviction closes the sink mid-stream.
 			if err := sink.Close(); err != nil {
 				t.Fatal(err)
@@ -82,11 +135,14 @@ func TestSinkCloseDeferredDuringIterate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("iterate with concurrent close: %v", err)
 	}
-	if seen != 9 {
-		t.Fatalf("saw %d steps, want 9", seen)
+	if len(frames) != 3 {
+		t.Fatalf("saw %d frames, want 3", len(frames))
+	}
+	if got := len(parseFrames(t, kind, frames)); got != n {
+		t.Fatalf("saw %d steps, want %d", got, n)
 	}
 	// The deferred close has now landed: further reads are refused.
-	if err := sink.Iterate(func(graph.Step) error { return nil }); err == nil {
+	if err := sink.IterateBatches(func([]byte) error { return nil }); err == nil {
 		t.Fatal("iterate after close should fail")
 	}
 	if err := sink.Close(); err != nil {
@@ -155,7 +211,7 @@ func TestCircuitSurvivesEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := s.New(Spec{Generator: &GenSpec{Family: "torus"}}, dir)
-	sink, err := NewCircuitSink(filepath.Join(dir, "circuit.log"), 2, nil)
+	sink, err := NewCircuitSink(filepath.Join(dir, "circuit.log"), jobkind.MustGet("euler"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +244,7 @@ func TestCircuitSurvivesEviction(t *testing.T) {
 
 	// The stream still replays in full despite the eviction's Close.
 	var n int
-	if err := got.Iterate(func(graph.Step) error { n++; return nil }); err != nil {
+	if err := got.IterateBatches(func(f []byte) error { n += bytes.Count(f, []byte{'\n'}); return nil }); err != nil {
 		t.Fatalf("iterate after eviction: %v", err)
 	}
 	if n != 5 {
@@ -202,18 +258,11 @@ func TestCircuitSurvivesEviction(t *testing.T) {
 	}
 }
 
-// fakeSource is an in-memory CircuitSource.
-type fakeSource []graph.Step
+// fakeSource is an in-memory CircuitSource of one frame.
+type fakeSource []byte
 
-func (f fakeSource) Steps() int64 { return int64(len(f)) }
-func (f fakeSource) Iterate(fn func(graph.Step) error) error {
-	for _, s := range f {
-		if err := fn(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (f fakeSource) Steps() int64                                     { return int64(bytes.Count(f, []byte{'\n'})) }
+func (f fakeSource) IterateBatches(fn func(frame []byte) error) error { return fn(f) }
 
 // TestFinishCached: a queued job completes straight from a cached
 // source, serves it through Circuit, and drops its prebuilt graph; a
@@ -222,7 +271,7 @@ func TestFinishCached(t *testing.T) {
 	s := NewStore(10)
 	j := s.New(Spec{Generator: &GenSpec{Family: "torus"}}, "")
 	j.AttachGraph(graph.FromEdges(2, [][2]graph.VertexID{{0, 1}}))
-	src := fakeSource{{Edge: 0, From: 0, To: 1}, {Edge: 1, From: 1, To: 0}}
+	src := fakeSource("{\"edge\":0,\"from\":0,\"to\":1}\n{\"edge\":1,\"from\":1,\"to\":0}\n")
 	if !j.FinishCached(src) {
 		t.Fatal("FinishCached on a queued job must succeed")
 	}

@@ -1,101 +1,78 @@
 package job
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 
 	"repro/internal/graph"
+	"repro/internal/jobkind"
 	"repro/internal/spill"
 )
 
 // DefaultBatchSteps is the number of circuit steps framed into one
-// spill record; at three uvarints a step a batch stays well under the
-// spill store's 1 MiB write buffer.
+// spill record.  A frame holds the steps' NDJSON lines: euler lines
+// average 35 bytes on a 21 k-edge RMAT graph and 40 bytes on a
+// 1.05 M-edge one, so a frame is 143-162 KB.  Even a postman line with
+// three 19-digit IDs (under 100 bytes) keeps a frame below the spill
+// store's 1 MiB write buffer.
 const DefaultBatchSteps = 4096
 
-// LineCodec renders circuit steps to the NDJSON line format a job kind
-// serves over HTTP, and parses them back.  jobkind.Kind satisfies it;
-// the interface is restated here so the job layer does not depend on
-// the kind registry.
-type LineCodec interface {
-	// AppendLine appends one step's NDJSON line (with trailing
-	// newline) to dst.
-	AppendLine(dst []byte, st graph.Step) []byte
-	// ParseLine is AppendLine's inverse over one line without the
-	// newline.
-	ParseLine(line []byte) (graph.Step, error)
-}
-
-// CircuitSink persists a streamed Euler circuit to disk as it is
-// emitted, so the result never has to fit in server memory.  Steps are
-// buffered into fixed-size batches and appended to a spill.DiskStore
-// (record ID = batch index); Iterate replays them in circuit order.
-//
-// With a LineCodec the batches are stored as rendered NDJSON frames —
-// exactly the bytes the HTTP circuit endpoint serves — so egress is a
-// raw frame copy with no decode/re-encode pass.  Without one (codec
-// nil) batches fall back to the binary graph.AppendSteps framing;
-// Iterate dispatches on the frame's first byte ('{' = NDJSON,
-// graph.StepFrameV3 = binary) so mixed logs still replay.
+// CircuitSink persists a streamed circuit to disk as it is emitted, so
+// the result never has to fit in server memory.  Each step is rendered
+// in the job kind's NDJSON line format as it arrives; every
+// DefaultBatchSteps lines form one frame, appended to a spill.DiskStore
+// (record ID = frame index).  The stored frames are exactly the bytes
+// the HTTP circuit endpoint serves, so egress and the result cache's
+// commit are raw frame copies.
 //
 // Append and Finish are called by the single worker goroutine running
-// the job; Iterate may be called concurrently by any number of HTTP
-// streams once Finish has returned.
+// the job; IterateBatches may be called concurrently by any number of
+// HTTP streams once Finish has returned.
 type CircuitSink struct {
-	mu        sync.Mutex
-	store     *spill.DiskStore
-	codec     LineCodec
-	batchSize int
-	buf       []graph.Step
-	enc       []byte // reusable batch encode buffer
-	records   int64
-	steps     int64
-	finished  bool
+	mu       sync.Mutex
+	store    *spill.DiskStore
+	kind     jobkind.Kind
+	frame    []byte // lines of the steps not yet flushed
+	records  int64
+	steps    int64
+	finished bool
 
 	// Close is deferred while readers hold the sink: eviction of a job
 	// mid-stream must not close the log file under an in-flight
-	// Iterate (unlinking the file is harmless, closing the fd is not).
+	// IterateBatches (unlinking the file is harmless, closing the fd is
+	// not).
 	refs    int
 	closing bool
 	closed  bool
 }
 
-// NewCircuitSink creates the backing log at path.  batchSize <= 0 uses
-// DefaultBatchSteps; a non-nil codec stores batches as NDJSON frames
-// in the codec's line format.
-func NewCircuitSink(path string, batchSize int, codec LineCodec) (*CircuitSink, error) {
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSteps
-	}
+// NewCircuitSink creates the backing log at path; steps are rendered
+// in kind's line format.
+func NewCircuitSink(path string, kind jobkind.Kind) (*CircuitSink, error) {
 	ds, err := spill.NewDiskStore(path)
 	if err != nil {
 		return nil, err
 	}
-	return &CircuitSink{
-		store:     ds,
-		codec:     codec,
-		batchSize: batchSize,
-		buf:       make([]graph.Step, 0, batchSize),
-	}, nil
+	return &CircuitSink{store: ds, kind: kind}, nil
 }
 
-// Append adds one step, flushing a full batch to disk.
+// Append renders one step into the open frame, flushing it to disk
+// once it holds DefaultBatchSteps lines.
 func (c *CircuitSink) Append(s graph.Step) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.finished {
 		return fmt.Errorf("job: append after Finish")
 	}
-	c.buf = append(c.buf, s)
+	c.frame = c.kind.AppendLine(c.frame, s)
 	c.steps++
-	if len(c.buf) >= c.batchSize {
+	if c.steps%DefaultBatchSteps == 0 {
 		return c.flushLocked()
 	}
 	return nil
 }
 
-// Finish flushes the trailing partial batch and seals the sink for
+// Finish flushes the trailing partial frame and seals the sink for
 // reading.
 func (c *CircuitSink) Finish() error {
 	c.mu.Lock()
@@ -111,24 +88,16 @@ func (c *CircuitSink) Finish() error {
 }
 
 func (c *CircuitSink) flushLocked() error {
-	if len(c.buf) == 0 {
+	if len(c.frame) == 0 {
 		return nil
 	}
-	// The DiskStore writes the payload through its bufio writer before Put
-	// returns, so one encode buffer serves every batch of the job.
-	if c.codec != nil {
-		c.enc = c.enc[:0]
-		for _, s := range c.buf {
-			c.enc = c.codec.AppendLine(c.enc, s)
-		}
-	} else {
-		c.enc = graph.AppendSteps(c.enc[:0], c.buf)
-	}
-	if err := c.store.Put(c.records, c.enc); err != nil {
+	// The DiskStore writes the payload through its bufio writer before
+	// Put returns, so one frame buffer serves every frame of the job.
+	if err := c.store.Put(c.records, c.frame); err != nil {
 		return err
 	}
 	c.records++
-	c.buf = c.buf[:0]
+	c.frame = c.frame[:0]
 	return nil
 }
 
@@ -139,12 +108,9 @@ func (c *CircuitSink) Steps() int64 {
 	return c.steps
 }
 
-// IterateBatches replays the persisted circuit's raw batch frames
-// without decoding them, for consumers that move the frames verbatim —
-// the scheduler's result cache copies a multi-million-step circuit
-// log-to-log this way, and the HTTP layer streams NDJSON frames
-// straight into the response.  Like Iterate it requires Finish and
-// holds the sink open.
+// IterateBatches replays the persisted circuit's frames in order.  It
+// requires Finish, and the sink stays open for the duration even if
+// Close is called concurrently.
 func (c *CircuitSink) IterateBatches(fn func(frame []byte) error) error {
 	c.mu.Lock()
 	if !c.finished {
@@ -162,74 +128,9 @@ func (c *CircuitSink) IterateBatches(fn func(frame []byte) error) error {
 	for i := int64(0); i < records; i++ {
 		data, err := c.store.Get(i)
 		if err != nil {
-			return err
+			return fmt.Errorf("job: circuit frame %d: %w", i, err)
 		}
 		if err := fn(data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Iterate replays the persisted circuit in order, calling fn for each
-// step.  It must only be called after Finish.  The sink stays open for
-// the duration even if Close is called concurrently.
-func (c *CircuitSink) Iterate(fn func(graph.Step) error) error {
-	c.mu.Lock()
-	if !c.finished {
-		c.mu.Unlock()
-		return fmt.Errorf("job: iterate before Finish")
-	}
-	if c.closed {
-		c.mu.Unlock()
-		return fmt.Errorf("job: iterate after Close")
-	}
-	c.refs++
-	records := c.records
-	c.mu.Unlock()
-	defer c.release()
-	for i := int64(0); i < records; i++ {
-		data, err := c.store.Get(i)
-		if err != nil {
-			return err
-		}
-		if err := decodeFrame(data, c.codec, fn); err != nil {
-			return fmt.Errorf("job: circuit batch %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// decodeFrame replays one stored batch frame step by step, dispatching
-// on its leading byte: NDJSON frames parse line by line through the
-// codec, anything else is a binary graph.AppendSteps frame.
-func decodeFrame(frame []byte, codec LineCodec, fn func(graph.Step) error) error {
-	if len(frame) > 0 && frame[0] == '{' {
-		if codec == nil {
-			return fmt.Errorf("NDJSON frame but no line codec")
-		}
-		for len(frame) > 0 {
-			line, rest, _ := bytes.Cut(frame, []byte{'\n'})
-			frame = rest
-			if len(line) == 0 {
-				continue
-			}
-			s, err := codec.ParseLine(line)
-			if err != nil {
-				return err
-			}
-			if err := fn(s); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	steps, err := graph.DecodeSteps(frame)
-	if err != nil {
-		return err
-	}
-	for _, s := range steps {
-		if err := fn(s); err != nil {
 			return err
 		}
 	}
@@ -267,8 +168,9 @@ func (c *CircuitSink) release() {
 	}
 }
 
-// Close releases the backing store.  If readers are mid-Iterate the
-// close is deferred until the last one finishes; Close is idempotent.
+// Close releases the backing store.  If readers are mid-IterateBatches
+// the close is deferred until the last one finishes; Close is
+// idempotent.
 func (c *CircuitSink) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -284,7 +186,3 @@ func (c *CircuitSink) Close() error {
 	c.mu.Unlock()
 	return c.store.Close()
 }
-
-// Frames are opaque to the scheduler's result cache: it copies and
-// replays whatever the sink stored (NDJSON or binary), so both layers
-// speak the same disk payload format without sharing a codec.

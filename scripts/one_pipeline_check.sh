@@ -6,7 +6,10 @@
 # and benchmark/ calls euler.Run(, euler.RunOverCluster(,
 # .Unroll( or .CollectCircuit( — except internal/cluster/cluster.go, the
 # executor euler.Solve delegates Phases 1-2 to, which may call Run and
-# RunOverCluster.  Then prints the two sizes ROADMAP aim 2 tracks per PR.
+# RunOverCluster.  Also fails when non-test code under internal/service/
+# or internal/sched/ references graph.AppendSteps or graph.DecodeSteps: the
+# service stores and serves one result format, NDJSON frames.  Then
+# prints the two sizes ROADMAP aim 2 tracks per PR.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -19,6 +22,15 @@ bad=$(grep -nE 'euler\.Run\(|euler\.RunOverCluster\(|\.Unroll\(|\.CollectCircuit
 if [ -n "$bad" ]; then
 	echo "hand-assembled solve pipeline outside euler.Solve:" >&2
 	echo "$bad" >&2
+	exit 1
+fi
+
+# shellcheck disable=SC2046
+binary=$(grep -nE 'graph\.(AppendSteps|DecodeSteps)([^A-Za-z0-9_]|$)' $(find internal/service internal/sched \
+	-name '*.go' ! -name '*_test.go') || true)
+if [ -n "$binary" ]; then
+	echo "binary step frames in the serving layer (results are NDJSON frames only):" >&2
+	echo "$binary" >&2
 	exit 1
 fi
 
