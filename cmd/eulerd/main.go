@@ -89,10 +89,8 @@ func main() {
 		cacheBytes  = flag.Int64("cache-bytes", 256<<20, "result-cache live-entry byte budget; 0 disables dedup and caching (the backing log is append-only: disk is reclaimed on restart, watch cache_log_bytes)")
 		deltaBytes  = flag.Int64("delta-bytes", 64<<20, "retained delta-base replay-state byte budget for edge-diff submissions; 0 disables delta retention (requires the result cache; cluster runs never retain)")
 
-		oocEdges     = flag.Int64("ooc-edges", 0, "solve uploaded euler jobs with at least this many edges out of core (paged disk CSR bounded by -graph-mem-bytes); 0 disables")
-		graphMem     = flag.Int64("graph-mem-bytes", 0, "resident adjacency-page budget for out-of-core solves (default: 64 MiB, or GOMEMLIMIT/4 when that is smaller)")
-		batchWorkers = flag.Int("batch-lane-workers", 0, "dedicated worker pool for jobs at or over -batch-lane-edges; 0 disables the batch lane")
-		batchEdges   = flag.Int64("batch-lane-edges", 1<<22, "estimated-edge floor for batch-lane routing (with -batch-lane-workers > 0)")
+		oocEdges = flag.Int64("ooc-edges", 0, "solve uploaded euler jobs with at least this many edges out of core (paged disk CSR bounded by -graph-mem-bytes); 0 disables")
+		graphMem = flag.Int64("graph-mem-bytes", 0, "resident adjacency-page budget for out-of-core solves (default: 64 MiB, or GOMEMLIMIT/4 when that is smaller)")
 
 		clusterAddr  = flag.String("cluster", ":9090", "coordinator: cluster listen address for worker joins")
 		minNodes     = flag.Int("min-nodes", 1, "coordinator: worker nodes a job waits for")
@@ -106,14 +104,11 @@ func main() {
 		capacity = flag.Int("capacity", runtime.GOMAXPROCS(0), "worker: engine workers this node hosts")
 		nodeName = flag.String("node-name", "", "worker: name reported to the coordinator (default: hostname)")
 
-		faultSpec = flag.String("faultpoints", "", "arm fault-injection points, e.g. 'bsp.node.wire=drop,step=1' (testing; also via "+faultpoint.EnvVar+")")
+		faultSpec = flag.String("faultpoints", "", "arm fault-injection points, e.g. 'bsp.node.wire=drop,step=1' (testing)")
 	)
 	flag.Parse()
 
 	if err := faultpoint.Arm(*faultSpec); err != nil {
-		fatal(err)
-	}
-	if err := faultpoint.ArmFromEnv(); err != nil {
 		fatal(err)
 	}
 
@@ -134,9 +129,7 @@ func main() {
 			retryBackoff: *retryBackoff, degradedLocal: *degraded,
 			tenants: tenantCfg, maxQueuePerTenant: *maxQueueTen, maxRunningPerTenant: *maxRunTen,
 			maxQueueTotal: *maxQueueAll, cacheBytes: *cacheBytes,
-			deltaBytes: *deltaBytes,
-			oocEdges:   *oocEdges, graphMemBytes: *graphMem,
-			batchWorkers: *batchWorkers, batchEdges: *batchEdges,
+			deltaBytes: *deltaBytes, oocEdges: *oocEdges, graphMemBytes: *graphMem,
 		})
 	default:
 		fatal(fmt.Errorf("unknown role %q (want standalone, coordinator, or worker)", *role))
@@ -191,8 +184,6 @@ type serverConfig struct {
 
 	oocEdges      int64
 	graphMemBytes int64
-	batchWorkers  int
-	batchEdges    int64
 }
 
 // resolveGraphMem picks the out-of-core page budget: the flag verbatim
@@ -244,30 +235,16 @@ func runServerRole(coordinator bool, cfg serverConfig) {
 		// are only computed when submissions are content-addressed.
 		deltas = sched.NewDeltaStore(cfg.deltaBytes)
 	}
-	// The batch lane is a second scheduler with its own worker pool;
-	// big jobs (estimated edges >= batchEdges) queue there so they
-	// cannot starve interactive submissions.
-	var batchSched *sched.Fair
-	if cfg.batchWorkers > 0 && cfg.batchEdges > 0 {
-		batchSched = sched.NewFair(sched.FairConfig{
-			Workers:           cfg.batchWorkers,
-			MaxQueuePerTenant: cfg.maxQueuePerTenant,
-			MaxQueueTotal:     cfg.maxQueueTotal,
-			Tenants:           cfg.tenants,
-		})
-	}
 	store := job.NewStore(cfg.retention)
 	apiCfg := httpapi.Config{
-		Store:              store,
-		Sched:              scheduler,
-		Cache:              cache,
-		Deltas:             deltas,
-		DataDir:            dir,
-		MaxUploadBytes:     cfg.maxUpload,
-		BatchSched:         batchSched,
-		BatchEdgeThreshold: cfg.batchEdges,
-		OOCEdgeThreshold:   cfg.oocEdges,
-		GraphMemBytes:      resolveGraphMem(cfg.graphMemBytes),
+		Store:            store,
+		Sched:            scheduler,
+		Cache:            cache,
+		Deltas:           deltas,
+		DataDir:          dir,
+		MaxUploadBytes:   cfg.maxUpload,
+		OOCEdgeThreshold: cfg.oocEdges,
+		GraphMemBytes:    resolveGraphMem(cfg.graphMemBytes),
 	}
 
 	var coord *cluster.Coordinator
@@ -330,11 +307,6 @@ func runServerRole(coordinator bool, cfg serverConfig) {
 	}
 	if err := scheduler.Drain(graceCtx); err != nil && !errors.Is(err, context.Canceled) {
 		fmt.Fprintf(os.Stderr, "eulerd: scheduler drain: %v\n", err)
-	}
-	if batchSched != nil {
-		if err := batchSched.Drain(graceCtx); err != nil && !errors.Is(err, context.Canceled) {
-			fmt.Fprintf(os.Stderr, "eulerd: batch-lane drain: %v\n", err)
-		}
 	}
 	if cache != nil {
 		if err := cache.Close(); err != nil {

@@ -1,13 +1,13 @@
 // Package faultpoint provides named fault-injection points for exercising
 // the failure paths of the distributed engine without hacking test-only
-// branches into production code.  A binary arms points from a flag or the
-// EULERD_FAULTPOINTS environment variable; code under test declares a
-// point by name and asks Eval what (if anything) should go wrong here.
+// branches into production code.  A binary arms points from a flag (eulerd's
+// -faultpoints); code under test declares a point by name and asks Eval
+// what (if anything) should go wrong here.
 //
 // The disarmed fast path is one atomic load, so permanent call sites in
 // the bsp wire and dial paths cost effectively nothing in production.
 //
-// Spec grammar (flag/env value): semicolon-separated entries of
+// Spec grammar (flag value): semicolon-separated entries of
 //
 //	name=action[,key=value ...]
 //
@@ -33,7 +33,6 @@ package faultpoint
 import (
 	"errors"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -77,9 +76,6 @@ type Outcome struct {
 
 // Fired reports whether the point fired at all.
 func (o Outcome) Fired() bool { return o.Act != None }
-
-// EnvVar is the environment variable ArmFromEnv reads.
-const EnvVar = "EULERD_FAULTPOINTS"
 
 // point is one armed injection point.
 type point struct {
@@ -134,9 +130,6 @@ func Arm(spec string) error {
 	armed.Store(true)
 	return nil
 }
-
-// ArmFromEnv arms the spec in EULERD_FAULTPOINTS, if any.
-func ArmFromEnv() error { return Arm(os.Getenv(EnvVar)) }
 
 // Reset disarms every point.  Tests call this in cleanup.
 func Reset() {

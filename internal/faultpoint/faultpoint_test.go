@@ -86,15 +86,3 @@ func TestDelayCarriesDuration(t *testing.T) {
 		t.Fatalf("got %+v, want 7ms delay", o)
 	}
 }
-
-func TestArmFromEnv(t *testing.T) {
-	Reset()
-	t.Cleanup(Reset)
-	t.Setenv(EnvVar, "env.point=error")
-	if err := ArmFromEnv(); err != nil {
-		t.Fatal(err)
-	}
-	if o := Eval("env.point", -1); o.Act != Error {
-		t.Fatalf("env-armed point did not fire: %+v", o)
-	}
-}

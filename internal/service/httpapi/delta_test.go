@@ -258,6 +258,28 @@ func TestDeltaRejections(t *testing.T) {
 			t.Fatalf("error %q, want the full-submit precondition error %q", e.Error, want)
 		}
 	})
+	t.Run("endpoint over the vertex cap", func(t *testing.T) {
+		// Patching would size a graph from the 2^40 endpoint; Validate
+		// must refuse it in both submission forms, and the server must
+		// keep serving afterwards.
+		status, e, _ := postJSON(t, ts, fmt.Sprintf(
+			`{"base":%q,"diff":{"add":[[0,1099511627776],[1099511627776,0]]}}`, fp))
+		if status != http.StatusBadRequest || e.Code != codeBadRequest {
+			t.Fatalf("JSON form: status %d code %q, want 400 %s", status, e.Code, codeBadRequest)
+		}
+		resp, err := http.Post(fmt.Sprintf("%s/v1/jobs?base=%s&add=0-1099511627776,1099511627776-0", ts.URL, fp), "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var qe errorBody
+		json.NewDecoder(resp.Body).Decode(&qe)
+		if resp.StatusCode != http.StatusBadRequest || qe.Code != codeBadRequest {
+			t.Fatalf("query form: status %d code %q, want 400 %s", resp.StatusCode, qe.Code, codeBadRequest)
+		}
+		next := submitJSON(t, ts, `{"generator":{"family":"torus","width":4,"height":3}}`)
+		waitState(t, ts, next.ID, job.StateDone)
+	})
 	t.Run("retention disabled", func(t *testing.T) {
 		_, plain := newCacheServer(t, 1, 8)
 		status, e, _ := postJSON(t, plain, fmt.Sprintf(`{"base":%q,"diff":{"add":[[0,1]]}}`, fp))

@@ -146,13 +146,8 @@ func (s *Server) MetricsSnapshot() map[string]any {
 		}
 	}
 	// Out-of-core graph gauges are process-wide (the pager's atomics),
-	// zero when nothing solves out of core; batch_lane_depth is likewise
-	// always present so scrapers need no schema branching.
+	// zero when nothing solves out of core.
 	graphFaults, graphResident, graphLive := oocgraph.Stats()
-	var batchDepth int64
-	if s.batchSched != nil {
-		batchDepth = int64(s.batchSched.Depth())
-	}
 	out := map[string]any{
 		"kinds":                kinds,
 		"queue_depth":          s.sched.Depth(),
@@ -190,7 +185,6 @@ func (s *Server) MetricsSnapshot() map[string]any {
 		"graph_live_bytes":     graphLive,
 		"graph_pages_resident": graphResident,
 		"graph_page_faults":    graphFaults,
-		"batch_lane_depth":     batchDepth,
 		"phase_nanos": map[string]int64{
 			"copy_src":   s.metrics.copySrcNanos.Load(),
 			"copy_sink":  s.metrics.copySinkNanos.Load(),

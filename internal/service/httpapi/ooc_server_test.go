@@ -107,7 +107,7 @@ func TestOutOfCoreJob(t *testing.T) {
 	if err := json.Unmarshal(fetchBody(t, ts.URL+"/v1/metrics"), &m); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"graph_live_bytes", "graph_pages_resident", "graph_page_faults", "batch_lane_depth"} {
+	for _, key := range []string{"graph_live_bytes", "graph_pages_resident", "graph_page_faults"} {
 		if _, ok := m[key]; !ok {
 			t.Fatalf("metrics missing %q", key)
 		}
@@ -168,61 +168,6 @@ func TestOutOfCoreCacheDedup(t *testing.T) {
 	rawGen := fetchBody(t, ts.URL+"/v1/jobs/"+b.ID+"/circuit")
 	if !bytes.Equal(rawUp, rawGen) {
 		t.Fatalf("cache-hit circuit differs from out-of-core original (%d vs %d bytes)", len(rawUp), len(rawGen))
-	}
-}
-
-// TestBatchLaneRouting: with a batch lane configured, a submission whose
-// estimated edge count reaches the threshold queues and runs on the
-// batch scheduler, small ones on the interactive scheduler, and the
-// early pre-decode admission check is skipped so interactive quota
-// pressure cannot bounce a batch job.
-func TestBatchLaneRouting(t *testing.T) {
-	interactive := sched.NewFair(sched.FairConfig{Workers: 1, MaxQueuePerTenant: 4})
-	batch := sched.NewFair(sched.FairConfig{Workers: 1, MaxQueuePerTenant: 4})
-	s := New(Config{
-		Store:              job.NewStore(50),
-		Sched:              interactive,
-		DataDir:            t.TempDir(),
-		BatchSched:         batch,
-		BatchEdgeThreshold: 100, // torus 10x10 = 200 estimated edges
-	})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		interactive.Drain(ctx)
-		batch.Drain(ctx)
-	})
-
-	entered := make(chan string, 4)
-	release := make(chan struct{})
-	s.beforeRun = func(j *job.Job) {
-		entered <- j.ID
-		<-release
-	}
-
-	big := submitJSON(t, ts, `{"generator":{"family":"torus","width":10,"height":10}}`)
-	<-entered
-	if batch.Running() != 1 || interactive.Running() != 0 {
-		t.Fatalf("big job: batch running %d, interactive running %d; want 1/0", batch.Running(), interactive.Running())
-	}
-
-	small := submitJSON(t, ts, `{"generator":{"family":"torus","width":4,"height":4}}`)
-	<-entered
-	if interactive.Running() != 1 {
-		t.Fatalf("small job: interactive running %d, want 1", interactive.Running())
-	}
-	close(release)
-	waitState(t, ts, big.ID, job.StateDone)
-	waitState(t, ts, small.ID, job.StateDone)
-
-	var m map[string]any
-	if err := json.Unmarshal(fetchBody(t, ts.URL+"/v1/metrics"), &m); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m["batch_lane_depth"]; !ok {
-		t.Fatal("metrics missing batch_lane_depth")
 	}
 }
 

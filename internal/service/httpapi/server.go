@@ -76,12 +76,6 @@ type Server struct {
 	local   bool
 	cluster ClusterStatus
 
-	// batchSched, when non-nil, is the second admission lane: jobs whose
-	// estimated input size reaches batchEdges queue here, with their own
-	// worker pool and quotas, so one huge solve cannot starve the
-	// interactive lane.
-	batchSched *sched.Fair
-	batchEdges int64
 	// oocEdges routes uploaded euler jobs with at least this many
 	// declared edges to the out-of-core engine (0 = never); graphMemBytes
 	// bounds their resident adjacency pages.
@@ -93,8 +87,7 @@ type Server struct {
 	// buildSem bounds concurrent submission-time graph builds to the
 	// worker count: admission quotas only cover queued jobs, and
 	// without this a burst of accepted submissions would materialise
-	// arbitrarily many graphs on handler goroutines at once (pre-
-	// scheduler, builds were naturally bounded by the pool).
+	// arbitrarily many graphs on handler goroutines at once.
 	buildSem chan struct{}
 
 	// beforeRun, when set, is called by the worker after a job leaves
@@ -129,14 +122,6 @@ type Config struct {
 	// locally solved euler jobs so clients can submit edge diffs against
 	// a base fingerprint instead of a full graph.
 	Deltas *sched.DeltaStore
-	// BatchSched, when set with BatchEdgeThreshold > 0, is a dedicated
-	// scheduler lane for big jobs: submissions whose estimated edge
-	// count reaches the threshold queue here instead of on Sched.  The
-	// caller owns both schedulers' lifecycles (drain order included).
-	BatchSched *sched.Fair
-	// BatchEdgeThreshold is the estimated-edge floor for BatchSched
-	// routing; ignored when BatchSched is nil.
-	BatchEdgeThreshold int64
 	// OOCEdgeThreshold makes uploaded euler jobs with at least this many
 	// declared edges solve out of core (paged disk CSR, spilled
 	// partition states, sequential workers) instead of materialising the
@@ -175,10 +160,6 @@ func New(cfg Config) *Server {
 		buildSem:       make(chan struct{}, builds),
 		oocEdges:       cfg.OOCEdgeThreshold,
 		graphMemBytes:  cfg.GraphMemBytes,
-	}
-	if cfg.BatchSched != nil && cfg.BatchEdgeThreshold > 0 {
-		s.batchSched = cfg.BatchSched
-		s.batchEdges = cfg.BatchEdgeThreshold
 	}
 	s.metrics.kinds = newKindCounters()
 	return s
@@ -372,17 +353,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Refuse over-quota tenants before the request does any heavy
 	// lifting (saving the upload, building the graph); Submit below
-	// remains the authoritative check.  With a batch lane configured
-	// the early check is skipped — the lane is only known once the spec
-	// is decoded, and gating a batch job on the interactive lane's
-	// quota would reject it spuriously; the post-decode check below
-	// covers both configurations.
-	if s.batchSched == nil {
-		if err := s.sched.Admit(tenant); err != nil {
-			s.metrics.rejected.Add(1)
-			writeSchedError(w, err)
-			return
-		}
+	// remains the authoritative check.
+	if err := s.sched.Admit(tenant); err != nil {
+		s.metrics.rejected.Add(1)
+		writeSchedError(w, err)
+		return
 	}
 	dir, err := os.MkdirTemp(s.dataDir, "job-")
 	if err != nil {
@@ -395,24 +370,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeSpecError(w, status, err)
 		return
 	}
-	if err := s.schedFor(&spec).Admit(tenant); err != nil {
-		os.RemoveAll(dir)
-		s.metrics.rejected.Add(1)
-		writeSchedError(w, err)
-		return
-	}
 	// Delta submissions resolve their base before a job exists: every
 	// failure mode (unknown base, bad diff, non-Eulerian patch) is a
 	// client error with nothing to retain.
 	var deltaEntry *sched.DeltaEntry
 	var deltaGraph *graph.Graph
 	if spec.IsDelta() {
-		deltaEntry, deltaGraph, status, err = s.resolveDelta(tenant, &spec)
+		deltaEntry, deltaGraph, status, err = s.resolveDelta(r.Context(), tenant, &spec)
 		if err != nil {
 			os.RemoveAll(dir)
 			if status == http.StatusTooManyRequests {
-				s.metrics.rejected.Add(1)
-				writeSchedError(w, err)
+				if r.Context().Err() == nil { // else the client is gone
+					s.metrics.rejected.Add(1)
+					writeSchedError(w, err)
+				}
 				return
 			}
 			code := codeForStatus(status)
@@ -448,26 +419,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			// queueing.  Without a cache the worker builds it as before,
 			// bounded by the worker count — and buildSem imposes the same
 			// bound here, so a submission burst cannot materialise
-			// arbitrarily many graphs at once.  The wait for a build slot
-			// is itself bounded: when large builds saturate it, further
-			// submissions get explicit 429 back-pressure instead of
-			// handler goroutines piling up behind the semaphore.
-			// (Graphless kinds fingerprint straight from their spec and
-			// skip the slot entirely.)
-			select {
-			case s.buildSem <- struct{}{}:
-			case <-time.After(buildSlotWait):
+			// arbitrarily many graphs at once.  Graphless kinds fingerprint
+			// straight from their spec and skip the slot.
+			if err := s.acquireBuildSlot(r.Context(), tenant); err != nil {
 				s.jobs.Remove(j.ID)
-				s.metrics.rejected.Add(1)
-				writeSchedError(w, &sched.Rejected{
-					Tenant:     tenant,
-					Reason:     "graph-build capacity saturated",
-					RetryAfter: time.Second,
-				})
+				if r.Context().Err() == nil { // else the client is gone
+					s.metrics.rejected.Add(1)
+					writeSchedError(w, err)
+				}
 				return
-			case <-r.Context().Done():
-				s.jobs.Remove(j.ID)
-				return // client gone; nothing to answer
 			}
 			if bigUpload {
 				fp, err = sched.FingerprintUpload(spec.GraphFile, fpOpts)
@@ -515,11 +475,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		switch outcome {
 		case sched.OutcomeHit:
 			s.metrics.kind(spec.Kind).cacheHits.Add(1)
-			if j.FinishCached(reader) {
-				s.metrics.completed.Add(1)
-				s.metrics.kind(spec.Kind).completed.Add(1)
-				s.metrics.steps.Add(reader.Steps())
-			}
+			s.finishCached(j, reader)
 			s.metrics.submitted.Add(1)
 			writeJSON(w, http.StatusAccepted, j.Snapshot())
 			return
@@ -562,26 +518,37 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.submitted.Add(1)
-	s.metrics.observeDepth(int64(s.schedFor(&j.Spec).Depth()))
+	s.metrics.observeDepth(int64(s.sched.Depth()))
 	writeJSON(w, http.StatusAccepted, j.Snapshot())
 }
 
-// schedFor picks the admission lane for a spec: big jobs (estimated
-// edges at or over the batch threshold) go to the batch lane when one
-// is configured, everything else to the interactive scheduler.  Jobs do
-// not carry their lane, so every decision point (submit, promotion)
-// recomputes it from the same spec and lands on the same answer.
-func (s *Server) schedFor(spec *job.Spec) *sched.Fair {
-	if s.batchSched != nil && spec.EstimatedEdges() >= s.batchEdges {
-		return s.batchSched
+// acquireBuildSlot takes a submission-time graph-build slot, waiting at
+// most buildSlotWait: a saturated pool yields a sched.Rejected (429)
+// instead of parking the handler; a departed client yields ctx.Err().
+func (s *Server) acquireBuildSlot(ctx context.Context, tenant string) error {
+	select {
+	case s.buildSem <- struct{}{}:
+		return nil
+	case <-time.After(buildSlotWait):
+		return &sched.Rejected{Tenant: tenant, Reason: "graph-build capacity saturated", RetryAfter: time.Second}
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	return s.sched
 }
 
-// enqueue submits the job's execution task under the tenant's quota on
-// the job's size-selected lane.
+// finishCached completes j from a cached circuit and counts it, unless
+// the job was cancelled first (the cancel did the counting).
+func (s *Server) finishCached(j *job.Job, r *sched.Reader) {
+	if j.FinishCached(r) {
+		s.metrics.completed.Add(1)
+		s.metrics.kind(j.Spec.Kind).completed.Add(1)
+		s.metrics.steps.Add(r.Steps())
+	}
+}
+
+// enqueue submits the job's execution task under the tenant's quota.
 func (s *Server) enqueue(tenant string, class sched.Class, j *job.Job, lease *sched.Lease) error {
-	return s.schedFor(&j.Spec).Submit(tenant, class, func(ctx context.Context) { s.runJob(ctx, j, lease) })
+	return s.sched.Submit(tenant, class, func(ctx context.Context) { s.runJob(ctx, j, lease) })
 }
 
 // followerReady builds the callback a coalesced job hands the cache:
@@ -590,23 +557,14 @@ func (s *Server) enqueue(tenant string, class sched.Class, j *job.Job, lease *sc
 func (s *Server) followerReady(j *job.Job, tenant string, class sched.Class) func(*sched.Reader, *sched.Lease) {
 	return func(r *sched.Reader, promoted *sched.Lease) {
 		if r != nil {
-			// FinishCached refuses if the job was cancelled while
-			// waiting; nothing to count in that case (the cancel did).
-			if j.FinishCached(r) {
-				s.metrics.completed.Add(1)
-				s.metrics.kind(j.Spec.Kind).completed.Add(1)
-				s.metrics.steps.Add(r.Steps())
-			}
+			s.finishCached(j, r)
 			return
 		}
 		// Resubmit, not Submit: this job was already accepted (202)
 		// when it attached as a follower, so tenant back-pressure at
 		// promotion time must not convert it into a failure.  Only a
-		// draining scheduler can refuse.  The lane is recomputed from
-		// the job's own spec — a promoted big-graph follower must land
-		// on the batch lane even though its leader carried the queue
-		// slot until now.
-		err := s.schedFor(&j.Spec).Resubmit(tenant, class, func(ctx context.Context) { s.runJob(ctx, j, promoted) })
+		// draining scheduler can refuse.
+		err := s.sched.Resubmit(tenant, class, func(ctx context.Context) { s.runJob(ctx, j, promoted) })
 		if err != nil {
 			promoted.Abort()
 			if !j.State().Terminal() {
@@ -627,7 +585,7 @@ func (s *Server) followerReady(j *job.Job, tenant string, class sched.Class) fun
 // same ones).  Error statuses: 409 when the base has no retained state
 // (including when retention is off entirely), 429 when graph-build
 // capacity is saturated, 400 for everything else.
-func (s *Server) resolveDelta(tenant string, spec *job.Spec) (*sched.DeltaEntry, *graph.Graph, int, error) {
+func (s *Server) resolveDelta(ctx context.Context, tenant string, spec *job.Spec) (*sched.DeltaEntry, *graph.Graph, int, error) {
 	if s.cache == nil || s.deltas == nil {
 		return nil, nil, http.StatusConflict,
 			fmt.Errorf("no retained state for base %q: delta retention is disabled on this server; submit the full graph instead", spec.Base)
@@ -647,12 +605,8 @@ func (s *Server) resolveDelta(tenant string, spec *job.Spec) (*sched.DeltaEntry,
 	}
 	// Applying the diff rebuilds the whole patched graph, so it takes a
 	// build slot like any other submission-time graph build.
-	select {
-	case s.buildSem <- struct{}{}:
-	case <-time.After(buildSlotWait):
-		return nil, nil, http.StatusTooManyRequests, &sched.Rejected{
-			Tenant: tenant, Reason: "graph-build capacity saturated", RetryAfter: time.Second,
-		}
+	if err := s.acquireBuildSlot(ctx, tenant); err != nil {
+		return nil, nil, http.StatusTooManyRequests, err
 	}
 	defer func() { <-s.buildSem }()
 	g, err := entry.Apply(spec.Diff.Add, spec.Diff.Remove)

@@ -556,6 +556,12 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestBacklogFullRejectsSubmission: a tenant at its queue quota is
+// refused with 429, a Retry-After header and the structured error body,
+// and leaves nothing behind — no job in the store, no job directory.
+// Uploads are refused by the pre-decode admission check, before their
+// body is saved: the short body, whose header declares more edges than
+// it carries, would answer 400 if it were read first.
 func TestBacklogFullRejectsSubmission(t *testing.T) {
 	s, ts := newTestServer(t, 1, 1)
 	release := make(chan struct{})
@@ -563,34 +569,55 @@ func TestBacklogFullRejectsSubmission(t *testing.T) {
 	s.beforeRun = func(j *job.Job) { <-release }
 
 	// The first job occupies the single worker; the second fills the
-	// tenant's one queue slot; the third must bounce with 429, a
-	// Retry-After header, and the structured error body.
+	// tenant's one queue slot; everything after that must bounce.
 	a := submitJSON(t, ts, `{"generator":{"family":"torus","width":4,"height":4}}`)
 	waitState(t, ts, a.ID, job.StateRunning)
 	submitJSON(t, ts, `{"generator":{"family":"torus","width":4,"height":4}}`)
-
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"generator":{"family":"torus"}}`))
+	dirs, err := filepath.Glob(filepath.Join(s.dataDir, "job-*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("full backlog: status %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Fatal("429 without a Retry-After header")
-	}
-	var e errorBody
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+
+	var upload bytes.Buffer
+	if err := graph.Write(&upload, gen.Torus(5, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if e.Code != "throttled" || e.RetryAfterSeconds < 1 || e.Error == "" {
-		t.Fatalf("structured 429 body = %+v", e)
+	short := append([]byte("EULGRPH1"), appendUvarint(appendUvarint(nil, 20), 1000)...)
+	for _, c := range []struct {
+		name, contentType string
+		body              []byte
+	}{
+		{"json spec", "application/json", []byte(`{"generator":{"family":"torus"}}`)},
+		{"upload", "application/octet-stream", upload.Bytes()},
+		{"short upload", "application/octet-stream", short},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs?parts=2", c.contentType, bytes.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errorBody
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("%s: status %d, want 429", c.name, resp.StatusCode)
+		}
+		if ra := resp.Header.Get("Retry-After"); ra == "" {
+			t.Fatalf("%s: 429 without a Retry-After header", c.name)
+		}
+		if e.Code != "throttled" || e.RetryAfterSeconds < 1 || e.Error == "" {
+			t.Fatalf("%s: structured 429 body = %+v", c.name, e)
+		}
 	}
-	// The bounced job must not linger in the store.
+	// The bounced jobs must not linger in the store or on disk.
 	if s.jobs.Len() != 2 {
 		t.Fatalf("store len = %d after bounce, want 2", s.jobs.Len())
+	}
+	after, err := filepath.Glob(filepath.Join(s.dataDir, "job-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(dirs) {
+		t.Fatalf("job dirs %v after bounce, want %v", after, dirs)
 	}
 }
 

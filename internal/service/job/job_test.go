@@ -347,6 +347,10 @@ func TestSpecValidate(t *testing.T) {
 		{"negative parts", Spec{Generator: &GenSpec{Family: "torus"}, Parts: -1}, false},
 		{"even clique", Spec{Generator: &GenSpec{Family: "cliques", C: 4}}, false},
 		{"rmat too big", Spec{Generator: &GenSpec{Family: "rmat", Vertices: 1 << 30}}, false},
+		{"delta ok", Spec{Base: "b", Diff: &DiffSpec{Add: [][2]int64{{0, MaxUploadVertices - 1}}}}, true},
+		// Apply would size the patched graph from this endpoint.
+		{"delta endpoint over cap", Spec{Base: "b", Diff: &DiffSpec{Add: [][2]int64{{0, 1 << 40}}}}, false},
+		{"delta endpoint at cap", Spec{Base: "b", Diff: &DiffSpec{Remove: [][2]int64{{MaxUploadVertices, 0}}}}, false},
 	}
 	for _, c := range cases {
 		err := c.spec.Validate()

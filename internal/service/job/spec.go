@@ -172,8 +172,8 @@ type Spec struct {
 	// serialised to clients.
 	GraphFile string `json:"-"`
 	// DeclaredEdges is the edge count an uploaded body declared in its
-	// header, recorded at submit so lane routing and out-of-core
-	// admission never reopen the file; never serialised to clients.
+	// header, recorded at submit so fingerprinting and out-of-core
+	// routing never reopen the file; never serialised to clients.
 	DeclaredEdges int64 `json:"-"`
 
 	// Parts is the partition count (0 = engine default).
@@ -324,6 +324,10 @@ func (s *Spec) validateDelta(k jobkind.Kind) error {
 			if p[0] == p[1] {
 				return fmt.Errorf("diff edge [%d %d] is a self loop", p[0], p[1])
 			}
+			// Apply sizes the patched graph by its largest endpoint.
+			if p[0] >= MaxUploadVertices || p[1] >= MaxUploadVertices {
+				return fmt.Errorf("diff edge [%d %d] has an endpoint at or over the %d-vertex cap", p[0], p[1], MaxUploadVertices)
+			}
 		}
 	}
 	return nil
@@ -340,26 +344,4 @@ func (s *Spec) BuildGraph() (*graph.Graph, error) {
 		return graph.ReadFile(s.GraphFile)
 	}
 	return nil, nil
-}
-
-// EstimatedEdges estimates the input size in edges for admission
-// decisions (batch-lane routing, out-of-core thresholds): uploads
-// report the header count recorded at submit, generator specs a
-// closed-form estimate, deltas and graphless kinds 0.  Estimates are
-// cheap and approximate on purpose — they pick a queue, nothing else.
-func (s *Spec) EstimatedEdges() int64 {
-	if s.Uploaded {
-		return s.DeclaredEdges
-	}
-	if g := s.Generator; g != nil {
-		switch g.Family {
-		case "rmat":
-			return g.Vertices * int64(g.Degree) / 2
-		case "torus", "grid":
-			return 2 * g.Width * g.Height
-		case "cliques":
-			return g.K * g.C * (g.C - 1) / 2
-		}
-	}
-	return 0
 }

@@ -8,8 +8,10 @@
 # executor euler.Solve delegates Phases 1-2 to, which may call Run and
 # RunOverCluster.  Also fails when non-test code under internal/service/
 # or internal/sched/ references graph.AppendSteps or graph.DecodeSteps: the
-# service stores and serves one result format, NDJSON frames.  Then
-# prints the two sizes ROADMAP aim 2 tracks per PR.
+# service stores and serves one result format, NDJSON frames.  Also
+# fails when non-test code under cmd/eulerd/ or internal/service/ calls
+# sched.NewFair( more than once: the service runs one scheduler.  Then
+# prints the three sizes ROADMAP aim 2 tracks per PR.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -34,12 +36,23 @@ if [ -n "$binary" ]; then
 	exit 1
 fi
 
+# shellcheck disable=SC2046
+fair=$(grep -nE 'sched\.NewFair\(' $(find cmd/eulerd internal/service -name '*.go' ! -name '*_test.go') || true)
+if [ "$(printf '%s' "$fair" | grep -c .)" -gt 1 ]; then
+	echo "more than one scheduler in the service (one sched.NewFair call allowed):" >&2
+	echo "$fair" >&2
+	exit 1
+fi
+
 lines=$({ ls ./*.go | grep -v '_test\.go$'
 	find internal/euler internal/cluster internal/jobkind internal/postman \
 		internal/sched internal/service cmd/eulerd -name '*.go' ! -name '*_test.go'; } | xargs cat | wc -l)
 # shellcheck disable=SC2046
 exported=$(grep -hcE '^(func|type) [A-Z]|^	[A-Z][A-Za-z0-9_]* += ' $(ls ./*.go | grep -v '_test\.go$') |
 	awk '{n += $1} END {print n}')
+flags=$(grep -oE 'flag\.(Bool|BoolFunc|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var)\(' \
+	cmd/eulerd/main.go | wc -l)
 echo "one pipeline: ok"
 echo "non-test Go lines (root + internal/{euler,cluster,jobkind,postman,sched,service} + cmd/eulerd): $lines"
 echo "root package exported identifiers: $exported"
+echo "eulerd flags: $flags"
