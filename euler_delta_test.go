@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	ieuler "repro/internal/euler"
 )
 
 // collectSteps runs fn and returns the emitted steps.
@@ -187,5 +189,38 @@ func TestDeltaRetainedRecordRoundTrip(t *testing.T) {
 		if _, _, err := FindCircuitStreamDelta(g, func(Step) error { return nil }, bad, WithPartitions(3)); err == nil {
 			t.Fatal("corrupt retained record accepted")
 		}
+	}
+}
+
+// TestDeltaPartialRetainedPlan: a retained record whose plan is only a
+// slice of the run's workers (a congruent schedule, but not every leaf) is
+// drift — a full recompute equal to a from-scratch solve, not a panic.
+func TestDeltaPartialRetainedPlan(t *testing.T) {
+	g := NewTorus(8, 8)
+	a := PartitionLDG(g, 4, 1)
+	plan, _, err := ieuler.BuildPlan(g, a, ieuler.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slice, err := plan.EncodeSlice(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retained := ieuler.EncodeRunRecord(&ieuler.RunRecord{PlanBytes: slice})
+	var report *Report
+	steps := collectSteps(t, func(emit func(Step) error) error {
+		r, _, err := FindCircuitStreamDelta(g, emit, retained, WithAssignment(a))
+		report = r
+		return err
+	})
+	full := collectSteps(t, func(emit func(Step) error) error {
+		_, err := FindCircuitStream(g, emit, WithAssignment(a))
+		return err
+	})
+	if report.ReusedParts != 0 {
+		t.Errorf("reused %d parts from a partial plan, want 0", report.ReusedParts)
+	}
+	if !sameSteps(full, steps) {
+		t.Fatal("delta over a partial retained plan differs from the full solve")
 	}
 }

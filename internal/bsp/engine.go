@@ -19,10 +19,15 @@ import (
 	"time"
 )
 
-// Message is a payload in flight between two workers.
+// Message is a payload in flight between two workers.  A message sent
+// with SendRef carries Ref instead: a value handed over by pointer to a
+// worker of the same engine instance, charged Size bytes as if it were a
+// payload of that length.  Ref messages never reach a Transport.
 type Message struct {
 	From, To int
 	Payload  []byte
+	Ref      any
+	Size     int64
 }
 
 // Program is the per-worker compute function of one BSP job.  Compute is
@@ -67,6 +72,16 @@ func (c *Context) Send(to int, payload []byte) {
 		panic(fmt.Sprintf("bsp: send to out-of-range worker %d", to))
 	}
 	c.outbox = append(c.outbox, Message{From: c.worker, To: to, Payload: payload})
+}
+
+// SendRef queues ref for delivery by reference to worker `to` at the next
+// barrier, charging size bytes to the run's byte counts and cost model.
+// `to` must be hosted by this engine instance; Run fails otherwise.
+func (c *Context) SendRef(to int, ref any, size int64) {
+	if to < 0 || to >= c.nworkers {
+		panic(fmt.Sprintf("bsp: send to out-of-range worker %d", to))
+	}
+	c.outbox = append(c.outbox, Message{From: c.worker, To: to, Ref: ref, Size: size})
 }
 
 // VoteToHalt marks this worker inactive.  It is reactivated if a message
@@ -307,10 +322,12 @@ func (e *Engine) Run(p Program) (Metrics, error) {
 			for _, msg := range ctxs[i].outbox {
 				if msg.To >= e.lo && msg.To < e.hi {
 					inboxes[msg.To] = append(inboxes[msg.To], msg)
+				} else if msg.Ref != nil {
+					return m, fmt.Errorf("bsp: superstep %d: worker %d sent a by-reference message to worker %d outside local range [%d, %d)", step, msg.From, msg.To, e.lo, e.hi)
 				} else {
 					out = append(out, msg)
 				}
-				b := int64(len(msg.Payload))
+				b := int64(len(msg.Payload)) + msg.Size
 				stage.Messages++
 				stage.Bytes += b
 				perWorkerBytes[msg.From] += b

@@ -3,6 +3,7 @@ package bsp
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -263,5 +264,98 @@ func TestSequentialWorkerPanicSurfaces(t *testing.T) {
 	}))
 	if err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("err = %v, want panic error", err)
+	}
+}
+
+// TestSendRefDeliversPointer: a SendRef value arrives as the very pointer
+// the sender queued, with no payload, and the receiver may write through
+// it — the barrier orders the handoff between the two goroutines.
+func TestSendRefDeliversPointer(t *testing.T) {
+	const workers = 6
+	type box struct{ from, hops int }
+	sent := make([]*box, workers)
+	got := make([]*box, workers)
+	_, err := New(workers).Run(ProgramFunc(func(ctx *Context) error {
+		w := ctx.Worker()
+		switch ctx.Superstep() {
+		case 0:
+			sent[w] = &box{from: w}
+			ctx.SendRef((w+1)%workers, sent[w], 8)
+		case 1:
+			for _, msg := range ctx.Received() {
+				b, ok := msg.Ref.(*box)
+				if !ok || msg.Payload != nil || msg.Size != 8 {
+					return fmt.Errorf("worker %d: message %+v is not the queued reference", w, msg)
+				}
+				b.hops++
+				got[w] = b
+			}
+		}
+		ctx.VoteToHalt()
+		return nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := range got {
+		from := (w + workers - 1) % workers
+		if got[w] != sent[from] || got[w].from != from || got[w].hops != 1 {
+			t.Errorf("worker %d received %p %+v, worker %d sent %p", w, got[w], got[w], from, sent[from])
+		}
+	}
+}
+
+// TestSendRefChargedLikePayload: a reference of Size n is charged exactly
+// as an n-byte payload — stage and run byte counts, and the per-worker
+// bytes the cost model reads (with 1 byte/s and no other overhead, a
+// stage's modeled time is the busiest worker's bytes in seconds).
+func TestSendRefChargedLikePayload(t *testing.T) {
+	const workers = 4
+	size := func(w int) int64 { return int64(w+1) * 1000 }
+	run := func(byRef bool) Metrics {
+		m, err := New(workers, WithCostModel(CostModel{BytesPerSecond: 1})).Run(ProgramFunc(func(ctx *Context) error {
+			if w := ctx.Worker(); ctx.Superstep() == 0 {
+				if byRef {
+					ctx.SendRef((w+1)%workers, &w, size(w))
+				} else {
+					ctx.Send((w+1)%workers, make([]byte, size(w)))
+				}
+			}
+			ctx.VoteToHalt()
+			return nil
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	ref, payload := run(true), run(false)
+	if ref.Bytes != 10000 || ref.Bytes != payload.Bytes || ref.Stages[0].Bytes != payload.Stages[0].Bytes ||
+		ref.Messages != payload.Messages {
+		t.Fatalf("ref run %d bytes / %d msgs (stage 0: %d), payload run %d / %d (stage 0: %d)",
+			ref.Bytes, ref.Messages, ref.Stages[0].Bytes, payload.Bytes, payload.Messages, payload.Stages[0].Bytes)
+	}
+	// Worker 3 sends 4000 and receives 3000 bytes: the busiest.
+	want := 7000 * time.Second
+	for name, m := range map[string]Metrics{"ref": ref, "payload": payload} {
+		if got := m.Stages[0].Modeled.Truncate(time.Second); got != want {
+			t.Errorf("%s run: stage 0 modeled %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestSendRefOutsideRange: a reference addressed to a worker another
+// instance hosts cannot be serialised, so Run fails naming the worker
+// rather than shipping or dropping it.
+func TestSendRefOutsideRange(t *testing.T) {
+	_, err := New(4, WithWorkerRange(0, 2)).Run(ProgramFunc(func(ctx *Context) error {
+		if ctx.Worker() == 1 {
+			ctx.SendRef(3, ctx, 1)
+		}
+		ctx.VoteToHalt()
+		return nil
+	}))
+	if err == nil || !strings.Contains(err.Error(), "worker 3") {
+		t.Fatalf("err = %v, want an error naming worker 3", err)
 	}
 }

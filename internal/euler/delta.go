@@ -107,23 +107,25 @@ func collectBodies(store spill.Store, nodes []NodeRecord) (map[PathID][]byte, er
 	return bodies, nil
 }
 
-// buildReplaySet diffs the fresh plan against a retained run and returns
-// the records of every node that can be replayed verbatim.  A nil or empty
-// map means full recompute (structural drift or all-dirty); the result is
-// always safe — replay is only offered for nodes whose complete leaf-group
-// input is byte-identical to the retained run.
+// buildReplaySet diffs the fresh plan, its leaves encoded, against a
+// retained run and returns the records of every node that can be replayed
+// verbatim.  A nil or empty map means full recompute (structural drift or
+// all-dirty); the result is always safe — replay is only offered for nodes
+// whose complete leaf-group input is byte-identical to the retained run.
 func buildReplaySet(plan *Plan, base *RunRecord) map[nodeKey]*NodeRecord {
 	basePlan, err := DecodePlanSlice(base.PlanBytes)
 	if err != nil {
 		return nil
 	}
-	if !plansCongruent(plan, basePlan) {
+	// A retained plan must be a whole plan: a slice lacks the leaves the
+	// diff compares, which is drift like any other.
+	if basePlan.Lo != 0 || basePlan.Hi != basePlan.NumWorkers || !plansCongruent(plan, basePlan) {
 		return nil
 	}
 	n := plan.NumWorkers
 	leafDirty := make([]bool, n)
 	for w := 0; w < n; w++ {
-		if !bytes.Equal(plan.EncodedInit[w], basePlan.EncodedInit[w]) ||
+		if !bytes.Equal(plan.leaves[w].enc, basePlan.leaves[w].enc) ||
 			!poolsEqual(plan.Parked[w], basePlan.Parked[w]) {
 			leafDirty[w] = true
 		}

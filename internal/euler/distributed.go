@@ -27,6 +27,7 @@ func RunOverCluster(ctx context.Context, hub *bsp.Hub, g *graph.Graph, a partiti
 	if err != nil {
 		return nil, nil, err
 	}
+	plan.encodeLeaves() // this process only slices the plan, never runs a leaf
 	store := cfg.Store
 	if store == nil {
 		store = spill.NewMemStore()

@@ -38,8 +38,8 @@ type Config struct {
 	Replay *RunRecord
 	// InitStore switches plan building to the out-of-core leaf path:
 	// leaf states are encoded into this store (keyed by worker ID) one
-	// partition at a time instead of being held in Plan.EncodedInit, and
-	// workers decode them lazily at superstep 0.  The full edge list is
+	// partition at a time instead of being held in the Plan, and workers
+	// decode them lazily at superstep 0.  The full edge list is
 	// never resident.  Out-of-core plans cannot be sliced for cluster
 	// shipment (EncodeSlice fails); they are a single-process facility.
 	InitStore spill.Store
@@ -96,7 +96,11 @@ func Run(g graph.Source, a partition.Assignment, cfg Config) (*Result, error) {
 	}
 
 	// Retention must snapshot the plan before the engine consumes its
-	// parked pools, and replay must diff against the same pristine view.
+	// leaves and parked pools, and replay must diff against the same
+	// pristine view; both read the leaves as bytes.
+	if cfg.Record || cfg.Replay != nil {
+		plan.encodeLeaves()
+	}
 	var retained *RunRecord
 	var recorder *runRecorder
 	if cfg.Record {

@@ -42,9 +42,12 @@ func (o *longsObserver) Compute(ctx *bsp.Context) error {
 		}
 		want = st.Longs()
 	case s == 0:
-		st, err := DecodeState(plan.EncodedInit[w-plan.Lo])
-		if err != nil {
-			return err
+		st := plan.leaves[w-plan.Lo].state
+		if st == nil {
+			var err error
+			if st, err = DecodeState(plan.leaves[w-plan.Lo].enc); err != nil {
+				return err
+			}
 		}
 		want = st.Longs()
 	case plan.IsParent[s-1][w]:
@@ -52,10 +55,12 @@ func (o *longsObserver) Compute(ctx *bsp.Context) error {
 		var delivered []RemoteEdge
 		for _, msg := range ctx.Received() {
 			var err error
-			switch msg.Payload[0] {
-			case msgState:
+			switch {
+			case msg.Ref != nil:
+				child = msg.Ref.(*PartState)
+			case msg.Payload[0] == msgState:
 				child, err = DecodeState(msg.Payload[1:])
-			case msgParked:
+			case msg.Payload[0] == msgParked:
 				var batch []RemoteEdge
 				batch, err = DecodeRemoteBatch(msg.Payload[1:])
 				delivered = append(delivered, batch...)
@@ -89,6 +94,9 @@ func runObserved(t *testing.T, g *graph.Graph, a partition.Assignment, mode Mode
 	plan, _, err := BuildPlan(g, a, Config{Mode: mode})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if replay != nil {
+		plan.encodeLeaves() // as Run does; the recording run keeps them decoded
 	}
 	planBytes, err := plan.EncodeSlice(0, plan.NumWorkers)
 	if err != nil {

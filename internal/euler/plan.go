@@ -11,13 +11,16 @@ import (
 
 // Plan is the static schedule of one distributed run, computed once by the
 // coordinator: the merge tree flattened into dense per-level lookup tables,
-// plus every leaf partition's encoded initial state and parked remote-edge
-// pools.  A Plan (or a slice of one) is everything a worker needs to host
-// its range of the run — workers never see the input graph itself.
+// plus every leaf partition's initial state and parked remote-edge pools.
+// A Plan (or a slice of one) is everything a worker needs to host its
+// range of the run — workers never see the input graph itself.
 //
-// Lo and Hi bound the worker range the per-worker slices cover:
-// EncodedInit[w-Lo] and Parked[w-Lo] belong to worker w.  A full plan has
-// Lo == 0, Hi == NumWorkers.
+// Lo and Hi bound the worker range the per-worker slices cover: leaves[w-Lo]
+// and Parked[w-Lo] belong to worker w.  A full plan has Lo == 0,
+// Hi == NumWorkers.  A leaf state stays decoded while the plan is only run
+// in the process that built it; it is held encoded once it has crossed a
+// process boundary (DecodePlanSlice) or has to be shipped or retained
+// (encodeLeaves).  A run takes each leaf out of the plan at superstep 0.
 type Plan struct {
 	NumWorkers  int
 	NumVertices int64
@@ -36,8 +39,9 @@ type Plan struct {
 	// level l (RepAt[Height] is the root for all).
 	RepAt [][]int32
 
-	// EncodedInit holds each hosted worker's EncodeState leaf state.
-	EncodedInit [][]byte
+	// leaves holds each hosted worker's leaf state; nil when the leaves
+	// were spilled to Config.InitStore instead.
+	leaves []leafSlot
 	// Parked holds each hosted worker's deferred remote-edge pools
 	// (ModeProposed), keyed by conversion level.
 	Parked []map[int32][]RemoteEdge
@@ -45,6 +49,25 @@ type Plan struct {
 	// ParkedLongsAt[l] is the static parked memory series for the Fig. 8
 	// report; only the coordinator's full plan carries it.
 	ParkedLongsAt []int64
+}
+
+// leafSlot holds one worker's leaf state either decoded (state) or as its
+// EncodeState bytes (enc); both are nil once the run has taken it.
+type leafSlot struct {
+	state *PartState
+	enc   []byte
+}
+
+// encodeLeaves switches every decoded leaf to its encoding, for a plan
+// whose leaves are about to be shipped or retained: encoding each leaf
+// once lets every slice, the retained plan and the replay diff share the
+// bytes, and drops the decoded states the coordinator never runs.
+func (p *Plan) encodeLeaves() {
+	for i := range p.leaves {
+		if l := &p.leaves[i]; l.state != nil {
+			*l = leafSlot{enc: EncodeState(l.state)}
+		}
+	}
 }
 
 // BuildPlan validates the input and computes the run schedule: meta-graph,
@@ -98,7 +121,7 @@ func BuildPlan(g graph.Source, a partition.Assignment, cfg Config) (*Plan, *Merg
 
 	if cfg.InitStore != nil {
 		// Out-of-core: leaf states spill to the store one partition at a
-		// time; EncodedInit stays nil and workers load lazily.
+		// time; leaves stays nil and workers load lazily.
 		parkedPools, err := BuildSpilledLeafStates(g, a, tree, cfg.Mode, cfg.ScratchDir, cfg.InitStore)
 		if err != nil {
 			return nil, nil, err
@@ -110,11 +133,9 @@ func BuildPlan(g graph.Source, a partition.Assignment, cfg Config) (*Plan, *Merg
 			return nil, nil, err
 		}
 		p.Parked = parkedPools
-		// Pre-encode leaf states: decoding them at superstep 0 is the
-		// paper's "create partition object from its storage format".
-		p.EncodedInit = make([][]byte, n)
+		p.leaves = make([]leafSlot, n)
 		for i, s := range states {
-			p.EncodedInit[i] = EncodeState(s)
+			p.leaves[i].state = s
 		}
 	}
 
@@ -164,7 +185,7 @@ func (p *Plan) EncodeSlice(lo, hi int) ([]byte, error) {
 	if lo < p.Lo || hi > p.Hi || lo >= hi {
 		return nil, fmt.Errorf("euler: plan slice [%d, %d) outside held range [%d, %d)", lo, hi, p.Lo, p.Hi)
 	}
-	if p.EncodedInit == nil {
+	if p.leaves == nil {
 		return nil, fmt.Errorf("euler: out-of-core plan (spilled leaf states) cannot be sliced for shipment")
 	}
 	dst := binary.AppendUvarint([]byte{WireV3}, uint64(p.NumWorkers))
@@ -199,9 +220,13 @@ func (p *Plan) EncodeSlice(lo, hi int) ([]byte, error) {
 		}
 	}
 	for w := lo; w < hi; w++ {
-		init := p.EncodedInit[w-p.Lo]
-		dst = binary.AppendUvarint(dst, uint64(len(init)))
-		dst = append(dst, init...)
+		if leaf := p.leaves[w-p.Lo]; leaf.state != nil {
+			dst = binary.AppendUvarint(dst, uint64(encodedStateLen(leaf.state)))
+			dst = AppendState(dst, leaf.state)
+		} else {
+			dst = binary.AppendUvarint(dst, uint64(len(leaf.enc)))
+			dst = append(dst, leaf.enc...)
+		}
 		pool := p.Parked[w-p.Lo]
 		dst = binary.AppendUvarint(dst, uint64(len(pool)))
 		for _, lvl := range sortedParkedLevels(pool) {
@@ -298,7 +323,7 @@ func DecodePlanSlice(buf []byte) (*Plan, error) {
 		p.RepAt[l] = row
 	}
 	local := p.Hi - p.Lo
-	p.EncodedInit = make([][]byte, local)
+	p.leaves = make([]leafSlot, local)
 	p.Parked = make([]map[int32][]RemoteEdge, local)
 	for i := 0; i < local; i++ {
 		ln, err := d.uvarint()
@@ -308,7 +333,7 @@ func DecodePlanSlice(buf []byte) (*Plan, error) {
 		if uint64(len(d.buf)-d.off) < ln {
 			return nil, fmt.Errorf("euler: truncated leaf state %d", i)
 		}
-		p.EncodedInit[i] = d.buf[d.off : d.off+int(ln)]
+		p.leaves[i].enc = d.buf[d.off : d.off+int(ln)]
 		d.off += int(ln)
 		groups, err := d.uvarint()
 		if err != nil {

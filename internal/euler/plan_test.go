@@ -47,7 +47,7 @@ func TestPlanSliceRoundTrip(t *testing.T) {
 			t.Fatalf("slice [%d, %d): repAt differs", lo, hi)
 		}
 		for w := lo; w < hi; w++ {
-			if string(got.EncodedInit[w-lo]) != string(plan.EncodedInit[w]) {
+			if leaf := got.leaves[w-lo]; leaf.state != nil || string(leaf.enc) != string(EncodeState(plan.leaves[w].state)) {
 				t.Fatalf("worker %d leaf state differs", w)
 			}
 			gotPool, wantPool := got.Parked[w-lo], plan.Parked[w]
@@ -60,6 +60,16 @@ func TestPlanSliceRoundTrip(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// Encoding the leaves first, as the coordinator does, changes no byte.
+	decoded, err := plan.EncodeSlice(0, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.encodeLeaves()
+	if encoded, err := plan.EncodeSlice(0, 6); err != nil || string(encoded) != string(decoded) {
+		t.Fatalf("slice of encoded leaves differs from slice of decoded leaves (err %v)", err)
 	}
 
 	if _, err := plan.EncodeSlice(4, 2); err == nil {

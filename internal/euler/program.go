@@ -27,8 +27,8 @@ type progDeps struct {
 	// node instead of touring it, or nil to compute normally.
 	replay func(w, s int) *NodeRecord
 	// init supplies spilled leaf states when the plan was built out of
-	// core (Plan.EncodedInit == nil): superstep 0 loads worker w's state
-	// from init under key int64(w).
+	// core (it holds no leaves): superstep 0 loads worker w's state from
+	// init under key int64(w).
 	init spill.Store
 }
 
@@ -43,9 +43,6 @@ type workerState struct {
 	// post-tour state's vertices are exactly its boundary vertices (every
 	// OB-pair endpoint has a remote edge or a stub), which Phase 1 counts.
 	carried int64
-	// stateBuf carries the one msgState payload a worker ever sends
-	// (after that its state is owned by the parent, forever).
-	stateBuf []byte
 	// parkBuf is reused across levels for msgParked payloads, double-
 	// buffered by superstep parity: a payload sent at superstep s is
 	// read by its receiver during s+1, so the buffer of parity s is
@@ -104,6 +101,9 @@ func (p *partProgram) Compute(ctx *bsp.Context) error {
 			if err != nil {
 				return fmt.Errorf("worker %d superstep %d: decoding retained state: %w", w, s, err)
 			}
+			if s == 0 && plan.leaves != nil {
+				plan.leaves[w-plan.Lo] = leafSlot{} // replaced by the record
+			}
 			wc.state = st
 			res := &Phase1Result{Recs: rec.Recs, Seeds: rec.Seeds, Visited: rec.Visited}
 			isRoot := s == plan.Height && w == plan.Root
@@ -121,23 +121,25 @@ func (p *partProgram) Compute(ctx *bsp.Context) error {
 		// merge + Phase 1 replaced by the retained record above
 	} else if s == 0 {
 		t0 := time.Now()
-		enc := []byte(nil)
-		if plan.EncodedInit != nil {
-			enc = plan.EncodedInit[w-plan.Lo]
+		var leaf leafSlot
+		if plan.leaves != nil {
+			leaf, plan.leaves[w-plan.Lo] = plan.leaves[w-plan.Lo], leafSlot{}
 		} else if p.deps.init != nil {
 			var err error
-			if enc, err = p.deps.init.Get(int64(w)); err != nil {
+			if leaf.enc, err = p.deps.init.Get(int64(w)); err != nil {
 				return fmt.Errorf("loading spilled leaf state %d: %w", w, err)
 			}
 		} else {
 			return fmt.Errorf("worker %d: plan has no leaf states and no init store", w)
 		}
-		st, err := DecodeState(enc)
-		if err != nil {
-			return fmt.Errorf("loading leaf state %d: %w", w, err)
+		if leaf.state == nil {
+			var err error
+			if leaf.state, err = DecodeState(leaf.enc); err != nil {
+				return fmt.Errorf("loading leaf state %d: %w", w, err)
+			}
 		}
 		pr.CreateObj = time.Since(t0)
-		wc.state = st
+		wc.state = leaf.state
 		computing = true
 	} else {
 		var child *PartState
@@ -150,22 +152,19 @@ func (p *partProgram) Compute(ctx *bsp.Context) error {
 		received := ctx.Received()
 		sort.SliceStable(received, func(i, j int) bool { return received[i].From < received[j].From })
 		for _, msg := range received {
-			if len(msg.Payload) == 0 {
+			st, _ := msg.Ref.(*PartState) // a child co-hosted with this worker
+			switch {
+			case st != nil:
+			case len(msg.Payload) == 0:
 				return fmt.Errorf("worker %d: empty message from %d", w, msg.From)
-			}
-			switch msg.Payload[0] {
-			case msgState:
+			case msg.Payload[0] == msgState:
 				t0 := time.Now()
-				st, err := DecodeState(msg.Payload[1:])
-				if err != nil {
+				var err error
+				if st, err = DecodeState(msg.Payload[1:]); err != nil {
 					return fmt.Errorf("worker %d: decoding child state from %d: %w", w, msg.From, err)
 				}
 				pr.CopySrc += time.Since(t0)
-				if child != nil {
-					return fmt.Errorf("worker %d superstep %d: two child states", w, s)
-				}
-				child = st
-			case msgParked:
+			case msg.Payload[0] == msgParked:
 				t0 := time.Now()
 				batch, err := DecodeRemoteBatch(msg.Payload[1:])
 				if err != nil {
@@ -173,9 +172,14 @@ func (p *partProgram) Compute(ctx *bsp.Context) error {
 				}
 				pr.CopySrc += time.Since(t0)
 				delivered = append(delivered, batch...)
+				continue
 			default:
 				return fmt.Errorf("worker %d: unknown message tag %q", w, msg.Payload[0])
 			}
+			if child != nil {
+				return fmt.Errorf("worker %d superstep %d: two child states", w, s)
+			}
+			child = st
 		}
 		if plan.IsParent[s-1][w] {
 			if child == nil {
@@ -239,12 +243,16 @@ func (p *partProgram) Compute(ctx *bsp.Context) error {
 	}
 
 	if s < plan.Height {
-		if target := plan.ChildTarget[s][w]; target >= 0 && wc.state != nil {
-			payload := append(wc.stateBuf[:0], msgState)
-			payload = AppendState(payload, wc.state)
-			wc.stateBuf = payload
-			ctx.Send(int(target), payload)
-			wc.state = nil // ownership transfers to the parent
+		if target := int(plan.ChildTarget[s][w]); target >= 0 && wc.state != nil {
+			// Ownership transfers to the parent: by pointer when this
+			// engine instance hosts it, charged the bytes it would cost
+			// on the wire; otherwise as the msgState payload.
+			if plan.Lo <= target && target < plan.Hi {
+				ctx.SendRef(target, wc.state, 1+int64(encodedStateLen(wc.state)))
+			} else {
+				ctx.Send(target, AppendState([]byte{msgState}, wc.state))
+			}
+			wc.state = nil
 		}
 		if batch, ok := wc.parked[int32(s)]; ok && len(batch) > 0 {
 			// Deferred transfer: parked edges converting at level s go

@@ -17,12 +17,15 @@ type PartReport struct {
 	// slices of the worker's Compute call for this level; what they leave
 	// out is sending the state on and absorbing the tour's results.
 	//
-	// CopySrc is deserialising the received child state and parked
-	// batches.  CopySink is the merge's pass over the parent's own state
-	// (zero at level 0).  CreateObj is building the partition object:
-	// decoding the leaf state at level 0, folding the child and the
-	// converted edges in above it, then Phase 1's vertex index and CSR.
-	// Phase1 is the tour itself.
+	// CopySrc is deserialising the received parked batches, and the
+	// child state when it arrives encoded from another engine instance (a
+	// co-hosted child hands its state over by reference, at no cost).
+	// CopySink is the merge's pass over the parent's own state (zero at
+	// level 0).  CreateObj is building the partition object: at level 0,
+	// decoding the leaf state only when the plan holds it encoded (a
+	// cluster plan slice, a retained or replayed run, a spilled leaf);
+	// above it, folding the child and the converted edges in; then Phase
+	// 1's vertex index and CSR.  Phase1 is the tour itself.
 	CopySrc   time.Duration
 	CopySink  time.Duration
 	CreateObj time.Duration

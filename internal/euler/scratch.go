@@ -14,8 +14,12 @@ import "repro/internal/graph"
 // so keeps aliasing the scratch between tours; before the same worker's
 // next tour its merge copies that set into the worker's mergeScratch
 // buffer (never into this one: the tour appends OB pairs here while it
-// still reads the merged Local), and a worker that sends its state away
-// instead encodes it in the superstep that toured it.
+// still reads the merged Local).  A worker that sends its state away
+// encodes it when the parent is on another engine instance; a co-hosted
+// parent receives the state itself, whose Local still aliases the
+// sender's scratch.  That is valid only because a merge child never tours
+// again: before a scratch is shared between workers, OBPairs must be
+// copied into memory the worker owns.
 type phase1Scratch struct {
 	verts   []graph.VertexID // interned vertex IDs, first-occurrence order
 	htab    []int32          // open-addressing vertex→index table (idx+1, 0=empty)
