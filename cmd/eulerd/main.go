@@ -42,6 +42,10 @@
 //	GET    /v1/cluster           cluster role, nodes, and job counters
 //	GET    /debug/vars           the same counters via expvar
 //
+// Under a GOMEMLIMIT, a standalone server solves an uploaded euler graph
+// whose in-memory solve would not fit under it out of core, from a paged
+// disk CSR; the circuit is the same.
+//
 // On SIGINT/SIGTERM the server stops accepting requests and drains the
 // worker pool, cancelling whatever is still running when the grace
 // period expires.  A worker-role process simply leaves the cluster; jobs
@@ -55,13 +59,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"runtime/debug"
 	"syscall"
 	"time"
 
@@ -88,9 +90,6 @@ func main() {
 		maxQueueAll = flag.Int("max-queue-total", 1024, "global queued-job backstop across all tenants (0 = unlimited); also caps attached-graph memory at ~4 MiB per queued job")
 		cacheBytes  = flag.Int64("cache-bytes", 256<<20, "result-cache live-entry byte budget; 0 disables dedup and caching (the backing log is append-only: disk is reclaimed on restart, watch cache_log_bytes)")
 		deltaBytes  = flag.Int64("delta-bytes", 64<<20, "retained delta-base replay-state byte budget for edge-diff submissions; 0 disables delta retention (requires the result cache; cluster runs never retain)")
-
-		oocEdges = flag.Int64("ooc-edges", 0, "solve uploaded euler jobs with at least this many edges out of core (paged disk CSR bounded by -graph-mem-bytes); 0 disables")
-		graphMem = flag.Int64("graph-mem-bytes", 0, "resident adjacency-page budget for out-of-core solves (default: 64 MiB, or GOMEMLIMIT/4 when that is smaller)")
 
 		clusterAddr  = flag.String("cluster", ":9090", "coordinator: cluster listen address for worker joins")
 		minNodes     = flag.Int("min-nodes", 1, "coordinator: worker nodes a job waits for")
@@ -129,7 +128,7 @@ func main() {
 			retryBackoff: *retryBackoff, degradedLocal: *degraded,
 			tenants: tenantCfg, maxQueuePerTenant: *maxQueueTen, maxRunningPerTenant: *maxRunTen,
 			maxQueueTotal: *maxQueueAll, cacheBytes: *cacheBytes,
-			deltaBytes: *deltaBytes, oocEdges: *oocEdges, graphMemBytes: *graphMem,
+			deltaBytes: *deltaBytes,
 		})
 	default:
 		fatal(fmt.Errorf("unknown role %q (want standalone, coordinator, or worker)", *role))
@@ -181,23 +180,6 @@ type serverConfig struct {
 	maxQueueTotal       int
 	cacheBytes          int64
 	deltaBytes          int64
-
-	oocEdges      int64
-	graphMemBytes int64
-}
-
-// resolveGraphMem picks the out-of-core page budget: the flag verbatim
-// when set, else 64 MiB capped at a quarter of GOMEMLIMIT so a
-// memory-limited deployment leaves headroom for the engine's own state.
-func resolveGraphMem(flagVal int64) int64 {
-	if flagVal > 0 {
-		return flagVal
-	}
-	budget := int64(64 << 20)
-	if limit := debug.SetMemoryLimit(-1); limit < math.MaxInt64 && limit/4 < budget {
-		budget = limit / 4
-	}
-	return budget
 }
 
 // runServerRole runs the HTTP job service; as a coordinator it also opens
@@ -237,14 +219,12 @@ func runServerRole(coordinator bool, cfg serverConfig) {
 	}
 	store := job.NewStore(cfg.retention)
 	apiCfg := httpapi.Config{
-		Store:            store,
-		Sched:            scheduler,
-		Cache:            cache,
-		Deltas:           deltas,
-		DataDir:          dir,
-		MaxUploadBytes:   cfg.maxUpload,
-		OOCEdgeThreshold: cfg.oocEdges,
-		GraphMemBytes:    resolveGraphMem(cfg.graphMemBytes),
+		Store:          store,
+		Sched:          scheduler,
+		Cache:          cache,
+		Deltas:         deltas,
+		DataDir:        dir,
+		MaxUploadBytes: cfg.maxUpload,
 	}
 
 	var coord *cluster.Coordinator

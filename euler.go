@@ -224,31 +224,25 @@ func solve(g GraphSource, spec euler.SolveSpec, emit func(Step) error) (*Report,
 // internal/oocgraph and the eulerd out-of-core mode).
 type GraphSource = graph.Source
 
-// FindCircuitStreamSource is FindCircuitStream over a GraphSource: the
-// out-of-core solve path for graphs larger than memory.  The run forces
-// the semi-external configuration — leaf partition states spill to disk
-// under spillDir and load lazily one superstep at a time, path bodies
-// spill to the same directory, and BSP workers run sequentially so only
-// one partition's state is resident at once.  The emitted circuit is
-// byte-identical to FindCircuitStream over the equivalent in-memory graph.
-// spillDir "" uses a fresh OS temp directory removed when the call
-// returns.  Record/Replay (delta retention) are not supported on this
-// path.
+// FindCircuitStreamSource is FindCircuitStream over a GraphSource, with
+// path bodies spilled under spillDir.  A source that is not a resident
+// *Graph (a paged disk CSR from internal/oocgraph) solves semi-externally:
+// leaf partition states spill under spillDir too and load lazily one
+// superstep at a time, and BSP workers run sequentially so only one
+// partition's state is resident at once.  spillDir "" keeps a resident
+// graph's bodies in memory and gives a non-resident one a fresh OS temp
+// directory removed when the call returns.  Either way the emitted circuit
+// is byte-identical to FindCircuitStream over the equivalent in-memory
+// graph.  Record/Replay (delta retention) are not supported on this path.
 func FindCircuitStreamSource(g GraphSource, spillDir string, emit func(Step) error, opts ...Option) (*Report, error) {
 	spec, err := resolveOptions(g, opts)
 	if err != nil {
 		return nil, err
 	}
-	spec.OutOfCore, spec.SpillDir = true, spillDir
+	spec.SpillDir = spillDir
 	report, _, err := solve(g, spec, emit)
 	return report, err
 }
-
-// CheckInputSource is CheckInput over a GraphSource: the even-degree scan
-// uses the degree oracle and connectivity a union-find over one streaming
-// edge pass, so larger-than-memory graphs are checked without
-// materialising adjacency.
-func CheckInputSource(g GraphSource) error { return verify.EulerianSource(g) }
 
 // FindCircuitSeq computes an Euler circuit with the sequential Hierholzer
 // baseline (O(|V|+|E|)), starting at the given vertex.
@@ -261,8 +255,10 @@ func FindCircuitSeq(g *Graph, start int64) ([]Step, error) {
 func Verify(g *Graph, steps []Step) error { return verify.Circuit(g, steps) }
 
 // CheckInput verifies the algorithm's preconditions on g: even degrees
-// everywhere and one connected component of edges.
-func CheckInput(g *Graph) error { return verify.EulerianInput(g) }
+// everywhere and one connected component of edges.  It reads only the
+// degree oracle and one streaming edge pass, so a larger-than-memory
+// GraphSource is checked without materialising adjacency.
+func CheckInput(g GraphSource) error { return verify.EulerianInput(g) }
 
 // NewEulerianRMAT generates a connected Eulerian power-law graph the way
 // the paper builds its inputs (Sec. 4.2): RMAT with Graph500 parameters at

@@ -294,8 +294,6 @@ type WorkerOptions struct {
 	// Capacity is the number of engine workers this node hosts (its
 	// share of the job's partitions); minimum 1.
 	Capacity int
-	// Sequential runs the node's workers one at a time (Fig. 7 timing).
-	Sequential bool
 	// Logf receives lifecycle diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -305,6 +303,6 @@ type WorkerOptions struct {
 // connection drops.
 func RunWorker(ctx context.Context, addr string, opts WorkerOptions) error {
 	return bsp.ServeNode(ctx, addr, func(nodeJob *bsp.NodeJob) ([]byte, error) {
-		return euler.RunWorkerNode(nodeJob, opts.Sequential)
+		return euler.RunWorkerNode(nodeJob)
 	}, bsp.NodeOptions{Name: opts.Name, Capacity: opts.Capacity, Logf: opts.Logf})
 }

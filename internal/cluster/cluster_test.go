@@ -127,32 +127,6 @@ func TestClusterMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestClusterSequentialNodes runs the cluster with per-node sequential
-// workers (the Fig. 7 timing configuration) and checks the circuit again.
-func TestClusterSequentialNodes(t *testing.T) {
-	coord, err := NewCoordinator("127.0.0.1:0", Options{MinNodes: 2, WaitNodes: 10 * time.Second, StepTimeout: 20 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	for i := 0; i < 2; i++ {
-		go RunWorker(ctx, coord.Addr().String(), WorkerOptions{Name: fmt.Sprintf("seq%d", i), Capacity: 3, Sequential: true})
-	}
-
-	g := gen.Torus(8, 8)
-	a := partition.LDG(g, 6, 1)
-	res, _, err := coord.Run(context.Background(), g, a, euler.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps := collectSteps(t, res)
-	if err := verify.Circuit(g, steps); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestClusterKilledWorkerFailsCleanly kills one worker node mid-job and
 // asserts the coordinator fails the job promptly with an error — no hang,
 // no partial circuit.

@@ -18,10 +18,10 @@ import (
 // Result is byte-for-byte what the single-process Run would produce for
 // the same input — Phase 3 unrolls it locally.
 //
-// cfg.Sequential and cfg.Cost apply per node instance (the cost model is
-// additionally fed each barrier's real wire time).  On any node failure
-// the job is aborted cluster-wide and an error returned; nothing of the
-// partial run is retained.
+// Each node runs its workers concurrently: cfg.Sequential and cfg.Cost
+// shape only the in-process Run and never reach the nodes.  On any node
+// failure the job is aborted cluster-wide and an error returned; nothing
+// of the partial run is retained.
 func RunOverCluster(ctx context.Context, hub *bsp.Hub, g *graph.Graph, a partition.Assignment, cfg Config, minNodes int) (*Result, *bsp.JobStats, error) {
 	plan, tree, err := BuildPlan(g, a, cfg)
 	if err != nil {
@@ -87,7 +87,7 @@ func RunOverCluster(ctx context.Context, hub *bsp.Hub, g *graph.Graph, a partiti
 // its worker range over the job's transport, and return the encoded
 // worker result.  It is the body internal/cluster wires into
 // bsp.ServeNode.
-func RunWorkerNode(nodeJob *bsp.NodeJob, sequential bool) ([]byte, error) {
+func RunWorkerNode(nodeJob *bsp.NodeJob) ([]byte, error) {
 	plan, err := DecodePlanSlice(nodeJob.Plan)
 	if err != nil {
 		return nil, fmt.Errorf("euler: decoding plan slice: %w", err)
@@ -97,14 +97,7 @@ func RunWorkerNode(nodeJob *bsp.NodeJob, sequential bool) ([]byte, error) {
 			plan.Lo, plan.Hi, plan.NumWorkers, nodeJob.Lo, nodeJob.Hi, nodeJob.NumWorkers)
 	}
 	wp := NewWorkerProgram(plan)
-	opts := []bsp.Option{
-		bsp.WithWorkerRange(plan.Lo, plan.Hi),
-		bsp.WithTransport(nodeJob.Transport),
-	}
-	if sequential {
-		opts = append(opts, bsp.WithSequentialWorkers())
-	}
-	engine := bsp.New(plan.NumWorkers, opts...)
+	engine := bsp.New(plan.NumWorkers, bsp.WithWorkerRange(plan.Lo, plan.Hi), bsp.WithTransport(nodeJob.Transport))
 	m, err := engine.Run(wp)
 	if err != nil {
 		return nil, err

@@ -28,19 +28,17 @@ type SolveSpec struct {
 	Cost     bsp.CostModel
 	Validate bool
 	// SpillDir, when set, holds the run's spill logs (created if
-	// missing); "" keeps path bodies in memory.
+	// missing); "" keeps path bodies in memory, except for a source that
+	// is not a resident *graph.Graph, which spills to a temp directory
+	// removed on return.
 	SpillDir string
-	// OutOfCore forces the semi-external configuration: leaf states
-	// spill and load lazily, workers run one at a time, and a run with no
-	// SpillDir spills to a temp directory removed on return.
-	OutOfCore bool
 	// Retain captures a replay record of this run; Replay reuses an
 	// earlier run's record for the partitions that did not change.
 	Retain bool
 	Replay *RunRecord
 	// Exec runs Phases 1–2 in place of the in-process Run; a cluster
 	// coordinator installs itself here.  It needs a resident graph and
-	// supports neither OutOfCore nor Retain/Replay.
+	// supports neither a non-resident source nor Retain/Replay.
 	Exec Executor
 }
 
@@ -55,6 +53,11 @@ type Solver func(ctx context.Context, src graph.Source, spec SolveSpec, emit fun
 // the spill stores, run Phases 1–2, and unroll Phase 3 into emit, observing
 // ctx between stages and before every emitted step.  The record is non-nil
 // only when spec.Retain is set.
+//
+// A source that is not a resident *graph.Graph (a paged disk CSR) runs the
+// semi-external configuration: leaf states spill and load lazily, workers
+// run one at a time, and the spill logs go to a temp directory when
+// spec.SpillDir is "".  The circuit is the one the in-memory solve emits.
 func Solve(ctx context.Context, src graph.Source, spec SolveSpec, emit func(Step) error) (*RunReport, *RunRecord, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -66,7 +69,8 @@ func Solve(ctx context.Context, src graph.Source, spec SolveSpec, emit func(Step
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	cfg, stores, err := openStores(spec)
+	_, resident := src.(*graph.Graph)
+	cfg, stores, err := openStores(spec, !resident)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -125,9 +129,9 @@ func (s *runStores) close() {
 }
 
 // openStores is the store stage: it turns the spec into the engine Config,
-// opening the body store (and, out of core, the leaf-state store) under the
-// spill directory.  The caller closes the returned stores.
-func openStores(spec SolveSpec) (Config, *runStores, error) {
+// opening the body store (and, for a non-resident source, the leaf-state
+// store) under the spill directory.  The caller closes the returned stores.
+func openStores(spec SolveSpec, external bool) (Config, *runStores, error) {
 	cfg := Config{
 		Mode:     spec.Mode,
 		Cost:     spec.Cost,
@@ -141,7 +145,7 @@ func openStores(spec SolveSpec) (Config, *runStores, error) {
 	switch {
 	case dir != "":
 		err = os.MkdirAll(dir, 0o755)
-	case spec.OutOfCore:
+	case external:
 		st.tmp, err = os.MkdirTemp("", "eulerooc-")
 		dir = st.tmp
 	default:
@@ -155,7 +159,7 @@ func openStores(spec SolveSpec) (Config, *runStores, error) {
 		return cfg, nil, fmt.Errorf("euler: opening spill store: %w", err)
 	}
 	cfg.Store = st.bodies
-	if spec.OutOfCore {
+	if external {
 		if st.leaves, err = spill.NewDiskStore(filepath.Join(dir, "leaf-init.log")); err != nil {
 			st.close()
 			return cfg, nil, fmt.Errorf("euler: opening leaf-state store: %w", err)
@@ -171,7 +175,7 @@ func execute(ctx context.Context, src graph.Source, a partition.Assignment, cfg 
 		return Run(src, a, cfg)
 	}
 	g, resident := src.(*graph.Graph)
-	if !resident || cfg.InitStore != nil || cfg.Record || cfg.Replay != nil {
+	if !resident || cfg.Record || cfg.Replay != nil {
 		return nil, fmt.Errorf("euler: an executor needs a resident graph and supports neither out-of-core nor retained runs")
 	}
 	return exec(ctx, g, a, cfg)

@@ -58,6 +58,10 @@ func TestSolveCancelledMidStream(t *testing.T) {
 	}
 }
 
+// pagedLike hides a resident graph behind the bare graph.Source seam, the
+// way a paged disk CSR presents itself to Solve.
+type pagedLike struct{ graph.Source }
+
 func solveSteps(t *testing.T, src graph.Source, spec SolveSpec) ([]Step, *RunReport, *RunRecord) {
 	t.Helper()
 	var steps []Step
@@ -71,9 +75,10 @@ func solveSteps(t *testing.T, src graph.Source, spec SolveSpec) ([]Step, *RunRep
 	return steps, report, record
 }
 
-// TestSolveStoreStage pins where each spec puts its logs: nowhere without
-// a spill dir, under a (created) spill dir with one, and in a temp dir that
-// is gone on return for an out-of-core run without one.
+// TestSolveStoreStage pins where each run puts its logs: nowhere without
+// a spill dir, under a (created) spill dir with one, and, for a source that
+// is not a resident graph, leaf states beside the bodies or in a temp dir
+// that is gone on return.
 func TestSolveStoreStage(t *testing.T) {
 	g := gen.Torus(10, 6)
 	want, _, _ := solveSteps(t, g, SolveSpec{Parts: 3})
@@ -103,7 +108,7 @@ func TestSolveStoreStage(t *testing.T) {
 	}
 
 	oocDir := filepath.Join(t.TempDir(), "ooc")
-	got, report, _ := solveSteps(t, g, SolveSpec{Parts: 3, SpillDir: oocDir, OutOfCore: true})
+	got, report, _ := solveSteps(t, pagedLike{g}, SolveSpec{Parts: 3, SpillDir: oocDir})
 	same("out of core", got)
 	if _, err := os.Stat(filepath.Join(oocDir, "leaf-init.log")); err != nil {
 		t.Fatalf("out-of-core run left no leaf-state log: %v", err)
@@ -114,7 +119,7 @@ func TestSolveStoreStage(t *testing.T) {
 
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
-	got, _, _ = solveSteps(t, g, SolveSpec{Parts: 3, OutOfCore: true})
+	got, _, _ = solveSteps(t, pagedLike{g}, SolveSpec{Parts: 3})
 	same("out of core, temp dir", got)
 	if left, _ := os.ReadDir(tmp); len(left) != 0 {
 		t.Fatalf("out-of-core temp dir not removed: %v", left)
@@ -145,13 +150,16 @@ func TestSolveExecutor(t *testing.T) {
 		}
 	}
 
-	for _, spec := range []SolveSpec{
-		{Exec: exec, Retain: true},
-		{Exec: exec, OutOfCore: true},
+	for _, c := range []struct {
+		src  graph.Source
+		spec SolveSpec
+	}{
+		{g, SolveSpec{Exec: exec, Retain: true}},
+		{pagedLike{g}, SolveSpec{Exec: exec}},
 	} {
-		_, _, err := Solve(context.Background(), g, spec, func(Step) error { return nil })
+		_, _, err := Solve(context.Background(), c.src, c.spec, func(Step) error { return nil })
 		if err == nil || !strings.Contains(err.Error(), "executor") {
-			t.Errorf("Solve(%+v) = %v, want the executor refusal", spec, err)
+			t.Errorf("Solve(%T, %+v) = %v, want the executor refusal", c.src, c.spec, err)
 		}
 	}
 	if calls != 1 {

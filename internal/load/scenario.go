@@ -409,17 +409,15 @@ func Scenarios() []Scenario {
 			Profiles:    both,
 			// The graph's in-memory solve footprint (CSR halves plus the
 			// parallel engine's tour state, ~250 MiB for this torus) is
-			// roughly 10x the serving process's GOMEMLIMIT; the only way
-			// it completes under the RSS ceiling is the out-of-core path:
-			// streamed submit fingerprinting, paged CSR reads under
-			// -graph-mem-bytes, and spilled partition state.  The solo
-			// reference runs unconstrained and in memory, so the byte
-			// identity check proves the paged path changes nothing.
+			// roughly 10x the serving process's GOMEMLIMIT, so the server
+			// solves it out of core: streamed submit fingerprinting, paged
+			// CSR reads under a page budget of a quarter of the limit
+			// (6 MiB), and spilled partition state.  The solo reference
+			// runs unconstrained and in memory, so the byte identity
+			// check proves the paged path changes nothing.
 			ServerArgs: []string{
 				"-cache-bytes", "0",
 				"-workers", "1",
-				"-ooc-edges", "65536",
-				"-graph-mem-bytes", "6291456",
 			},
 			ServerEnv: []string{"GOMEMLIMIT=24MiB"},
 			// Observed peak is ~147 MiB (Phase 3's master walk buffer plus

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -14,13 +16,14 @@ import (
 	euler "repro"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/jobkind"
 	"repro/internal/sched"
 	"repro/internal/service/job"
 )
 
-// newOOCServer wires a server whose out-of-core threshold is low enough
-// that every upload solves through the paged CSR, with a page budget
-// small enough to force eviction.
+// newOOCServer wires a server whose memory limit is so low that every
+// upload with an edge solves through the paged CSR, with a page budget
+// at oocgraph's two-page floor, small enough to force eviction.
 func newOOCServer(t *testing.T, workers int, cached bool) (*Server, *httptest.Server) {
 	t.Helper()
 	var cache *sched.ResultCache
@@ -33,13 +36,12 @@ func newOOCServer(t *testing.T, workers int, cached bool) (*Server, *httptest.Se
 	}
 	sc := sched.NewFair(sched.FairConfig{Workers: workers, MaxQueuePerTenant: 8})
 	s := New(Config{
-		Store:            job.NewStore(50),
-		Sched:            sc,
-		Cache:            cache,
-		DataDir:          t.TempDir(),
-		OOCEdgeThreshold: 1,
-		GraphMemBytes:    16 << 10, // a few pages; the test graphs exceed it
+		Store:   job.NewStore(50),
+		Sched:   sc,
+		Cache:   cache,
+		DataDir: t.TempDir(),
 	})
+	s.memLimit = inMemoryBytesPerEdge
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -51,6 +53,69 @@ func newOOCServer(t *testing.T, workers int, cached bool) (*Server, *httptest.Se
 		}
 	})
 	return s, ts
+}
+
+// TestPagedInputRule pins when an upload solves paged: never with the
+// memory limit unset, and from the first edge count whose estimated
+// in-memory solve exceeds the limit.
+func TestPagedInputRule(t *testing.T) {
+	s := New(Config{Store: job.NewStore(1), DataDir: t.TempDir()})
+	if limit := debug.SetMemoryLimit(-1); s.memLimit != limit {
+		t.Fatalf("memLimit = %d, want the process limit %d", s.memLimit, limit)
+	}
+	upload := func(edges int64) job.Spec {
+		return job.Spec{Kind: jobkind.DefaultName, Uploaded: true, DeclaredEdges: edges}
+	}
+
+	s.memLimit = math.MaxInt64 // GOMEMLIMIT unset
+	if s.pagedInput(upload(job.MaxUploadEdges)) {
+		t.Fatal("an upload paged with no memory limit")
+	}
+	if got := s.pageBytes(); got != 64<<20 {
+		t.Fatalf("page budget without a limit = %d, want 64 MiB", got)
+	}
+
+	// GOMEMLIMIT=24MiB: the threshold is 24 MiB / 200 B = 125 829 edges,
+	// with a quarter of the limit as pages.
+	s.memLimit = 24 << 20
+	if s.pagedInput(upload(125_829)) || !s.pagedInput(upload(125_830)) {
+		t.Fatalf("decision at 125 829 / 125 830 edges = %v / %v, want false / true",
+			s.pagedInput(upload(125_829)), s.pagedInput(upload(125_830)))
+	}
+	if got := s.pageBytes(); got != 6291456 {
+		t.Fatalf("page budget under 24 MiB = %d, want 6291456", got)
+	}
+	for name, spec := range map[string]job.Spec{
+		"generator": {Kind: jobkind.DefaultName, DeclaredEdges: 1 << 30},
+		"postman":   {Kind: "postman", Uploaded: true, DeclaredEdges: 1 << 30},
+		"delta":     {Kind: jobkind.DefaultName, Uploaded: true, DeclaredEdges: 1 << 30, Base: "x"},
+	} {
+		if s.pagedInput(spec) {
+			t.Errorf("%s job paged", name)
+		}
+	}
+	s.local = false // a cluster coordinator ships CSR slices
+	if s.pagedInput(upload(1 << 30)) {
+		t.Error("a cluster-run upload paged")
+	}
+}
+
+// TestPagedUploadNotBuiltAtSubmit: a cached upload that will solve paged
+// is fingerprinted from its file, so no graph rides the queued job.
+func TestPagedUploadNotBuiltAtSubmit(t *testing.T) {
+	s, ts := newOOCServer(t, 1, true)
+	attached := make(chan bool, 1)
+	s.beforeRun = func(j *job.Job) { attached <- j.Graph() != nil }
+
+	g := gen.Torus(6, 5) // far under keepGraphMaxEdges
+	snap, code := uploadGraph(t, ts, g, "?parts=2")
+	if code != http.StatusAccepted {
+		t.Fatalf("upload: status %d", code)
+	}
+	if <-attached {
+		t.Fatal("the paged upload was built in memory at submit")
+	}
+	waitState(t, ts, snap.ID, job.StateDone)
 }
 
 func uploadGraph(t *testing.T, ts *httptest.Server, g *graph.Graph, query string) (job.Snapshot, int) {
@@ -118,8 +183,8 @@ func TestOutOfCoreJob(t *testing.T) {
 }
 
 // TestOutOfCoreNonEulerianUpload: the precondition check must run
-// against the paged source (CheckInputSource) and fail the job with the
-// same class of error the in-memory path gives.
+// against the paged source and fail the job with the same class of error
+// the in-memory path gives.
 func TestOutOfCoreNonEulerianUpload(t *testing.T) {
 	_, ts := newOOCServer(t, 1, false)
 

@@ -25,6 +25,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"time"
@@ -56,6 +57,15 @@ const buildSlotWait = 10 * time.Second
 // watch when raising either knob.
 const keepGraphMaxEdges = 1 << 16
 
+// inMemoryBytesPerEdge estimates the peak live heap of an in-memory
+// solve per input edge, CSR included.  Measured as the largest live heap
+// after any GC (gctrace, GOGC=25, Go 1.24) of a 4-part FindCircuitStream
+// on a 2-core x86-64 Linux machine, five runs each: a 768x768 torus
+// (1 179 648 edges) took 179-200 B/edge (VmHWM 263-297 MiB), the RMAT
+// graph of 400 000 vertices, average degree 5, seed 42 (1 048 994 edges)
+// 185-190 B/edge (VmHWM 249-259 MiB).  The constant is the largest.
+const inMemoryBytesPerEdge = 200
+
 // ClusterStatus supplies the GET /v1/cluster payload; a server without
 // one reports itself standalone.
 type ClusterStatus interface {
@@ -76,11 +86,9 @@ type Server struct {
 	local   bool
 	cluster ClusterStatus
 
-	// oocEdges routes uploaded euler jobs with at least this many
-	// declared edges to the out-of-core engine (0 = never); graphMemBytes
-	// bounds their resident adjacency pages.
-	oocEdges      int64
-	graphMemBytes int64
+	// memLimit is GOMEMLIMIT (MaxInt64 when unset), read once by New;
+	// it decides pagedInput and pageBytes.
+	memLimit int64
 
 	maxUploadBytes int64
 	metrics        metrics
@@ -122,15 +130,6 @@ type Config struct {
 	// locally solved euler jobs so clients can submit edge diffs against
 	// a base fingerprint instead of a full graph.
 	Deltas *sched.DeltaStore
-	// OOCEdgeThreshold makes uploaded euler jobs with at least this many
-	// declared edges solve out of core (paged disk CSR, spilled
-	// partition states, sequential workers) instead of materialising the
-	// graph in memory; 0 disables.  Results are byte-identical to the
-	// in-memory path.
-	OOCEdgeThreshold int64
-	// GraphMemBytes bounds the resident adjacency pages of out-of-core
-	// solves; 0 means the engine default.
-	GraphMemBytes int64
 }
 
 // New returns a Server for the given configuration.
@@ -158,8 +157,7 @@ func New(cfg Config) *Server {
 		cluster:        cfg.Cluster,
 		maxUploadBytes: max,
 		buildSem:       make(chan struct{}, builds),
-		oocEdges:       cfg.OOCEdgeThreshold,
-		graphMemBytes:  cfg.GraphMemBytes,
+		memLimit:       debug.SetMemoryLimit(-1),
 	}
 	s.metrics.kinds = newKindCounters()
 	return s
@@ -406,13 +404,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		g := deltaGraph
 		var fp sched.Fingerprint
-		// Uploads too big to keep attached are fingerprinted straight off
-		// the on-disk file — one pass of block reads into the multiset
-		// hash — so submission never materialises their CSR at all.  This
-		// is the submit half of the out-of-core path; the worker side
-		// decides separately (runJob) whether to solve in memory or paged.
-		bigUpload := kind.NeedsGraph() && !spec.IsDelta() &&
-			spec.Uploaded && spec.DeclaredEdges > keepGraphMaxEdges
+		// Uploads that solve paged, or are too big to keep attached, are
+		// fingerprinted straight off the on-disk file — one pass of block
+		// reads into the multiset hash — so submission never materialises
+		// their CSR at all.
+		streamed := s.pagedInput(spec) || (kind.NeedsGraph() && !spec.IsDelta() &&
+			spec.Uploaded && spec.DeclaredEdges > keepGraphMaxEdges)
 		if kind.NeedsGraph() && !spec.IsDelta() {
 			// The input graph is built at submission time only on the
 			// cached path: the scheduler needs its content address before
@@ -429,7 +426,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				}
 				return
 			}
-			if bigUpload {
+			if streamed {
 				fp, err = sched.FingerprintUpload(spec.GraphFile, fpOpts)
 				if err != nil {
 					<-s.buildSem
@@ -462,7 +459,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			j.AttachGraph(g)
 			j.SetDeltaState(deltaEntry.State)
 		}
-		if !bigUpload {
+		if !streamed {
 			fp = sched.FingerprintGraph(g, fpOpts)
 		}
 		if kind.NeedsGraph() && !spec.IsDelta() {
@@ -756,6 +753,21 @@ func saveUpload(path string, body io.Reader) (int64, error) {
 	return int64(edges), f.Close()
 }
 
+// pagedInput reports whether a job solves from a paged disk CSR instead
+// of an in-memory graph: a local, non-delta euler upload whose estimated
+// in-memory solve (DeclaredEdges × inMemoryBytesPerEdge) exceeds the
+// process memory limit.  With GOMEMLIMIT unset nothing pages.  Only the
+// in-process solver can page: a cluster coordinator ships CSR slices to
+// its workers, which needs the in-memory graph.
+func (s *Server) pagedInput(spec job.Spec) bool {
+	return s.local && spec.Kind == jobkind.DefaultName && spec.Uploaded && !spec.IsDelta() &&
+		spec.DeclaredEdges > s.memLimit/inMemoryBytesPerEdge
+}
+
+// pageBytes is a paged solve's resident page budget: a quarter of the
+// memory limit, at most 64 MiB.
+func (s *Server) pageBytes() int64 { return min(64<<20, s.memLimit/4) }
+
 // runJob executes one job on a pool worker: stream the circuit into a
 // disk-backed sink, record the report, and resolve the job's result-
 // cache lease (commit on success, abort — promoting a waiting
@@ -811,80 +823,63 @@ func (s *Server) runJob(poolCtx context.Context, j *job.Job, lease *sched.Lease)
 
 	kind := jobkind.MustGet(j.Spec.Kind) // canonical since Validate
 
-	// Uploaded euler jobs at or over the out-of-core threshold never
-	// materialise their CSR in heap: the on-disk file is scattered into a
-	// paged CSR whose resident pages are bounded by graphMemBytes, and
-	// the engine runs sequentially with spilled partition states.  Only
-	// the in-process solver can do this — a cluster coordinator ships CSR
-	// slices to workers, which requires the in-memory build.
-	ooc := s.local && s.oocEdges > 0 && kind.Name() == jobkind.DefaultName &&
-		j.Spec.Uploaded && !j.Spec.IsDelta() && j.Spec.DeclaredEdges >= s.oocEdges
-
-	// Small cached-path graphs arrive prebuilt from submission-time
-	// fingerprinting; everything else (no cache, big graphs, promoted
-	// followers) is built here on the worker, bounded by the pool.
-	// Graphless kinds carry their whole input in the spec.
-	g := j.Graph()
-	if g == nil && kind.NeedsGraph() && !ooc {
-		if j.Spec.IsDelta() {
-			// The patched graph exists only while attached: the spec holds
-			// a diff, not an input, and the base may have been evicted.
-			fail(fmt.Errorf("delta job lost its patched input graph"))
-			return
-		}
-		var err error
-		g, err = j.Spec.BuildGraph()
-		if err != nil {
-			fail(fmt.Errorf("building input graph: %w", err))
-			return
-		}
-	}
-	var pg *oocgraph.PagedGraph
-	if ooc {
-		var err error
-		pg, err = oocgraph.BuildPaged(j.Spec.GraphFile, oocgraph.BuildOptions{
-			Dir:      j.Dir,
-			MemBytes: s.graphMemBytes,
-		})
-		if err != nil {
-			fail(fmt.Errorf("building paged graph: %w", err))
-			return
-		}
-		defer pg.Close()
-	}
-	if j.Spec.Uploaded && j.Spec.Kind == jobkind.DefaultName {
-		// Generated inputs are Eulerian by construction; uploads get
-		// the explicit precondition check for a clear client error.
-		// (Postman uploads are allowed odd degrees — covering them is
-		// the job — and the kind reports imbalance itself if any.)
-		if ooc {
-			if err := verify.EulerianSource(pg); err != nil {
-				fail(err)
-				return
-			}
-		} else if err := verify.EulerianInput(g); err != nil {
-			fail(err)
-			return
-		}
-	}
-
 	// One spec says how this job solves.  In-process euler runs retain
 	// replay state when delta retention is on, so this job's result can
 	// serve as a delta base, and delta jobs replay their base's retained
 	// state.  Cluster runs never retain: the engine state lives on the
-	// workers, not the coordinator.  Out-of-core runs never retain either
-	// — a delta base pins the full edge list in memory, exactly what that
+	// workers, not the coordinator.  Paged runs never retain either — a
+	// delta base pins the full edge list in memory, exactly what that
 	// path exists to avoid — and always spill to the job directory.
 	spec, err := j.Spec.KindRequest().Options.SolveSpec(j.Dir)
 	if err != nil {
 		fail(err)
 		return
 	}
-	spec.OutOfCore = ooc
-	spec.Retain = s.local && !ooc && s.deltas != nil && j.Fingerprint() != "" && kind.Name() == jobkind.DefaultName
-	if ooc {
-		spec.SpillDir = j.Dir
+
+	// The job's input, resolved once.  A paged upload never materialises
+	// its CSR in heap: the on-disk file is scattered into a paged CSR
+	// whose resident pages fit pageBytes, and euler.Solve runs it semi-
+	// externally.  Small cached-path graphs arrive prebuilt from
+	// submission-time fingerprinting; everything else (no cache, big
+	// graphs, promoted followers) is built here on the worker, bounded by
+	// the pool.  Graphless kinds carry their whole input in the spec.
+	var src graph.Source
+	g := j.Graph()
+	switch {
+	case s.pagedInput(j.Spec):
+		pg, err := oocgraph.BuildPaged(j.Spec.GraphFile, oocgraph.BuildOptions{Dir: j.Dir, MemBytes: s.pageBytes()})
+		if err != nil {
+			fail(fmt.Errorf("building paged graph: %w", err))
+			return
+		}
+		defer pg.Close()
+		src, spec.SpillDir = pg, j.Dir
+	case g != nil:
+		src = g
+	case !kind.NeedsGraph():
+	case j.Spec.IsDelta():
+		// The patched graph exists only while attached: the spec holds
+		// a diff, not an input, and the base may have been evicted.
+		fail(fmt.Errorf("delta job lost its patched input graph"))
+		return
+	default:
+		if g, err = j.Spec.BuildGraph(); err != nil {
+			fail(fmt.Errorf("building input graph: %w", err))
+			return
+		}
+		src = g
 	}
+	if j.Spec.Uploaded && j.Spec.Kind == jobkind.DefaultName {
+		// Generated inputs are Eulerian by construction; uploads get
+		// the explicit precondition check for a clear client error.
+		// (Postman uploads are allowed odd degrees — covering them is
+		// the job — and the kind reports imbalance itself if any.)
+		if err := verify.EulerianInput(src); err != nil {
+			fail(err)
+			return
+		}
+	}
+	spec.Retain = s.local && g != nil && s.deltas != nil && j.Fingerprint() != "" && kind.Name() == jobkind.DefaultName
 	if state := j.DeltaState(); spec.Retain && state != nil {
 		if spec.Replay, err = euler.DecodeRunRecord(state); err != nil {
 			fail(fmt.Errorf("decoding retained record: %w", err))
@@ -903,17 +898,17 @@ func (s *Server) runJob(poolCtx context.Context, j *job.Job, lease *sched.Lease)
 
 	// The kind drives the solve; graph-backed kinds route their circuit
 	// runs through the server's solver, sequence kinds solve in-process
-	// from the spec, and both observe ctx before every emitted step.  The
-	// kind passes whatever graph it holds (nil out of core) straight
-	// through to run; the out-of-core run reads adjacency from the paged
-	// CSR instead and is byte-identical to the in-memory solve.
+	// from the spec, and both observe ctx before every emitted step.  A
+	// kind hands run the graph it holds (nil for a paged input, which
+	// then solves from src) or one it derived from it, such as postman's
+	// augmented graph.
 	var retained []byte
 	run := func(ctx context.Context, rg *graph.Graph, emit func(graph.Step) error) (*euler.RunReport, error) {
-		var src graph.Source = rg
-		if ooc {
-			src = pg
+		in := src
+		if rg != nil {
+			in = rg
 		}
-		report, record, err := s.solve(ctx, src, spec, emit)
+		report, record, err := s.solve(ctx, in, spec, emit)
 		if record != nil {
 			retained = euler.EncodeRunRecord(record)
 		}

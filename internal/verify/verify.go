@@ -87,21 +87,10 @@ func Path(g *graph.Graph, steps []graph.Step, src, dst graph.VertexID) error {
 }
 
 // EulerianInput checks the algorithm's preconditions: every vertex has
-// even degree and all edges lie in one connected component.
-func EulerianInput(g *graph.Graph) error {
-	if odd := g.OddVertices(); len(odd) > 0 {
-		return fmt.Errorf("verify: %d vertices have odd degree (first: %d)", len(odd), odd[0])
-	}
-	if !graph.IsConnected(g) {
-		return fmt.Errorf("verify: graph's edges span multiple connected components")
-	}
-	return nil
-}
-
-// EulerianSource is EulerianInput over the graph.Source seam: degrees come
+// even degree and all edges lie in one connected component.  Degrees come
 // from the O(V) oracle and connectivity from a union-find over one edge
 // scan, so a disk-backed graph is checked without materialising adjacency.
-func EulerianSource(g graph.Source) error {
+func EulerianInput(g graph.Source) error {
 	var odd int64
 	firstOdd := graph.VertexID(-1)
 	for v := int64(0); v < g.NumVertices(); v++ {

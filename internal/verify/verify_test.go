@@ -122,19 +122,38 @@ func TestPathRejects(t *testing.T) {
 	}
 }
 
+// bareSource hides a resident graph behind the graph.Source seam, the way
+// a paged disk CSR presents itself.
+type bareSource struct{ graph.Source }
+
 func TestEulerianInput(t *testing.T) {
-	if err := EulerianInput(gen.Torus(4, 4)); err != nil {
-		t.Fatal(err)
+	torus := gen.Torus(4, 4)
+	for _, src := range []graph.Source{torus, bareSource{torus}} {
+		if err := EulerianInput(src); err != nil {
+			t.Fatalf("%T: torus rejected: %v", src, err)
+		}
 	}
-	odd := graph.FromEdges(3, [][2]graph.VertexID{{0, 1}, {1, 2}})
-	if err := EulerianInput(odd); err == nil {
-		t.Fatal("odd degrees accepted")
+	odd := graph.FromEdges(3, [][2]graph.VertexID{{0, 1}, {1, 2}}) // path 0-1-2
+	for _, src := range []graph.Source{odd, bareSource{odd}} {
+		err := EulerianInput(src)
+		if err == nil || !strings.Contains(err.Error(), "2 vertices have odd degree (first: 0)") {
+			t.Fatalf("%T: odd degrees: %v", src, err)
+		}
 	}
-	disc := graph.FromEdges(6, [][2]graph.VertexID{
-		{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3},
-	})
-	if err := EulerianInput(disc); err == nil {
-		t.Fatal("disconnected accepted")
+	// Two disjoint cycles: even everywhere, disconnected; the second case
+	// adds isolated vertices (3 and 7), which do not join either cycle.
+	for _, disc := range []*graph.Graph{
+		graph.FromEdges(6, [][2]graph.VertexID{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}}),
+		graph.FromEdges(8, [][2]graph.VertexID{{0, 1}, {1, 2}, {2, 0}, {4, 5}, {5, 6}, {6, 4}}),
+	} {
+		err := EulerianInput(bareSource{disc})
+		if err == nil || !strings.Contains(err.Error(), "multiple connected components") {
+			t.Fatalf("disconnected: %v", err)
+		}
+	}
+	// Isolated vertices beside one cycle are fine.
+	if err := EulerianInput(graph.FromEdges(5, [][2]graph.VertexID{{1, 2}, {2, 3}, {3, 1}})); err != nil {
+		t.Fatalf("cycle with isolated vertices rejected: %v", err)
 	}
 }
 

@@ -50,7 +50,7 @@ func TestFindCircuitStreamSourceByteIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer pg.Close()
-			if err := CheckInputSource(pg); err != nil {
+			if err := CheckInput(pg); err != nil {
 				t.Fatal(err)
 			}
 
@@ -120,7 +120,7 @@ func TestCheckInputSourceRejects(t *testing.T) {
 	oddB := NewBuilder(3, 2) // path 0-1-2: endpoints have odd degree
 	oddB.AddEdge(0, 1)
 	oddB.AddEdge(1, 2)
-	if err := CheckInputSource(oddB.Build()); err == nil {
+	if err := CheckInput(oddB.Build()); err == nil {
 		t.Fatal("odd-degree graph accepted")
 	}
 	// Two disjoint cycles: even everywhere, disconnected.
@@ -128,10 +128,10 @@ func TestCheckInputSourceRejects(t *testing.T) {
 	for _, e := range [][2]int64{{0, 1}, {1, 2}, {2, 0}, {4, 5}, {5, 6}, {6, 4}} {
 		b.AddEdge(e[0], e[1])
 	}
-	if err := CheckInputSource(b.Build()); err == nil {
+	if err := CheckInput(b.Build()); err == nil {
 		t.Fatal("disconnected graph accepted")
 	}
-	if err := CheckInputSource(NewTorus(4, 4)); err != nil {
+	if err := CheckInput(NewTorus(4, 4)); err != nil {
 		t.Fatalf("torus rejected: %v", err)
 	}
 }

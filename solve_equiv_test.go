@@ -9,6 +9,8 @@ import (
 
 	euler "repro"
 	ieuler "repro/internal/euler"
+	"repro/internal/graph"
+	"repro/internal/oocgraph"
 )
 
 // TestEntryPointsMatchSolve: each FindCircuit* entry point is option
@@ -22,11 +24,11 @@ func TestEntryPointsMatchSolve(t *testing.T) {
 		for _, mode := range []euler.Mode{euler.ModeCurrent, euler.ModeDedup, euler.ModeProposed} {
 			t.Run(fmt.Sprintf("%s/%v", name, mode), func(t *testing.T) {
 				opts := []euler.Option{euler.WithPartitions(4), euler.WithSeed(3), euler.WithMode(mode)}
-				direct := func(spec ieuler.SolveSpec) (stepSum, *euler.Report, []byte) {
+				direct := func(src euler.GraphSource, spec ieuler.SolveSpec) (stepSum, *euler.Report, []byte) {
 					t.Helper()
 					spec.Parts, spec.Seed, spec.Mode = 4, 3, mode
 					var sum stepSum
-					report, record, err := ieuler.Solve(context.Background(), g, spec, sum.emit)
+					report, record, err := ieuler.Solve(context.Background(), src, spec, sum.emit)
 					if err != nil {
 						t.Fatalf("Solve(%+v): %v", spec, err)
 					}
@@ -52,7 +54,8 @@ func TestEntryPointsMatchSolve(t *testing.T) {
 					}
 				}
 
-				want, wantReport, _ := direct(ieuler.SolveSpec{})
+				want, wantReport, _ := direct(g, ieuler.SolveSpec{})
+				inMemory := want
 				c, err := euler.FindCircuit(g, opts...)
 				if err != nil {
 					t.Fatalf("FindCircuit: %v", err)
@@ -67,7 +70,7 @@ func TestEntryPointsMatchSolve(t *testing.T) {
 				report, err := euler.FindCircuitStream(g, streamed.emit, opts...)
 				check("FindCircuitStream", err, streamed, want, report, wantReport, nil, nil)
 
-				want, wantReport, wantRetained := direct(ieuler.SolveSpec{Retain: true})
+				want, wantReport, wantRetained := direct(g, ieuler.SolveSpec{Retain: true})
 				var kept stepSum
 				report, retained, err := euler.FindCircuitStreamRetain(g, kept.emit, opts...)
 				check("FindCircuitStreamRetain", err, kept, want, report, wantReport, retained, wantRetained)
@@ -79,7 +82,7 @@ func TestEntryPointsMatchSolve(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, wantReport, wantRetained = direct(ieuler.SolveSpec{Retain: true, Replay: base})
+				want, wantReport, wantRetained = direct(g, ieuler.SolveSpec{Retain: true, Replay: base})
 				var replayed stepSum
 				report, chained, err := euler.FindCircuitStreamDelta(g, replayed.emit, retained, opts...)
 				check("FindCircuitStreamDelta", err, replayed, want, report, wantReport, chained, wantRetained)
@@ -87,10 +90,24 @@ func TestEntryPointsMatchSolve(t *testing.T) {
 					t.Error("FindCircuitStreamDelta of the unchanged graph reused nothing")
 				}
 
-				want, wantReport, _ = direct(ieuler.SolveSpec{OutOfCore: true, SpillDir: filepath.Join(t.TempDir(), "direct")})
+				// The out-of-core leg reads a paged disk CSR of g's file.
+				dir := t.TempDir()
+				path := filepath.Join(dir, "graph.bin")
+				if err := graph.WriteFile(path, g); err != nil {
+					t.Fatal(err)
+				}
+				pg, err := oocgraph.BuildPaged(path, oocgraph.BuildOptions{Dir: dir, PageHalves: 64, MemBytes: 4 * 64 * 16})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer pg.Close()
+				want, wantReport, _ = direct(pg, ieuler.SolveSpec{SpillDir: filepath.Join(dir, "direct")})
 				var paged stepSum
-				report, err = euler.FindCircuitStreamSource(g, filepath.Join(t.TempDir(), "facade"), paged.emit, opts...)
+				report, err = euler.FindCircuitStreamSource(pg, filepath.Join(dir, "facade"), paged.emit, opts...)
 				check("FindCircuitStreamSource", err, paged, want, report, wantReport, nil, nil)
+				if want != inMemory {
+					t.Errorf("paged Solve: circuit %016x, in-memory %016x", want.sum, inMemory.sum)
+				}
 			})
 		}
 	}
