@@ -1,10 +1,12 @@
 // Package bsp is a hand-built Bulk Synchronous Parallel engine: the
 // substrate this reproduction uses in place of the paper's Apache Spark
 // deployment.  Workers (one per graph partition, each standing in for a
-// Spark executor on its own VM) execute supersteps concurrently as
-// goroutines; messages sent during superstep s are delivered in bulk after
-// a global barrier at the start of superstep s+1, exactly the Pregel/BSP
-// semantics of Valiant's model that the paper's algorithm assumes.
+// Spark executor on its own VM) are virtual processors: each superstep the
+// active workers run on Slots() goroutines, at most GOMAXPROCS, which take
+// them in worker order (Valiant's parallel slackness).  Messages sent
+// during superstep s are delivered in bulk after a global barrier at the
+// start of superstep s+1, exactly the Pregel/BSP semantics of Valiant's
+// model that the paper's algorithm assumes.
 //
 // The engine measures real per-worker compute time and byte-counts every
 // message.  A CostModel converts those observations into the
@@ -15,7 +17,9 @@ package bsp
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -32,7 +36,8 @@ type Message struct {
 
 // Program is the per-worker compute function of one BSP job.  Compute is
 // invoked once per superstep for every active worker, concurrently with
-// other workers; it must only touch worker-local state plus the Context.
+// the workers on other slots; it must only touch worker-local state, the
+// Context, and working memory indexed by Context.Slot.
 type Program interface {
 	Compute(ctx *Context) error
 }
@@ -46,6 +51,7 @@ func (f ProgramFunc) Compute(ctx *Context) error { return f(ctx) }
 // Context is the per-worker, per-superstep view handed to Program.Compute.
 type Context struct {
 	worker    int
+	slot      int
 	superstep int
 	inbox     []Message
 	outbox    []Message
@@ -55,6 +61,12 @@ type Context struct {
 
 // Worker returns this worker's index in [0, NumWorkers).
 func (c *Context) Worker() int { return c.worker }
+
+// Slot returns the index, in [0, Engine.Slots()), of the goroutine running
+// this call.  Two Compute calls that run at the same time never share a
+// slot, so working memory indexed by slot needs no lock; it is free again
+// once the call returns.
+func (c *Context) Slot() int { return c.slot }
 
 // Superstep returns the current superstep number, starting at 0.
 func (c *Context) Superstep() int { return c.superstep }
@@ -90,13 +102,15 @@ func (c *Context) SendRef(to int, ref any, size int64) {
 func (c *Context) VoteToHalt() { c.halted = true }
 
 // StageStat records one superstep for the engine trace (the textual
-// analogue of the paper's Fig. 3 Spark DAG).
+// analogue of the paper's Fig. 3 Spark DAG).  A worker's compute time runs
+// while it holds a slot; a wait for a free slot counts in no compute term,
+// so it shows as stage wall time beyond MaxCompute.
 type StageStat struct {
 	Superstep     int
 	ActiveWorkers int
 	Messages      int64
 	Bytes         int64
-	MaxCompute    time.Duration // slowest worker's real compute time
+	MaxCompute    time.Duration // slowest worker's real compute time, slot held
 	SumCompute    time.Duration // total real compute across workers
 	Modeled       time.Duration // modeled wall time incl. platform overhead
 	Wire          time.Duration // real barrier/transfer time on the transport
@@ -166,12 +180,12 @@ func MergeMetrics(ms ...Metrics) Metrics {
 // a LocalTransport; a distributed engine instance hosts a sub-range and
 // exchanges the rest through its Transport.
 type Engine struct {
-	nworkers   int
-	lo, hi     int
-	transport  Transport
-	cost       CostModel
-	maxSteps   int
-	sequential bool
+	nworkers  int
+	lo, hi    int
+	slots     int
+	transport Transport
+	cost      CostModel
+	maxSteps  int
 }
 
 // Option configures an Engine.
@@ -203,14 +217,14 @@ func WithWorkerRange(lo, hi int) Option {
 	return func(e *Engine) { e.lo, e.hi = lo, hi }
 }
 
-// WithSequentialWorkers runs the workers of each superstep one at a time
-// instead of concurrently.  BSP semantics are unchanged (messages still
-// deliver at the barrier), but per-worker compute timings become free of
-// scheduler and memory-bandwidth interference — the configuration used for
-// the Fig. 7 complexity measurements, where each paper "worker" had a
-// dedicated VM.
+// WithSequentialWorkers gives the engine one slot, so the workers of each
+// superstep run one at a time in worker order.  BSP semantics are
+// unchanged (messages still deliver at the barrier), but per-worker
+// compute timings become free of memory-bandwidth interference — the
+// configuration used for the Fig. 7 complexity measurements, where each
+// paper "worker" had a dedicated VM.
 func WithSequentialWorkers() Option {
-	return func(e *Engine) { e.sequential = true }
+	return func(e *Engine) { e.slots = 1 }
 }
 
 // New returns an Engine with nworkers workers.
@@ -228,11 +242,20 @@ func New(nworkers int, opts ...Option) *Engine {
 	if e.transport == nil {
 		e.transport = LocalTransport{}
 	}
+	if e.slots == 0 {
+		e.slots = min(runtime.GOMAXPROCS(0), e.hi-e.lo)
+	}
 	return e
 }
 
 // NumWorkers returns the engine's worker count.
 func (e *Engine) NumWorkers() int { return e.nworkers }
+
+// Slots returns how many workers this instance runs at once: GOMAXPROCS
+// capped by the hosted worker count (one with WithSequentialWorkers),
+// fixed when the engine is built.  A program sizes per-slot working
+// memory by it.
+func (e *Engine) Slots() int { return e.slots }
 
 // Run executes p to termination: all workers halted with no messages in
 // flight, cluster-wide when the transport is remote.  It returns the run
@@ -260,10 +283,23 @@ func (e *Engine) Run(p Program) (Metrics, error) {
 			}
 		}
 
+		// The active workers run on up to Slots() goroutines, each taking
+		// the next worker in ID order.  A worker's compute clock runs
+		// only while it holds a slot; the wait for one shows up as wall
+		// time beyond the critical path.
 		ctxs := make([]*Context, len(active))
 		compute := make([]time.Duration, len(active))
 		errs := make([]error, len(active))
-		runWorker := func(i int) {
+		for i, w := range active {
+			ctxs[i] = &Context{
+				worker:    w,
+				superstep: step,
+				inbox:     inboxes[w],
+				nworkers:  e.nworkers,
+			}
+		}
+		runWorker := func(i, slot int) {
+			ctxs[i].slot = slot
 			start := time.Now()
 			defer func() {
 				compute[i] = time.Since(start)
@@ -275,29 +311,18 @@ func (e *Engine) Run(p Program) (Metrics, error) {
 			}()
 			errs[i] = p.Compute(ctxs[i])
 		}
-		for i, w := range active {
-			ctxs[i] = &Context{
-				worker:    w,
-				superstep: step,
-				inbox:     inboxes[w],
-				nworkers:  e.nworkers,
-			}
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for slot := range min(e.slots, len(active)) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1) - 1); i < len(active); i = int(next.Add(1) - 1) {
+					runWorker(i, slot)
+				}
+			}()
 		}
-		if e.sequential {
-			for i := range active {
-				runWorker(i)
-			}
-		} else {
-			var wg sync.WaitGroup
-			for i := range active {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					runWorker(i)
-				}(i)
-			}
-			wg.Wait()
-		}
+		wg.Wait()
 		for _, err := range errs {
 			if err != nil {
 				return m, fmt.Errorf("bsp: superstep %d: %w", step, err)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -224,6 +225,96 @@ func TestWorkerIsolation(t *testing.T) {
 	for w, n := range seen {
 		if n != 1 {
 			t.Errorf("worker %d ran %d times, want 1", w, n)
+		}
+	}
+}
+
+// TestSlotsCount: an engine runs min(GOMAXPROCS, hosted workers) slots,
+// one when sequential.
+func TestSlotsCount(t *testing.T) {
+	if got, want := New(64).Slots(), min(runtime.GOMAXPROCS(0), 64); got != want {
+		t.Errorf("New(64).Slots() = %d, want %d", got, want)
+	}
+	if got := New(64, WithWorkerRange(0, 1)).Slots(); got != 1 {
+		t.Errorf("one hosted worker: Slots() = %d, want 1", got)
+	}
+	if got := New(64, WithSequentialWorkers()).Slots(); got != 1 {
+		t.Errorf("sequential: Slots() = %d, want 1", got)
+	}
+}
+
+// TestSlotExclusive runs 64 workers over three supersteps on more slots
+// than one: no two concurrent calls share a Slot(), at most Slots() calls
+// are in flight, and every active worker computes exactly once per
+// superstep.
+func TestSlotExclusive(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const workers, steps = 64, 3
+	e := New(workers)
+	busy := make([]atomic.Bool, e.Slots())
+	var inflight, peak atomic.Int64
+	var calls [steps][workers]atomic.Int64
+	_, err := e.Run(ProgramFunc(func(ctx *Context) error {
+		slot := ctx.Slot()
+		if slot < 0 || slot >= e.Slots() {
+			return fmt.Errorf("worker %d: slot %d outside [0, %d)", ctx.Worker(), slot, e.Slots())
+		}
+		if !busy[slot].CompareAndSwap(false, true) {
+			return fmt.Errorf("worker %d: slot %d already busy", ctx.Worker(), slot)
+		}
+		n := inflight.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		calls[ctx.Superstep()][ctx.Worker()].Add(1)
+		for i := 0; i < 1000; i++ { // widen the window for overlap
+			runtime.Gosched()
+		}
+		inflight.Add(-1)
+		busy[slot].Store(false)
+		if ctx.Superstep() < steps-1 {
+			ctx.Send((ctx.Worker()+1)%workers, []byte{1})
+		}
+		ctx.VoteToHalt()
+		return nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p > int64(e.Slots()) || p < 1 {
+		t.Errorf("peak in-flight calls %d, want 1..%d", p, e.Slots())
+	}
+	for s := range calls {
+		for w := range calls[s] {
+			if n := calls[s][w].Load(); n != 1 {
+				t.Errorf("superstep %d: worker %d computed %d times, want 1", s, w, n)
+			}
+		}
+	}
+}
+
+// TestSlotPanicSurfaces: a panicking worker becomes its own error while
+// its slot goes on to run the remaining workers, and Run reports the
+// first failure by worker index.
+func TestSlotPanicSurfaces(t *testing.T) {
+	for _, opts := range [][]Option{nil, {WithSequentialWorkers()}} {
+		const workers = 16
+		var ran atomic.Int64
+		_, err := New(workers, opts...).Run(ProgramFunc(func(ctx *Context) error {
+			ran.Add(1)
+			switch ctx.Worker() {
+			case 5:
+				panic("kaboom")
+			case 9:
+				return errors.New("later failure")
+			}
+			ctx.VoteToHalt()
+			return nil
+		}))
+		if err == nil || !strings.Contains(err.Error(), "worker 5 panic: kaboom") {
+			t.Errorf("err = %v, want worker 5's panic", err)
+		}
+		if n := ran.Load(); n != workers {
+			t.Errorf("%d of %d workers ran after the panic", n, workers)
 		}
 	}
 }

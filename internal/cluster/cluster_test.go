@@ -150,14 +150,14 @@ func TestClusterKilledWorkerFailsCleanly(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		wp := euler.NewWorkerProgram(plan)
+		e := bsp.New(plan.NumWorkers, bsp.WithWorkerRange(plan.Lo, plan.Hi), bsp.WithTransport(nodeJob.Transport))
+		wp := euler.NewWorkerProgram(plan, e.Slots())
 		killer := bsp.ProgramFunc(func(c *bsp.Context) error {
 			if c.Superstep() == 1 && killOnce.CompareAndSwap(true, false) {
 				nodeJob.Transport.Close()
 			}
 			return wp.Compute(c)
 		})
-		e := bsp.New(plan.NumWorkers, bsp.WithWorkerRange(plan.Lo, plan.Hi), bsp.WithTransport(nodeJob.Transport))
 		m, err := e.Run(struct {
 			bsp.Program
 			bsp.BarrierHooks

@@ -18,8 +18,9 @@ import (
 // Result is byte-for-byte what the single-process Run would produce for
 // the same input — Phase 3 unrolls it locally.
 //
-// Each node runs its workers concurrently: cfg.Sequential and cfg.Cost
-// shape only the in-process Run and never reach the nodes.  On any node
+// Each node runs its hosted workers on its own engine's slots (at most
+// the node's GOMAXPROCS at once): cfg.Sequential and cfg.Cost shape only
+// the in-process Run and never reach the nodes.  On any node
 // failure the job is aborted cluster-wide and an error returned; nothing
 // of the partial run is retained.
 func RunOverCluster(ctx context.Context, hub *bsp.Hub, g *graph.Graph, a partition.Assignment, cfg Config, minNodes int) (*Result, *bsp.JobStats, error) {
@@ -96,8 +97,8 @@ func RunWorkerNode(nodeJob *bsp.NodeJob) ([]byte, error) {
 		return nil, fmt.Errorf("euler: plan slice [%d, %d) of %d workers does not match assignment [%d, %d) of %d",
 			plan.Lo, plan.Hi, plan.NumWorkers, nodeJob.Lo, nodeJob.Hi, nodeJob.NumWorkers)
 	}
-	wp := NewWorkerProgram(plan)
 	engine := bsp.New(plan.NumWorkers, bsp.WithWorkerRange(plan.Lo, plan.Hi), bsp.WithTransport(nodeJob.Transport))
+	wp := NewWorkerProgram(plan, engine.Slots())
 	m, err := engine.Run(wp)
 	if err != nil {
 		return nil, err

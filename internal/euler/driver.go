@@ -25,8 +25,9 @@ type Config struct {
 	// Validate enables per-level invariant checking (parity, Lemma 1
 	// counts); it roughly doubles merge cost and is meant for tests.
 	Validate bool
-	// Sequential runs the BSP workers of each superstep one at a time, for
-	// interference-free per-partition timing (Fig. 7).
+	// Sequential gives the BSP engine one slot, so the workers of each
+	// superstep run one at a time, for interference-free per-partition
+	// timing (Fig. 7); otherwise they run on GOMAXPROCS slots.
 	Sequential bool
 	// Record retains replay material (the pristine plan plus every node's
 	// Phase 1 outcome and spilled bodies) in the result, so a later run on
@@ -124,13 +125,12 @@ func Run(g graph.Source, a partition.Assignment, cfg Config) (*Result, error) {
 		}
 	}
 
-	program := newPartProgram(plan, deps)
-
 	engineOpts := []bsp.Option{bsp.WithCostModel(cfg.Cost), bsp.WithTransport(bsp.LocalTransport{})}
 	if cfg.Sequential {
 		engineOpts = append(engineOpts, bsp.WithSequentialWorkers())
 	}
 	engine := bsp.New(n, engineOpts...)
+	program := newPartProgram(plan, deps, engine.Slots())
 	wallStart := time.Now()
 	metrics, err := engine.Run(program)
 	wall := time.Since(wallStart)

@@ -84,10 +84,11 @@ func TestHandoffLocalByReference(t *testing.T) {
 					}
 					store := spill.NewMemStore()
 					registry := NewRegistry(store, g.NumVertices(), plan.NumWorkers)
-					program := newPartProgram(plan, progDeps{store: store, visited: registry.IsVisited, absorb: registry.Absorb})
+					engine := bsp.New(plan.NumWorkers, bsp.WithTransport(bsp.LocalTransport{}))
+					program := newPartProgram(plan, progDeps{store: store, visited: registry.IsVisited, absorb: registry.Absorb}, engine.Slots())
 					var refs, payloads atomic.Int64
 					obs := &handoffObserver{t: t, inner: program, lo: 0, hi: plan.NumWorkers, refs: &refs, payloads: &payloads}
-					if _, err := bsp.New(plan.NumWorkers, bsp.WithTransport(bsp.LocalTransport{})).Run(obs); err != nil {
+					if _, err := engine.Run(obs); err != nil {
 						t.Fatal(err)
 					}
 					if want := mergePairs(t, g, a); refs.Load() != want || payloads.Load() != 0 {
@@ -126,9 +127,9 @@ func TestHandoffClusterAccounting(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
-				wp := NewWorkerProgram(plan)
-				obs := &handoffObserver{t: t, inner: wp, lo: plan.Lo, hi: plan.Hi, refs: &refs, payloads: &payloads}
 				e := bsp.New(plan.NumWorkers, bsp.WithWorkerRange(plan.Lo, plan.Hi), bsp.WithTransport(job.Transport))
+				wp := NewWorkerProgram(plan, e.Slots())
+				obs := &handoffObserver{t: t, inner: wp, lo: plan.Lo, hi: plan.Hi, refs: &refs, payloads: &payloads}
 				m, err := e.Run(struct {
 					*handoffObserver
 					bsp.BarrierHooks

@@ -116,8 +116,8 @@ func runObserved(t *testing.T, g *graph.Graph, a partition.Assignment, mode Mode
 		}
 		deps.replay = func(w, s int) *NodeRecord { return set[nodeKey{w, s}] }
 	}
-	program := newPartProgram(plan, deps)
 	engine := bsp.New(plan.NumWorkers, bsp.WithTransport(bsp.LocalTransport{}))
+	program := newPartProgram(plan, deps, engine.Slots())
 	if _, err := engine.Run(&longsObserver{t: t, inner: program, mode: mode}); err != nil {
 		t.Fatal(err)
 	}

@@ -206,10 +206,10 @@ func stubLess(a, b Stub) bool {
 	return a.ConvertLevel < b.ConvertLevel
 }
 
-// mergeScratch is one worker's Phase 2 working memory, reused across
-// levels like phase1Scratch.  local backs the merged state's Local set —
-// deliberately not the Phase 1 scratch's OB-pair buffer, which the tour
-// appends to while it still reads the merged Local.
+// mergeScratch is one engine slot's Phase 2 working memory, reused across
+// merges like phase1Scratch.  local backs the merged state's Local set
+// until the tour that follows in the same Compute call replaces it with
+// the state's own OB pairs (see scratch.go).
 type mergeScratch struct {
 	local []CoarseEdge
 	stubs []Stub // spare stub list, swapped with the state's at each merge
@@ -233,7 +233,8 @@ type mergeScratch struct {
 // (reallocated once, exactly, when the carried edges outgrow it), Stubs
 // into the spare list.  Converted edges keep the order of their first
 // stored copy in parent, child, delivered order.  child is left unchanged;
-// parent.Local aliases the scratch until the scratch's next merge.
+// parent.Local aliases the scratch until the scratch's next merge, so the
+// caller tours parent before the scratch merges again.
 //
 // sink is the time spent on the parent's own state (Fig. 6's copy-sink
 // term); the caller books the rest of the call as create-obj.

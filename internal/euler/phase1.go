@@ -27,12 +27,15 @@ func (s Phase1Stats) Expected() int64 { return s.Boundary + s.Internal + s.Local
 
 // Phase1Result is the output of one Phase 1 execution on a partition.
 //
-// When a scratch was supplied to phase1, every slice of the result aliases
-// scratch memory and is only valid until the scratch's next tour; consumers
-// (Registry.Absorb, the next level's merge) copy what they keep.
+// OBPairs is always freshly allocated: it becomes the state's Local set,
+// and a state owns everything it points to.  When a scratch was supplied
+// to phase1, Recs, Seeds and Visited alias scratch memory and are only
+// valid until the scratch's next tour; consumers (Registry.Absorb, the
+// retention recorder) copy what they keep.
 type Phase1Result struct {
 	// OBPairs are the coarse OB-pair edges replacing the consumed local
 	// edges; they become the partition's Local set for the next level.
+	// The slice holds exactly Stats.OB/2 entries.
 	OBPairs []CoarseEdge
 	// Recs is the pathMap metadata for every path/cycle found, in
 	// deterministic discovery order.
@@ -68,7 +71,7 @@ type half struct {
 // always splice them (see Registry.Unroll).  It may be nil at level 0.
 //
 // sc supplies reusable working memory; nil allocates a private scratch, in
-// which case the result does not alias shared storage.
+// which case no slice of the result aliases shared storage.
 func phase1(state *PartState, level int, store spill.Store, globallyVisited func(graph.VertexID) bool, sc *phase1Scratch) (*Phase1Result, error) {
 	prepStart := time.Now()
 	if sc == nil {
@@ -153,14 +156,18 @@ func phase1(state *PartState, level int, store spill.Store, globallyVisited func
 	}
 
 	res.Visited = sc.visited[:0]
-	res.OBPairs = sc.obpairs[:0]
+	res.OBPairs = make([]CoarseEdge, 0, res.Stats.OB/2) // one per OB pair (Lemma 1)
 	res.Recs = sc.recs[:0]
 	res.Seeds = sc.seeds[:0]
+	// No walk is longer than the local edge set; one buffer of that size
+	// never regrows mid-walk.
+	if cap(sc.items) < len(state.Local) {
+		sc.items = make([]Item, 0, len(state.Local))
+	}
 	defer func() {
 		// Hand the (possibly regrown) backing arrays back for the next tour.
 		sc.pending = pending
 		sc.visited = res.Visited
-		sc.obpairs = res.OBPairs
 		sc.recs = res.Recs
 		sc.seeds = res.Seeds
 	}()

@@ -99,8 +99,8 @@ func TestWorkerResultRoundTrip(t *testing.T) {
 
 	// Drive the worker program to completion over a local transport (a
 	// full-range node) so the result payload carries real reports.
-	wp := NewWorkerProgram(slice)
 	engine := bsp.New(4, bsp.WithTransport(bsp.LocalTransport{}))
+	wp := NewWorkerProgram(slice, engine.Slots())
 	metrics, err := engine.Run(wp)
 	if err != nil {
 		t.Fatal(err)
@@ -153,12 +153,14 @@ func TestAbsorbSinkBandRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wp := NewWorkerProgram(slice)
 	store := spill.NewMemStore()
 	reg := NewRegistry(store, g.NumVertices(), 4)
 	sink := NewAbsorbSink(reg, store)
 
-	engine := bsp.New(4, bsp.WithTransport(bandLoop{wp: wp, sink: sink}))
+	loop := &bandLoop{sink: sink}
+	engine := bsp.New(4, bsp.WithTransport(loop))
+	wp := NewWorkerProgram(slice, engine.Slots())
+	loop.wp = wp
 	if _, err := engine.Run(wp); err != nil {
 		t.Fatal(err)
 	}

@@ -32,13 +32,12 @@ type progDeps struct {
 	init spill.Store
 }
 
-// workerState is the per-worker mutable state of one run.
+// workerState is the per-worker mutable state of one run.  It holds no
+// working memory: that belongs to the engine slot running the worker.
 type workerState struct {
 	state   *PartState
 	parked  map[int32][]RemoteEdge
 	reports []PartReport
-	scratch *phase1Scratch
-	merge   mergeScratch
 	// carried is the distinct-vertex count of state between tours: a
 	// post-tour state's vertices are exactly its boundary vertices (every
 	// OB-pair endpoint has a remote edge or a stub), which Phase 1 counts.
@@ -59,19 +58,29 @@ type partProgram struct {
 	plan    *Plan
 	deps    progDeps
 	workers []*workerState // indexed w - plan.Lo
+	// scratch and merge are the Phase 1 and merge working memory of each
+	// engine slot (indexed by bsp.Context.Slot); see scratch.go for what
+	// a state may keep pointing into once its Compute call returns.
+	scratch []*phase1Scratch
+	merge   []mergeScratch
 	// liveLongs[w-plan.Lo][s] is the worker's state size while superstep
 	// s ran: Phase 1 input size for computing partitions, the carried
 	// state for idle ones (Fig. 8's per-level memory accounting).
 	liveLongs [][]int64
 }
 
-// newPartProgram builds the program for the plan's hosted worker range.
-func newPartProgram(plan *Plan, deps progDeps) *partProgram {
+// newPartProgram builds the program for the plan's hosted worker range,
+// run by an engine with the given slot count (bsp.Engine.Slots).
+func newPartProgram(plan *Plan, deps progDeps, slots int) *partProgram {
 	local := plan.Hi - plan.Lo
-	p := &partProgram{plan: plan, deps: deps}
+	p := &partProgram{plan: plan, deps: deps, merge: make([]mergeScratch, slots)}
 	p.workers = make([]*workerState, local)
 	for i := range p.workers {
-		p.workers[i] = &workerState{parked: plan.Parked[i], scratch: newPhase1Scratch()}
+		p.workers[i] = &workerState{parked: plan.Parked[i]}
+	}
+	p.scratch = make([]*phase1Scratch, slots)
+	for i := range p.scratch {
+		p.scratch[i] = newPhase1Scratch()
 	}
 	p.liveLongs = make([][]int64, local)
 	for i := range p.liveLongs {
@@ -86,6 +95,7 @@ func (p *partProgram) Compute(ctx *bsp.Context) error {
 	w, s := ctx.Worker(), ctx.Superstep()
 	plan := p.plan
 	wc := p.workers[w-plan.Lo]
+	sc, ms := p.scratch[ctx.Slot()], &p.merge[ctx.Slot()]
 	var pr PartReport
 	computing := false
 	replayed := false
@@ -190,7 +200,7 @@ func (p *partProgram) Compute(ctx *bsp.Context) error {
 			// cost; the child and convert fold builds the new level's
 			// partition object.
 			t0 := time.Now()
-			sink, err := wc.merge.merge(wc.state, child, s-1, plan.Mode, delivered)
+			sink, err := ms.merge(wc.state, child, s-1, plan.Mode, delivered)
 			if err != nil {
 				return fmt.Errorf("worker %d superstep %d: %w", w, s, err)
 			}
@@ -211,7 +221,7 @@ func (p *partProgram) Compute(ctx *bsp.Context) error {
 				return fmt.Errorf("worker %d superstep %d: %w", w, s, err)
 			}
 		}
-		res, err := phase1(wc.state, s, p.deps.store, p.deps.visited, wc.scratch)
+		res, err := phase1(wc.state, s, p.deps.store, p.deps.visited, sc)
 		if err != nil {
 			return err
 		}
@@ -237,7 +247,7 @@ func (p *partProgram) Compute(ctx *bsp.Context) error {
 		p.liveLongs[w-plan.Lo][s] = pr.LongsAtStart
 	} else if wc.state != nil {
 		if replayed {
-			wc.carried = int64(wc.scratch.intern(wc.state))
+			wc.carried = int64(sc.intern(wc.state))
 		}
 		p.liveLongs[w-plan.Lo][s] = wc.state.longsWith(wc.carried)
 	}

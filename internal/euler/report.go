@@ -14,8 +14,11 @@ type PartReport struct {
 	Part  int // parent leaf ID naming the (merged) partition
 
 	// User compute time split (Fig. 6).  The four terms are disjoint
-	// slices of the worker's Compute call for this level; what they leave
-	// out is sending the state on and absorbing the tour's results.
+	// slices of the worker's Compute call for this level, which runs
+	// while the worker holds an engine slot; what they leave out is
+	// sending the state on and absorbing the tour's results.  Time spent
+	// waiting for a slot is in no term: it shows in the run's wall time
+	// beyond the BSP critical path.
 	//
 	// CopySrc is deserialising the received parked batches, and the
 	// child state when it arrives encoded from another engine instance (a

@@ -2,24 +2,25 @@ package euler
 
 import "repro/internal/graph"
 
-// phase1Scratch holds the reusable working memory of one worker's Phase 1
-// executions.  A worker runs Phase 1 once per merge-tree level on states of
-// similar or shrinking size, so after the first level the buffers are
-// warm and a tour allocates (almost) nothing.
+// phase1Scratch holds the reusable working memory of one engine slot's
+// Phase 1 executions.  The engine runs at most Slots() workers at once and
+// each Compute call holds its slot until it returns, so a program keeps
+// one phase1Scratch and one mergeScratch per slot, not per worker; a slot
+// tours states of similar size level after level, so after the first tour
+// the buffers are warm and a tour allocates (almost) nothing.
 //
-// A scratch must only be reused once every slice handed out through the
-// previous Phase1Result has been consumed.  The driver guarantees this:
-// results are absorbed into the Registry (which copies) within the same
-// superstep.  The OBPairs slice lives on as the partition's Local set and
-// so keeps aliasing the scratch between tours; before the same worker's
-// next tour its merge copies that set into the worker's mergeScratch
-// buffer (never into this one: the tour appends OB pairs here while it
-// still reads the merged Local).  A worker that sends its state away
-// encodes it when the parent is on another engine instance; a co-hosted
-// parent receives the state itself, whose Local still aliases the
-// sender's scratch.  That is valid only because a merge child never tours
-// again: before a scratch is shared between workers, OBPairs must be
-// copied into memory the worker owns.
+// The ownership rule that makes this safe: a PartState owns everything it
+// points to, and nothing in a scratch outlives the Compute call that
+// filled it.  Phase 1 writes OBPairs, the state's next Local set, into a
+// fresh exactly sized slice.  Recs, Seeds and Visited stay in the scratch;
+// the registry absorb and the retention recorder copy them within the
+// same call.  The merge builds the merged Local in its slot's mergeScratch
+// and the tour in the same call replaces it with the fresh OBPairs (the
+// merge writes there, never into this scratch: the tour appends OB pairs
+// while it still reads the merged Local).  The merge's stub-list swap
+// hands the parent's old list to the slot, which no state references
+// afterwards.  A state may therefore move to another worker, by pointer or
+// encoded, and the slot may tour any other state next.
 type phase1Scratch struct {
 	verts   []graph.VertexID // interned vertex IDs, first-occurrence order
 	htab    []int32          // open-addressing vertex→index table (idx+1, 0=empty)
@@ -40,7 +41,6 @@ type phase1Scratch struct {
 	items   []Item           // body of the walk in progress
 	enc     []byte           // body encode buffer
 	visited []graph.VertexID // Phase1Result.Visited backing
-	obpairs []CoarseEdge     // Phase1Result.OBPairs backing
 	recs    []PathRec        // Phase1Result.Recs backing
 	seeds   []PathID         // Phase1Result.Seeds backing
 }
@@ -48,12 +48,19 @@ type phase1Scratch struct {
 // newPhase1Scratch returns an empty scratch; buffers grow on first use.
 func newPhase1Scratch() *phase1Scratch { return &phase1Scratch{} }
 
+// internStartBits caps the intern table's starting size at 2¹⁰ slots: the
+// table doubles as vertices arrive, so it tracks the distinct vertex
+// count rather than the endpoint occurrences that bound it.
+const internStartBits = 10
+
 // intern builds the state's local vertex index into the scratch and
 // returns the number of distinct vertices: all endpoints of local edges
 // plus remote-only boundary vertices, interned in first-occurrence order
-// through an open-addressing table (linear probing, Fibonacci hash, at
-// least half empty).  First-occurrence order is a deterministic function
-// of the state, so runs stay reproducible.  On return sc.verts lists the
+// through an open-addressing table (linear probing, Fibonacci hash).  The
+// table starts at 2¹⁰ slots, fewer for a small state, and doubles once
+// it passes half full, re-inserting the vertices in order so that every
+// index stays put.  First-occurrence order is a deterministic function of
+// the state, so runs stay reproducible.  On return sc.verts lists the
 // vertices and sc.eu/ev, sc.ri and sc.si hold the local index of every
 // local-edge endpoint, remote-edge Local endpoint and stub vertex.
 //
@@ -62,23 +69,42 @@ func newPhase1Scratch() *phase1Scratch { return &phase1Scratch{} }
 func (sc *phase1Scratch) intern(state *PartState) int32 {
 	occ := 2*len(state.Local) + len(state.Remote) + len(state.Stubs)
 	tabBits := 3
-	for (1 << tabBits) < 2*occ {
+	for tabBits < internStartBits && (1<<tabBits) < 2*occ {
 		tabBits++
 	}
-	htab := grow(sc.htab, 1<<tabBits)
-	sc.htab = htab
-	clear(htab)
-	mask := uint64(1)<<tabBits - 1
-	shift := uint(64 - tabBits)
+	const fib = 0x9E3779B97F4A7C15
 	verts := sc.verts[:0]
+	var htab []int32 // vertex→index table (idx+1, 0=empty)
+	var mask uint64
+	var shift uint
+	// resize empties the table at 2^tabBits slots and re-inserts verts.
+	resize := func() {
+		htab = grow(sc.htab, 1<<tabBits)
+		sc.htab = htab
+		clear(htab)
+		mask = uint64(1)<<tabBits - 1
+		shift = uint(64 - tabBits)
+		for i, v := range verts {
+			h := (uint64(v) * fib) >> shift
+			for htab[h] != 0 {
+				h = (h + 1) & mask
+			}
+			htab[h] = int32(i + 1)
+		}
+	}
+	resize()
 	// idxOf interns v, returning its local index.
 	idxOf := func(v graph.VertexID) int32 {
-		h := (uint64(v) * 0x9E3779B97F4A7C15) >> shift
+		h := (uint64(v) * fib) >> shift
 		for {
 			e := htab[h]
 			if e == 0 {
 				verts = append(verts, v)
 				htab[h] = int32(len(verts))
+				if 2*len(verts) > len(htab) {
+					tabBits++
+					resize()
+				}
 				return int32(len(verts) - 1)
 			}
 			if verts[e-1] == v {

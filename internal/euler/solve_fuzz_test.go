@@ -60,32 +60,77 @@ func fuzzMultigraph(rng *rand.Rand, size int) *graph.Graph {
 	return b.Build()
 }
 
+// withTriangle returns g plus the triangle a-b-c over three distinct
+// vertices of nonzero degree drawn by rng, or nil when g has fewer than
+// three such vertices.  The patch keeps every degree even and the graph
+// connected.
+func withTriangle(rng *rand.Rand, g *graph.Graph) *graph.Graph {
+	var touched []graph.VertexID
+	for v := graph.VertexID(0); v < g.NumVertices(); v++ {
+		if g.Degree(v) > 0 {
+			touched = append(touched, v)
+		}
+	}
+	if len(touched) < 3 {
+		return nil
+	}
+	rng.Shuffle(len(touched), func(i, j int) { touched[i], touched[j] = touched[j], touched[i] })
+	a, b, c := touched[0], touched[1], touched[2]
+	bld := graph.NewBuilder(g.NumVertices(), int(g.NumEdges())+3)
+	for _, e := range g.Edges() {
+		bld.AddEdge(e.U, e.V)
+	}
+	bld.AddEdge(a, b)
+	bld.AddEdge(b, c)
+	bld.AddEdge(c, a)
+	return bld.Build()
+}
+
 // FuzzSolveEquivalence solves a random Eulerian multigraph under random
-// parts, seed and mode twice: in memory, and from a PagedGraph of its
-// EULGRPH1 file whose page budget is the two-page floor, so adjacency
-// pages are evicted throughout the run.  Both circuits must verify and
-// match step for step, and both runs must report the same BSP messages,
-// bytes and supersteps.  The seed corpus is under testdata/fuzz.
+// parts, seed and mode through three specs:
+//   - in memory, retaining a replay record;
+//   - from a PagedGraph of its EULGRPH1 file whose page budget is the
+//     two-page floor, so adjacency pages are evicted throughout the run;
+//   - replaying the record, first on the same graph (every node replays,
+//     so no partition tours) and then on the graph plus one triangle,
+//     against a from-scratch solve of that patched graph.
+//
+// Every circuit must verify, each pair must match step for step, and the
+// paged run must report the in-memory run's BSP messages, bytes and
+// supersteps.  The seed corpus is under testdata/fuzz.
 func FuzzSolveEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, size, parts, mode uint8) {
 		g := fuzzMultigraph(rand.New(rand.NewSource(seed)), 1+int(size)%48)
 		spec := SolveSpec{Parts: 1 + int32(parts)%8, Seed: seed, Mode: allModes[int(mode)%len(allModes)]}
-		solve := func(src graph.Source, spec SolveSpec) ([]Step, *RunReport) {
+		solve := func(src graph.Source, ref *graph.Graph, spec SolveSpec) ([]Step, *RunReport, *RunRecord) {
 			t.Helper()
 			var steps []Step
-			report, _, err := Solve(context.Background(), src, spec, func(s Step) error {
+			report, record, err := Solve(context.Background(), src, spec, func(s Step) error {
 				steps = append(steps, s)
 				return nil
 			})
 			if err != nil {
 				t.Fatalf("Solve(%T, %+v): %v", src, spec, err)
 			}
-			if err := verify.Circuit(g, steps); err != nil {
+			if err := verify.Circuit(ref, steps); err != nil {
 				t.Fatalf("Solve(%T, %+v): %v", src, spec, err)
 			}
-			return steps, report
+			return steps, report, record
 		}
-		want, wantReport := solve(g, spec)
+		same := func(what string, got, want []Step) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("%s circuit has %d steps, want %d", what, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s step %d: %v, want %v", what, i, got[i], want[i])
+				}
+			}
+		}
+		retain := spec
+		retain.Retain = true
+		want, wantReport, record := solve(g, g, retain)
 
 		dir := t.TempDir()
 		path := filepath.Join(dir, "graph.bin")
@@ -97,21 +142,30 @@ func FuzzSolveEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer pg.Close()
-		spec.SpillDir = filepath.Join(dir, "spill")
-		got, report := solve(pg, spec)
-
-		if len(got) != len(want) {
-			t.Fatalf("paged circuit has %d steps, in-memory %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("step %d: paged %v, in-memory %v", i, got[i], want[i])
-			}
-		}
+		paged := spec
+		paged.SpillDir = filepath.Join(dir, "spill")
+		got, report, _ := solve(pg, g, paged)
+		same("paged", got, want)
 		p, m := report.BSP, wantReport.BSP
 		if p.Messages != m.Messages || p.Bytes != m.Bytes || p.Supersteps != m.Supersteps {
 			t.Fatalf("paged BSP messages/bytes/supersteps %d/%d/%d, in-memory %d/%d/%d",
 				p.Messages, p.Bytes, p.Supersteps, m.Messages, m.Bytes, m.Supersteps)
 		}
+
+		replay := spec
+		replay.Replay = record
+		got, report, _ = solve(g, g, replay)
+		same("replayed", got, want)
+		if len(report.Parts) != 0 {
+			t.Fatalf("replay on the same graph toured %d partitions, want none", len(report.Parts))
+		}
+
+		patched := withTriangle(rand.New(rand.NewSource(seed)), g)
+		if patched == nil {
+			return
+		}
+		want, _, _ = solve(patched, patched, spec)
+		got, _, _ = solve(patched, patched, replay)
+		same("delta", got, want)
 	})
 }

@@ -44,14 +44,15 @@ type WorkerProgram struct {
 	bodies int
 }
 
-// NewWorkerProgram builds the node-side program for a decoded plan slice.
-func NewWorkerProgram(plan *Plan) *WorkerProgram {
+// NewWorkerProgram builds the node-side program for a decoded plan slice,
+// run by an engine with the given slot count (bsp.Engine.Slots).
+func NewWorkerProgram(plan *Plan, slots int) *WorkerProgram {
 	wp := &WorkerProgram{visited: make([]atomic.Uint32, (plan.NumVertices+31)/32)}
 	wp.prog = newPartProgram(plan, progDeps{
 		store:   &bandStore{wp: wp},
 		visited: wp.isVisited,
 		absorb:  wp.absorb,
-	})
+	}, slots)
 	return wp
 }
 

@@ -129,8 +129,8 @@ func TestClusterKilledWorkerJobFails(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		wp := euler.NewWorkerProgram(plan)
 		e := bsp.New(plan.NumWorkers, bsp.WithWorkerRange(plan.Lo, plan.Hi), bsp.WithTransport(nodeJob.Transport))
+		wp := euler.NewWorkerProgram(plan, e.Slots())
 		_, err = e.Run(struct {
 			bsp.Program
 			bsp.BarrierHooks
