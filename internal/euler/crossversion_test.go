@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/bsp"
 	"repro/internal/graph"
-	"repro/internal/spill"
 )
 
 // TestV2PayloadsAbortProtocol feeds each v3 decoder a plausible v2
@@ -31,8 +30,8 @@ func TestV2PayloadsAbortProtocol(t *testing.T) {
 	v2Delta := binary.AppendUvarint(nil, 3)
 	v2Delta = append(v2Delta, 2, 2, 2)
 
-	reg := NewRegistry(spill.NewMemStore(), 64, 4)
-	sink := NewAbsorbSink(reg, reg.Store())
+	reg := NewRegistry(nil, 64, 4)
+	sink := NewAbsorbSink(reg)
 	wp := &WorkerProgram{visited: make([]atomic.Uint32, 2)}
 
 	cases := []struct {
@@ -40,7 +39,7 @@ func TestV2PayloadsAbortProtocol(t *testing.T) {
 		decode func([]byte) error
 		v2     []byte
 	}{
-		{"body", func(b []byte) error { _, err := DecodeBody(b); return err }, v2Body},
+		{"body", func(b []byte) error { _, err := decodeBody(b); return err }, v2Body},
 		{"state", func(b []byte) error { _, err := DecodeState(b); return err }, v2State},
 		{"remote batch", func(b []byte) error { _, err := DecodeRemoteBatch(b); return err }, v2Batch},
 		{"plan slice", func(b []byte) error { _, err := DecodePlanSlice(b); return err }, v2Plan},
@@ -76,12 +75,12 @@ func TestV3ReencodeByteIdentical(t *testing.T) {
 		{Kind: ItemPath, Ref: -2, From: 3, To: 3},
 		{Kind: ItemEdge, Ref: 40, From: 3, To: 1},
 	}
-	body := EncodeBody(items)
-	decItems, err := DecodeBody(body)
+	body := AppendBody(nil, items)
+	decItems, err := decodeBody(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again := EncodeBody(decItems); !bytes.Equal(again, body) {
+	if again := AppendBody(nil, decItems); !bytes.Equal(again, body) {
 		t.Fatalf("body re-encode diverged:\n  %x\n  %x", again, body)
 	}
 
@@ -105,12 +104,12 @@ func TestV3ReencodeByteIdentical(t *testing.T) {
 	}
 
 	edges := []RemoteEdge{{Local: 0, Remote: 7, Edge: 1}, {Local: 7, Remote: 0, Edge: 2, ConvertLevel: 1}}
-	batch := EncodeRemoteBatch(edges)
+	batch := AppendRemoteBatch(nil, edges)
 	decEdges, err := DecodeRemoteBatch(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again := EncodeRemoteBatch(decEdges); !bytes.Equal(again, batch) {
+	if again := AppendRemoteBatch(nil, decEdges); !bytes.Equal(again, batch) {
 		t.Fatalf("remote batch re-encode diverged:\n  %x\n  %x", again, batch)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"sync"
 
 	"repro/internal/graph"
-	"repro/internal/spill"
 )
 
 // NodeRecord is the replay material of one computing merge-tree node:
@@ -46,7 +45,7 @@ type RunRecord struct {
 	PlanBytes []byte
 	// Nodes covers every node that ran Phase 1, ordered by (S, W).
 	Nodes []NodeRecord
-	// Bodies maps every recorded path to its spilled body bytes.
+	// Bodies maps every recorded path to its encoded body bytes.
 	Bodies map[PathID][]byte
 }
 
@@ -89,15 +88,13 @@ func (r *runRecorder) sorted() []NodeRecord {
 	return r.nodes
 }
 
-// collectBodies reads every recorded path's body back from the spill store.
-func collectBodies(store spill.Store, nodes []NodeRecord) (map[PathID][]byte, error) {
+// collectBodies reads every recorded path's body back from the sealed
+// registry, whose Seal has already rejected a repeated path ID.
+func collectBodies(reg *Registry, nodes []NodeRecord) (map[PathID][]byte, error) {
 	bodies := make(map[PathID][]byte)
 	for i := range nodes {
 		for _, rec := range nodes[i].Recs {
-			if _, ok := bodies[rec.ID]; ok {
-				continue
-			}
-			body, err := store.Get(rec.ID)
+			body, err := reg.body(rec.ID)
 			if err != nil {
 				return nil, fmt.Errorf("euler: retaining body %d: %w", rec.ID, err)
 			}
@@ -214,16 +211,16 @@ func poolsEqual(a, b map[int32][]RemoteEdge) bool {
 }
 
 // restoreBodies re-inserts the retained bodies of every replayed node into
-// the run's spill store, so Phase 3 unrolls them exactly as a from-scratch
+// the run's registry, so Phase 3 unrolls them exactly as a from-scratch
 // run would.  Dirty nodes write their own fresh bodies under disjoint IDs.
-func restoreBodies(store spill.Store, replay map[nodeKey]*NodeRecord, bodies map[PathID][]byte) error {
+func restoreBodies(reg *Registry, replay map[nodeKey]*NodeRecord, bodies map[PathID][]byte) error {
 	for _, rec := range replay {
 		for _, pr := range rec.Recs {
 			body, ok := bodies[pr.ID]
 			if !ok {
 				return fmt.Errorf("euler: retained run is missing body %d", pr.ID)
 			}
-			if err := store.Put(pr.ID, body); err != nil {
+			if err := reg.putBody(pr.ID, body); err != nil {
 				return fmt.Errorf("euler: restoring body %d: %w", pr.ID, err)
 			}
 		}

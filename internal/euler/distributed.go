@@ -8,7 +8,6 @@ import (
 	"repro/internal/bsp"
 	"repro/internal/graph"
 	"repro/internal/partition"
-	"repro/internal/spill"
 )
 
 // RunOverCluster executes Phases 1 and 2 across the worker nodes
@@ -29,14 +28,10 @@ func RunOverCluster(ctx context.Context, hub *bsp.Hub, g *graph.Graph, a partiti
 		return nil, nil, err
 	}
 	plan.encodeLeaves() // this process only slices the plan, never runs a leaf
-	store := cfg.Store
-	if store == nil {
-		store = spill.NewMemStore()
-	}
 	n := plan.NumWorkers
 
-	registry := NewRegistry(store, g.NumVertices(), n)
-	sink := NewAbsorbSink(registry, store)
+	registry := NewRegistry(cfg.Store, g.NumVertices(), n)
+	sink := NewAbsorbSink(registry)
 
 	spec := bsp.JobSpec{
 		NumWorkers: n,

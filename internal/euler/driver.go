@@ -18,7 +18,7 @@ type Config struct {
 	Mode Mode
 	// Strategy picks merge pairs; nil means GreedyMaxWeight (the paper's).
 	Strategy MatchStrategy
-	// Store receives path bodies; nil means an in-memory store.
+	// Store receives path bodies; nil keeps them in the Registry.
 	Store spill.Store
 	// Cost models platform overhead; the zero model adds none.
 	Cost bsp.CostModel
@@ -30,7 +30,7 @@ type Config struct {
 	// timing (Fig. 7); otherwise they run on GOMAXPROCS slots.
 	Sequential bool
 	// Record retains replay material (the pristine plan plus every node's
-	// Phase 1 outcome and spilled bodies) in the result, so a later run on
+	// Phase 1 outcome and path bodies) in the result, so a later run on
 	// a slightly different graph can reuse clean partitions.
 	Record bool
 	// Replay supplies a prior run's retained record; nodes whose entire
@@ -82,15 +82,11 @@ func Run(g graph.Source, a partition.Assignment, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	store := cfg.Store
-	if store == nil {
-		store = spill.NewMemStore()
-	}
 	n := plan.NumWorkers
 
-	registry := NewRegistry(store, g.NumVertices(), n)
+	registry := NewRegistry(cfg.Store, g.NumVertices(), n)
 	deps := progDeps{
-		store:   store,
+		putBody: registry.putBody,
 		visited: registry.IsVisited,
 		absorb:  registry.Absorb,
 		init:    cfg.InitStore,
@@ -117,7 +113,7 @@ func Run(g graph.Source, a partition.Assignment, cfg Config) (*Result, error) {
 	if cfg.Replay != nil {
 		replaySet := buildReplaySet(plan, cfg.Replay)
 		if len(replaySet) > 0 {
-			if err := restoreBodies(store, replaySet, cfg.Replay.Bodies); err != nil {
+			if err := restoreBodies(registry, replaySet, cfg.Replay.Bodies); err != nil {
 				return nil, err
 			}
 			deps.replay = func(w, s int) *NodeRecord { return replaySet[nodeKey{w, s}] }
@@ -150,7 +146,7 @@ func Run(g graph.Source, a partition.Assignment, cfg Config) (*Result, error) {
 	report.ReusedParts = reused
 	if recorder != nil {
 		retained.Nodes = recorder.sorted()
-		bodies, err := collectBodies(store, retained.Nodes)
+		bodies, err := collectBodies(registry, retained.Nodes)
 		if err != nil {
 			return nil, err
 		}

@@ -98,31 +98,13 @@ func (d *decoder) done() error {
 func zigzag(x int64) uint64   { return uint64(x)<<1 ^ uint64(x>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// EncodeBody serialises a path/cycle body for the spill store.  The
-// buffer is allocated at its exact final size, so it can be handed to
-// spill.OwnedPutter stores without waste.
-func EncodeBody(items []Item) []byte {
-	return AppendBody(make([]byte, 0, EncodedBodyLen(items)), items)
-}
-
-// EncodedBodyLen returns len(EncodeBody(items)) without encoding.
-func EncodedBodyLen(items []Item) int {
-	n := 1 + uvarintLen(uint64(len(items))) + (len(items)+7)/8
-	var prevRef, prevTo int64
-	for _, it := range items {
-		n += varintLen(it.Ref-prevRef) + varintLen(it.From-prevTo) + varintLen(it.To-it.From)
-		prevRef, prevTo = it.Ref, it.To
-	}
-	return n
-}
-
 // uvarintLen is the byte length of binary.AppendUvarint(nil, x).
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // varintLen is the byte length of binary.AppendVarint(nil, x).
 func varintLen(x int64) int { return uvarintLen(zigzag(x)) }
 
-// AppendBody appends the EncodeBody serialisation of items to dst and
+// AppendBody appends the serialisation of a path/cycle body to dst and
 // returns the extended buffer, so hot paths can reuse one encode buffer.
 // Items chain (an item's From is usually the previous item's To), so the
 // per-item fields are the ref delta, the from-vs-previous-to delta
@@ -161,8 +143,8 @@ func appendKindBitmap(dst []byte, items []Item) []byte {
 	return dst
 }
 
-// DecodeBody parses a body written by EncodeBody.
-func DecodeBody(buf []byte) ([]Item, error) {
+// decodeBody parses a body written by AppendBody.
+func decodeBody(buf []byte) ([]Item, error) {
 	c, err := newBodyCursor(buf)
 	if err != nil {
 		return nil, err
@@ -174,9 +156,9 @@ func DecodeBody(buf []byte) ([]Item, error) {
 	return items, nil
 }
 
-// bodyCursor iterates a body written by EncodeBody straight off its
+// bodyCursor iterates a body written by AppendBody straight off its
 // bytes, one item per next call, so Phase 3 can walk a body without a
-// slice to hold it.  It is the only body parser: DecodeBody drains one.
+// slice to hold it.  It is the only body parser: decodeBody drains one.
 type bodyCursor struct {
 	d               decoder
 	bitmap          []byte
@@ -461,21 +443,16 @@ func decodeRemoteEdges(d *decoder, n uint64) ([]RemoteEdge, error) {
 	return edges, nil
 }
 
-// EncodeRemoteBatch serialises a parked remote-edge delivery (deferred
-// transfer mode).
-func EncodeRemoteBatch(edges []RemoteEdge) []byte {
-	return AppendRemoteBatch(make([]byte, 0, 5+8*len(edges)), edges)
-}
-
-// AppendRemoteBatch appends the EncodeRemoteBatch serialisation of edges
-// to dst and returns the extended buffer.
+// AppendRemoteBatch appends the serialisation of a parked remote-edge
+// delivery (deferred transfer mode) to dst and returns the extended
+// buffer.
 func AppendRemoteBatch(dst []byte, edges []RemoteEdge) []byte {
 	dst = append(dst, WireV3)
 	dst = binary.AppendUvarint(dst, uint64(len(edges)))
 	return appendRemoteEdges(dst, edges)
 }
 
-// DecodeRemoteBatch parses a batch written by EncodeRemoteBatch.
+// DecodeRemoteBatch parses a batch written by AppendRemoteBatch.
 func DecodeRemoteBatch(buf []byte) ([]RemoteEdge, error) {
 	edges, off, err := decodeRemoteBatchAt(buf, 0)
 	if err != nil {
@@ -487,7 +464,7 @@ func DecodeRemoteBatch(buf []byte) ([]RemoteEdge, error) {
 	return edges, nil
 }
 
-// decodeRemoteBatchAt decodes one EncodeRemoteBatch payload embedded at
+// decodeRemoteBatchAt decodes one AppendRemoteBatch payload embedded at
 // off inside buf, returning the batch and the offset after it (plan
 // slices embed batches mid-stream).
 func decodeRemoteBatchAt(buf []byte, off int) ([]RemoteEdge, int, error) {

@@ -13,7 +13,7 @@ func TestBodyRoundTrip(t *testing.T) {
 		{Kind: ItemPath, Ref: MakePathID(1, 2, 3), From: 2, To: 9},
 		{Kind: ItemEdge, Ref: 0, From: 9, To: 1},
 	}
-	got, err := DecodeBody(EncodeBody(items))
+	got, err := decodeBody(AppendBody(nil, items))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestBodyRoundTrip(t *testing.T) {
 }
 
 func TestBodyEmpty(t *testing.T) {
-	got, err := DecodeBody(EncodeBody(nil))
+	got, err := decodeBody(AppendBody(nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,16 +33,16 @@ func TestBodyEmpty(t *testing.T) {
 }
 
 func TestBodyCorruption(t *testing.T) {
-	buf := EncodeBody([]Item{{Kind: ItemEdge, Ref: 1, From: 2, To: 3}})
-	if _, err := DecodeBody(buf[:len(buf)-1]); err == nil {
+	buf := AppendBody(nil, []Item{{Kind: ItemEdge, Ref: 1, From: 2, To: 3}})
+	if _, err := decodeBody(buf[:len(buf)-1]); err == nil {
 		t.Error("truncated body should fail")
 	}
 	bad := append([]byte{}, buf...)
 	bad[1] = 0xFF // invalid item kind
-	if _, err := DecodeBody(bad); err == nil {
+	if _, err := decodeBody(bad); err == nil {
 		t.Error("bad kind should fail")
 	}
-	if _, err := DecodeBody(append(buf, 0)); err == nil {
+	if _, err := decodeBody(append(buf, 0)); err == nil {
 		t.Error("trailing bytes should fail")
 	}
 }
@@ -97,14 +97,14 @@ func TestRemoteBatchRoundTrip(t *testing.T) {
 		{Local: 1, Remote: 2, Edge: 3, ConvertLevel: 1},
 		{Local: 4, Remote: 5, Edge: 6, ConvertLevel: 2},
 	}
-	got, err := DecodeRemoteBatch(EncodeRemoteBatch(batch))
+	got, err := DecodeRemoteBatch(AppendRemoteBatch(nil, batch))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, batch) {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
-	empty, err := DecodeRemoteBatch(EncodeRemoteBatch(nil))
+	empty, err := DecodeRemoteBatch(AppendRemoteBatch(nil, nil))
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("empty batch: %v %v", empty, err)
 	}
@@ -127,7 +127,7 @@ func TestQuickBodyRoundTrip(t *testing.T) {
 				To:   rng.Int63n(1 << 30),
 			}
 		}
-		got, err := DecodeBody(EncodeBody(items))
+		got, err := decodeBody(AppendBody(nil, items))
 		if err != nil {
 			return false
 		}
@@ -175,30 +175,5 @@ func TestQuickStateRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestEncodedBodyLenExact pins the size pre-pass phase1's ownership-transfer
-// spill path relies on: EncodeBody must allocate exactly once.
-func TestEncodedBodyLenExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(40)
-		items := make([]Item, 0, n)
-		for i := 0; i < n; i++ {
-			items = append(items, Item{
-				Kind: ItemKind(rng.Intn(2)),
-				Ref:  rng.Int63() - rng.Int63(), // exercises negative zig-zag lengths
-				From: rng.Int63n(1 << uint(rng.Intn(62))),
-				To:   rng.Int63n(1 << uint(rng.Intn(62))),
-			})
-		}
-		enc := EncodeBody(items)
-		if len(enc) != EncodedBodyLen(items) {
-			t.Fatalf("trial %d: EncodedBodyLen = %d, encoded %d bytes", trial, EncodedBodyLen(items), len(enc))
-		}
-		if cap(enc) != EncodedBodyLen(items) {
-			t.Fatalf("trial %d: EncodeBody grew its buffer: cap %d, want %d", trial, cap(enc), EncodedBodyLen(items))
-		}
 	}
 }

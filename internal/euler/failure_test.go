@@ -2,6 +2,7 @@ package euler
 
 import (
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,12 +12,24 @@ import (
 	"repro/internal/spill"
 )
 
-// failingStore wraps a Store and fails operations after a countdown, for
-// injecting storage faults into Phase 1 (Put) and Phase 3 (Get).
+// failingStore wraps a DiskStore and fails operations after a countdown,
+// for injecting storage faults into Phase 1 (Put) and Phase 3 (Get).
 type failingStore struct {
 	inner    spill.Store
 	putsLeft int64 // fail Put when it reaches zero; negative disables
 	getsLeft int64 // fail Get when it reaches zero; negative disables
+}
+
+// newFailingStore returns a failingStore over a DiskStore in a test
+// directory, closed when the test ends.
+func newFailingStore(t *testing.T, putsLeft, getsLeft int64) *failingStore {
+	t.Helper()
+	ds, err := spill.NewDiskStore(filepath.Join(t.TempDir(), "bodies.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ds.Close() })
+	return &failingStore{inner: ds, putsLeft: putsLeft, getsLeft: getsLeft}
 }
 
 func (f *failingStore) Put(id int64, data []byte) error {
@@ -39,7 +52,7 @@ func (f *failingStore) Close() error { return f.inner.Close() }
 func TestPhase1SpillFailureSurfaces(t *testing.T) {
 	g, _ := gen.EulerianRMAT(gen.DefaultRMAT(8, 61))
 	a := partition.LDG(g, 2, 1)
-	store := &failingStore{inner: spill.NewMemStore(), putsLeft: 2, getsLeft: -1 << 40}
+	store := newFailingStore(t, 2, -1<<40)
 	_, err := Run(g, a, Config{Store: store})
 	if err == nil || !strings.Contains(err.Error(), "injected put failure") {
 		t.Fatalf("err = %v, want injected put failure", err)
@@ -49,7 +62,7 @@ func TestPhase1SpillFailureSurfaces(t *testing.T) {
 func TestPhase3ReadFailureSurfaces(t *testing.T) {
 	g, _ := gen.EulerianRMAT(gen.DefaultRMAT(8, 61))
 	a := partition.LDG(g, 2, 1)
-	store := &failingStore{inner: spill.NewMemStore(), putsLeft: -1 << 40, getsLeft: -1 << 40}
+	store := newFailingStore(t, -1<<40, -1<<40)
 	res, err := Run(g, a, Config{Store: store})
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +76,7 @@ func TestPhase3ReadFailureSurfaces(t *testing.T) {
 }
 
 func TestUnrollBeforeRun(t *testing.T) {
-	reg := NewRegistry(spill.NewMemStore(), 10, 1)
+	reg := NewRegistry(nil, 10, 1)
 	if err := reg.Unroll(func(Step) error { return nil }); err == nil {
 		t.Fatal("Unroll without a run should fail")
 	}
@@ -93,11 +106,10 @@ func TestUnrollEmitError(t *testing.T) {
 func TestCorruptedBodySurfaces(t *testing.T) {
 	// A registry pointing at garbage bodies must fail decoding, not emit a
 	// wrong circuit.
-	store := spill.NewMemStore()
-	if err := store.Put(1, []byte{0xFF, 0xFF, 0xFF}); err != nil {
+	reg := NewRegistry(nil, 4, 1)
+	if err := reg.putBody(1, []byte{0xFF, 0xFF, 0xFF}); err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry(store, 4, 1)
 	res := &Phase1Result{Recs: []PathRec{{ID: 1, Type: IVCycle, Src: 0, Dst: 0}}}
 	if err := reg.Absorb(0, res, true); err != nil {
 		t.Fatal(err)

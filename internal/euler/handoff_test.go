@@ -13,7 +13,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/partition"
-	"repro/internal/spill"
 )
 
 // handoffObserver sits between an engine instance hosting workers [lo, hi)
@@ -50,6 +49,36 @@ func (o *handoffObserver) Compute(ctx *bsp.Context) error {
 	return o.inner.Compute(ctx)
 }
 
+// loopbackCluster starts a hub on a loopback port and two equal worker
+// nodes that serve its jobs through handle, and stops them when tb ends.
+// The context is the nodes' own; jobs run under it.
+func loopbackCluster(tb testing.TB, handle bsp.NodeHandler) (context.Context, *bsp.Hub) {
+	tb.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hub := bsp.NewHub(ln, bsp.HubOptions{StepTimeout: 30 * time.Second})
+	ctx, cancel := context.WithCancel(context.Background())
+	var nodes sync.WaitGroup
+	tb.Cleanup(func() {
+		cancel()
+		hub.Close()
+		nodes.Wait()
+	})
+	for i := 0; i < 2; i++ {
+		nodes.Add(1)
+		go func() {
+			defer nodes.Done()
+			bsp.ServeNode(ctx, ln.Addr().String(), handle, bsp.NodeOptions{Name: fmt.Sprintf("node-%d", i), Capacity: 1})
+		}()
+	}
+	if err := hub.WaitNodes(ctx, 2); err != nil {
+		tb.Fatal(err)
+	}
+	return ctx, hub
+}
+
 // handoffInputs are the graphs the handoff tests run at 4, 8 and 16 parts.
 func handoffInputs() map[string]*graph.Graph {
 	rmat, _ := gen.EulerianRMAT(gen.DefaultRMAT(12, 3))
@@ -82,10 +111,9 @@ func TestHandoffLocalByReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					store := spill.NewMemStore()
-					registry := NewRegistry(store, g.NumVertices(), plan.NumWorkers)
+					registry := NewRegistry(nil, g.NumVertices(), plan.NumWorkers)
 					engine := bsp.New(plan.NumWorkers, bsp.WithTransport(bsp.LocalTransport{}))
-					program := newPartProgram(plan, progDeps{store: store, visited: registry.IsVisited, absorb: registry.Absorb}, engine.Slots())
+					program := newPartProgram(plan, progDeps{putBody: registry.putBody, visited: registry.IsVisited, absorb: registry.Absorb}, engine.Slots())
 					var refs, payloads atomic.Int64
 					obs := &handoffObserver{t: t, inner: program, lo: 0, hi: plan.NumWorkers, refs: &refs, payloads: &payloads}
 					if _, err := engine.Run(obs); err != nil {
@@ -105,45 +133,24 @@ func TestHandoffLocalByReference(t *testing.T) {
 // co-hosted ones by reference, and the run's BSP message and byte counts
 // equal the single-instance Run's for the same assignment.
 func TestHandoffClusterAccounting(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hub := bsp.NewHub(ln, bsp.HubOptions{StepTimeout: 30 * time.Second})
-	ctx, cancel := context.WithCancel(context.Background())
-	var nodes sync.WaitGroup
-	defer func() {
-		cancel()
-		hub.Close()
-		nodes.Wait()
-	}()
 	var refs, payloads atomic.Int64
-	for i := 0; i < 2; i++ {
-		nodes.Add(1)
-		go func() {
-			defer nodes.Done()
-			bsp.ServeNode(ctx, ln.Addr().String(), func(job *bsp.NodeJob) ([]byte, error) {
-				plan, err := DecodePlanSlice(job.Plan)
-				if err != nil {
-					return nil, err
-				}
-				e := bsp.New(plan.NumWorkers, bsp.WithWorkerRange(plan.Lo, plan.Hi), bsp.WithTransport(job.Transport))
-				wp := NewWorkerProgram(plan, e.Slots())
-				obs := &handoffObserver{t: t, inner: wp, lo: plan.Lo, hi: plan.Hi, refs: &refs, payloads: &payloads}
-				m, err := e.Run(struct {
-					*handoffObserver
-					bsp.BarrierHooks
-				}{obs, wp})
-				if err != nil {
-					return nil, err
-				}
-				return wp.Result(m), nil
-			}, bsp.NodeOptions{Name: fmt.Sprintf("node-%d", i), Capacity: 1})
-		}()
-	}
-	if err := hub.WaitNodes(ctx, 2); err != nil {
-		t.Fatal(err)
-	}
+	ctx, hub := loopbackCluster(t, func(job *bsp.NodeJob) ([]byte, error) {
+		plan, err := DecodePlanSlice(job.Plan)
+		if err != nil {
+			return nil, err
+		}
+		e := bsp.New(plan.NumWorkers, bsp.WithWorkerRange(plan.Lo, plan.Hi), bsp.WithTransport(job.Transport))
+		wp := NewWorkerProgram(plan, e.Slots())
+		obs := &handoffObserver{t: t, inner: wp, lo: plan.Lo, hi: plan.Hi, refs: &refs, payloads: &payloads}
+		m, err := e.Run(struct {
+			*handoffObserver
+			bsp.BarrierHooks
+		}{obs, wp})
+		if err != nil {
+			return nil, err
+		}
+		return wp.Result(m), nil
+	})
 
 	for name, g := range handoffInputs() {
 		for _, parts := range []int32{4, 8, 16} {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/partition"
-	"repro/internal/spill"
 )
 
 // longsObserver wraps the partition program and, for every (worker,
@@ -102,16 +101,15 @@ func runObserved(t *testing.T, g *graph.Graph, a partition.Assignment, mode Mode
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := spill.NewMemStore()
-	registry := NewRegistry(store, g.NumVertices(), plan.NumWorkers)
+	registry := NewRegistry(nil, g.NumVertices(), plan.NumWorkers)
 	recorder := &runRecorder{}
-	deps := progDeps{store: store, visited: registry.IsVisited, absorb: registry.Absorb, record: recorder.record}
+	deps := progDeps{putBody: registry.putBody, visited: registry.IsVisited, absorb: registry.Absorb, record: recorder.record}
 	if replay != nil {
 		set := buildReplaySet(plan, replay)
 		if len(set) == 0 {
 			t.Fatal("an identical re-run replays nothing")
 		}
-		if err := restoreBodies(store, set, replay.Bodies); err != nil {
+		if err := restoreBodies(registry, set, replay.Bodies); err != nil {
 			t.Fatal(err)
 		}
 		deps.replay = func(w, s int) *NodeRecord { return set[nodeKey{w, s}] }
@@ -126,8 +124,14 @@ func runObserved(t *testing.T, g *graph.Graph, a partition.Assignment, mode Mode
 			t.Errorf("L%d P%d: LongsAtStart %d, live series %d", pr.Level, pr.Part, pr.LongsAtStart, live)
 		}
 	}
+	if !registry.PromoteFirstSeed() {
+		t.Fatal("run completed without a master cycle")
+	}
+	if err := registry.Seal(); err != nil {
+		t.Fatal(err)
+	}
 	nodes := recorder.sorted()
-	bodies, err := collectBodies(store, nodes)
+	bodies, err := collectBodies(registry, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}

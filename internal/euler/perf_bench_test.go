@@ -8,17 +8,11 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/partition"
-	"repro/internal/spill"
 )
 
-// discardStore is a Store that drops every payload, isolating the walk and
-// encode cost of Phase 1 from spill retention in the micro-benchmarks.
-type discardStore struct{}
-
-func (discardStore) Put(int64, []byte) error   { return nil }
-func (discardStore) Get(int64) ([]byte, error) { return nil, fmt.Errorf("discard store") }
-func (discardStore) Len() int                  { return 0 }
-func (discardStore) Close() error              { return nil }
+// discardBody drops every body, isolating the walk and encode cost of
+// Phase 1 from body retention in the micro-benchmarks.
+func discardBody(PathID, []byte) error { return nil }
 
 // benchLeafState builds partition 0's level-0 state of an Eulerian RMAT
 // graph with 2^scale vertices split over parts partitions.
@@ -47,7 +41,7 @@ func BenchmarkPhase1(b *testing.B) {
 			scratch := newPhase1Scratch()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := phase1(st, 0, discardStore{}, nil, scratch); err != nil {
+				if _, err := phase1(st, 0, discardBody, nil, scratch); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -96,7 +90,7 @@ func BenchmarkMergeStates(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, st := range toured {
-		res, err := phase1(st, 0, discardStore{}, nil, nil)
+		res, err := phase1(st, 0, discardBody, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -176,11 +170,11 @@ func BenchmarkAppendBody(b *testing.B) {
 // BenchmarkDecodeBody measures spilled-body deserialisation alone, the
 // per-path read Phase 3 unrolling performs.
 func BenchmarkDecodeBody(b *testing.B) {
-	buf := EncodeBody(benchBodyItems(4096))
+	buf := AppendBody(nil, benchBodyItems(4096))
 	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeBody(buf); err != nil {
+		if _, err := decodeBody(buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -231,14 +225,14 @@ func BenchmarkUnroll(b *testing.B) {
 // into the run-wide registry, as every worker does once per superstep.
 func BenchmarkRegistryAbsorb(b *testing.B) {
 	st := benchLeafState(b, 14, 4)
-	res, err := phase1(st, 0, spill.NewMemStore(), nil, nil)
+	res, err := phase1(st, 0, discardBody, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	numV := int64(1) << 15 // ≥ any vertex ID in the state
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		reg := NewRegistry(discardStore{}, numV, 4)
+		reg := NewRegistry(nil, numV, 4)
 		if err := reg.Absorb(0, res, false); err != nil {
 			b.Fatal(err)
 		}
@@ -249,7 +243,7 @@ func BenchmarkRegistryAbsorb(b *testing.B) {
 // query Phase 1 seeds issue from every worker at once.
 func BenchmarkIsVisited(b *testing.B) {
 	const numV = 1 << 20
-	reg := NewRegistry(discardStore{}, numV, 8)
+	reg := NewRegistry(nil, numV, 8)
 	res := &Phase1Result{}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < numV/4; i++ {

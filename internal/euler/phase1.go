@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/spill"
 )
 
 // Phase1Stats records what one Phase 1 execution saw and did; the expected
@@ -62,9 +61,9 @@ type half struct {
 
 // phase1 executes Alg. 1 on a partition state: OB paths first, then EB
 // cycles, then internal-vertex cycles started from previously visited
-// vertices (the constructive form of Lemma 3).  Bodies are spilled to
-// store under deterministic PathIDs; state.Local is consumed and replaced
-// by the returned OBPairs by the caller.
+// vertices (the constructive form of Lemma 3).  Bodies go to putBody, which
+// must not keep the slice, under deterministic PathIDs; state.Local is
+// consumed and replaced by the returned OBPairs by the caller.
 //
 // globallyVisited reports whether a vertex was absorbed into any body at an
 // earlier level; seed cycles prefer such vertices so that Phase 3 can
@@ -72,7 +71,7 @@ type half struct {
 //
 // sc supplies reusable working memory; nil allocates a private scratch, in
 // which case no slice of the result aliases shared storage.
-func phase1(state *PartState, level int, store spill.Store, globallyVisited func(graph.VertexID) bool, sc *phase1Scratch) (*Phase1Result, error) {
+func phase1(state *PartState, level int, putBody func(PathID, []byte) error, globallyVisited func(graph.VertexID) bool, sc *phase1Scratch) (*Phase1Result, error) {
 	prepStart := time.Now()
 	if sc == nil {
 		sc = newPhase1Scratch()
@@ -224,22 +223,12 @@ func phase1(state *PartState, level int, store spill.Store, globallyVisited func
 		}
 	}
 
-	// Retaining stores (MemStore) take ownership of a fresh exact buffer —
-	// one allocation, no copy; write-through stores (DiskStore) get the
-	// reused scratch buffer — no allocation at all.
-	owner, owned := store.(spill.OwnedPutter)
 	var seq int64
 	record := func(t PathType, src, dst graph.VertexID, items []Item) (PathID, error) {
 		id := MakePathID(level, state.Parent, seq)
 		seq++
-		var err error
-		if owned {
-			err = owner.PutOwned(id, EncodeBody(items))
-		} else {
-			sc.enc = AppendBody(sc.enc[:0], items)
-			err = store.Put(id, sc.enc)
-		}
-		if err != nil {
+		sc.enc = AppendBody(sc.enc[:0], items)
+		if err := putBody(id, sc.enc); err != nil {
 			return 0, fmt.Errorf("euler: spilling path %d: %w", id, err)
 		}
 		res.Recs = append(res.Recs, PathRec{

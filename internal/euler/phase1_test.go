@@ -1,12 +1,12 @@
 package euler
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/partition"
-	"repro/internal/spill"
 )
 
 // leafState builds the level-0 state for one partition of g under
@@ -31,8 +31,12 @@ func TestPhase1Figure1PartitionP3(t *testing.T) {
 	g, part := gen.PaperFigure1()
 	a := partition.Assignment{Parts: 4, Of: part}
 	st := leafState(t, g, a, 2)
-	store := spill.NewMemStore()
-	res, err := phase1(st, 0, store, nil, nil)
+	bodies := map[PathID][]byte{}
+	keep := func(id PathID, data []byte) error {
+		bodies[id] = slices.Clone(data)
+		return nil
+	}
+	res, err := phase1(st, 0, keep, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +55,7 @@ func TestPhase1Figure1PartitionP3(t *testing.T) {
 		t.Errorf("cycles = %d, want 0", res.Stats.Cycles)
 	}
 	// The path body holds the three local edges.
-	body, err := store.Get(pair.Ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	items, err := DecodeBody(body)
+	items, err := decodeBody(bodies[pair.Ref])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +70,7 @@ func TestPhase1Figure1PartitionP2(t *testing.T) {
 	g, part := gen.PaperFigure1()
 	a := partition.Assignment{Parts: 4, Of: part}
 	st := leafState(t, g, a, 1)
-	store := spill.NewMemStore()
-	res, err := phase1(st, 0, store, nil, nil)
+	res, err := phase1(st, 0, discardBody, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,9 +101,8 @@ func TestPhase1ConsumesAllLocalEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := spill.NewMemStore()
 	for p, st := range states {
-		res, err := phase1(st, 0, store, nil, nil)
+		res, err := phase1(st, 0, discardBody, nil, nil)
 		if err != nil {
 			t.Fatalf("partition %d: %v", p, err)
 		}
@@ -139,7 +137,7 @@ func TestPhase1ParityViolation(t *testing.T) {
 		Leaves: []int{0},
 		Local:  []CoarseEdge{{U: 1, V: 2, Kind: ItemEdge, Ref: 0}},
 	}
-	_, err := phase1(st, 0, spill.NewMemStore(), nil, nil)
+	_, err := phase1(st, 0, discardBody, nil, nil)
 	if err == nil {
 		t.Fatal("parity violation should fail")
 	}
@@ -155,7 +153,7 @@ func TestPhase1TrivialEB(t *testing.T) {
 			{Local: 7, Remote: 10, Edge: 1, ConvertLevel: 0},
 		},
 	}
-	res, err := phase1(st, 0, spill.NewMemStore(), nil, nil)
+	res, err := phase1(st, 0, discardBody, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +170,7 @@ func TestPhase1DeterministicIDs(t *testing.T) {
 	a := partition.LDG(g, 2, 1)
 	run := func() []PathRec {
 		st := leafState(t, g, a, 0)
-		res, err := phase1(st, 0, spill.NewMemStore(), nil, nil)
+		res, err := phase1(st, 0, discardBody, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -223,7 +223,7 @@ func (w *walker) take(k int) bool {
 
 // takeID is take for a root or an anchored cycle.  An ID the pathMap does
 // not hold (a corrupt Phase 1 result off the cluster wire can name one) is
-// only counted: its walk fails at the store, or the count check catches it.
+// only counted: its walk finds no body, or the count check catches it.
 func (w *walker) takeID(id PathID) bool {
 	if k, ok := w.reg.rank(id); ok {
 		return w.take(k)
@@ -258,7 +258,7 @@ func (w *walker) splice(v graph.VertexID) error {
 // item's endpoints swapped.  A forward body is iterated off its encoded
 // bytes; a reversed one has to be decoded first, into the shared arena.
 func (w *walker) walk(id PathID, forward bool) error {
-	body, err := w.reg.store.Get(id)
+	body, err := w.reg.body(id)
 	if err != nil {
 		return fmt.Errorf("euler: loading body %d: %w", id, err)
 	}

@@ -310,11 +310,11 @@ func (u *oldUnroller) splice(v graph.VertexID) error {
 }
 
 func (u *oldUnroller) walk(id PathID, forward bool) error {
-	body, err := u.reg.Store().Get(id)
+	body, err := u.reg.body(id)
 	if err != nil {
 		return fmt.Errorf("euler: loading body %d: %w", id, err)
 	}
-	items, err := DecodeBody(body)
+	items, err := decodeBody(body)
 	if err != nil {
 		return fmt.Errorf("euler: decoding body %d: %w", id, err)
 	}
@@ -395,22 +395,21 @@ func closedItems(firstEdge graph.EdgeID, verts ...graph.VertexID) []Item {
 // seeds.  The registry is left for its first reader to seal.
 func buildRegistry(t *testing.T, roots []PathID, paths ...testPath) *Registry {
 	t.Helper()
-	store := spill.NewMemStore()
+	reg := NewRegistry(nil, 16, 1)
 	res := &Phase1Result{Seeds: roots}
 	for _, p := range paths {
 		body := p.raw
 		if body == nil {
-			body = EncodeBody(p.items)
+			body = AppendBody(nil, p.items)
 		}
 		if !p.missing {
-			if err := store.Put(p.rec.ID, body); err != nil {
+			if err := reg.putBody(p.rec.ID, body); err != nil {
 				t.Fatal(err)
 			}
 		}
 		p.rec.Items = int64(len(p.items))
 		res.Recs = append(res.Recs, p.rec)
 	}
-	reg := NewRegistry(store, 16, 1)
 	if err := reg.Absorb(0, res, true); err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +501,7 @@ func TestUnrollMatchesOldUnroll(t *testing.T) {
 			for _, parts := range []int32{1, 2, 5, 8} {
 				for _, disk := range []bool{false, true} {
 					name := fmt.Sprintf("%s/%v/parts=%d/disk=%v", fam.name, mode, parts, disk)
-					var store spill.Store = spill.NewMemStore()
+					var store spill.Store
 					if disk {
 						ds, err := spill.NewDiskStore(filepath.Join(t.TempDir(), "bodies.log"))
 						if err != nil {
@@ -589,7 +588,7 @@ func TestUnrollMatchesOldUnrollRandom(t *testing.T) {
 func TestUnrollErrors(t *testing.T) {
 	triangle := closedItems(0, 1, 2, 3)
 	obPath := testPath{rec: PathRec{ID: 2, Type: OBPath, Src: 2, Dst: 3}, items: []Item{edgeItem(5, 2, 3)}}
-	encoded := EncodeBody(triangle)
+	encoded := AppendBody(nil, triangle)
 	cases := []struct {
 		name  string
 		roots []PathID
@@ -622,7 +621,7 @@ func TestUnrollErrors(t *testing.T) {
 			"euler: 1 closed walks share no vertex with the circuit: input graph is disconnected"},
 		{"store Get failure", []PathID{1},
 			[]testPath{{rec: cycleRec(1, 1), items: []Item{edgeItem(0, 1, 2), pathItem(2, 2, 3), edgeItem(1, 3, 1)}}, {rec: obPath.rec, missing: true}},
-			"euler: loading body 2: spill: record 2 not found"},
+			"euler: loading body 2: euler: path 2 has no body"},
 		{"truncated body", []PathID{1},
 			[]testPath{{rec: cycleRec(1, 1), raw: encoded[:len(encoded)-1]}},
 			"euler: decoding body 1: euler: truncated varint at offset 11"},
@@ -634,7 +633,7 @@ func TestUnrollErrors(t *testing.T) {
 			"euler: decoding body 1: euler: body item count 127 exceeds payload size"},
 		{"reversed body truncated", []PathID{1},
 			[]testPath{{rec: cycleRec(1, 1), items: []Item{edgeItem(0, 1, 3), pathItem(2, 3, 2), edgeItem(1, 2, 1)}},
-				{rec: obPath.rec, raw: EncodeBody([]Item{edgeItem(5, 2, 4), edgeItem(6, 4, 3)})[:8]}},
+				{rec: obPath.rec, raw: AppendBody(nil, []Item{edgeItem(5, 2, 4), edgeItem(6, 4, 3)})[:8]}},
 			"euler: decoding body 2: euler: truncated varint at offset 8"},
 		{"legacy body", []PathID{1},
 			[]testPath{{rec: cycleRec(1, 1), raw: encoded[1:]}},
@@ -666,7 +665,7 @@ func TestUnrollErrors(t *testing.T) {
 // failure have already reached emit, and the error says what broke.
 func TestUnrollErrorAfterDirectEmission(t *testing.T) {
 	g, _ := gen.EulerianRMAT(gen.DefaultRMAT(8, 61))
-	store := &failingStore{inner: spill.NewMemStore(), putsLeft: -1 << 40, getsLeft: -1 << 40}
+	store := newFailingStore(t, -1<<40, -1<<40)
 	res, err := Run(g, partition.LDG(g, 2, 1), Config{Store: store})
 	if err != nil {
 		t.Fatal(err)
@@ -698,11 +697,10 @@ func TestUnrollErrorAfterDirectEmission(t *testing.T) {
 // an explicit Seal must report why it cannot seal, not the empty pathMap
 // the failed seal leaves behind.
 func TestUnrollReportsLazySealError(t *testing.T) {
-	store := spill.NewMemStore()
-	if err := store.Put(1, EncodeBody(closedItems(0, 1, 2, 3))); err != nil {
+	reg := NewRegistry(nil, 16, 2)
+	if err := reg.putBody(1, AppendBody(nil, closedItems(0, 1, 2, 3))); err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry(store, 16, 2)
 	for w := 0; w < 2; w++ {
 		res := &Phase1Result{Recs: []PathRec{cycleRec(1, 1)}}
 		if err := reg.Absorb(w, res, w == 0); err != nil {

@@ -1,6 +1,7 @@
 package euler
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"time"
@@ -8,7 +9,6 @@ import (
 	"repro/internal/bsp"
 	"repro/internal/gen"
 	"repro/internal/partition"
-	"repro/internal/spill"
 )
 
 // TestPlanSliceRoundTrip encodes plan slices for split worker ranges and
@@ -127,8 +127,8 @@ func TestWorkerResultRoundTrip(t *testing.T) {
 }
 
 // TestAbsorbSinkBandRoundTrip pushes a worker program's band through an
-// AbsorbSink and checks the registry and store receive what a local run's
-// shared-memory absorption would.
+// AbsorbSink and checks the registry receives the records and bodies a
+// local run's shared-memory absorption would.
 func TestAbsorbSinkBandRoundTrip(t *testing.T) {
 	g := gen.RingOfCliques(4, 5)
 	a := partition.LDG(g, 4, 1)
@@ -153,9 +153,8 @@ func TestAbsorbSinkBandRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := spill.NewMemStore()
-	reg := NewRegistry(store, g.NumVertices(), 4)
-	sink := NewAbsorbSink(reg, store)
+	reg := NewRegistry(nil, g.NumVertices(), 4)
+	sink := NewAbsorbSink(reg)
 
 	loop := &bandLoop{sink: sink}
 	engine := bsp.New(4, bsp.WithTransport(loop))
@@ -173,8 +172,14 @@ func TestAbsorbSinkBandRoundTrip(t *testing.T) {
 	if reg.NumPaths() != local.Registry.NumPaths() {
 		t.Fatalf("registry has %d paths, local %d", reg.NumPaths(), local.Registry.NumPaths())
 	}
-	if store.Len() != local.Registry.Store().Len() {
-		t.Fatalf("store has %d bodies, local %d", store.Len(), local.Registry.Store().Len())
+	for _, rec := range local.Registry.recs {
+		got, err := reg.body(rec.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := local.Registry.body(rec.ID); !bytes.Equal(got, want) {
+			t.Fatalf("body %d differs from the local run's", rec.ID)
+		}
 	}
 	if reg.Master() != local.Registry.Master() {
 		t.Fatalf("master %d, local %d", reg.Master(), local.Registry.Master())

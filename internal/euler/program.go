@@ -12,12 +12,12 @@ import (
 
 // progDeps are the run-wide effects the per-partition program needs: where
 // path bodies go, the global visited-vertex query, and the registry absorb
-// path.  The single-process driver wires them straight into its Registry
-// and spill store; a cluster worker node wires them into a sideband that
-// ships to the coordinator at each barrier, so the program itself never
-// assumes shared memory.
+// path.  The single-process driver wires them straight into its Registry;
+// a cluster worker node wires them into a sideband that ships to the
+// coordinator at each barrier, so the program itself never assumes shared
+// memory.
 type progDeps struct {
-	store   spill.Store
+	putBody func(PathID, []byte) error
 	visited func(graph.VertexID) bool
 	absorb  func(w int, res *Phase1Result, isRoot bool) error
 	// record, when non-nil, snapshots every computing node's Phase 1
@@ -221,7 +221,7 @@ func (p *partProgram) Compute(ctx *bsp.Context) error {
 				return fmt.Errorf("worker %d superstep %d: %w", w, s, err)
 			}
 		}
-		res, err := phase1(wc.state, s, p.deps.store, p.deps.visited, sc)
+		res, err := phase1(wc.state, s, p.deps.putBody, p.deps.visited, sc)
 		if err != nil {
 			return err
 		}

@@ -16,18 +16,18 @@ import (
 // phases (here it lives in memory; a run persists as its RunRecord): the
 // pathMap metadata of every path and cycle, the anchored-cycle index used
 // by Phase 3's pivot-vertex splicing, and the global visited-vertex map
-// that keeps seed cycles splicable.  Path bodies live in the spill store;
-// the Registry holds only fixed-size metadata per entry.
+// that keeps seed cycles splicable.  Path bodies live in the run's spill
+// store when it has one, otherwise here, one slot per pathMap rank.
 //
 // Concurrency model: workers absorb their Phase 1 results concurrently
 // within a superstep, and their active vertex sets are disjoint (a vertex
 // belongs to exactly one partition per level).  The visited map is an
 // atomic bitset, so IsVisited — queried from inside every worker's tour —
-// is a plain atomic load, and marking is an atomic OR.  Path metadata goes
-// into a per-worker shard that no other worker touches; Seal merges the
-// shards into read-only dense indexes once, after the run, without any
-// cross-worker locking.  Only the master/seed bookkeeping (a few entries
-// per run) takes a mutex.
+// is a plain atomic load, and marking is an atomic OR.  Path metadata and
+// kept bodies go into a per-worker shard that no other worker touches;
+// Seal merges the shards into read-only dense indexes once, after the
+// run, without any cross-worker locking.  Only the master/seed
+// bookkeeping (a few entries per run) takes a mutex.
 type Registry struct {
 	store spill.Store
 
@@ -54,6 +54,8 @@ type Registry struct {
 	// over a few entries per partition and level, not over every record.
 	recs   []PathRec
 	idRuns []idRun
+	// bodies[k] is the body of recs[k] when the registry keeps bodies.
+	bodies [][]byte
 	// The anchored-cycle index: anchorIDs[anchorOff[k]:anchorOff[k+1]] are
 	// the cycles pivoting at anchorVerts[k] (ascending), in discovery
 	// order.  anchorScreen holds the pivots, so the Phase 3 walker pays one
@@ -103,12 +105,19 @@ type anchor struct {
 // registryShard is one worker's private absorption buffer.  Padding keeps
 // concurrently appended shards off each other's cache lines.
 type registryShard struct {
-	recs []PathRec
-	_    [40]byte
+	recs   []PathRec
+	bodies [][]shardBody // kept bodies, in doubling chunks never copied to grow
+	_      [16]byte
 }
 
-// NewRegistry creates a Registry over a graph with numVertices vertices,
-// spilling bodies to store, with one absorption shard per worker.
+// shardBody is a kept body on its way to its rank slot.
+type shardBody struct {
+	id   PathID
+	data []byte
+}
+
+// NewRegistry creates a Registry over a graph with numVertices vertices
+// and one absorption shard per worker; bodies go to store unless it is nil.
 func NewRegistry(store spill.Store, numVertices int64, workers int) *Registry {
 	if workers < 1 {
 		workers = 1
@@ -120,9 +129,6 @@ func NewRegistry(store spill.Store, numVertices int64, workers int) *Registry {
 		shards:   make([]registryShard, workers),
 	}
 }
-
-// Store returns the spill store holding path bodies.
-func (r *Registry) Store() spill.Store { return r.store }
 
 // IsVisited reports whether v has been absorbed into any body so far.
 // It is a single atomic load, safe to call from every worker at once.
@@ -171,6 +177,38 @@ func (r *Registry) Absorb(w int, res *Phase1Result, isRoot bool) error {
 	return nil
 }
 
+// putBody writes data out to the spill store, or copies it into the shard
+// of id's part, unlocked: only that part's worker writes there.  Seal
+// rejects a body with no pathMap record and a second body under one ID.
+func (r *Registry) putBody(id PathID, data []byte) error {
+	if r.store != nil {
+		return r.store.Put(id, data)
+	}
+	part := pathPart(id)
+	if part >= len(r.shards) {
+		return fmt.Errorf("euler: body %d names part %d outside the %d shards", id, part, len(r.shards))
+	}
+	sh := &r.shards[part]
+	n := len(sh.bodies)
+	if n == 0 || len(sh.bodies[n-1]) == cap(sh.bodies[n-1]) {
+		sh.bodies = append(sh.bodies, make([]shardBody, 0, 64<<min(n, 6)))
+		n++
+	}
+	sh.bodies[n-1] = append(sh.bodies[n-1], shardBody{id: id, data: append([]byte(nil), data...)})
+	return nil
+}
+
+// body returns the body of path id.  It requires a sealed registry.
+func (r *Registry) body(id PathID) ([]byte, error) {
+	if r.store != nil {
+		return r.store.Get(id)
+	}
+	if k, ok := r.rank(id); ok && r.bodies[k] != nil {
+		return r.bodies[k], nil
+	}
+	return nil, fmt.Errorf("euler: path %d has no body", id)
+}
+
 // Seal merges the per-worker absorption shards into the read-optimised
 // pathMap and anchored-cycle index.  It must run after the BSP run (and
 // after PromoteFirstSeed, so the master is final) and before Phase 3 reads;
@@ -211,8 +249,9 @@ func (r *Registry) sealLocked() error {
 }
 
 // buildIndex installs the sealed indexes from the pathMap records (in any
-// order; sorted in place) and the anchored cycles (in discovery order,
-// which is kept within each vertex).  On error nothing is installed.
+// order; sorted in place), the anchored cycles (in discovery order, which
+// is kept within each vertex) and the shards' kept bodies, each moved to
+// the slot of its record's rank.  On error nothing is installed.
 func (r *Registry) buildIndex(recs []PathRec, anch []anchor) error {
 	slices.SortFunc(recs, func(a, b PathRec) int { return cmp.Compare(a.ID, b.ID) })
 	var steps int64
@@ -229,6 +268,25 @@ func (r *Registry) buildIndex(recs []PathRec, anch []anchor) error {
 			steps--
 		}
 	}
+	var bodies [][]byte
+	if r.store == nil {
+		bodies = make([][]byte, len(recs))
+		for i := range r.shards {
+			for _, chunk := range r.shards[i].bodies {
+				for _, b := range chunk {
+					k, ok := rankIn(runs, len(recs), b.id)
+					switch {
+					case !ok:
+						return fmt.Errorf("euler: body %d has no pathMap record", b.id)
+					case bodies[k] != nil:
+						return fmt.Errorf("euler: duplicate body %d", b.id)
+					}
+					bodies[k] = b.data
+				}
+			}
+			r.shards[i].bodies = nil
+		}
+	}
 	slices.SortStableFunc(anch, func(a, b anchor) int { return cmp.Compare(a.v, b.v) })
 	r.anchorScreen = newVertexScreen(r.numVerts)
 	r.anchorIDs = make([]PathID, len(anch))
@@ -241,7 +299,7 @@ func (r *Registry) buildIndex(recs []PathRec, anch []anchor) error {
 		r.anchorIDs[i] = a.id
 	}
 	r.anchorOff = append(r.anchorOff, int32(len(anch)))
-	r.recs, r.idRuns, r.steps = recs, runs, steps
+	r.recs, r.idRuns, r.bodies, r.steps = recs, runs, bodies, steps
 	return nil
 }
 
@@ -260,10 +318,15 @@ func (r *Registry) ensureSealed() error {
 // rank returns the position of id in the sorted pathMap.  It requires a
 // sealed registry.
 func (r *Registry) rank(id PathID) (int, bool) {
+	return rankIn(r.idRuns, len(r.recs), id)
+}
+
+// rankIn is rank over the runs of a pathMap of n records.
+func rankIn(runs []idRun, n int, id PathID) (int, bool) {
 	// The last run starting at or below id is the only one that can hold it.
-	lo, hi := 0, len(r.idRuns)
+	lo, hi := 0, len(runs)
 	for lo < hi {
-		if mid := (lo + hi) / 2; r.idRuns[mid].first <= id {
+		if mid := (lo + hi) / 2; runs[mid].first <= id {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -272,9 +335,9 @@ func (r *Registry) rank(id PathID) (int, bool) {
 	if lo == 0 {
 		return 0, false
 	}
-	run, end := r.idRuns[lo-1], len(r.recs)
-	if lo < len(r.idRuns) {
-		end = r.idRuns[lo].rank
+	run, end := runs[lo-1], n
+	if lo < len(runs) {
+		end = runs[lo].rank
 	}
 	off := uint64(id) - uint64(run.first)
 	return run.rank + int(off), off < uint64(end-run.rank)

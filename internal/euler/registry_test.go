@@ -1,11 +1,13 @@
 package euler
 
 import (
+	"bytes"
+	"encoding/binary"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/spill"
 )
 
 // TestRegistryConcurrentAbsorbIsVisited exercises the lock-free registry
@@ -20,7 +22,7 @@ func TestRegistryConcurrentAbsorbIsVisited(t *testing.T) {
 		vertsPer = 1000
 	)
 	numV := int64(workers * vertsPer)
-	reg := NewRegistry(spill.NewMemStore(), numV, workers)
+	reg := NewRegistry(nil, numV, workers)
 
 	for level := 0; level < levels; level++ {
 		var wg sync.WaitGroup
@@ -87,7 +89,7 @@ func TestRegistryConcurrentAbsorbIsVisited(t *testing.T) {
 // list comes out in discovery (level, then worker) order.
 func TestRegistryAnchoredOrderDeterministic(t *testing.T) {
 	const pivot = graph.VertexID(5)
-	reg := NewRegistry(spill.NewMemStore(), 10, 4)
+	reg := NewRegistry(nil, 10, 4)
 	// Worker reps only grow across levels, so absorption order is
 	// level-major with non-decreasing worker IDs per vertex.
 	var want []PathID
@@ -114,7 +116,7 @@ func TestRegistryAnchoredOrderDeterministic(t *testing.T) {
 // TestRegistrySealDuplicateID verifies duplicate PathIDs are still caught,
 // now at Seal time instead of per-Absorb.
 func TestRegistrySealDuplicateID(t *testing.T) {
-	reg := NewRegistry(spill.NewMemStore(), 10, 2)
+	reg := NewRegistry(nil, 10, 2)
 	rec := PathRec{ID: MakePathID(0, 0, 0), Type: IVCycle, Src: 1, Dst: 1}
 	for w := 0; w < 2; w++ {
 		if err := reg.Absorb(w, &Phase1Result{Recs: []PathRec{rec}}, false); err != nil {
@@ -133,7 +135,7 @@ func TestRegistrySealDuplicateID(t *testing.T) {
 // TestRegistryAbsorbAfterSeal verifies late absorbs are rejected instead of
 // silently dropped from the sealed maps.
 func TestRegistryAbsorbAfterSeal(t *testing.T) {
-	reg := NewRegistry(spill.NewMemStore(), 10, 1)
+	reg := NewRegistry(nil, 10, 1)
 	if err := reg.Seal(); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +148,7 @@ func TestRegistryAbsorbAfterSeal(t *testing.T) {
 // TestRegistryAbsorbCopiesResult verifies Absorb does not alias the
 // result's slices: the driver reuses them as per-worker scratch.
 func TestRegistryAbsorbCopiesResult(t *testing.T) {
-	reg := NewRegistry(spill.NewMemStore(), 100, 1)
+	reg := NewRegistry(nil, 100, 1)
 	res := &Phase1Result{
 		Recs:    []PathRec{{ID: MakePathID(0, 0, 0), Type: IVCycle, Src: 3, Dst: 3}},
 		Visited: []graph.VertexID{3},
@@ -177,10 +179,118 @@ func TestRegistryAbsorbCopiesResult(t *testing.T) {
 
 // TestRegistryOutOfRangeWorker covers the shard bounds check.
 func TestRegistryOutOfRangeWorker(t *testing.T) {
-	reg := NewRegistry(spill.NewMemStore(), 10, 2)
+	reg := NewRegistry(nil, 10, 2)
 	for _, w := range []int{-1, 2, 100} {
 		if err := reg.Absorb(w, &Phase1Result{}, false); err == nil {
 			t.Fatalf("worker %d accepted", w)
 		}
+	}
+}
+
+// TestRegistryBodiesConcurrentShards puts bodies the way a superstep
+// does: each worker, on its own goroutine, puts its part's bodies into
+// its shard without a lock and absorbs their records, level by level.
+// After Seal every body is read back at its rank.  Run under -race this
+// pins the lock-free body shards.
+func TestRegistryBodiesConcurrentShards(t *testing.T) {
+	const workers, levels, perLevel = 8, 3, 40
+	reg := NewRegistry(nil, 16, workers)
+	bodyOf := func(id PathID) []byte {
+		return AppendBody(nil, []Item{edgeItem(id, 1, 2), edgeItem(id+1, 2, 1)})
+	}
+	for level := 0; level < levels; level++ {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w, level int) {
+				defer wg.Done()
+				res := &Phase1Result{}
+				buf := []byte(nil)
+				for s := 0; s < perLevel; s++ {
+					id := MakePathID(level, w, int64(s))
+					buf = append(buf[:0], bodyOf(id)...)
+					if err := reg.putBody(id, buf); err != nil {
+						t.Errorf("worker %d: %v", w, err)
+						return
+					}
+					res.Recs = append(res.Recs, PathRec{ID: id, Type: IVCycle, Src: 1, Dst: 1, Level: level, Part: w, Items: 2})
+				}
+				if err := reg.Absorb(w, res, false); err != nil {
+					t.Errorf("worker %d: %v", w, err)
+				}
+			}(w, level)
+		}
+		wg.Wait()
+	}
+	if err := reg.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < workers; w++ {
+		for level := 0; level < levels; level++ {
+			for s := 0; s < perLevel; s++ {
+				id := MakePathID(level, w, int64(s))
+				got, err := reg.body(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, bodyOf(id)) {
+					t.Fatalf("body %d does not read back as put (the caller's buffer was reused)", id)
+				}
+			}
+		}
+	}
+}
+
+// TestRegistryBodyChecks covers the checks a kept body passes: each bad
+// case is an error, never a panic.  (A record without a body is
+// TestUnrollErrors' "store Get failure" case.)
+func TestRegistryBodyChecks(t *testing.T) {
+	triangle := AppendBody(nil, closedItems(0, 1, 2, 3))
+	master := &Phase1Result{Recs: []PathRec{cycleRec(1, 1)}, Seeds: []PathID{1}}
+	cases := []struct {
+		name  string
+		setup func(reg *Registry) error
+		want  string
+	}{
+		{"body without a record", func(reg *Registry) error {
+			if err := reg.putBody(1, triangle); err != nil {
+				return err
+			}
+			return reg.putBody(2, triangle)
+		}, "euler: body 2 has no pathMap record"},
+		{"second body under one ID", func(reg *Registry) error {
+			if err := reg.putBody(1, triangle); err != nil {
+				return err
+			}
+			return reg.putBody(1, triangle)
+		}, "euler: duplicate body 1"},
+		{"part outside the shards", func(reg *Registry) error {
+			return reg.putBody(MakePathID(0, 2, 0), triangle)
+		}, "euler: body 536870913 names part 2 outside the 2 shards"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := NewRegistry(nil, 16, 2)
+			if err := reg.Absorb(0, master, true); err != nil {
+				t.Fatal(err)
+			}
+			err := tc.setup(reg)
+			if err == nil {
+				err = reg.Seal()
+			}
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("err = %v, want %s", err, tc.want)
+			}
+		})
+	}
+
+	// The same part check guards bodies that arrive in an absorb band.
+	band := []byte{WireV3, bandBody}
+	band = binary.AppendVarint(band, MakePathID(1, 5, 0))
+	band = binary.AppendUvarint(band, uint64(len(triangle)))
+	band = append(band, triangle...)
+	sink := NewAbsorbSink(NewRegistry(nil, 16, 2))
+	if err := sink.Apply(0, 0, 2, band); err == nil || !strings.Contains(err.Error(), "outside the 2 shards") {
+		t.Fatalf("band body for part 5 of 2: err = %v", err)
 	}
 }

@@ -28,9 +28,9 @@ type SolveSpec struct {
 	Cost     bsp.CostModel
 	Validate bool
 	// SpillDir, when set, holds the run's spill logs (created if
-	// missing); "" keeps path bodies in memory, except for a source that
-	// is not a resident *graph.Graph, which spills to a temp directory
-	// removed on return.
+	// missing); "" keeps path bodies in the Registry, except for a source
+	// that is not a resident *graph.Graph, which spills to a temp
+	// directory removed on return.
 	SpillDir string
 	// Retain captures a replay record of this run; Replay reuses an
 	// earlier run's record for the partitions that did not change.

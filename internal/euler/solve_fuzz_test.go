@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/oocgraph"
+	"repro/internal/partition"
 	"repro/internal/verify"
 )
 
@@ -87,18 +88,28 @@ func withTriangle(rng *rand.Rand, g *graph.Graph) *graph.Graph {
 }
 
 // FuzzSolveEquivalence solves a random Eulerian multigraph under random
-// parts, seed and mode through three specs:
+// parts, seed and mode through four specs:
 //   - in memory, retaining a replay record;
 //   - from a PagedGraph of its EULGRPH1 file whose page budget is the
 //     two-page floor, so adjacency pages are evicted throughout the run;
+//   - over a loopback cluster of two worker nodes that every input
+//     shares, when there are at least two parts: co-hosted children hand
+//     their states over by reference and the others as payloads, and the
+//     coordinator's registry keeps the bodies the nodes' bands carry;
 //   - replaying the record, first on the same graph (every node replays,
 //     so no partition tours) and then on the graph plus one triangle,
 //     against a from-scratch solve of that patched graph.
 //
-// Every circuit must verify, each pair must match step for step, and the
+// Every circuit must verify, each pair must match step for step, the
 // paged run must report the in-memory run's BSP messages, bytes and
-// supersteps.  The seed corpus is under testdata/fuzz.
+// supersteps, and the cluster run its messages and bytes.  The seed
+// corpus is under testdata/fuzz.
 func FuzzSolveEquivalence(f *testing.F) {
+	ctx, hub := loopbackCluster(f, RunWorkerNode)
+	overCluster := func(_ context.Context, g *graph.Graph, a partition.Assignment, cfg Config) (*Result, error) {
+		res, _, err := RunOverCluster(ctx, hub, g, a, cfg, 2)
+		return res, err
+	}
 	f.Fuzz(func(t *testing.T, seed int64, size, parts, mode uint8) {
 		g := fuzzMultigraph(rand.New(rand.NewSource(seed)), 1+int(size)%48)
 		spec := SolveSpec{Parts: 1 + int32(parts)%8, Seed: seed, Mode: allModes[int(mode)%len(allModes)]}
@@ -150,6 +161,16 @@ func FuzzSolveEquivalence(f *testing.F) {
 		if p.Messages != m.Messages || p.Bytes != m.Bytes || p.Supersteps != m.Supersteps {
 			t.Fatalf("paged BSP messages/bytes/supersteps %d/%d/%d, in-memory %d/%d/%d",
 				p.Messages, p.Bytes, p.Supersteps, m.Messages, m.Bytes, m.Supersteps)
+		}
+
+		if spec.Parts >= 2 {
+			cluster := spec
+			cluster.Exec = overCluster
+			got, report, _ = solve(g, g, cluster)
+			same("cluster", got, want)
+			if c := report.BSP; c.Messages != m.Messages || c.Bytes != m.Bytes {
+				t.Fatalf("cluster BSP messages/bytes %d/%d, in-memory %d/%d", c.Messages, c.Bytes, m.Messages, m.Bytes)
+			}
 		}
 
 		replay := spec

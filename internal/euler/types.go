@@ -40,6 +40,11 @@ func MakePathID(level, part int, seq int64) PathID {
 	return int64(level)<<40 | int64(part)<<28 | (seq + 1)
 }
 
+// pathPart returns the part field of a PathID.
+func pathPart(id PathID) int {
+	return int(id >> 28 & (1<<12 - 1))
+}
+
 // ItemKind distinguishes the two element types of a path/cycle body.
 type ItemKind uint8
 
@@ -91,8 +96,8 @@ func (t PathType) String() string {
 	return fmt.Sprintf("PathType(%d)", uint8(t))
 }
 
-// PathRec is the in-memory pathMap metadata for one path or cycle; the body
-// lives in the spill store.  For cycles Src == Dst (the anchor).
+// PathRec is the in-memory pathMap metadata for one path or cycle; the
+// Registry keeps or spills its body.  For cycles Src == Dst (the anchor).
 type PathRec struct {
 	ID       PathID
 	Type     PathType

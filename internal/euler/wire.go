@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/bsp"
 	"repro/internal/graph"
-	"repro/internal/spill"
 )
 
 // Cluster wire formats: what crosses the coordinator barrier beyond BSP
@@ -39,9 +38,8 @@ type WorkerProgram struct {
 	prog    *partProgram
 	visited []atomic.Uint32
 
-	mu     sync.Mutex
-	band   []byte
-	bodies int
+	mu   sync.Mutex
+	band []byte
 }
 
 // NewWorkerProgram builds the node-side program for a decoded plan slice,
@@ -49,7 +47,7 @@ type WorkerProgram struct {
 func NewWorkerProgram(plan *Plan, slots int) *WorkerProgram {
 	wp := &WorkerProgram{visited: make([]atomic.Uint32, (plan.NumVertices+31)/32)}
 	wp.prog = newPartProgram(plan, progDeps{
-		store:   &bandStore{wp: wp},
+		putBody: wp.putBody,
 		visited: wp.isVisited,
 		absorb:  wp.absorb,
 	}, slots)
@@ -275,52 +273,30 @@ func (wp *WorkerProgram) Result(metrics bsp.Metrics) []byte {
 	return dst
 }
 
-// bandStore is the write-only spill.Store a worker node runs Phase 1
-// against: every body is appended to the superstep's band and persisted
-// by the coordinator.  Phases 1 and 2 never read bodies back, so Get only
-// exists to satisfy the interface.
-type bandStore struct {
-	wp *WorkerProgram
-}
-
-func (s *bandStore) Put(id int64, data []byte) error {
-	wp := s.wp
+// putBody is a worker node's body seam: it appends the body to the
+// superstep's band, and the coordinator's registry keeps it.
+func (wp *WorkerProgram) putBody(id PathID, data []byte) error {
 	wp.mu.Lock()
 	defer wp.mu.Unlock()
 	dst := append(wp.bandStart(), bandBody)
 	dst = binary.AppendVarint(dst, id)
 	dst = binary.AppendUvarint(dst, uint64(len(data)))
-	dst = append(dst, data...)
-	wp.band = dst
-	wp.bodies++
+	wp.band = append(dst, data...)
 	return nil
 }
 
-func (s *bandStore) Get(id int64) ([]byte, error) {
-	return nil, fmt.Errorf("euler: worker node store is write-only (body %d lives on the coordinator)", id)
-}
-
-func (s *bandStore) Len() int {
-	s.wp.mu.Lock()
-	defer s.wp.mu.Unlock()
-	return s.wp.bodies
-}
-
-func (s *bandStore) Close() error { return nil }
-
 // AbsorbSink is the coordinator side of the band protocol: it applies
-// every node's superstep band to the real Registry and spill store, and
+// every node's superstep band to the real Registry, bodies included, and
 // accumulates the visited union for the next broadcast.  Calls arrive on
 // the hub's job goroutine in deterministic order, so no locking is needed.
 type AbsorbSink struct {
 	reg   *Registry
-	store spill.Store
 	delta []graph.VertexID
 }
 
-// NewAbsorbSink returns a sink absorbing into reg and store.
-func NewAbsorbSink(reg *Registry, store spill.Store) *AbsorbSink {
-	return &AbsorbSink{reg: reg, store: store}
+// NewAbsorbSink returns a sink absorbing into reg.
+func NewAbsorbSink(reg *Registry) *AbsorbSink {
+	return &AbsorbSink{reg: reg}
 }
 
 // Apply consumes one node's band for one superstep (the bsp JobHooks
@@ -349,7 +325,7 @@ func (s *AbsorbSink) Apply(step, lo, hi int, data []byte) error {
 			if uint64(len(d.buf)-d.off) < n {
 				return fmt.Errorf("euler: truncated body %d in band", id)
 			}
-			if err := s.store.Put(id, d.buf[d.off:d.off+int(n)]); err != nil {
+			if err := s.reg.putBody(id, d.buf[d.off:d.off+int(n)]); err != nil {
 				return err
 			}
 			d.off += int(n)

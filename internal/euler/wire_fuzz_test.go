@@ -13,7 +13,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/partition"
-	"repro/internal/spill"
 )
 
 // bandSeeds are the checked-in corpus for FuzzDecodeBand: every v3
@@ -46,6 +45,12 @@ func bandSeeds() [][]byte {
 	withBody = append(withBody, 0xAA, 0xBB, 0xCC)
 	withBody = append(withBody, band[1:]...)
 
+	// A body whose ID names part 9, outside the sink's eight shards.
+	foreignBody := []byte{WireV3, bandBody}
+	foreignBody = binary.AppendVarint(foreignBody, MakePathID(0, 9, 0))
+	foreignBody = binary.AppendUvarint(foreignBody, 1)
+	foreignBody = append(foreignBody, 0xAA)
+
 	// A dense visited set, so the band carries a span bitmap.
 	dense := make([]graph.VertexID, 200)
 	for i := range dense {
@@ -63,14 +68,15 @@ func bandSeeds() [][]byte {
 		wpDense.band,
 		band[:len(band)/2], // truncated mid-record
 		band[1:],           // marker stripped: a v2-shaped legacy band
-		EncodeBody([]Item{{Kind: ItemEdge, Ref: 4, From: 1, To: 2}, {Kind: ItemPath, Ref: 9, From: 2, To: 1}}),
+		AppendBody(nil, []Item{{Kind: ItemEdge, Ref: 4, From: 1, To: 2}, {Kind: ItemPath, Ref: 9, From: 2, To: 1}}),
 		EncodeState(&PartState{
 			Parent: 3,
 			Leaves: []int{1, 3},
 			Local:  []CoarseEdge{{Kind: ItemEdge, Ref: 2, U: 0, V: 1}},
 			Remote: []RemoteEdge{{Local: 1, Remote: 9, Edge: 12, ConvertLevel: 1}},
 		}),
-		EncodeRemoteBatch([]RemoteEdge{{Local: 0, Remote: 4, Edge: 7}}),
+		AppendRemoteBatch(nil, []RemoteEdge{{Local: 0, Remote: 4, Edge: 7}}),
+		foreignBody,
 	)
 	return seeds
 }
@@ -85,18 +91,20 @@ func FuzzDecodeBand(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Coordinator side: absorb the band into a real registry, then
-		// drain the broadcast delta as the barrier would.
-		reg := NewRegistry(spill.NewMemStore(), 256, 8)
-		sink := NewAbsorbSink(reg, reg.Store())
+		// Coordinator side: absorb the band into a real registry, drain
+		// the broadcast delta as the barrier would, and seal as the run's
+		// end does, which may reject the band's bodies but never panic.
+		reg := NewRegistry(nil, 256, 8)
+		sink := NewAbsorbSink(reg)
 		if err := sink.Apply(0, 0, 8, data); err == nil {
 			if _, err := sink.TakeDelta(0); err != nil {
 				t.Fatalf("TakeDelta after successful Apply: %v", err)
 			}
+			_ = reg.Seal()
 		}
 
-		if items, err := DecodeBody(data); err == nil {
-			again, err := DecodeBody(EncodeBody(items))
+		if items, err := decodeBody(data); err == nil {
+			again, err := decodeBody(AppendBody(nil, items))
 			if err != nil || !reflect.DeepEqual(items, again) {
 				t.Fatalf("body round trip diverged: %v", err)
 			}
@@ -108,7 +116,7 @@ func FuzzDecodeBand(f *testing.F) {
 			}
 		}
 		if edges, err := DecodeRemoteBatch(data); err == nil {
-			again, err := DecodeRemoteBatch(EncodeRemoteBatch(edges))
+			again, err := DecodeRemoteBatch(AppendRemoteBatch(nil, edges))
 			if err != nil || !reflect.DeepEqual(edges, again) {
 				t.Fatalf("remote batch round trip diverged: %v", err)
 			}
@@ -130,7 +138,7 @@ func bodySeeds(tb testing.TB) [][]byte {
 	var seeds [][]byte
 	shortest := -1
 	for _, rec := range res.Registry.recs {
-		body, err := res.Registry.Store().Get(rec.ID)
+		body, err := res.Registry.body(rec.ID)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -152,7 +160,7 @@ func bodySeeds(tb testing.TB) [][]byte {
 
 // refDecodeBody is the slice-building body decoder this package had
 // before bodyCursor became the only parser, kept as the reference the
-// cursor is fuzzed against.  Unlike the old DecodeBody it returns the
+// cursor is fuzzed against.  Unlike decodeBody it returns the
 // items decoded before an error, so the cursor's prefix can be checked.
 func refDecodeBody(buf []byte) ([]Item, error) {
 	d := &decoder{buf: buf}
@@ -201,10 +209,10 @@ func refDecodeBody(buf []byte) ([]Item, error) {
 }
 
 // FuzzBodyCursor drives arbitrary bytes through the in-place body cursor
-// Phase 3 walks spilled bodies with — bodies reach the coordinator's store
+// Phase 3 walks bodies with — bodies reach the coordinator's registry
 // over the cluster wire and are first parsed there.  The cursor must never
 // panic and must agree with the reference decoder item for item and error
-// for error, as must DecodeBody, which drains a cursor.
+// for error, as must decodeBody, which drains a cursor.
 func FuzzBodyCursor(f *testing.F) {
 	for _, s := range bodySeeds(f) {
 		f.Add(s)
@@ -227,9 +235,9 @@ func FuzzBodyCursor(f *testing.F) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("cursor items %v, reference items %v", got, want)
 		}
-		items, err := DecodeBody(data)
+		items, err := decodeBody(data)
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) || (err == nil && !slices.Equal(items, want)) || (err != nil && items != nil) {
-			t.Fatalf("DecodeBody = %v, %v; reference %v, %v", items, err, want, wantErr)
+			t.Fatalf("decodeBody = %v, %v; reference %v, %v", items, err, want, wantErr)
 		}
 	})
 }

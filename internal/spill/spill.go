@@ -3,9 +3,10 @@
 // be persisted to disk" (Sec. 3.3.1), leaving only the pathMap metadata in
 // memory.  Phase 3 reads the bodies back while unrolling the final circuit.
 //
-// The store maps an int64 record ID to an opaque byte payload.  DiskStore
-// is an append-only log with an in-memory offset index; MemStore keeps
-// payloads in memory for tests and for callers that opt out of spilling.
+// The store maps an int64 record ID to an opaque byte payload.  Its one
+// implementation, DiskStore, is an append-only log with an in-memory
+// offset index.  The bodies of a run that does not spill stay in process,
+// in the euler Registry.
 package spill
 
 import (
@@ -29,79 +30,6 @@ type Store interface {
 	// Close releases resources.  Get must not be called after Close.
 	Close() error
 }
-
-// OwnedPutter is an optional Store extension for callers that hand over a
-// freshly built payload they will never touch again: the store may keep
-// the slice instead of copying it.  After PutOwned returns the slice
-// belongs to the store and the caller must not read or write it.
-//
-// Only stores that retain payloads (MemStore) implement it; write-through
-// stores like DiskStore deliberately do not, so ownership-aware callers
-// fall back to Put with a reused encode buffer — the cheaper path when
-// nothing is retained.
-type OwnedPutter interface {
-	PutOwned(id int64, data []byte) error
-}
-
-// PutOwned persists data under id, transferring ownership of the slice
-// when s supports it and falling back to a copying Put otherwise.
-func PutOwned(s Store, id int64, data []byte) error {
-	if o, ok := s.(OwnedPutter); ok {
-		return o.PutOwned(id, data)
-	}
-	return s.Put(id, data)
-}
-
-// MemStore is an in-memory Store.
-type MemStore struct {
-	mu sync.RWMutex
-	m  map[int64][]byte
-}
-
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{m: make(map[int64][]byte)}
-}
-
-// Put implements Store.
-func (s *MemStore) Put(id int64, data []byte) error {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	return s.PutOwned(id, cp)
-}
-
-// PutOwned implements OwnedPutter: the slice is stored as-is, without the
-// defensive copy Put makes.
-func (s *MemStore) PutOwned(id int64, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.m[id]; dup {
-		return fmt.Errorf("spill: duplicate record %d", id)
-	}
-	s.m[id] = data
-	return nil
-}
-
-// Get implements Store.
-func (s *MemStore) Get(id int64) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	data, ok := s.m[id]
-	if !ok {
-		return nil, fmt.Errorf("spill: record %d not found", id)
-	}
-	return data, nil
-}
-
-// Len implements Store.
-func (s *MemStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.m)
-}
-
-// Close implements Store.
-func (s *MemStore) Close() error { return nil }
 
 // DiskStore is an append-only log file with an in-memory index.  Records
 // are framed as (id varint, length varint, payload).

@@ -3,7 +3,6 @@ package spill
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -13,7 +12,6 @@ import (
 // storeFactories enumerates the implementations under test.
 func storeFactories(t *testing.T) map[string]func() Store {
 	return map[string]func() Store{
-		"mem": func() Store { return NewMemStore() },
 		"disk": func() Store {
 			s, err := NewDiskStore(filepath.Join(t.TempDir(), "spill.log"))
 			if err != nil {
@@ -159,102 +157,6 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-func TestPutOwnedRoundTrip(t *testing.T) {
-	for name, mk := range storeFactories(t) {
-		t.Run(name, func(t *testing.T) {
-			s := mk()
-			defer s.Close()
-			payloads := map[int64][]byte{
-				1:  []byte("alpha"),
-				2:  {},
-				-9: bytes.Repeat([]byte{0xCD}, 5000),
-			}
-			for id, p := range payloads {
-				owned := append([]byte(nil), p...)
-				if err := PutOwned(s, id, owned); err != nil {
-					t.Fatalf("PutOwned(%d): %v", id, err)
-				}
-			}
-			for id, want := range payloads {
-				got, err := s.Get(id)
-				if err != nil {
-					t.Fatalf("Get(%d): %v", id, err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("Get(%d) = %q, want %q", id, got, want)
-				}
-			}
-			if err := PutOwned(s, 1, []byte("dup")); err == nil {
-				t.Fatal("duplicate PutOwned should fail")
-			}
-		})
-	}
-}
-
-// TestDiskStorePutOwnedByteIdentical writes the same records through Put
-// (with reused caller buffers, as the batched Phase 1 path does) and
-// through PutOwned, and asserts the resulting log files are byte-identical
-// and both reload cleanly.
-func TestDiskStorePutOwnedByteIdentical(t *testing.T) {
-	dir := t.TempDir()
-	pathA := filepath.Join(dir, "put.log")
-	pathB := filepath.Join(dir, "putowned.log")
-	a, err := NewDiskStore(pathA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewDiskStore(pathB)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	scratch := make([]byte, 0, 64)
-	for i := int64(0); i < 200; i++ {
-		payload := []byte(fmt.Sprintf("record-%d-%s", i, bytes.Repeat([]byte{byte(i)}, int(i%17))))
-		scratch = append(scratch[:0], payload...) // reused buffer, old path
-		if err := a.Put(i, scratch); err != nil {
-			t.Fatal(err)
-		}
-		if err := PutOwned(Store(b), i, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	rawA, err := os.ReadFile(pathA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawB, err := os.ReadFile(pathB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rawA, rawB) {
-		t.Fatalf("log files differ: %d vs %d bytes", len(rawA), len(rawB))
-	}
-
-	re, err := OpenDiskStore(pathB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	for i := int64(0); i < 200; i++ {
-		want := fmt.Sprintf("record-%d-%s", i, bytes.Repeat([]byte{byte(i)}, int(i%17)))
-		got, err := re.Get(i)
-		if err != nil {
-			t.Fatalf("Get(%d): %v", i, err)
-		}
-		if string(got) != want {
-			t.Fatalf("Get(%d) = %q, want %q", i, got, want)
-		}
-	}
-}
-
 func TestDiskStoreBytesWritten(t *testing.T) {
 	s, err := NewDiskStore(filepath.Join(t.TempDir(), "spill.log"))
 	if err != nil {
@@ -273,7 +175,10 @@ func TestDiskStoreBytesWritten(t *testing.T) {
 }
 
 func TestQuickRoundTrip(t *testing.T) {
-	s := NewMemStore()
+	s, err := NewDiskStore(filepath.Join(t.TempDir(), "spill.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Close()
 	var next int64
 	f := func(data []byte) bool {
