@@ -270,26 +270,6 @@ func BenchmarkAblationDedup(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSpill compares in-memory vs on-disk body stores.
-func BenchmarkAblationSpill(b *testing.B) {
-	g := benchGraph(b)
-	b.Run("mem", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := FindCircuit(g, WithPartitions(8)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("disk", func(b *testing.B) {
-		dir := b.TempDir()
-		for i := 0; i < b.N; i++ {
-			if _, err := FindCircuit(g, WithPartitions(8), WithSpillDir(dir)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkScalingPartitions sweeps the partition count on a fixed graph
 // (the strong-scaling axis of Fig. 5).
 func BenchmarkScalingPartitions(b *testing.B) {

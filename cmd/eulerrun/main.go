@@ -53,7 +53,6 @@ func run(args []string, stdout io.Writer) error {
 		modeName   = fs.String("mode", "current", "remote-edge mode: current, dedup, proposed")
 		seqRun     = fs.Bool("seq", false, "run the sequential Hierholzer baseline instead")
 		circuitOut = fs.String("circuit", "", "write the circuit (one 'from to edge' line per step)")
-		spillDir   = fs.String("spill", "", "spill path bodies to this directory (created if missing)")
 		seed       = fs.Int64("seed", 1, "partitioner seed")
 		model      = fs.Bool("model", true, "include the commodity-cluster cost model")
 		noVerify   = fs.Bool("no-verify", false, "skip circuit verification")
@@ -98,7 +97,7 @@ func run(args []string, stdout io.Writer) error {
 	a := partition.LDG(g, k, *seed)
 	fmt.Fprintf(stdout, "partitions: %s\n", partition.ComputeMetrics(g, a))
 
-	spec := euler.SolveSpec{Assign: &a, Mode: mode, SpillDir: *spillDir}
+	spec := euler.SolveSpec{Assign: &a, Mode: mode}
 	if *model {
 		spec.Cost = bsp.CommodityCluster()
 	}

@@ -35,8 +35,7 @@ func runOK(t *testing.T, args ...string) string {
 }
 
 // TestCircuitMatchesFindCircuit pins eulerrun's -circuit file, line for
-// line, to the facade's circuit under the same parts, seed and mode, with
-// and without spilling.
+// line, to the facade's circuit under the same parts, seed and mode.
 func TestCircuitMatchesFindCircuit(t *testing.T) {
 	rmat, _ := gen.EulerianRMAT(gen.DefaultRMAT(11, 7))
 	modes := []struct {
@@ -58,26 +57,20 @@ func TestCircuitMatchesFindCircuit(t *testing.T) {
 				for i, s := range c.Steps {
 					want[i] = fmt.Sprintf("%d %d %d", s.From, s.To, s.Edge)
 				}
-				for _, spill := range []bool{false, true} {
-					name := fmt.Sprintf("%s/%s/parts=%d/spill=%v", fam.name, m.name, k, spill)
-					out := filepath.Join(t.TempDir(), "circuit.txt")
-					args := []string{"-graph", path, "-parts", fmt.Sprint(k), "-mode", m.name, "-circuit", out}
-					if spill {
-						args = append(args, "-spill", t.TempDir())
-					}
-					runOK(t, args...)
-					b, err := os.ReadFile(out)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
-					if len(got) != len(want) {
-						t.Fatalf("%s: %d lines, want %d", name, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("%s: line %d = %q, want %q", name, i+1, got[i], want[i])
-						}
+				name := fmt.Sprintf("%s/%s/parts=%d", fam.name, m.name, k)
+				out := filepath.Join(t.TempDir(), "circuit.txt")
+				runOK(t, "-graph", path, "-parts", fmt.Sprint(k), "-mode", m.name, "-circuit", out)
+				b, err := os.ReadFile(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d lines, want %d", name, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s: line %d = %q, want %q", name, i+1, got[i], want[i])
 					}
 				}
 			}
@@ -102,16 +95,16 @@ func TestPartsValidation(t *testing.T) {
 	}
 }
 
-// TestFileToCircuitEndToEnd runs eulerrun on a stored graph, spilling into
-// a directory that does not exist yet, and checks the circuit verifies.
+// TestFileToCircuitEndToEnd runs eulerrun on a stored graph and checks the
+// circuit verifies, and that -spill is not a flag.
 func TestFileToCircuitEndToEnd(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "a", "b")
-	out := runOK(t, "-graph", storeGraph(t, gen.Torus(10, 7)), "-parts", "4", "-mode", "proposed", "-spill", dir)
+	path := storeGraph(t, gen.Torus(10, 7))
+	out := runOK(t, "-graph", path, "-parts", "4", "-mode", "proposed")
 	if !strings.Contains(out, "circuit verified: 140 edges") {
 		t.Fatalf("circuit not verified:\n%s", out)
 	}
-	if _, err := os.Stat(dir); err != nil {
-		t.Fatalf("spill directory: %v", err)
+	if err := run([]string{"-graph", path, "-spill", t.TempDir()}, io.Discard); !errors.As(err, new(usageError)) {
+		t.Fatalf("-spill: err = %v, want a usage error", err)
 	}
 }
 

@@ -89,11 +89,6 @@ func WithSeed(s int64) Option { return func(o *Options) { o.spec.Seed = s } }
 // built-in partitioner.
 func WithAssignment(a Assignment) Option { return func(o *Options) { o.spec.Assign = &a } }
 
-// WithSpillDir spills path bodies to a log file in dir (created if missing)
-// instead of keeping them in memory, as the paper prescribes for large
-// graphs.
-func WithSpillDir(dir string) Option { return func(o *Options) { o.spec.SpillDir = dir } }
-
 // WithCostModel installs a platform cost model so the report's modeled
 // times include network/scheduler overhead.  Passing all zeros models a
 // zero-overhead platform; WithCommodityCluster picks the calibration used
@@ -224,14 +219,14 @@ func solve(g GraphSource, spec euler.SolveSpec, emit func(Step) error) (*Report,
 // internal/oocgraph and the eulerd out-of-core mode).
 type GraphSource = graph.Source
 
-// FindCircuitStreamSource is FindCircuitStream over a GraphSource, with
-// path bodies spilled under spillDir.  A source that is not a resident
-// *Graph (a paged disk CSR from internal/oocgraph) solves semi-externally:
-// leaf partition states spill under spillDir too and load lazily one
-// superstep at a time, and BSP workers run sequentially so only one
-// partition's state is resident at once.  spillDir "" keeps a resident
-// graph's bodies in memory and gives a non-resident one a fresh OS temp
-// directory removed when the call returns.  Either way the emitted circuit
+// FindCircuitStreamSource is FindCircuitStream over a GraphSource.  A
+// source that is not a resident *Graph (a paged disk CSR from
+// internal/oocgraph) solves semi-externally: path bodies and leaf
+// partition states spill under spillDir (created if missing; "" = a fresh
+// OS temp directory removed when the call returns), leaf states load
+// lazily one superstep at a time, and BSP workers run sequentially so only
+// one partition's state is resident at once.  A resident *Graph keeps its
+// bodies in memory and ignores spillDir.  Either way the emitted circuit
 // is byte-identical to FindCircuitStream over the equivalent in-memory
 // graph.  Record/Replay (delta retention) are not supported on this path.
 func FindCircuitStreamSource(g GraphSource, spillDir string, emit func(Step) error, opts ...Option) (*Report, error) {

@@ -57,17 +57,6 @@ func TestFindCircuitStream(t *testing.T) {
 	}
 }
 
-func TestFindCircuitSpillDir(t *testing.T) {
-	g := NewTorus(8, 8)
-	c, err := FindCircuit(g, WithPartitions(2), WithSpillDir(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Verify(g, c.Steps); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFindCircuitCostModel(t *testing.T) {
 	g := NewTorus(8, 8)
 	c, err := FindCircuit(g, WithPartitions(4), WithCommodityCluster())

@@ -27,10 +27,10 @@ type SolveSpec struct {
 	Mode     Mode
 	Cost     bsp.CostModel
 	Validate bool
-	// SpillDir, when set, holds the run's spill logs (created if
-	// missing); "" keeps path bodies in the Registry, except for a source
-	// that is not a resident *graph.Graph, which spills to a temp
-	// directory removed on return.
+	// SpillDir is where a source that is not a resident *graph.Graph
+	// spills its path bodies and leaf states (created if missing; "" = a
+	// temp directory removed on return).  A resident graph keeps its
+	// bodies in the Registry and ignores it.
 	SpillDir string
 	// Retain captures a replay record of this run; Replay reuses an
 	// earlier run's record for the partitions that did not change.
@@ -50,14 +50,14 @@ type Executor func(ctx context.Context, g *graph.Graph, a partition.Assignment, 
 type Solver func(ctx context.Context, src graph.Source, spec SolveSpec, emit func(Step) error) (*RunReport, *RunRecord, error)
 
 // Solve is the one solve pipeline: resolve parts and seed, partition, open
-// the spill stores, run Phases 1–2, and unroll Phase 3 into emit, observing
-// ctx between stages and before every emitted step.  The record is non-nil
-// only when spec.Retain is set.
+// a non-resident source's spill stores, run Phases 1–2, and unroll Phase 3
+// into emit, observing ctx between stages and before every emitted step.
+// The record is non-nil only when spec.Retain is set.
 //
 // A source that is not a resident *graph.Graph (a paged disk CSR) runs the
-// semi-external configuration: leaf states spill and load lazily, workers
-// run one at a time, and the spill logs go to a temp directory when
-// spec.SpillDir is "".  The circuit is the one the in-memory solve emits.
+// semi-external configuration: path bodies and leaf states spill under
+// spec.SpillDir, leaf states load lazily, and workers run one at a time.
+// The circuit is the one the in-memory solve emits.
 func Solve(ctx context.Context, src graph.Source, spec SolveSpec, emit func(Step) error) (*RunReport, *RunRecord, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -70,7 +70,7 @@ func Solve(ctx context.Context, src graph.Source, spec SolveSpec, emit func(Step
 		return nil, nil, err
 	}
 	_, resident := src.(*graph.Graph)
-	cfg, stores, err := openStores(spec, !resident)
+	cfg, stores, err := openStores(spec, resident)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -128,10 +128,12 @@ func (s *runStores) close() {
 	}
 }
 
-// openStores is the store stage: it turns the spec into the engine Config,
-// opening the body store (and, for a non-resident source, the leaf-state
-// store) under the spill directory.  The caller closes the returned stores.
-func openStores(spec SolveSpec, external bool) (Config, *runStores, error) {
+// openStores is the store stage: it turns the spec into the engine Config.
+// A resident source keeps its path bodies in the Registry and opens
+// nothing; any other source opens the body and leaf-state stores under
+// spec.SpillDir (or a temp directory).  The caller closes the returned
+// stores.
+func openStores(spec SolveSpec, resident bool) (Config, *runStores, error) {
 	cfg := Config{
 		Mode:     spec.Mode,
 		Cost:     spec.Cost,
@@ -140,16 +142,16 @@ func openStores(spec SolveSpec, external bool) (Config, *runStores, error) {
 		Replay:   spec.Replay,
 	}
 	st := &runStores{}
+	if resident {
+		return cfg, st, nil
+	}
 	dir := spec.SpillDir
 	var err error
-	switch {
-	case dir != "":
+	if dir != "" {
 		err = os.MkdirAll(dir, 0o755)
-	case external:
+	} else {
 		st.tmp, err = os.MkdirTemp("", "eulerooc-")
 		dir = st.tmp
-	default:
-		return cfg, st, nil
 	}
 	if err != nil {
 		return cfg, nil, fmt.Errorf("euler: creating spill dir: %w", err)
@@ -158,14 +160,11 @@ func openStores(spec SolveSpec, external bool) (Config, *runStores, error) {
 		st.close()
 		return cfg, nil, fmt.Errorf("euler: opening spill store: %w", err)
 	}
-	cfg.Store = st.bodies
-	if external {
-		if st.leaves, err = spill.NewDiskStore(filepath.Join(dir, "leaf-init.log")); err != nil {
-			st.close()
-			return cfg, nil, fmt.Errorf("euler: opening leaf-state store: %w", err)
-		}
-		cfg.Sequential, cfg.InitStore, cfg.ScratchDir = true, st.leaves, dir
+	if st.leaves, err = spill.NewDiskStore(filepath.Join(dir, "leaf-init.log")); err != nil {
+		st.close()
+		return cfg, nil, fmt.Errorf("euler: opening leaf-state store: %w", err)
 	}
+	cfg.Store, cfg.Sequential, cfg.InitStore, cfg.ScratchDir = st.bodies, true, st.leaves, dir
 	return cfg, st, nil
 }
 

@@ -75,10 +75,10 @@ func solveSteps(t *testing.T, src graph.Source, spec SolveSpec) ([]Step, *RunRep
 	return steps, report, record
 }
 
-// TestSolveStoreStage pins where each run puts its logs: nowhere without
-// a spill dir, under a (created) spill dir with one, and, for a source that
-// is not a resident graph, leaf states beside the bodies or in a temp dir
-// that is gone on return.
+// TestSolveStoreStage pins where each run puts its logs: nowhere for a
+// resident graph, even with a spill dir set, and, for a source that is not
+// a resident graph, under a (created) spill dir or in a temp dir that is
+// gone on return.
 func TestSolveStoreStage(t *testing.T) {
 	g := gen.Torus(10, 6)
 	want, _, _ := solveSteps(t, g, SolveSpec{Parts: 3})
@@ -97,21 +97,20 @@ func TestSolveStoreStage(t *testing.T) {
 		}
 	}
 
-	dir := filepath.Join(t.TempDir(), "missing", "spill")
-	got, _, _ := solveSteps(t, g, SolveSpec{Parts: 3, SpillDir: dir})
-	same("spilled", got)
-	if _, err := os.Stat(filepath.Join(dir, SpillLogName)); err != nil {
-		t.Fatalf("spilled run left no body log: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "leaf-init.log")); err == nil {
-		t.Fatal("in-memory run wrote a leaf-state log")
+	dir := filepath.Join(t.TempDir(), "missing")
+	got, _, _ := solveSteps(t, g, SolveSpec{Parts: 3, SpillDir: filepath.Join(dir, "spill")})
+	same("resident, spill dir set", got)
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("resident run created its spill dir: %v", err)
 	}
 
 	oocDir := filepath.Join(t.TempDir(), "ooc")
 	got, report, _ := solveSteps(t, pagedLike{g}, SolveSpec{Parts: 3, SpillDir: oocDir})
 	same("out of core", got)
-	if _, err := os.Stat(filepath.Join(oocDir, "leaf-init.log")); err != nil {
-		t.Fatalf("out-of-core run left no leaf-state log: %v", err)
+	for _, log := range []string{SpillLogName, "leaf-init.log"} {
+		if _, err := os.Stat(filepath.Join(oocDir, log)); err != nil {
+			t.Fatalf("out-of-core run left no %s: %v", log, err)
+		}
 	}
 	if report == nil {
 		t.Fatal("out-of-core run returned no report")

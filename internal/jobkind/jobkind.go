@@ -28,7 +28,6 @@ package jobkind
 import (
 	"context"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 
@@ -45,7 +44,6 @@ type Options struct {
 	Parts int32
 	Mode  string
 	Seed  int64
-	Spill bool
 }
 
 // Request is the kind-relevant portion of one submission: the engine
@@ -177,36 +175,22 @@ func Names() []string {
 func ParseMode(s string) (euler.Mode, error) { return euler.ParseMode(s) }
 
 // SolveSpec is the one translation of a submission's engine options into
-// the solve pipeline's spec; a Spill job's logs go under spillDir.
-func (o Options) SolveSpec(spillDir string) (euler.SolveSpec, error) {
+// the solve pipeline's spec.
+func (o Options) SolveSpec() (euler.SolveSpec, error) {
 	mode, err := ParseMode(o.Mode)
 	if err != nil {
 		return euler.SolveSpec{}, err
 	}
-	spec := euler.SolveSpec{Parts: o.Parts, Seed: o.Seed, Mode: mode}
-	if o.Spill {
-		spec.SpillDir = spillDir
-	}
-	return spec, nil
+	return euler.SolveSpec{Parts: o.Parts, Seed: o.Seed, Mode: mode}, nil
 }
 
 // solveLocal returns the in-process GraphRunner for the given engine
 // options: euler.Solve over goroutine workers, exactly what a standalone
 // eulerd runs.  Library clients (the examples) and kinds handed a nil
-// runner use it; a Spill job spills to a temp directory removed on
-// return.
+// runner use it.
 func solveLocal(opts Options) GraphRunner {
 	return func(ctx context.Context, g *graph.Graph, emit func(graph.Step) error) (*euler.RunReport, error) {
-		dir := ""
-		if opts.Spill {
-			tmp, err := os.MkdirTemp("", "eulerspill-")
-			if err != nil {
-				return nil, err
-			}
-			defer os.RemoveAll(tmp)
-			dir = tmp
-		}
-		spec, err := opts.SolveSpec(dir)
+		spec, err := opts.SolveSpec()
 		if err != nil {
 			return nil, err
 		}
@@ -237,8 +221,8 @@ func normalizeEngineOptions(kind string, req *Request) error {
 // kinds: their output is fully determined by the kind spec, so engine
 // knobs would silently not apply — reject them instead.
 func requireNoEngineOptions(kind string, o Options) error {
-	if o.Parts != 0 || o.Mode != "" || o.Seed != 0 || o.Spill {
-		return badSpec(kind, "%s jobs take no engine options (parts, mode, seed, spill)", kind)
+	if o.Parts != 0 || o.Mode != "" || o.Seed != 0 {
+		return badSpec(kind, "%s jobs take no engine options (parts, mode, seed)", kind)
 	}
 	return nil
 }

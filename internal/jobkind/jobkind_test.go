@@ -64,7 +64,7 @@ func mustNormalize(t *testing.T, kind string, req *Request) {
 
 func TestNormalizeGraphKinds(t *testing.T) {
 	for _, kind := range []string{"euler", "postman"} {
-		req := &Request{Options: Options{Parts: 4, Mode: "dedup", Seed: 9, Spill: true}}
+		req := &Request{Options: Options{Parts: 4, Mode: "dedup", Seed: 9}}
 		mustNormalize(t, kind, req)
 
 		for name, bad := range map[string]Request{
@@ -91,7 +91,6 @@ func TestNormalizeDeBruijn(t *testing.T) {
 	}
 	for name, bad := range map[string]Request{
 		"engine options": {Options: Options{Parts: 2}},
-		"spill":          {Options: Options{Spill: true}},
 		"superwalk spec": {Superwalk: &SuperwalkSpec{}},
 		"huge":           {DeBruijn: &DeBruijnSpec{Alphabet: 10, Length: 10}},
 		"unary alphabet": {DeBruijn: &DeBruijnSpec{Alphabet: 1, Length: 4}},

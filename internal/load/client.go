@@ -158,7 +158,7 @@ func (c *Client) SubmitDelta(base string, add, remove [][2]int64, opts SubmitOpt
 }
 
 // SubmitUpload submits g as an EULGRPH1 body, carrying the spec's engine
-// options (parts, seed, mode, spill) in the query string.
+// options (parts, seed, mode) in the query string.
 func (c *Client) SubmitUpload(g *graph.Graph, spec job.Spec) (job.Snapshot, error) {
 	return c.SubmitUploadAs(g, spec, SubmitOpts{})
 }
@@ -182,9 +182,6 @@ func (c *Client) SubmitUploadAs(g *graph.Graph, spec job.Spec, opts SubmitOpts) 
 	}
 	if spec.Mode != "" {
 		q.Set("mode", spec.Mode)
-	}
-	if spec.Spill {
-		q.Set("spill", "true")
 	}
 	u := c.Base + "/v1/jobs"
 	if enc := q.Encode(); enc != "" {

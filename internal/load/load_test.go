@@ -225,7 +225,7 @@ func TestRunScenarioCompleteVerifiesCircuits(t *testing.T) {
 		Jobs:     6, Concurrency: 3,
 		Templates: []JobTemplate{
 			genTpl(cliques(6, 5, 3, "current")),
-			genTpl(torus(12, 12, 4, "proposed", false)),
+			genTpl(torus(12, 12, 4, "proposed")),
 			uploadTpl(cliques(4, 5, 2, "dedup")),
 		},
 		JobTimeout: 60 * time.Second,

@@ -308,8 +308,8 @@ func rmat(vertices int64, degree int, parts int32, mode string) job.Spec {
 	return job.Spec{Generator: &job.GenSpec{Family: "rmat", Vertices: vertices, Degree: degree, Seed: 42}, Parts: parts, Mode: mode, Seed: 7}
 }
 
-func torus(w, h int64, parts int32, mode string, spill bool) job.Spec {
-	return job.Spec{Generator: &job.GenSpec{Family: "torus", Width: w, Height: h}, Parts: parts, Mode: mode, Seed: 7, Spill: spill}
+func torus(w, h int64, parts int32, mode string) job.Spec {
+	return job.Spec{Generator: &job.GenSpec{Family: "torus", Width: w, Height: h}, Parts: parts, Mode: mode, Seed: 7}
 }
 
 func postmanGrid(w, h int64, closures float64, gseed int64, parts int32) job.Spec {
@@ -361,8 +361,8 @@ func Scenarios() []Scenario {
 			},
 		},
 		{
-			Name:        "closed-torus-spill",
-			Description: "closed-loop torus jobs with the engine spilling path bodies to disk",
+			Name:        "closed-torus",
+			Description: "closed-loop torus jobs",
 			Profiles:    both,
 			// Cache off: these gate ENGINE throughput/latency; repeat
 			// submissions must execute, not replay from the result cache
@@ -370,8 +370,8 @@ func Scenarios() []Scenario {
 			ServerArgs: []string{"-cache-bytes", "0"},
 			Jobs:       4, Concurrency: 2,
 			Templates: []JobTemplate{
-				genTpl(torus(48, 48, 4, "current", true)),
-				genTpl(torus(48, 48, 6, "proposed", true)),
+				genTpl(torus(48, 48, 4, "current")),
+				genTpl(torus(48, 48, 6, "proposed")),
 			},
 		},
 		{
@@ -385,7 +385,7 @@ func Scenarios() []Scenario {
 			Jobs:       10, RatePerSec: 8,
 			Templates: []JobTemplate{
 				genTpl(cliques(8, 5, 3, "current")),
-				genTpl(torus(24, 24, 4, "dedup", false)),
+				genTpl(torus(24, 24, 4, "dedup")),
 				genTpl(rmat(8_000, 4, 4, "proposed")),
 			},
 		},
@@ -399,7 +399,7 @@ func Scenarios() []Scenario {
 			ServerArgs: []string{"-cache-bytes", "0"},
 			Jobs:       4, Concurrency: 2,
 			Templates: []JobTemplate{
-				uploadTpl(torus(32, 32, 4, "current", false)),
+				uploadTpl(torus(32, 32, 4, "current")),
 				uploadTpl(cliques(8, 5, 4, "dedup")),
 			},
 		},
@@ -432,7 +432,7 @@ func Scenarios() []Scenario {
 			// generous headroom on slow CI runners.
 			JobTimeout: 240 * time.Second,
 			Templates: []JobTemplate{
-				uploadTpl(torus(768, 768, 64, "current", false)),
+				uploadTpl(torus(768, 768, 64, "current")),
 			},
 		},
 		{
@@ -585,7 +585,7 @@ func Scenarios() []Scenario {
 			Jobs:       4, Concurrency: 2,
 			Templates: []JobTemplate{
 				genTpl(cliques(10, 5, 4, "current")),
-				genTpl(torus(24, 24, 4, "proposed", false)),
+				genTpl(torus(24, 24, 4, "proposed")),
 			},
 		},
 		{
@@ -641,7 +641,7 @@ func Scenarios() []Scenario {
 			ErrorBudget:  0,
 			Jobs:         3, Concurrency: 1,
 			Templates: []JobTemplate{
-				genTpl(torus(24, 24, 4, "current", false)),
+				genTpl(torus(24, 24, 4, "current")),
 			},
 		},
 		{
@@ -701,7 +701,7 @@ func Scenarios() []Scenario {
 			Jobs:        40, Concurrency: 4,
 			Templates: []JobTemplate{
 				genTpl(cliques(24, 7, 6, "current")),
-				genTpl(torus(64, 64, 6, "dedup", true)),
+				genTpl(torus(64, 64, 6, "dedup")),
 				genTpl(rmat(100_000, 4, 8, "proposed")),
 				uploadTpl(cliques(16, 5, 4, "current")),
 			},

@@ -55,45 +55,50 @@ func (e *DeltaEntry) sizeBytes() int64 {
 // plus the added pairs appended in order.  Errors are client errors: the
 // server surfaces them as structured 400s.
 func (e *DeltaEntry) Apply(add, remove [][2]int64) (*graph.Graph, error) {
-	edges := make([][2]int64, len(e.Edges))
-	copy(edges, e.Edges)
+	// One walk over the base consumes a count per listed pair with the
+	// pair's earliest copies; listed has bit lo%4096 set for each listed
+	// pair's lower endpoint lo, so most edges skip the map lookup.
+	want := make(map[[2]int64]int, len(remove))
+	var listed [64]uint64
 	for _, rm := range remove {
-		u, v := rm[0], rm[1]
-		found := -1
-		for i, ed := range edges {
-			if ed == [2]int64{-1, -1} {
-				continue
-			}
-			if (ed[0] == u && ed[1] == v) || (ed[0] == v && ed[1] == u) {
-				found = i
-				break
-			}
-		}
-		if found < 0 {
-			return nil, fmt.Errorf("diff removes edge [%d %d] not present in the base graph", u, v)
-		}
-		edges[found] = [2]int64{-1, -1}
+		k := unordered(rm)
+		want[k]++
+		listed[uint64(k[0])/64%64] |= 1 << (uint64(k[0]) % 64)
 	}
 	n := e.NumVertices
 	for _, ad := range add {
-		if ad[0] >= n {
-			n = ad[0] + 1
-		}
-		if ad[1] >= n {
-			n = ad[1] + 1
-		}
+		n = max(n, ad[0]+1, ad[1]+1)
 	}
 	b := graph.NewBuilder(n, len(e.Edges)+len(add))
-	for _, ed := range edges {
-		if ed == [2]int64{-1, -1} {
+	for _, ed := range e.Edges {
+		if k := unordered(ed); listed[uint64(k[0])/64%64]&(1<<(uint64(k[0])%64)) != 0 && want[k] > 0 {
+			want[k]--
 			continue
 		}
 		b.AddEdge(ed[0], ed[1])
+	}
+	// The last want[k] listings of each short pair are missing: walking
+	// the list backwards ends at the earliest of them.
+	missing := -1
+	for j := len(remove) - 1; j >= 0; j-- {
+		if k := unordered(remove[j]); want[k] > 0 {
+			want[k]--
+			missing = j
+		}
+	}
+	if missing >= 0 {
+		rm := remove[missing]
+		return nil, fmt.Errorf("diff removes edge [%d %d] not present in the base graph", rm[0], rm[1])
 	}
 	for _, ad := range add {
 		b.AddEdge(ad[0], ad[1])
 	}
 	return b.Build(), nil
+}
+
+// unordered is a pair with its endpoints in ascending order.
+func unordered(p [2]int64) [2]int64 {
+	return [2]int64{min(p[0], p[1]), max(p[0], p[1])}
 }
 
 // EdgePairs extracts a graph's edge list in submitted (edge ID) order.

@@ -32,10 +32,10 @@ func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 const fingerprintVersion = "eulerfp3"
 
 // SolveOptions is the option subset that determines the output stream
-// for a given input graph.  Spill location and transport topology are
-// deliberately excluded: they move intermediate state around without
-// changing the streamed result (the cluster-vs-solo byte-identity
-// scenario is exactly that guarantee).
+// for a given input graph.  Where path bodies live (the source decides)
+// and transport topology are deliberately excluded: they move
+// intermediate state around without changing the streamed result (the
+// cluster-vs-solo byte-identity scenario is exactly that guarantee).
 type SolveOptions struct {
 	// Parts is the partition count as submitted (0 = engine default;
 	// kept verbatim because the resolved default is process-local).

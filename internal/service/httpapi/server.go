@@ -688,7 +688,6 @@ func (s *Server) decodeSubmission(r *http.Request, dir string) (job.Spec, int, e
 			spec.Seed = seed
 		}
 		spec.Mode = q.Get("mode")
-		spec.Spill = q.Get("spill") == "true"
 		path := filepath.Join(dir, "graph.bin")
 		edges, err := saveUpload(path, http.MaxBytesReader(nil, r.Body, s.maxUploadBytes))
 		if err != nil {
@@ -829,8 +828,8 @@ func (s *Server) runJob(poolCtx context.Context, j *job.Job, lease *sched.Lease)
 	// state.  Cluster runs never retain: the engine state lives on the
 	// workers, not the coordinator.  Paged runs never retain either — a
 	// delta base pins the full edge list in memory, exactly what that
-	// path exists to avoid — and always spill to the job directory.
-	spec, err := j.Spec.KindRequest().Options.SolveSpec(j.Dir)
+	// path exists to avoid — and spill to the job directory.
+	spec, err := j.Spec.KindRequest().Options.SolveSpec()
 	if err != nil {
 		fail(err)
 		return

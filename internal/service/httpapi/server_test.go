@@ -286,7 +286,7 @@ func TestUploadJob(t *testing.T) {
 	if err := graph.Write(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/jobs?parts=3&seed=7&spill=true", "application/octet-stream", &buf)
+	resp, err := http.Post(ts.URL+"/v1/jobs?parts=3&seed=7", "application/octet-stream", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,12 +298,39 @@ func TestUploadJob(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("upload: status %d", resp.StatusCode)
 	}
-	if !snap.Spec.Uploaded || snap.Spec.Parts != 3 || snap.Spec.Seed != 7 || !snap.Spec.Spill {
+	if !snap.Spec.Uploaded || snap.Spec.Parts != 3 || snap.Spec.Seed != 7 {
 		t.Fatalf("upload spec not captured: %+v", snap.Spec)
 	}
 	waitState(t, ts, snap.ID, job.StateDone)
 	if err := euler.Verify(g, streamCircuit(t, ts, snap.ID)); err != nil {
 		t.Fatalf("uploaded job circuit: %v", err)
+	}
+}
+
+// TestSpillOptionIgnored: where path bodies live is derived from the
+// source, so a client still sending the retired spill option, as a query
+// parameter on an upload or a field of a JSON spec, is accepted and gets
+// the same circuit bytes as a submission without it.
+func TestSpillOptionIgnored(t *testing.T) {
+	_, ts := newTestServer(t, 2, 8)
+	g := gen.Torus(9, 5)
+	circuit := func(snap job.Snapshot, status int) []byte {
+		t.Helper()
+		if status != http.StatusAccepted {
+			t.Fatalf("submit: status %d, want 202", status)
+		}
+		waitState(t, ts, snap.ID, job.StateDone)
+		return rawCircuit(t, ts, snap.ID)
+	}
+	want := circuit(uploadGraph(t, ts, g, "?parts=3"))
+	if got := circuit(uploadGraph(t, ts, g, "?parts=3&spill=true")); !bytes.Equal(got, want) {
+		t.Fatal("upload with ?spill=true streamed a different circuit")
+	}
+
+	const spec = `{"generator":{"family":"torus","width":9,"height":5},"parts":3%s}`
+	want = circuit(submitJSON(t, ts, fmt.Sprintf(spec, "")), http.StatusAccepted)
+	if got := circuit(submitJSON(t, ts, fmt.Sprintf(spec, `,"spill":true`)), http.StatusAccepted); !bytes.Equal(got, want) {
+		t.Fatal(`JSON spec with "spill":true streamed a different circuit`)
 	}
 }
 

@@ -43,7 +43,8 @@ type Job struct {
 	ID   string
 	Spec Spec
 	// Dir is the job's scratch directory (uploaded graph, circuit log,
-	// optional engine spill); it is removed when the job is evicted.
+	// and a paged solve's spill logs); it is removed when the job is
+	// evicted.
 	Dir string
 
 	ctx    context.Context

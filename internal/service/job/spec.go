@@ -157,7 +157,10 @@ func (g *GenSpec) Build() (*graph.Graph, error) {
 
 // Spec is a job submission: the workload kind, its input (a generator
 // spec or uploaded EULGRPH1 graph for graph-backed kinds, a kind spec
-// for sequence kinds), and the engine options.
+// for sequence kinds), and the engine options.  Where path bodies live
+// is not an option: a paged upload spills them to the job directory and
+// every other input keeps them in memory.  Unknown JSON fields, such as
+// the retired "spill", are ignored.
 type Spec struct {
 	// Kind names the workload family ("euler", "postman", "debruijn",
 	// "superwalk"); "" means euler.  Validate canonicalises it.
@@ -183,9 +186,6 @@ type Spec struct {
 	Mode string `json:"mode,omitempty"`
 	// Seed drives the partitioner (0 = engine default).
 	Seed int64 `json:"seed,omitempty"`
-	// Spill makes the engine spill path bodies to the job directory
-	// instead of keeping them in memory.
-	Spill bool `json:"spill,omitempty"`
 
 	// DeBruijn and Superwalk are the sequence kinds' specs; exactly the
 	// matching kind may carry one.
@@ -220,7 +220,7 @@ func (s *Spec) IsDelta() bool { return s.Base != "" || s.Diff != nil }
 // defaults back into the spec (like GenSpec.Validate does).
 func (s *Spec) KindRequest() jobkind.Request {
 	return jobkind.Request{
-		Options:   jobkind.Options{Parts: s.Parts, Mode: s.Mode, Seed: s.Seed, Spill: s.Spill},
+		Options:   jobkind.Options{Parts: s.Parts, Mode: s.Mode, Seed: s.Seed},
 		DeBruijn:  s.DeBruijn,
 		Superwalk: s.Superwalk,
 	}

@@ -257,11 +257,3 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// Ratio returns a/b as a percentage string, guarding division by zero.
-func Ratio(a, b int64) string {
-	if b == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.0f%%", 100*float64(a)/float64(b))
-}

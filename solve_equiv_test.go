@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -113,16 +114,43 @@ func TestEntryPointsMatchSolve(t *testing.T) {
 	}
 }
 
-// TestSpillDirCreated: WithSpillDir names where the body log goes; the
-// directory need not exist yet (FindCircuitStreamSource always created it).
+// TestSpillDirCreated: a paged source spills its path bodies under the
+// spillDir FindCircuitStreamSource is given, creating it if it does not
+// exist yet; a resident graph ignores it.
 func TestSpillDirCreated(t *testing.T) {
 	g := euler.NewTorus(8, 6)
-	dir := filepath.Join(t.TempDir(), "missing")
-	c, err := euler.FindCircuit(g, euler.WithPartitions(3), euler.WithSpillDir(dir))
+	dir := t.TempDir()
+	path := filepath.Join(dir, "graph.bin")
+	if err := graph.WriteFile(path, g); err != nil {
+		t.Fatal(err)
+	}
+	pg, err := oocgraph.BuildPaged(path, oocgraph.BuildOptions{Dir: dir, PageHalves: 64, MemBytes: 4 * 64 * 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := euler.Verify(g, c.Steps); err != nil {
+	defer pg.Close()
+	spillDir := filepath.Join(dir, "missing", "spill")
+	var steps []euler.Step
+	collect := func(s euler.Step) error { steps = append(steps, s); return nil }
+	if _, err := euler.FindCircuitStreamSource(pg, spillDir, collect, euler.WithPartitions(3)); err != nil {
 		t.Fatal(err)
+	}
+	if err := euler.Verify(g, steps); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(spillDir, ieuler.SpillLogName)); err != nil {
+		t.Fatalf("paged run left no body log: %v", err)
+	}
+
+	unused := filepath.Join(dir, "unused")
+	steps = nil
+	if _, err := euler.FindCircuitStreamSource(g, unused, collect, euler.WithPartitions(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := euler.Verify(g, steps); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(unused); !os.IsNotExist(err) {
+		t.Fatalf("resident run touched its spillDir: %v", err)
 	}
 }
