@@ -298,7 +298,7 @@ func FindEulerPath(g *Graph, opts ...Option) ([]Step, error) {
 	if err != nil {
 		return nil, err
 	}
-	return postman.EulerPath(g, postman.Config{Parts: spec.Parts, Mode: spec.Mode, Seed: spec.Seed})
+	return postman.EulerPath(g, solver(spec))
 }
 
 // CoveringTour solves the undirected route-inspection (Chinese postman)
@@ -312,7 +312,15 @@ func CoveringTour(g *Graph, opts ...Option) (*postman.Tour, error) {
 	if err != nil {
 		return nil, err
 	}
-	return postman.CoveringTour(g, postman.Config{Parts: spec.Parts, Mode: spec.Mode, Seed: spec.Seed})
+	return postman.CoveringTour(g, solver(spec))
+}
+
+// solver is postman's circuit runner: solve under the whole resolved spec.
+func solver(spec euler.SolveSpec) func(*Graph, func(Step) error) error {
+	return func(g *Graph, emit func(Step) error) error {
+		_, _, err := solve(g, spec, emit)
+		return err
+	}
 }
 
 // VerifyTour checks a covering tour produced by CoveringTour.

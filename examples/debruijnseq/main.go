@@ -35,7 +35,7 @@ func main() {
 	// de Bruijn graph on (n-1)-mers, one appended symbol per edge.  The
 	// sink frame packs each symbol into Step.Edge.
 	var steps []graph.Step
-	if _, err := kind.Solve(context.Background(), req, nil, nil, func(st graph.Step) error {
+	if err := kind.Solve(context.Background(), req, nil, nil, func(st graph.Step) error {
 		steps = append(steps, st)
 		return nil
 	}); err != nil {

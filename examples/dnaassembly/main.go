@@ -43,7 +43,7 @@ func main() {
 	// builds the de Bruijn graph, and walks the superwalk.  The sink
 	// frame packs one base per Step.Edge.
 	var steps []graph.Step
-	if _, err := kind.Solve(context.Background(), req, nil, nil, func(st graph.Step) error {
+	if err := kind.Solve(context.Background(), req, nil, nil, func(st graph.Step) error {
 		steps = append(steps, st)
 		return nil
 	}); err != nil {

@@ -42,9 +42,10 @@ func main() {
 	//    (deadheading edges pairing odd intersections, the classic
 	//    Chinese-postman repair) and routes the multigraph through the
 	//    paper's partition-centric engine.  A nil runner solves
-	//    in-process, as a standalone eulerd does.
+	//    in-process under the given context with the request's engine
+	//    options, as a standalone eulerd does.
 	var steps []graph.Step
-	if _, err := kind.Solve(context.Background(), req, city, nil, func(st graph.Step) error {
+	if err := kind.Solve(context.Background(), req, city, nil, func(st graph.Step) error {
 		steps = append(steps, st)
 		return nil
 	}); err != nil {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"repro/internal/euler"
 	"repro/internal/graph"
 	"repro/internal/seq"
 )
@@ -62,22 +61,20 @@ func (debruijnKind) Material(req Request) []byte {
 	return buf
 }
 
-func (debruijnKind) Solve(ctx context.Context, req Request, _ *graph.Graph, _ GraphRunner, emit func(graph.Step) error) (*euler.RunReport, error) {
+func (debruijnKind) Solve(ctx context.Context, req Request, _ *graph.Graph, _ GraphRunner, emit func(graph.Step) error) error {
 	symbols, err := seq.DeBruijn(req.DeBruijn.Alphabet, req.DeBruijn.Length)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, s := range symbols {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		if err := emit(graph.Step{Edge: int64(s)}); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 func (debruijnKind) Verify(req Request, _ *graph.Graph, steps []graph.Step) error {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"repro/internal/euler"
 	"repro/internal/graph"
 	"repro/internal/verify"
 )
@@ -31,11 +30,11 @@ func (eulerKind) Normalize(req *Request) error {
 // sched.FingerprintGraph, fully determine an euler result.
 func (eulerKind) Material(Request) []byte { return nil }
 
-func (eulerKind) Solve(ctx context.Context, req Request, g *graph.Graph, run GraphRunner, emit func(graph.Step) error) (*euler.RunReport, error) {
+func (eulerKind) Solve(ctx context.Context, req Request, g *graph.Graph, run GraphRunner, emit func(graph.Step) error) error {
 	if run == nil {
-		run = solveLocal(req.Options)
+		run = solveLocal(ctx, req.Options)
 	}
-	return run(ctx, g, emit)
+	return run(g, emit)
 }
 
 func (eulerKind) Verify(req Request, g *graph.Graph, steps []graph.Step) error {

@@ -23,6 +23,8 @@
 // into the edge's sign), so the scheduler's content-addressed result
 // cache copies and replays any kind's stream without knowing the kind.
 // The HTTP layer renders steps to NDJSON through the kind's codec.
+// Graph-backed kinds reach the engine only through a GraphRunner, the
+// circuit runner postman's EulerPath and CoveringTour take as well.
 package jobkind
 
 import (
@@ -73,11 +75,11 @@ func badSpec(kind, format string, args ...any) *SpecError {
 }
 
 // GraphRunner computes an Euler circuit of g, streaming steps through
-// emit and returning the engine report.  The serving layer injects a
-// call to its solver here (cluster coordinators fan the run out over
-// worker nodes); a nil runner makes the kind solve in-process via
-// solveLocal.
-type GraphRunner func(ctx context.Context, g *graph.Graph, emit func(graph.Step) error) (*euler.RunReport, error)
+// emit.  It carries the context and engine options its maker fixed.  The
+// serving layer injects a call to its solver here (cluster coordinators
+// fan the run out over worker nodes) and keeps the engine report itself;
+// a nil runner makes the kind solve in-process via solveLocal.
+type GraphRunner func(g *graph.Graph, emit func(graph.Step) error) error
 
 // Kind is one workload family's plug-in surface.
 type Kind interface {
@@ -96,11 +98,10 @@ type Kind interface {
 	// the kind adds (nil when the graph and engine options say it all).
 	Material(req Request) []byte
 	// Solve executes a normalised request, streaming the encoded result
-	// through emit.  g is the built input graph (nil for graphless
-	// kinds); run is the serving layer's circuit runner (nil = solve
-	// in-process).  The report is nil for kinds that never run the
-	// engine.
-	Solve(ctx context.Context, req Request, g *graph.Graph, run GraphRunner, emit func(graph.Step) error) (*euler.RunReport, error)
+	// through emit and observing ctx.  g is the built input graph (nil
+	// for graphless kinds); graph-backed kinds hand run the graph whose
+	// circuit they need (nil = solve in-process under ctx).
+	Solve(ctx context.Context, req Request, g *graph.Graph, run GraphRunner, emit func(graph.Step) error) error
 	// Verify checks a decoded result stream against the request (and
 	// input graph, when there is one); the load runner re-verifies
 	// every returned result through this.
@@ -170,32 +171,28 @@ func Names() []string {
 	return names
 }
 
-// ParseMode maps the wire name of a remote-edge strategy to the engine
-// mode; "" means the default (current).
-func ParseMode(s string) (euler.Mode, error) { return euler.ParseMode(s) }
-
 // SolveSpec is the one translation of a submission's engine options into
 // the solve pipeline's spec.
 func (o Options) SolveSpec() (euler.SolveSpec, error) {
-	mode, err := ParseMode(o.Mode)
+	mode, err := euler.ParseMode(o.Mode)
 	if err != nil {
 		return euler.SolveSpec{}, err
 	}
 	return euler.SolveSpec{Parts: o.Parts, Seed: o.Seed, Mode: mode}, nil
 }
 
-// solveLocal returns the in-process GraphRunner for the given engine
-// options: euler.Solve over goroutine workers, exactly what a standalone
-// eulerd runs.  Library clients (the examples) and kinds handed a nil
-// runner use it.
-func solveLocal(opts Options) GraphRunner {
-	return func(ctx context.Context, g *graph.Graph, emit func(graph.Step) error) (*euler.RunReport, error) {
+// solveLocal returns the in-process GraphRunner for ctx and the given
+// engine options: euler.Solve over goroutine workers, exactly what a
+// standalone eulerd runs.  Library clients (the examples) and kinds
+// handed a nil runner use it.
+func solveLocal(ctx context.Context, opts Options) GraphRunner {
+	return func(g *graph.Graph, emit func(graph.Step) error) error {
 		spec, err := opts.SolveSpec()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		report, _, err := euler.Solve(ctx, g, spec, emit)
-		return report, err
+		_, _, err = euler.Solve(ctx, g, spec, emit)
+		return err
 	}
 }
 
@@ -211,7 +208,7 @@ func normalizeEngineOptions(kind string, req *Request) error {
 	if req.Options.Parts < 0 {
 		return badSpec(kind, "parts %d < 0", req.Options.Parts)
 	}
-	if _, err := ParseMode(req.Options.Mode); err != nil {
+	if _, err := euler.ParseMode(req.Options.Mode); err != nil {
 		return badSpec(kind, "%v", err)
 	}
 	return nil

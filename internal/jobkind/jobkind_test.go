@@ -43,17 +43,6 @@ func TestRegistry(t *testing.T) {
 	MustGet("nope")
 }
 
-func TestParseMode(t *testing.T) {
-	for _, s := range []string{"", "current", "dedup", "proposed"} {
-		if _, err := ParseMode(s); err != nil {
-			t.Errorf("ParseMode(%q): %v", s, err)
-		}
-	}
-	if _, err := ParseMode("fast"); err == nil {
-		t.Error("unknown mode accepted")
-	}
-}
-
 // mustNormalize runs Normalize and fails the test on error.
 func mustNormalize(t *testing.T, kind string, req *Request) {
 	t.Helper()
@@ -153,7 +142,7 @@ func solve(t *testing.T, kind string, req Request, g *graph.Graph) []graph.Step 
 		t.Fatal(err)
 	}
 	var steps []graph.Step
-	_, err := k.Solve(context.Background(), req, g, nil, func(st graph.Step) error {
+	err := k.Solve(context.Background(), req, g, nil, func(st graph.Step) error {
 		steps = append(steps, st)
 		return nil
 	})
@@ -286,7 +275,7 @@ func TestSolveObservesContext(t *testing.T) {
 	cancel()
 	req := Request{DeBruijn: &DeBruijnSpec{Alphabet: 2, Length: 8}}
 	mustNormalize(t, "debruijn", &req)
-	_, err := MustGet("debruijn").Solve(ctx, req, nil, nil, func(graph.Step) error { return nil })
+	err := MustGet("debruijn").Solve(ctx, req, nil, nil, func(graph.Step) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled solve returned %v", err)
 	}

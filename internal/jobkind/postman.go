@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/euler"
 	"repro/internal/graph"
 	"repro/internal/postman"
 )
@@ -33,32 +32,15 @@ func (postmanKind) Normalize(req *Request) error {
 // fingerprint).
 func (postmanKind) Material(Request) []byte { return nil }
 
-func (postmanKind) Solve(ctx context.Context, req Request, g *graph.Graph, run GraphRunner, emit func(graph.Step) error) (*euler.RunReport, error) {
+// Solve runs the circuit of the Eulerised multigraph, not g, through run,
+// which carries the engine options (a cluster coordinator fans it out).
+func (postmanKind) Solve(ctx context.Context, req Request, g *graph.Graph, run GraphRunner, emit func(graph.Step) error) error {
 	if run == nil {
-		run = solveLocal(req.Options)
+		run = solveLocal(ctx, req.Options)
 	}
-	// The tour's circuit runs over the Eulerised multigraph, not g, so
-	// it must go through the runner (a cluster coordinator fans it
-	// out); postman's Circuit seam is exactly that hook, and with it set
-	// the engine options reach the run through the runner alone.
-	var report *euler.RunReport
-	cfg := postman.Config{
-		Circuit: func(mg *graph.Graph, _ postman.Config) ([]graph.Step, error) {
-			var steps []graph.Step
-			r, err := run(ctx, mg, func(st graph.Step) error {
-				steps = append(steps, st)
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			report = r
-			return steps, nil
-		},
-	}
-	tour, err := postman.CoveringTour(g, cfg)
+	tour, err := postman.CoveringTour(g, run)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, ts := range tour.Steps {
 		st := ts.Step
@@ -66,10 +48,10 @@ func (postmanKind) Solve(ctx context.Context, req Request, g *graph.Graph, run G
 			st.Edge = -st.Edge - 1
 		}
 		if err := emit(st); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return report, nil
+	return nil
 }
 
 func (postmanKind) Verify(req Request, g *graph.Graph, steps []graph.Step) error {

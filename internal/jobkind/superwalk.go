@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/euler"
 	"repro/internal/graph"
 	"repro/internal/seq"
 )
@@ -121,26 +120,24 @@ func materializeReads(s *SuperwalkSpec) ([]string, error) {
 	return seq.Shred(seq.SyntheticGenome(s.GenomeLen, s.Seed), s.K)
 }
 
-func (superwalkKind) Solve(ctx context.Context, req Request, _ *graph.Graph, _ GraphRunner, emit func(graph.Step) error) (*euler.RunReport, error) {
+func (superwalkKind) Solve(ctx context.Context, req Request, _ *graph.Graph, _ GraphRunner, emit func(graph.Step) error) error {
 	reads, err := materializeReads(req.Superwalk)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	assembled, err := seq.Assemble(reads)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for i := 0; i < len(assembled); i++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		if err := emit(graph.Step{Edge: int64(assembled[i])}); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 func (superwalkKind) Verify(req Request, _ *graph.Graph, steps []graph.Step) error {

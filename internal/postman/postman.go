@@ -15,48 +15,27 @@
 //     and the Eulerised multigraph's circuit becomes a closed tour that
 //     covers every original edge at least once.
 //
-// Both run the same three-phase distributed algorithm underneath, so they
-// inherit its ⌈log n⌉+1 coordination complexity.
+// Both hand the graph they derive to the caller's circuit runner, which
+// streams its Euler circuit under the context and engine options its maker
+// fixed (the facade's euler.Solve, the serving layer's solver), so both
+// inherit the distributed algorithm's ⌈log n⌉+1 coordination complexity.
 package postman
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
-	"repro/internal/euler"
 	"repro/internal/graph"
 )
 
-// Config controls the underlying distributed run.
-type Config struct {
-	// Parts is the partition count, clamped to the vertex count; ≤ 0
-	// means the engine default.
-	Parts int32
-	// Mode selects the remote-edge strategy.
-	Mode euler.Mode
-	// Seed drives the partitioner; 0 means the engine default.
-	Seed int64
-	// Circuit, when set, replaces the in-process pipeline for the
-	// Euler-circuit runs over the closed/Eulerised graphs; the serving
-	// layer injects its (possibly cluster-backed) solver here.  It
-	// receives the Config as given.
-	Circuit func(g *graph.Graph, c Config) ([]graph.Step, error)
-}
-
-// runCircuit executes the configured circuit pipeline over g: the
-// injected Config.Circuit when one is set, else euler.Solve in-process.
-func runCircuit(g *graph.Graph, c Config) ([]graph.Step, error) {
-	if c.Circuit != nil {
-		return c.Circuit(g, c)
-	}
+// collect runs run over g and gathers the circuit it streams, presized
+// to g's edge count.
+func collect(g *graph.Graph, run func(*graph.Graph, func(graph.Step) error) error) ([]graph.Step, error) {
 	steps := make([]graph.Step, 0, g.NumEdges())
-	_, _, err := euler.Solve(context.TODO(), g, euler.SolveSpec{Parts: max(c.Parts, 0), Mode: c.Mode, Seed: c.Seed},
-		func(s graph.Step) error {
-			steps = append(steps, s)
-			return nil
-		})
-	if err != nil {
+	if err := run(g, func(s graph.Step) error {
+		steps = append(steps, s)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	return steps, nil
@@ -64,8 +43,9 @@ func runCircuit(g *graph.Graph, c Config) ([]graph.Step, error) {
 
 // EulerPath returns an open Euler path of g, which must be connected with
 // exactly two odd-degree vertices.  The returned walk starts at one odd
-// vertex, ends at the other, and traverses every edge exactly once.
-func EulerPath(g *graph.Graph, c Config) ([]graph.Step, error) {
+// vertex, ends at the other, and traverses every edge exactly once.  run
+// computes the closed graph's Euler circuit.
+func EulerPath(g *graph.Graph, run func(*graph.Graph, func(graph.Step) error) error) ([]graph.Step, error) {
 	odd := g.OddVertices()
 	if len(odd) != 2 {
 		return nil, fmt.Errorf("postman: Euler path needs exactly 2 odd vertices, graph has %d", len(odd))
@@ -79,7 +59,7 @@ func EulerPath(g *graph.Graph, c Config) ([]graph.Step, error) {
 	}
 	virtual := closed.AddEdge(u, v)
 
-	circuit, err := runCircuit(closed.Build(), c)
+	circuit, err := collect(closed.Build(), run)
 	if err != nil {
 		return nil, err
 	}
@@ -123,8 +103,9 @@ type Tour struct {
 // paired greedily along shortest connecting paths (ties broken by vertex
 // ID) and those paths' edges are duplicated; the optimal pairing is a
 // minimum-weight perfect matching, so the result is a ≤2-approximation in
-// the usual greedy sense, reported exactly via Tour.Revisits.
-func CoveringTour(g *graph.Graph, c Config) (*Tour, error) {
+// the usual greedy sense, reported exactly via Tour.Revisits.  run
+// computes the Eulerised multigraph's Euler circuit.
+func CoveringTour(g *graph.Graph, run func(*graph.Graph, func(graph.Step) error) error) (*Tour, error) {
 	if g.NumEdges() == 0 {
 		return &Tour{}, nil
 	}
@@ -151,7 +132,7 @@ func CoveringTour(g *graph.Graph, c Config) (*Tour, error) {
 		revisits++
 	}
 
-	circuit, err := runCircuit(b.Build(), c)
+	circuit, err := collect(b.Build(), run)
 	if err != nil {
 		return nil, err
 	}

@@ -1,21 +1,32 @@
 package postman
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/euler"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/verify"
 )
+
+// solver is the in-process circuit runner: euler.Solve with the given
+// part count and seed (≤ 0 parts and 0 seed = the engine defaults).
+func solver(parts int32, seed int64) func(*graph.Graph, func(graph.Step) error) error {
+	return func(g *graph.Graph, emit func(graph.Step) error) error {
+		_, _, err := euler.Solve(context.Background(), g, euler.SolveSpec{Parts: max(parts, 0), Seed: seed}, emit)
+		return err
+	}
+}
 
 func TestEulerPathSimple(t *testing.T) {
 	// 0-1-2 path plus a triangle 1-3-4-1: odd vertices 0 and 2.
 	g := graph.FromEdges(5, [][2]graph.VertexID{
 		{0, 1}, {1, 2}, {1, 3}, {3, 4}, {4, 1},
 	})
-	steps, err := EulerPath(g, Config{Parts: 2})
+	steps, err := EulerPath(g, solver(2, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +54,7 @@ func TestEulerPathRandom(t *testing.T) {
 		if len(g.OddVertices()) != 2 {
 			t.Fatalf("seed %d: setup produced %d odd vertices", seed, len(g.OddVertices()))
 		}
-		steps, err := EulerPath(g, Config{Parts: 3, Seed: seed})
+		steps, err := EulerPath(g, solver(3, seed))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -54,18 +65,18 @@ func TestEulerPathRandom(t *testing.T) {
 }
 
 func TestEulerPathRejectsWrongParity(t *testing.T) {
-	if _, err := EulerPath(gen.Cycle(5), Config{}); err == nil {
+	if _, err := EulerPath(gen.Cycle(5), solver(0, 0)); err == nil {
 		t.Fatal("0 odd vertices should be rejected (use the circuit API)")
 	}
 	star := graph.FromEdges(4, [][2]graph.VertexID{{0, 1}, {0, 2}, {0, 3}})
-	if _, err := EulerPath(star, Config{}); err == nil {
+	if _, err := EulerPath(star, solver(0, 0)); err == nil {
 		t.Fatal("4 odd vertices should be rejected")
 	}
 }
 
 func TestCoveringTourAlreadyEulerian(t *testing.T) {
 	g := gen.Torus(6, 6)
-	tour, err := CoveringTour(g, Config{Parts: 4})
+	tour, err := CoveringTour(g, solver(4, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +105,7 @@ func TestCoveringTourGrid(t *testing.T) {
 		}
 	}
 	g := b.Build()
-	tour, err := CoveringTour(g, Config{Parts: 2})
+	tour, err := CoveringTour(g, solver(2, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,14 +135,14 @@ func TestCoveringTourDisconnected(t *testing.T) {
 	g := graph.FromEdges(6, [][2]graph.VertexID{
 		{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3},
 	})
-	if _, err := CoveringTour(g, Config{}); err == nil {
+	if _, err := CoveringTour(g, solver(0, 0)); err == nil {
 		t.Fatal("disconnected graph accepted")
 	}
 }
 
 func TestCoveringTourEmpty(t *testing.T) {
 	g := graph.FromEdges(3, nil)
-	tour, err := CoveringTour(g, Config{})
+	tour, err := CoveringTour(g, solver(0, 0))
 	if err != nil || len(tour.Steps) != 0 {
 		t.Fatalf("tour=%v err=%v", tour, err)
 	}
@@ -142,7 +153,7 @@ func TestCoveringTourEmpty(t *testing.T) {
 
 func TestVerifyTourCatchesGaps(t *testing.T) {
 	g := gen.Cycle(4)
-	tour, err := CoveringTour(g, Config{Parts: 1})
+	tour, err := CoveringTour(g, solver(1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +183,7 @@ func TestQuickCoveringTour(t *testing.T) {
 			}
 		}
 		g := b.Build()
-		tour, err := CoveringTour(g, Config{Parts: int32(seed%4 + 1), Seed: seed})
+		tour, err := CoveringTour(g, solver(int32(seed%4+1), seed))
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false

@@ -11,7 +11,7 @@ import (
 // tourOf builds a small covering tour to corrupt in the rejection tests.
 func tourOf(t *testing.T, g *graph.Graph) *Tour {
 	t.Helper()
-	tour, err := CoveringTour(g, Config{Parts: 2})
+	tour, err := CoveringTour(g, solver(2, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,36 +97,26 @@ func TestVerifyTourCatchesUncoveredEdges(t *testing.T) {
 	}
 }
 
-// TestCircuitSeam checks the injected Circuit hook: the serving layer
-// routes the Eulerised multigraph's circuit through its own runner, and
-// postman must use it (with the normalised config) instead of the
-// in-process pipeline.
+// TestCircuitSeam checks the circuit runner seam: CoveringTour hands the
+// Eulerised multigraph to the caller's runner exactly once, and the
+// steps it streams become a valid tour.
 func TestCircuitSeam(t *testing.T) {
 	g := gen.StreetGrid(6, 5, 0, 2)
 	var calls int
-	var sawParts int32
-	cfg := Config{
-		Parts: 3,
-		Circuit: func(mg *graph.Graph, c Config) ([]graph.Step, error) {
-			calls++
-			sawParts = c.Parts
-			if mg.NumEdges() <= g.NumEdges() {
-				t.Errorf("seam received %d edges, want more than the %d originals (Eulerised multigraph)",
-					mg.NumEdges(), g.NumEdges())
-			}
-			// Delegate to the default pipeline so the tour stays valid.
-			return runCircuit(mg, Config{Parts: c.Parts, Seed: c.Seed})
-		},
-	}
-	tour, err := CoveringTour(g, cfg)
+	inner := solver(3, 0)
+	tour, err := CoveringTour(g, func(mg *graph.Graph, emit func(graph.Step) error) error {
+		calls++
+		if mg.NumVertices() != g.NumVertices() || mg.NumEdges() <= g.NumEdges() || !mg.IsEulerian() {
+			t.Errorf("seam received %d vertices / %d edges (Eulerian %v), want the Eulerised multigraph of %d / %d",
+				mg.NumVertices(), mg.NumEdges(), mg.IsEulerian(), g.NumVertices(), g.NumEdges())
+		}
+		return inner(mg, emit)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
 		t.Fatalf("seam called %d times, want 1", calls)
-	}
-	if sawParts != 3 {
-		t.Fatalf("seam saw parts %d, want the normalised 3", sawParts)
 	}
 	if err := VerifyTour(g, tour); err != nil {
 		t.Fatal(err)

@@ -84,6 +84,22 @@ func TestKindsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestKindReports: the server's circuit runner keeps the engine report,
+// so a postman job's snapshot carries the report of its multigraph's
+// solve, while a graphless kind never runs the engine and has none.
+func TestKindReports(t *testing.T) {
+	_, ts := newTestServer(t, 2, 16)
+	snap := submitJSON(t, ts, `{"kind":"postman","generator":{"family":"grid","width":8,"height":6,"closures":0.1,"seed":6},"parts":3}`)
+	done := waitState(t, ts, snap.ID, job.StateDone)
+	if done.Report == nil || done.Report.TreeHeight == 0 {
+		t.Fatalf("postman snapshot report = %+v, want one with a tree height", done.Report)
+	}
+	snap = submitJSON(t, ts, `{"kind":"debruijn","debruijn":{"alphabet":2,"length":7}}`)
+	if done = waitState(t, ts, snap.ID, job.StateDone); done.Report != nil {
+		t.Fatalf("debruijn snapshot carries a report: %+v", done.Report)
+	}
+}
+
 // TestKindUpload: the kind query parameter routes an uploaded graph to
 // its kind — a street grid has odd intersections, so it is only
 // servable as postman (euler's precondition check must reject it).

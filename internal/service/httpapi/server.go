@@ -398,10 +398,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var lease *sched.Lease
 	if s.cache != nil {
 		kind := jobkind.MustGet(spec.Kind) // canonical since Validate
-		fpOpts := sched.SolveOptions{
-			Parts: spec.Parts, Mode: spec.Mode, Seed: spec.Seed,
-			Kind: spec.Kind, KindMaterial: kind.Material(spec.KindRequest()),
-		}
+		fpOpts := spec.FingerprintOptions()
 		g := deltaGraph
 		var fp sched.Fingerprint
 		// Uploads that solve paged, or are too big to keep attached, are
@@ -900,21 +897,22 @@ func (s *Server) runJob(poolCtx context.Context, j *job.Job, lease *sched.Lease)
 	// from the spec, and both observe ctx before every emitted step.  A
 	// kind hands run the graph it holds (nil for a paged input, which
 	// then solves from src) or one it derived from it, such as postman's
-	// augmented graph.
+	// augmented graph; run keeps the engine report and retained record.
+	var report *euler.RunReport
 	var retained []byte
-	run := func(ctx context.Context, rg *graph.Graph, emit func(graph.Step) error) (*euler.RunReport, error) {
+	run := func(rg *graph.Graph, emit func(graph.Step) error) error {
 		in := src
 		if rg != nil {
 			in = rg
 		}
-		report, record, err := s.solve(ctx, in, spec, emit)
+		r, record, err := s.solve(ctx, in, spec, emit)
+		report = r
 		if record != nil {
 			retained = euler.EncodeRunRecord(record)
 		}
-		return report, err
+		return err
 	}
-	report, err := kind.Solve(ctx, j.Spec.KindRequest(), g, run, sink.Append)
-	if err != nil {
+	if err := kind.Solve(ctx, j.Spec.KindRequest(), g, run, sink.Append); err != nil {
 		sink.Close()
 		fail(err)
 		return
@@ -951,10 +949,7 @@ func (s *Server) runJob(poolCtx context.Context, j *job.Job, lease *sched.Lease)
 	if retained != nil {
 		if fp, perr := sched.ParseFingerprint(j.Fingerprint()); perr == nil {
 			s.deltas.Put(fp, &sched.DeltaEntry{
-				Opts: sched.SolveOptions{
-					Parts: j.Spec.Parts, Mode: j.Spec.Mode, Seed: j.Spec.Seed,
-					Kind: j.Spec.Kind, KindMaterial: kind.Material(j.Spec.KindRequest()),
-				},
+				Opts:        j.Spec.FingerprintOptions(),
 				NumVertices: g.NumVertices(),
 				Edges:       sched.EdgePairs(g),
 				State:       retained,

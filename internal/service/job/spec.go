@@ -6,6 +6,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/jobkind"
+	"repro/internal/sched"
 )
 
 // Generator size caps: the service refuses specs whose output would not
@@ -223,6 +224,15 @@ func (s *Spec) KindRequest() jobkind.Request {
 		Options:   jobkind.Options{Parts: s.Parts, Mode: s.Mode, Seed: s.Seed},
 		DeBruijn:  s.DeBruijn,
 		Superwalk: s.Superwalk,
+	}
+}
+
+// FingerprintOptions is what the spec adds to its input's fingerprint:
+// engine options, kind and kind material.  Validate makes Kind canonical.
+func (s *Spec) FingerprintOptions() sched.SolveOptions {
+	return sched.SolveOptions{
+		Parts: s.Parts, Mode: s.Mode, Seed: s.Seed,
+		Kind: s.Kind, KindMaterial: jobkind.MustGet(s.Kind).Material(s.KindRequest()),
 	}
 }
 

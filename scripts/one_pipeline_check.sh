@@ -10,8 +10,10 @@
 # or internal/sched/ references graph.AppendSteps or graph.DecodeSteps: the
 # service stores and serves one result format, NDJSON frames.  Also
 # fails when non-test code under cmd/eulerd/ or internal/service/ calls
-# sched.NewFair( more than once: the service runs one scheduler.  Then
-# prints the three sizes ROADMAP aim 2 tracks per PR.
+# sched.NewFair( more than once: the service runs one scheduler.  Also
+# fails when a non-test .go file other than ./euler.go calls
+# context.TODO(: every solve runs under a caller's context.  Then prints
+# the three sizes ROADMAP aim 2 tracks per PR.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -41,6 +43,14 @@ fair=$(grep -nE 'sched\.NewFair\(' $(find cmd/eulerd internal/service -name '*.g
 if [ "$(printf '%s' "$fair" | grep -c .)" -gt 1 ]; then
 	echo "more than one scheduler in the service (one sched.NewFair call allowed):" >&2
 	echo "$fair" >&2
+	exit 1
+fi
+
+# shellcheck disable=SC2046
+todo=$(grep -nF 'context.TODO(' $(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' ! -path './euler.go') || true)
+if [ -n "$todo" ]; then
+	echo "context.TODO() outside the root facade (thread the caller's context):" >&2
+	echo "$todo" >&2
 	exit 1
 fi
 

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	euler "repro"
 	ieuler "repro/internal/euler"
 	"repro/internal/graph"
 	"repro/internal/oocgraph"
+	"repro/internal/postman"
 )
 
 // TestEntryPointsMatchSolve: each FindCircuit* entry point is option
@@ -111,6 +113,63 @@ func TestEntryPointsMatchSolve(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPostmanEntryPointsMatchSolve: FindEulerPath and CoveringTour hand
+// the caller's whole resolved spec to Solve, so an explicit assignment and
+// validation reach the engine: each result is postman's over a direct
+// Solve with that spec, and differs from the default LDG assignment's.
+func TestPostmanEntryPointsMatchSolve(t *testing.T) {
+	torus := euler.NewTorus(12, 12)
+	b := euler.NewBuilder(torus.NumVertices(), int(torus.NumEdges())-1)
+	for _, e := range torus.Edges()[1:] {
+		b.AddEdge(e.U, e.V)
+	}
+	g := b.Build() // two odd vertices: the ends of the removed edge
+	hash := euler.PartitionHash(g, 4)
+	opts := []euler.Option{euler.WithAssignment(hash), euler.WithValidation()}
+	spec := ieuler.SolveSpec{Parts: ieuler.DefaultParts, Assign: &hash, Validate: true}
+	direct := func(mg *graph.Graph, emit func(graph.Step) error) error {
+		_, _, err := ieuler.Solve(context.Background(), mg, spec, emit)
+		return err
+	}
+
+	path, err := euler.FindEulerPath(g, opts...)
+	if err != nil {
+		t.Fatalf("FindEulerPath: %v", err)
+	}
+	wantPath, err := postman.EulerPath(g, direct)
+	if err != nil {
+		t.Fatalf("postman.EulerPath: %v", err)
+	}
+	if !slices.Equal(path, wantPath) {
+		t.Error("FindEulerPath: path differs from postman.EulerPath over Solve with the same spec")
+	}
+	if ldg, err := euler.FindEulerPath(g); err != nil {
+		t.Fatalf("FindEulerPath (LDG): %v", err)
+	} else if slices.Equal(path, ldg) {
+		t.Error("FindEulerPath: the hash assignment's path equals the default LDG one")
+	}
+
+	tour, err := euler.CoveringTour(g, opts...)
+	if err != nil {
+		t.Fatalf("CoveringTour: %v", err)
+	}
+	wantTour, err := postman.CoveringTour(g, direct)
+	if err != nil {
+		t.Fatalf("postman.CoveringTour: %v", err)
+	}
+	if !slices.Equal(tour.Steps, wantTour.Steps) || tour.Revisits != wantTour.Revisits {
+		t.Error("CoveringTour: tour differs from postman.CoveringTour over Solve with the same spec")
+	}
+	if err := euler.VerifyTour(g, tour); err != nil {
+		t.Fatal(err)
+	}
+	if ldg, err := euler.CoveringTour(g); err != nil {
+		t.Fatalf("CoveringTour (LDG): %v", err)
+	} else if slices.Equal(tour.Steps, ldg.Steps) {
+		t.Error("CoveringTour: the hash assignment's tour equals the default LDG one")
 	}
 }
 
