@@ -125,16 +125,6 @@ func (t *MergeTree) ConvertLevel(a, b int) int32 {
 	return t.convertLevel[a][b]
 }
 
-// MergeTargets returns, for each level l, the worker (parent rep) that
-// performs each merge at superstep l+1, keyed by child rep.
-func (t *MergeTree) MergeTargets(l int) map[int]int {
-	targets := make(map[int]int, len(t.Levels[l]))
-	for _, p := range t.Levels[l] {
-		targets[p.Child] = p.Parent
-	}
-	return targets
-}
-
 // String renders the tree level by level (the paper's Fig. 2).
 func (t *MergeTree) String() string {
 	var b strings.Builder

@@ -227,6 +227,11 @@ func phase1(state *PartState, level int, putBody func(PathID, []byte) error, glo
 	record := func(t PathType, src, dst graph.VertexID, items []Item) (PathID, error) {
 		id := MakePathID(level, state.Parent, seq)
 		seq++
+		// Header, kind bitmap and ~8 varint bytes per item: one
+		// allocation instead of append's doubling chain on a long path.
+		if n := len(items); cap(sc.enc) < 16+n/8+8*n {
+			sc.enc = make([]byte, 0, 16+n/8+8*n)
+		}
 		sc.enc = AppendBody(sc.enc[:0], items)
 		if err := putBody(id, sc.enc); err != nil {
 			return 0, fmt.Errorf("euler: spilling path %d: %w", id, err)

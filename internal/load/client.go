@@ -301,15 +301,6 @@ func ParseResult(kind string, data []byte) ([]graph.Step, error) {
 	return steps, nil
 }
 
-// CircuitSteps streams the job's circuit and parses it into steps.
-func (c *Client) CircuitSteps(ctx context.Context, id string) ([]graph.Step, error) {
-	raw, err := c.CircuitRaw(ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	return ParseCircuit(raw)
-}
-
 // CircuitPartial reads at most maxSteps circuit lines and then abandons
 // the response mid-stream — the misbehaving consumer the harness uses to
 // exercise the server's aborted-write path.  It returns the lines read.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"repro/internal/graph"
 )
@@ -467,7 +466,3 @@ func (pg *PagedGraph) Close() error {
 	pg.blob = nil
 	return err
 }
-
-// BlobPath returns the path of the halves blob (for tests and
-// diagnostics).
-func (pg *PagedGraph) BlobPath() string { return filepath.Clean(pg.blobPath) }

@@ -101,21 +101,28 @@ func TestPagedInputRule(t *testing.T) {
 }
 
 // TestPagedUploadNotBuiltAtSubmit: a cached upload that will solve paged
-// is fingerprinted from its file, so no graph rides the queued job.
+// is fingerprinted from its file, so no graph rides to its worker.
 func TestPagedUploadNotBuiltAtSubmit(t *testing.T) {
-	s, ts := newOOCServer(t, 1, true)
-	attached := make(chan bool, 1)
-	s.beforeRun = func(j *job.Job) { attached <- j.Graph() != nil }
-
+	s, _ := newOOCServer(t, 1, true)
 	g := gen.Torus(6, 5) // far under keepGraphMaxEdges
-	snap, code := uploadGraph(t, ts, g, "?parts=2")
-	if code != http.StatusAccepted {
-		t.Fatalf("upload: status %d", code)
+	path := filepath.Join(t.TempDir(), "graph.bin")
+	if err := graph.WriteFile(path, g); err != nil {
+		t.Fatal(err)
 	}
-	if <-attached {
+	spec := job.Spec{Uploaded: true, GraphFile: path, DeclaredEdges: g.NumEdges()}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	in, _, err := s.resolveInput(context.Background(), sched.DefaultTenant, &spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.graph != nil {
 		t.Fatal("the paged upload was built in memory at submit")
 	}
-	waitState(t, ts, snap.ID, job.StateDone)
+	if want := sched.FingerprintGraph(g, spec.FingerprintOptions()); in.fp != want {
+		t.Fatalf("streamed fingerprint %s, want the graph's %s", in.fp, want)
+	}
 }
 
 func uploadGraph(t *testing.T, ts *httptest.Server, g *graph.Graph, query string) (job.Snapshot, int) {

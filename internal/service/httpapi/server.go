@@ -339,9 +339,12 @@ func tenantOf(r *http.Request) string {
 
 // handleSubmit accepts either an application/json Spec (generator jobs)
 // or a raw EULGRPH1 body (upload jobs, engine options in the query
-// string), builds and fingerprints the input graph, and either serves
-// the result from the cache, coalesces onto an identical in-flight
-// execution, or enqueues the job with the tenant's scheduler quota.
+// string) in stages: admit the tenant, ingest the request, resolve its
+// input, route it through the result cache (a hit, a ride on an
+// identical in-flight execution, or the lead), enqueue a leader, and
+// register the job.  A job is registered only once it is accepted, so a
+// refused submission never reaches the store and its scratch directory
+// goes with the request.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	tenant := tenantOf(r)
 	class, err := sched.ParseClass(r.Header.Get("X-Class"))
@@ -362,158 +365,199 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, codeInternal, "creating job dir: %v", err)
 		return
 	}
+	accepted := false
+	defer func() {
+		if !accepted {
+			os.RemoveAll(dir)
+		}
+	}()
 	spec, status, err := s.decodeSubmission(r, dir)
 	if err != nil {
-		os.RemoveAll(dir)
 		writeSpecError(w, status, err)
 		return
 	}
-	// Delta submissions resolve their base before a job exists: every
-	// failure mode (unknown base, bad diff, non-Eulerian patch) is a
-	// client error with nothing to retain.
-	var deltaEntry *sched.DeltaEntry
-	var deltaGraph *graph.Graph
-	if spec.IsDelta() {
-		deltaEntry, deltaGraph, status, err = s.resolveDelta(r.Context(), tenant, &spec)
-		if err != nil {
-			os.RemoveAll(dir)
-			if status == http.StatusTooManyRequests {
-				if r.Context().Err() == nil { // else the client is gone
-					s.metrics.rejected.Add(1)
-					writeSchedError(w, err)
-				}
-				return
-			}
+	in, status, err := s.resolveInput(r.Context(), tenant, &spec)
+	if err != nil {
+		switch {
+		case status != http.StatusTooManyRequests:
 			code := codeForStatus(status)
 			if status == http.StatusConflict {
 				code = codeUnknownBase
 			}
 			writeError(w, status, code, "%v", err)
-			return
-		}
-	}
-	j := s.jobs.New(spec, dir)
-	j.SetTenant(tenant)
-
-	var lease *sched.Lease
-	if s.cache != nil {
-		kind := jobkind.MustGet(spec.Kind) // canonical since Validate
-		fpOpts := spec.FingerprintOptions()
-		g := deltaGraph
-		var fp sched.Fingerprint
-		// Uploads that solve paged, or are too big to keep attached, are
-		// fingerprinted straight off the on-disk file — one pass of block
-		// reads into the multiset hash — so submission never materialises
-		// their CSR at all.
-		streamed := s.pagedInput(spec) || (kind.NeedsGraph() && !spec.IsDelta() &&
-			spec.Uploaded && spec.DeclaredEdges > keepGraphMaxEdges)
-		if kind.NeedsGraph() && !spec.IsDelta() {
-			// The input graph is built at submission time only on the
-			// cached path: the scheduler needs its content address before
-			// queueing.  Without a cache the worker builds it as before,
-			// bounded by the worker count — and buildSem imposes the same
-			// bound here, so a submission burst cannot materialise
-			// arbitrarily many graphs at once.  Graphless kinds fingerprint
-			// straight from their spec and skip the slot.
-			if err := s.acquireBuildSlot(r.Context(), tenant); err != nil {
-				s.jobs.Remove(j.ID)
-				if r.Context().Err() == nil { // else the client is gone
-					s.metrics.rejected.Add(1)
-					writeSchedError(w, err)
-				}
-				return
-			}
-			if streamed {
-				fp, err = sched.FingerprintUpload(spec.GraphFile, fpOpts)
-				if err != nil {
-					<-s.buildSem
-					s.jobs.Remove(j.ID)
-					writeError(w, http.StatusBadRequest, codeBadRequest, "fingerprinting uploaded graph: %v", err)
-					return
-				}
-			} else {
-				g, err = spec.BuildGraph()
-				if err != nil {
-					<-s.buildSem
-					s.jobs.Remove(j.ID)
-					writeError(w, http.StatusBadRequest, codeBadRequest, "building input graph: %v", err)
-					return
-				}
-				// Small graphs stay attached for the worker to reuse; big
-				// ones are rebuilt there instead, so a deep queue pins at
-				// most quota × keepGraphMaxEdges of graph memory, not
-				// quota × upload cap.
-				if g.NumEdges() <= keepGraphMaxEdges {
-					j.AttachGraph(g)
-				}
-			}
-		}
-		if spec.IsDelta() {
-			// A delta job's graph cannot be rebuilt from its spec (the
-			// base lives only in the delta store), so the patched graph
-			// stays attached regardless of size and the base's replay
-			// state rides along for the worker.
-			j.AttachGraph(g)
-			j.SetDeltaState(deltaEntry.State)
-		}
-		if !streamed {
-			fp = sched.FingerprintGraph(g, fpOpts)
-		}
-		if kind.NeedsGraph() && !spec.IsDelta() {
-			<-s.buildSem
-		}
-		// The fingerprint a client would use as a delta base is the one
-		// the snapshot reports, whether or not this job leads.
-		j.SetFingerprint(fp.String())
-		outcome, reader, l := s.cache.Acquire(fp, &sched.Follower{OnReady: s.followerReady(j, tenant, class)})
-		switch outcome {
-		case sched.OutcomeHit:
-			s.metrics.kind(spec.Kind).cacheHits.Add(1)
-			s.finishCached(j, reader)
-			s.metrics.submitted.Add(1)
-			writeJSON(w, http.StatusAccepted, j.Snapshot())
-			return
-		case sched.OutcomeCoalesced:
-			// The job rides the in-flight execution: it completes from
-			// the leader's commit without consuming queue quota or a
-			// worker.  Drop its graph now — N coalesced duplicates must
-			// not pin N copies while one leader computes; the rare
-			// promoted follower rebuilds from its spec in runJob.  Delta
-			// jobs keep theirs: a promoted delta follower has no spec to
-			// rebuild from.
-			if !spec.IsDelta() {
-				j.AttachGraph(nil)
-			}
-			s.metrics.submitted.Add(1)
-			writeJSON(w, http.StatusAccepted, j.Snapshot())
-			return
-		case sched.OutcomeOverflow:
-			// Followers bypass queue quotas, so without this bound an
-			// identical-spec flood would accumulate jobs without limit.
-			s.jobs.Remove(j.ID)
+		case r.Context().Err() == nil: // else the client is gone
 			s.metrics.rejected.Add(1)
-			writeSchedError(w, &sched.Rejected{
-				Tenant:     tenant,
-				Reason:     "too many identical submissions waiting on one execution",
-				RetryAfter: time.Second,
-			})
-			return
-		case sched.OutcomeLead:
-			lease = l
+			writeSchedError(w, err)
 		}
+		return
 	}
-	if err := s.enqueue(tenant, class, j, lease); err != nil {
-		if lease != nil {
-			lease.Abort()
-		}
-		s.jobs.Remove(j.ID)
+	var fp string
+	if s.cache != nil {
+		fp = in.fp.String()
+	}
+	j := job.New(spec, dir, job.Input{Tenant: tenant, Fingerprint: fp})
+	snap, err := s.schedule(j, in, tenant, class)
+	if err != nil {
 		s.metrics.rejected.Add(1)
 		writeSchedError(w, err)
 		return
 	}
+	accepted = true
+	s.jobs.Add(j)
 	s.metrics.submitted.Add(1)
+	writeJSON(w, http.StatusAccepted, snap)
+}
+
+// input is a submission's resolved input.  The graph and replay record
+// ride the scheduled task to the worker rather than the job, so nothing
+// has to drop them when the job ends or coalesces.
+type input struct {
+	// fp is the content address; it is computed only with a result cache.
+	fp sched.Fingerprint
+	// graph is the prebuilt input graph, or nil when the worker builds
+	// or pages it (and for graphless kinds).
+	graph *graph.Graph
+	// replay is a delta job's base replay record.
+	replay []byte
+}
+
+// resolveInput is the submission's input stage.  Without a result cache
+// nothing is built here: the worker builds the graph.  With one, the
+// scheduler needs the input's content address before queueing, so a
+// delta's patched graph is applied, an upload that solves paged or is
+// too big to keep is fingerprinted straight off its file, and any other
+// graph is built — each under one build slot, bounded like the workers,
+// so a submission burst cannot materialise arbitrarily many graphs at
+// once.  Graphless kinds fingerprint straight from their spec.  Error
+// statuses: 409 when a delta base has no retained state, 429 when build
+// capacity is saturated (or the client left), 400 otherwise.
+func (s *Server) resolveInput(ctx context.Context, tenant string, spec *job.Spec) (input, int, error) {
+	var base *sched.DeltaEntry
+	if spec.IsDelta() {
+		var status int
+		var err error
+		if base, status, err = s.deltaBase(*spec); err != nil {
+			return input{}, status, err
+		}
+	}
+	if s.cache == nil {
+		return input{}, 0, nil
+	}
+	if !jobkind.MustGet(spec.Kind).NeedsGraph() { // canonical since Validate
+		return input{fp: sched.FingerprintGraph(nil, spec.FingerprintOptions())}, 0, nil
+	}
+	if err := s.acquireBuildSlot(ctx, tenant); err != nil {
+		return input{}, http.StatusTooManyRequests, err
+	}
+	defer func() { <-s.buildSem }()
+	switch {
+	case base != nil:
+		g, err := base.Apply(spec.Diff.Add, spec.Diff.Remove)
+		if err != nil {
+			return input{}, http.StatusBadRequest, err
+		}
+		// The patched graph must still be solvable.  Checking here gives
+		// the client — at submit time — exactly the error a full
+		// submission of the patched graph would fail with at run time.
+		if err := verify.EulerianInput(g); err != nil {
+			return input{}, http.StatusBadRequest, err
+		}
+		// The base's engine options are part of its fingerprint, so the
+		// patched job solves under the same ones.  Its graph rides along
+		// regardless of size: it cannot be rebuilt from the spec.
+		spec.Parts, spec.Mode, spec.Seed = base.Opts.Parts, base.Opts.Mode, base.Opts.Seed
+		return input{fp: sched.FingerprintGraph(g, spec.FingerprintOptions()), graph: g, replay: base.State}, 0, nil
+	case s.pagedInput(*spec) || (spec.Uploaded && spec.DeclaredEdges > keepGraphMaxEdges):
+		fp, err := sched.FingerprintUpload(spec.GraphFile, spec.FingerprintOptions())
+		if err != nil {
+			return input{}, http.StatusBadRequest, fmt.Errorf("fingerprinting uploaded graph: %v", err)
+		}
+		return input{fp: fp}, 0, nil
+	}
+	g, err := spec.BuildGraph()
+	if err != nil {
+		return input{}, http.StatusBadRequest, fmt.Errorf("building input graph: %v", err)
+	}
+	in := input{fp: sched.FingerprintGraph(g, spec.FingerprintOptions())}
+	// Small graphs ride to the worker; big ones are rebuilt there, so a
+	// deep queue pins at most quota × keepGraphMaxEdges of graph memory,
+	// not quota × upload cap.
+	if g.NumEdges() <= keepGraphMaxEdges {
+		in.graph = g
+	}
+	return in, 0, nil
+}
+
+// deltaBase looks up a delta submission's retained base run: 409 when
+// the base has no retained state (including when retention is off
+// entirely), 400 for a malformed base or another kind's.
+func (s *Server) deltaBase(spec job.Spec) (*sched.DeltaEntry, int, error) {
+	if s.cache == nil || s.deltas == nil {
+		return nil, http.StatusConflict,
+			fmt.Errorf("no retained state for base %q: delta retention is disabled on this server; submit the full graph instead", spec.Base)
+	}
+	fp, err := sched.ParseFingerprint(spec.Base)
+	if err != nil {
+		return nil, http.StatusBadRequest, fmt.Errorf("base: %v", err)
+	}
+	entry, ok := s.deltas.Get(fp)
+	if !ok {
+		return nil, http.StatusConflict,
+			fmt.Errorf("no retained state for base %s; submit the full graph instead", spec.Base)
+	}
+	if entry.Opts.Kind != spec.Kind {
+		return nil, http.StatusBadRequest,
+			fmt.Errorf("base %s is a %s job, not %s", spec.Base, entry.Opts.Kind, spec.Kind)
+	}
+	return entry, 0, nil
+}
+
+// schedule routes j through the result cache and enqueues it when it
+// leads.  A hit completes j at once; a coalesced job completes from the
+// leader's commit without consuming queue quota or a worker.  It returns
+// the snapshot to accept j with — a leader's is taken before it is
+// enqueued, so it answers queued however fast a worker finishes it — or
+// the scheduler refusal to answer with.
+func (s *Server) schedule(j *job.Job, in input, tenant string, class sched.Class) (job.Snapshot, error) {
+	var lease *sched.Lease
+	if s.cache != nil {
+		// A coalesced duplicate keeps no graph — N of them must not pin N
+		// copies while one leader computes; a promoted one rebuilds from
+		// its spec.  A delta keeps its own: its spec holds a diff, not an
+		// input.
+		follow := in
+		if !j.Spec.IsDelta() {
+			follow.graph = nil
+		}
+		outcome, reader, l := s.cache.Acquire(in.fp, &sched.Follower{OnReady: s.followerReady(j, follow, tenant, class)})
+		switch outcome {
+		case sched.OutcomeHit:
+			s.metrics.kind(j.Spec.Kind).cacheHits.Add(1)
+			s.finishCached(j, reader)
+			return j.Snapshot(), nil
+		case sched.OutcomeCoalesced:
+			return j.Snapshot(), nil
+		case sched.OutcomeOverflow:
+			// Followers bypass queue quotas, so without this bound an
+			// identical-spec flood would accumulate jobs without limit.
+			return job.Snapshot{}, &sched.Rejected{
+				Tenant:     tenant,
+				Reason:     "too many identical submissions waiting on one execution",
+				RetryAfter: time.Second,
+			}
+		}
+		lease = l // OutcomeLead; OutcomeBypass runs without a lease
+	}
+	snap := j.Snapshot()
+	err := s.sched.Submit(tenant, class, func(ctx context.Context) { s.runJob(ctx, j, lease, in) })
+	if err != nil {
+		if lease != nil {
+			lease.Abort()
+		}
+		return snap, err
+	}
 	s.metrics.observeDepth(int64(s.sched.Depth()))
-	writeJSON(w, http.StatusAccepted, j.Snapshot())
+	return snap, nil
 }
 
 // acquireBuildSlot takes a submission-time graph-build slot, waiting at
@@ -540,15 +584,10 @@ func (s *Server) finishCached(j *job.Job, r *sched.Reader) {
 	}
 }
 
-// enqueue submits the job's execution task under the tenant's quota.
-func (s *Server) enqueue(tenant string, class sched.Class, j *job.Job, lease *sched.Lease) error {
-	return s.sched.Submit(tenant, class, func(ctx context.Context) { s.runJob(ctx, j, lease) })
-}
-
 // followerReady builds the callback a coalesced job hands the cache:
 // it fires with the leader's circuit on commit, or with a fresh lease
 // when the leader aborted and this job is promoted to execute instead.
-func (s *Server) followerReady(j *job.Job, tenant string, class sched.Class) func(*sched.Reader, *sched.Lease) {
+func (s *Server) followerReady(j *job.Job, in input, tenant string, class sched.Class) func(*sched.Reader, *sched.Lease) {
 	return func(r *sched.Reader, promoted *sched.Lease) {
 		if r != nil {
 			s.finishCached(j, r)
@@ -558,63 +597,24 @@ func (s *Server) followerReady(j *job.Job, tenant string, class sched.Class) fun
 		// when it attached as a follower, so tenant back-pressure at
 		// promotion time must not convert it into a failure.  Only a
 		// draining scheduler can refuse.
-		err := s.sched.Resubmit(tenant, class, func(ctx context.Context) { s.runJob(ctx, j, promoted) })
+		err := s.sched.Resubmit(tenant, class, func(ctx context.Context) { s.runJob(ctx, j, promoted, in) })
 		if err != nil {
 			promoted.Abort()
 			if !j.State().Terminal() {
-				if j.Fail(fmt.Errorf("re-queueing after coalesced leader aborted: %w", err)) == job.StateCancelled {
-					s.metrics.cancelled.Add(1)
-				} else {
-					s.metrics.failed.Add(1)
-				}
+				s.failJob(j, fmt.Errorf("re-queueing after coalesced leader aborted: %w", err))
 			}
 		}
 	}
 }
 
-// resolveDelta looks up a delta submission's base run and materialises
-// the patched graph.  It returns the retained entry and patched graph,
-// writing the base's engine options through into the spec (they are
-// part of the base fingerprint, so the patched job must solve under the
-// same ones).  Error statuses: 409 when the base has no retained state
-// (including when retention is off entirely), 429 when graph-build
-// capacity is saturated, 400 for everything else.
-func (s *Server) resolveDelta(ctx context.Context, tenant string, spec *job.Spec) (*sched.DeltaEntry, *graph.Graph, int, error) {
-	if s.cache == nil || s.deltas == nil {
-		return nil, nil, http.StatusConflict,
-			fmt.Errorf("no retained state for base %q: delta retention is disabled on this server; submit the full graph instead", spec.Base)
+// failJob records a failed run, counted as a cancellation when the
+// job's context was cancelled.
+func (s *Server) failJob(j *job.Job, err error) {
+	if j.Fail(err) == job.StateCancelled {
+		s.metrics.cancelled.Add(1)
+	} else {
+		s.metrics.failed.Add(1)
 	}
-	fp, err := sched.ParseFingerprint(spec.Base)
-	if err != nil {
-		return nil, nil, http.StatusBadRequest, fmt.Errorf("base: %v", err)
-	}
-	entry, ok := s.deltas.Get(fp)
-	if !ok {
-		return nil, nil, http.StatusConflict,
-			fmt.Errorf("no retained state for base %s; submit the full graph instead", spec.Base)
-	}
-	if entry.Opts.Kind != spec.Kind {
-		return nil, nil, http.StatusBadRequest,
-			fmt.Errorf("base %s is a %s job, not %s", spec.Base, entry.Opts.Kind, spec.Kind)
-	}
-	// Applying the diff rebuilds the whole patched graph, so it takes a
-	// build slot like any other submission-time graph build.
-	if err := s.acquireBuildSlot(ctx, tenant); err != nil {
-		return nil, nil, http.StatusTooManyRequests, err
-	}
-	defer func() { <-s.buildSem }()
-	g, err := entry.Apply(spec.Diff.Add, spec.Diff.Remove)
-	if err != nil {
-		return nil, nil, http.StatusBadRequest, err
-	}
-	// The patched graph must still be solvable.  Checking here gives the
-	// client — at submit time — exactly the error a full submission of
-	// the patched graph would fail with at run time.
-	if err := verify.EulerianInput(g); err != nil {
-		return nil, nil, http.StatusBadRequest, err
-	}
-	spec.Parts, spec.Mode, spec.Seed = entry.Opts.Parts, entry.Opts.Mode, entry.Opts.Seed
-	return entry, g, 0, nil
 }
 
 // parseDiffPairs parses a query-form edge list: comma-separated "u-v"
@@ -764,23 +764,22 @@ func (s *Server) pagedInput(spec job.Spec) bool {
 // memory limit, at most 64 MiB.
 func (s *Server) pageBytes() int64 { return min(64<<20, s.memLimit/4) }
 
-// runJob executes one job on a pool worker: stream the circuit into a
-// disk-backed sink, record the report, and resolve the job's result-
-// cache lease (commit on success, abort — promoting a waiting
-// duplicate — on any other exit).
-func (s *Server) runJob(poolCtx context.Context, j *job.Job, lease *sched.Lease) {
+// runJob executes one job on a pool worker in stages: start it, solve
+// it from its input into a disk-backed sink, and publish the result.
+// The job's result-cache lease is committed on publication and aborted —
+// promoting a waiting duplicate — on any other exit.
+func (s *Server) runJob(poolCtx context.Context, j *job.Job, lease *sched.Lease, in input) {
 	// A pool drain deadline cancels the job's own context so the
 	// streaming emit path aborts promptly.
 	stop := context.AfterFunc(poolCtx, func() { j.Cancel() })
 	defer stop()
-
-	if !j.Start() {
-		// Cancelled while queued; the slot goes straight back to the
-		// pool, and leadership of the fingerprint moves on.
+	defer func() {
 		if lease != nil {
 			lease.Abort()
 		}
-		return
+	}()
+	if !j.Start() {
+		return // cancelled while queued; the slot goes straight back to the pool
 	}
 	runStart := time.Now()
 	s.metrics.started.Add(1)
@@ -790,34 +789,40 @@ func (s *Server) runJob(poolCtx context.Context, j *job.Job, lease *sched.Lease)
 	if s.beforeRun != nil {
 		s.beforeRun(j)
 	}
-	ctx := j.Context()
-
-	fail := func(err error) {
-		if lease != nil {
-			lease.Abort()
-			lease = nil
-		}
-		if j.Fail(err) == job.StateCancelled {
-			s.metrics.cancelled.Add(1)
-		} else {
-			s.metrics.failed.Add(1)
-		}
+	out, err := s.solveJob(j, in)
+	if err != nil {
+		s.failJob(j, err)
+		return
 	}
-	// A generator or engine panic must fail the job, not the server.
-	// sink is closed here too: every error return closes it inline,
-	// but a panic would otherwise leak the open log file.  Ownership
-	// moves to the job at Finish, which nils the local.
-	var sink *job.CircuitSink
+	s.publish(j, lease, in, out)
+	lease = nil
+}
+
+// solved is a successful solve awaiting publication.
+type solved struct {
+	sink   *job.CircuitSink
+	report *euler.RunReport
+	// graph is the in-memory input, and retained its encoded replay
+	// record when the run retained one as a delta base.
+	graph    *graph.Graph
+	retained []byte
+}
+
+// solveJob opens the job's input and streams its circuit into a fresh
+// sink.  On any error, a panic included, the sink is closed; on success
+// it passes to publish.
+func (s *Server) solveJob(j *job.Job, in input) (out solved, err error) {
 	defer func() {
+		// A generator or engine panic must fail the job, not the server.
 		if r := recover(); r != nil {
-			if sink != nil {
-				sink.Close()
-			}
-			fail(fmt.Errorf("job panicked: %v", r))
+			err = fmt.Errorf("job panicked: %v", r)
+		}
+		if err != nil && out.sink != nil {
+			out.sink.Close()
 		}
 	}()
-
 	kind := jobkind.MustGet(j.Spec.Kind) // canonical since Validate
+	ctx := j.Context()
 
 	// One spec says how this job solves.  In-process euler runs retain
 	// replay state when delta retention is on, so this job's result can
@@ -828,40 +833,31 @@ func (s *Server) runJob(poolCtx context.Context, j *job.Job, lease *sched.Lease)
 	// path exists to avoid — and spill to the job directory.
 	spec, err := j.Spec.KindRequest().Options.SolveSpec()
 	if err != nil {
-		fail(err)
-		return
+		return out, err
 	}
 
 	// The job's input, resolved once.  A paged upload never materialises
 	// its CSR in heap: the on-disk file is scattered into a paged CSR
 	// whose resident pages fit pageBytes, and euler.Solve runs it semi-
-	// externally.  Small cached-path graphs arrive prebuilt from
-	// submission-time fingerprinting; everything else (no cache, big
-	// graphs, promoted followers) is built here on the worker, bounded by
-	// the pool.  Graphless kinds carry their whole input in the spec.
+	// externally.  Small cached-path graphs and delta graphs arrive
+	// prebuilt from submission; everything else (no cache, big graphs,
+	// promoted followers) is built here on the worker, bounded by the
+	// pool.  Graphless kinds carry their whole input in the spec.
 	var src graph.Source
-	g := j.Graph()
+	g := in.graph
 	switch {
 	case s.pagedInput(j.Spec):
 		pg, err := oocgraph.BuildPaged(j.Spec.GraphFile, oocgraph.BuildOptions{Dir: j.Dir, MemBytes: s.pageBytes()})
 		if err != nil {
-			fail(fmt.Errorf("building paged graph: %w", err))
-			return
+			return out, fmt.Errorf("building paged graph: %w", err)
 		}
 		defer pg.Close()
 		src, spec.SpillDir = pg, j.Dir
 	case g != nil:
 		src = g
-	case !kind.NeedsGraph():
-	case j.Spec.IsDelta():
-		// The patched graph exists only while attached: the spec holds
-		// a diff, not an input, and the base may have been evicted.
-		fail(fmt.Errorf("delta job lost its patched input graph"))
-		return
-	default:
+	case kind.NeedsGraph():
 		if g, err = j.Spec.BuildGraph(); err != nil {
-			fail(fmt.Errorf("building input graph: %w", err))
-			return
+			return out, fmt.Errorf("building input graph: %w", err)
 		}
 		src = g
 	}
@@ -871,25 +867,21 @@ func (s *Server) runJob(poolCtx context.Context, j *job.Job, lease *sched.Lease)
 		// (Postman uploads are allowed odd degrees — covering them is
 		// the job — and the kind reports imbalance itself if any.)
 		if err := verify.EulerianInput(src); err != nil {
-			fail(err)
-			return
+			return out, err
 		}
 	}
-	spec.Retain = s.local && g != nil && s.deltas != nil && j.Fingerprint() != "" && kind.Name() == jobkind.DefaultName
-	if state := j.DeltaState(); spec.Retain && state != nil {
-		if spec.Replay, err = euler.DecodeRunRecord(state); err != nil {
-			fail(fmt.Errorf("decoding retained record: %w", err))
-			return
+	spec.Retain = s.local && g != nil && s.cache != nil && s.deltas != nil && kind.Name() == jobkind.DefaultName
+	if spec.Retain && in.replay != nil {
+		if spec.Replay, err = euler.DecodeRunRecord(in.replay); err != nil {
+			return out, fmt.Errorf("decoding retained record: %w", err)
 		}
 	}
 
 	// The sink renders each step in the kind's line format as it
 	// arrives, so the stored frames are exactly the bytes the circuit
 	// endpoint serves (and the result cache copies them frame-for-frame).
-	sink, err = job.NewCircuitSink(filepath.Join(j.Dir, "circuit.log"), kind)
-	if err != nil {
-		fail(fmt.Errorf("creating circuit sink: %w", err))
-		return
+	if out.sink, err = job.NewCircuitSink(filepath.Join(j.Dir, "circuit.log"), kind); err != nil {
+		return out, fmt.Errorf("creating circuit sink: %w", err)
 	}
 
 	// The kind drives the solve; graph-backed kinds route their circuit
@@ -898,65 +890,61 @@ func (s *Server) runJob(poolCtx context.Context, j *job.Job, lease *sched.Lease)
 	// kind hands run the graph it holds (nil for a paged input, which
 	// then solves from src) or one it derived from it, such as postman's
 	// augmented graph; run keeps the engine report and retained record.
-	var report *euler.RunReport
-	var retained []byte
 	run := func(rg *graph.Graph, emit func(graph.Step) error) error {
-		in := src
+		from := src
 		if rg != nil {
-			in = rg
+			from = rg
 		}
-		r, record, err := s.solve(ctx, in, spec, emit)
-		report = r
+		r, record, err := s.solve(ctx, from, spec, emit)
+		out.report = r
 		if record != nil {
-			retained = euler.EncodeRunRecord(record)
+			out.retained = euler.EncodeRunRecord(record)
 		}
 		return err
 	}
-	if err := kind.Solve(ctx, j.Spec.KindRequest(), g, run, sink.Append); err != nil {
-		sink.Close()
-		fail(err)
-		return
+	if err := kind.Solve(ctx, j.Spec.KindRequest(), g, run, out.sink.Append); err != nil {
+		return out, err
 	}
-	if err := sink.Finish(); err != nil {
-		sink.Close()
-		fail(fmt.Errorf("persisting circuit: %w", err))
-		return
+	if err := out.sink.Finish(); err != nil {
+		return out, fmt.Errorf("persisting circuit: %w", err)
 	}
+	out.graph = g
+	return out, nil
+}
+
+// publish completes j with a successful solve: the circuit goes under
+// its content address first (completing any coalesced duplicates), then
+// to the job, and the run is retained as a delta base if it recorded
+// one.
+func (s *Server) publish(j *job.Job, lease *sched.Lease, in input, out solved) {
 	if lease != nil {
-		// Publish the circuit under its content address and complete
-		// any coalesced duplicates.  This must happen BEFORE j.Finish:
-		// once the job is terminal it is eligible for retention
-		// eviction, which would close the sink under Commit's read.
-		// A commit error only degrades the cache (the lease aborts
-		// internally, promoting a waiter); this job's own result still
-		// lands below.
-		lease.Commit(sink)
-		lease = nil
+		// This must happen BEFORE j.Finish: once the job is terminal it is
+		// eligible for retention eviction, which would close the sink
+		// under Commit's read.  A commit error only degrades the cache
+		// (the lease aborts internally, promoting a waiter); this job's
+		// own result still lands below.
+		lease.Commit(out.sink)
 	}
-	j.Finish(report, sink)
+	j.Finish(out.report, out.sink)
 	s.metrics.completed.Add(1)
 	s.metrics.kind(j.Spec.Kind).completed.Add(1)
-	s.metrics.steps.Add(sink.Steps())
-	s.metrics.addReport(report)
+	s.metrics.steps.Add(out.sink.Steps())
+	s.metrics.addReport(out.report)
 	if j.Spec.IsDelta() {
 		s.metrics.deltaJobs.Add(1)
-		if report != nil {
-			s.metrics.deltaReusedParts.Add(int64(report.ReusedParts))
+		if out.report != nil {
+			s.metrics.deltaReusedParts.Add(int64(out.report.ReusedParts))
 		}
 	}
-	// Retain this run as a delta base under its own fingerprint; the
-	// store's LRU budget decides how long it survives.
-	if retained != nil {
-		if fp, perr := sched.ParseFingerprint(j.Fingerprint()); perr == nil {
-			s.deltas.Put(fp, &sched.DeltaEntry{
-				Opts:        j.Spec.FingerprintOptions(),
-				NumVertices: g.NumVertices(),
-				Edges:       sched.EdgePairs(g),
-				State:       retained,
-			})
-		}
+	// The store's LRU budget decides how long a retained base survives.
+	if out.retained != nil {
+		s.deltas.Put(in.fp, &sched.DeltaEntry{
+			Opts:        j.Spec.FingerprintOptions(),
+			NumVertices: out.graph.NumVertices(),
+			Edges:       sched.EdgePairs(out.graph),
+			State:       out.retained,
+		})
 	}
-	sink = nil // owned by the job now; keep the panic path off it
 }
 
 // pageTokenPrefix versions the list endpoint's pagination tokens.  The

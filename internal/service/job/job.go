@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/euler"
-	"repro/internal/graph"
 	"repro/internal/sched"
 )
 
@@ -36,9 +35,9 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// Job is one submitted circuit computation.  The immutable identity
-// fields (ID, Spec, Dir) are set at creation; the mutable lifecycle
-// fields are guarded by mu and read through Snapshot.
+// Job is one submitted circuit computation.  The immutable fields (ID,
+// Spec, Dir, in) are set at creation; the mutable lifecycle fields are
+// guarded by mu and read through Snapshot.
 type Job struct {
 	ID   string
 	Spec Spec
@@ -46,6 +45,7 @@ type Job struct {
 	// and a paged solve's spill logs); it is removed when the job is
 	// evicted.
 	Dir string
+	in  Input
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -53,10 +53,6 @@ type Job struct {
 	// egress counts circuit response bytes streamed for this job,
 	// accumulated lock-free by concurrent HTTP streams.
 	egress atomic.Int64
-
-	// seq is the store-assigned creation sequence number backing the
-	// list endpoint's stable pagination tokens.
-	seq int64
 
 	mu       sync.Mutex
 	state    State
@@ -68,76 +64,35 @@ type Job struct {
 	report   *euler.RunReport
 	sink     *CircuitSink
 	cached   sched.CircuitSource
-	tenant   string
-	// fingerprint is the job's content address (hex), recorded when the
-	// scheduler fingerprints the input; clients use it as a delta base.
-	fingerprint string
-	// graph is the input graph, built at submission time (where the
-	// scheduler fingerprints it) and dropped at the first terminal
-	// transition so retained jobs do not pin graph memory.
-	graph *graph.Graph
-	// deltaState is the base run's encoded replay record for delta
-	// jobs, resolved at submission and dropped with the graph.
-	deltaState []byte
+	// seq is the store-assigned registration sequence number backing
+	// the list endpoint's stable pagination tokens.
+	seq int64
 }
 
-// AttachGraph stores the prebuilt input graph for the worker to pick
-// up; the HTTP layer calls it between registration and enqueue.
-func (j *Job) AttachGraph(g *graph.Graph) {
-	j.mu.Lock()
-	j.graph = g
-	j.mu.Unlock()
+// Input is what a submission resolved about its job before acceptance.
+type Input struct {
+	// Tenant is the submitting tenant, for the list endpoint's filter.
+	Tenant string
+	// Fingerprint is the input's content address (hex), "" when the
+	// server runs without a result cache; clients use it as a delta base.
+	Fingerprint string
 }
 
-// Graph returns the prebuilt input graph, or nil once the job reached
-// a terminal state (or if none was attached).
-func (j *Job) Graph() *graph.Graph {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.graph
+// New returns a queued job for spec with scratch directory dir.  Its
+// creation time is now; it is registered by Store.Add.
+func New(spec Spec, dir string, in Input) *Job {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &Job{
+		ID:      newID(),
+		Spec:    spec,
+		Dir:     dir,
+		ctx:     ctx,
+		cancel:  cancel,
+		state:   StateQueued,
+		created: time.Now(),
+		in:      in,
+	}
 }
-
-// SetTenant records the submitting tenant for the list endpoint's
-// filter; the HTTP layer calls it right after registration.
-func (j *Job) SetTenant(t string) {
-	j.mu.Lock()
-	j.tenant = t
-	j.mu.Unlock()
-}
-
-// SetFingerprint records the job's content address (hex form).
-func (j *Job) SetFingerprint(fp string) {
-	j.mu.Lock()
-	j.fingerprint = fp
-	j.mu.Unlock()
-}
-
-// Fingerprint returns the job's content address, or "" when the server
-// runs without a result cache (nothing fingerprints inputs then).
-func (j *Job) Fingerprint() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.fingerprint
-}
-
-// SetDeltaState stores the resolved base replay record a delta job's
-// worker will solve against.
-func (j *Job) SetDeltaState(state []byte) {
-	j.mu.Lock()
-	j.deltaState = state
-	j.mu.Unlock()
-}
-
-// DeltaState returns the base replay record, or nil once the job reached
-// a terminal state (or for non-delta jobs).
-func (j *Job) DeltaState() []byte {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.deltaState
-}
-
-// Seq returns the store-assigned creation sequence number.
-func (j *Job) Seq() int64 { return j.seq }
 
 // Context returns the job's cancellation context; the worker threads it
 // through the streaming emit path so DELETE aborts the unroll.
@@ -167,8 +122,6 @@ func (j *Job) Finish(report *euler.RunReport, sink *CircuitSink) {
 	j.report = report
 	j.sink = sink
 	j.steps = sink.Steps()
-	j.graph = nil
-	j.deltaState = nil
 }
 
 // FinishCached completes a still-queued job straight from a cached or
@@ -189,8 +142,6 @@ func (j *Job) FinishCached(src sched.CircuitSource) bool {
 	j.finished = time.Now()
 	j.cached = src
 	j.steps = src.Steps()
-	j.graph = nil
-	j.deltaState = nil
 	j.mu.Unlock()
 	if j.Dir != "" {
 		os.RemoveAll(j.Dir) // cleanup at eviction is a no-op on the missing dir
@@ -211,8 +162,6 @@ func (j *Job) Fail(err error) State {
 	}
 	j.errMsg = err.Error()
 	j.finished = time.Now()
-	j.graph = nil
-	j.deltaState = nil
 	return j.state
 }
 
@@ -230,8 +179,6 @@ func (j *Job) Cancel() (State, bool) {
 		j.state = StateCancelled
 		j.finished = time.Now()
 		j.errMsg = "cancelled before running"
-		j.graph = nil
-		j.deltaState = nil
 		return j.state, true
 	}
 	return j.state, false
@@ -327,8 +274,8 @@ func (j *Job) Snapshot() Snapshot {
 		Steps:       j.steps,
 		Report:      j.report,
 		EgressBytes: j.egress.Load(),
-		Tenant:      j.tenant,
-		Fingerprint: j.fingerprint,
+		Tenant:      j.in.Tenant,
+		Fingerprint: j.in.Fingerprint,
 		Delta:       j.Spec.IsDelta(),
 		Seq:         j.seq,
 	}
@@ -377,22 +324,13 @@ func NewStore(maxTerminal int) *Store {
 	return &Store{jobs: make(map[string]*Job), maxTerminal: maxTerminal}
 }
 
-// New registers a fresh queued job for spec with scratch directory dir
-// and returns it, evicting old terminal jobs if retention is exceeded.
-func (s *Store) New(spec Spec, dir string) *Job {
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &Job{
-		ID:      newID(),
-		Spec:    spec,
-		Dir:     dir,
-		ctx:     ctx,
-		cancel:  cancel,
-		state:   StateQueued,
-		created: time.Now(),
-	}
+// Add registers j, evicting old terminal jobs if retention is exceeded.
+func (s *Store) Add(j *Job) {
 	s.mu.Lock()
 	s.nextSeq++
+	j.mu.Lock() // a leader's worker may already be reading j
 	j.seq = s.nextSeq
+	j.mu.Unlock()
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j)
 	evicted := s.evictLocked()
@@ -400,7 +338,6 @@ func (s *Store) New(spec Spec, dir string) *Job {
 	for _, e := range evicted {
 		e.cleanup()
 	}
-	return j
 }
 
 // evictLocked removes the oldest terminal jobs beyond the retention
@@ -433,26 +370,6 @@ func (s *Store) Get(id string) (*Job, bool) {
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	return j, ok
-}
-
-// Remove deregisters a job (used when pool submission fails) and frees
-// its scratch directory.
-func (s *Store) Remove(id string) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if ok {
-		delete(s.jobs, id)
-		for i, o := range s.order {
-			if o == j {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
-		}
-	}
-	s.mu.Unlock()
-	if ok {
-		j.cleanup()
-	}
 }
 
 // List returns snapshots of all registered jobs, oldest first.

@@ -150,9 +150,16 @@ func TestSinkCloseDeferredDuringIterate(t *testing.T) {
 	}
 }
 
+// add registers a fresh torus-generator job with scratch directory dir.
+func add(s *Store, dir string) *Job {
+	j := New(Spec{Generator: &GenSpec{Family: "torus"}}, dir, Input{})
+	s.Add(j)
+	return j
+}
+
 func TestStateMachine(t *testing.T) {
 	s := NewStore(10)
-	j := s.New(Spec{Generator: &GenSpec{Family: "torus"}}, "")
+	j := add(s, "")
 
 	if st := j.State(); st != StateQueued {
 		t.Fatalf("state = %s, want queued", st)
@@ -176,7 +183,7 @@ func TestCancelQueuedThenRunning(t *testing.T) {
 	s := NewStore(10)
 
 	// Queued job: cancel transitions immediately and Start is refused.
-	q := s.New(Spec{Generator: &GenSpec{Family: "torus"}}, "")
+	q := add(s, "")
 	state, transitioned := q.Cancel()
 	if state != StateCancelled || !transitioned {
 		t.Fatalf("cancel queued => (%s, %v), want (cancelled, true)", state, transitioned)
@@ -187,7 +194,7 @@ func TestCancelQueuedThenRunning(t *testing.T) {
 
 	// Running job: cancel only requests; Fail maps the resulting error
 	// to cancelled because the context is gone.
-	r := s.New(Spec{Generator: &GenSpec{Family: "torus"}}, "")
+	r := add(s, "")
 	r.Start()
 	state, transitioned = r.Cancel()
 	if state != StateRunning || transitioned {
@@ -210,7 +217,7 @@ func TestCircuitSurvivesEviction(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	a := s.New(Spec{Generator: &GenSpec{Family: "torus"}}, dir)
+	a := add(s, dir)
 	sink, err := NewCircuitSink(filepath.Join(dir, "circuit.log"), jobkind.MustGet("euler"))
 	if err != nil {
 		t.Fatal(err)
@@ -233,11 +240,11 @@ func TestCircuitSurvivesEviction(t *testing.T) {
 
 	// Evict job a: two more terminal jobs push it past the bound.
 	for i := 0; i < 2; i++ {
-		j := s.New(Spec{Generator: &GenSpec{Family: "torus"}}, "")
+		j := add(s, "")
 		j.Start()
 		j.Fail(errors.New("x"))
 	}
-	s.New(Spec{Generator: &GenSpec{Family: "torus"}}, "")
+	add(s, "")
 	if _, ok := s.Get(a.ID); ok {
 		t.Fatal("job a should have been evicted")
 	}
@@ -265,18 +272,14 @@ func (f fakeSource) Steps() int64                                     { return i
 func (f fakeSource) IterateBatches(fn func(frame []byte) error) error { return fn(f) }
 
 // TestFinishCached: a queued job completes straight from a cached
-// source, serves it through Circuit, and drops its prebuilt graph; a
-// cancelled job refuses the cached completion.
+// source and serves it through Circuit; a cancelled job refuses the
+// cached completion.
 func TestFinishCached(t *testing.T) {
 	s := NewStore(10)
-	j := s.New(Spec{Generator: &GenSpec{Family: "torus"}}, "")
-	j.AttachGraph(graph.FromEdges(2, [][2]graph.VertexID{{0, 1}}))
+	j := add(s, "")
 	src := fakeSource("{\"edge\":0,\"from\":0,\"to\":1}\n{\"edge\":1,\"from\":1,\"to\":0}\n")
 	if !j.FinishCached(src) {
 		t.Fatal("FinishCached on a queued job must succeed")
-	}
-	if j.Graph() != nil {
-		t.Fatal("terminal job must drop its prebuilt graph")
 	}
 	snap := j.Snapshot()
 	if snap.State != StateDone || snap.Steps != 2 || snap.Started != nil {
@@ -291,7 +294,7 @@ func TestFinishCached(t *testing.T) {
 		t.Fatal("Start after a cached completion must fail")
 	}
 
-	c := s.New(Spec{Generator: &GenSpec{Family: "torus"}}, "")
+	c := add(s, "")
 	c.Cancel()
 	if c.FinishCached(src) {
 		t.Fatal("FinishCached on a cancelled job must refuse")
@@ -310,13 +313,13 @@ func TestStoreRetention(t *testing.T) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		j := s.New(Spec{Generator: &GenSpec{Family: "torus"}}, dir)
+		j := add(s, dir)
 		j.Start()
 		j.Fail(errors.New("x"))
 		jobs = append(jobs, j)
 	}
 	// Adding a fourth evicts the oldest terminal job beyond the bound.
-	s.New(Spec{Generator: &GenSpec{Family: "torus"}}, "")
+	add(s, "")
 	if _, ok := s.Get(jobs[0].ID); ok {
 		t.Fatal("oldest terminal job should have been evicted")
 	}

@@ -13,7 +13,8 @@
 # sched.NewFair( more than once: the service runs one scheduler.  Also
 # fails when a non-test .go file other than ./euler.go calls
 # context.TODO(: every solve runs under a caller's context.  Then prints
-# the three sizes ROADMAP aim 2 tracks per PR.
+# the three sizes ROADMAP aim 2 tracks per PR, and internal/euler's
+# exported declaration count, the size ROADMAP item 23 gates on.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -62,7 +63,9 @@ exported=$(grep -hcE '^(func|type) [A-Z]|^	[A-Z][A-Za-z0-9_]* += ' $(ls ./*.go |
 	awk '{n += $1} END {print n}')
 flags=$(grep -oE 'flag\.(Bool|BoolFunc|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var)\(' \
 	cmd/eulerd/main.go | wc -l)
+euler_exports=$(go doc -short ./internal/euler | wc -l)
 echo "one pipeline: ok"
 echo "non-test Go lines (root + internal/{euler,cluster,jobkind,postman,sched,service} + cmd/eulerd): $lines"
 echo "root package exported identifiers: $exported"
 echo "eulerd flags: $flags"
+echo "internal/euler exported declarations: $euler_exports"
