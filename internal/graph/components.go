@@ -109,12 +109,11 @@ func IsConnected(g *Graph) bool {
 type UnionFind struct {
 	parent []int64
 	size   []int64
-	sets   int64
 }
 
 // NewUnionFind returns a UnionFind over n singleton elements.
 func NewUnionFind(n int64) *UnionFind {
-	u := &UnionFind{parent: make([]int64, n), size: make([]int64, n), sets: n}
+	u := &UnionFind{parent: make([]int64, n), size: make([]int64, n)}
 	for i := range u.parent {
 		u.parent[i] = int64(i)
 		u.size[i] = 1
@@ -142,12 +141,5 @@ func (u *UnionFind) Union(a, b int64) bool {
 	}
 	u.parent[rb] = ra
 	u.size[ra] += u.size[rb]
-	u.sets--
 	return true
 }
-
-// Sets returns the current number of disjoint sets.
-func (u *UnionFind) Sets() int64 { return u.sets }
-
-// SizeOf returns the size of the set containing x.
-func (u *UnionFind) SizeOf(x int64) int64 { return u.size[u.Find(x)] }

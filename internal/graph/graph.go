@@ -9,10 +9,7 @@
 // may create.
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // VertexID identifies a vertex.  Vertices are dense: a graph with N vertices
 // uses IDs 0..N-1.  The type is int64 to match the paper's use of 8-byte
@@ -117,17 +114,6 @@ func (g *Graph) Degree(v VertexID) int64 { return g.offs[v+1] - g.offs[v] }
 // Adj returns the adjacency halves of v.  Callers must not modify the
 // returned slice.
 func (g *Graph) Adj(v VertexID) []Half { return g.halves[g.offs[v]:g.offs[v+1]] }
-
-// MaxDegree returns the largest vertex degree, or 0 for an empty graph.
-func (g *Graph) MaxDegree() int64 {
-	var max int64
-	for v := int64(0); v < g.n; v++ {
-		if d := g.Degree(v); d > max {
-			max = d
-		}
-	}
-	return max
-}
 
 // OddVertices returns the vertices of odd degree in ascending order.
 func (g *Graph) OddVertices() []VertexID {
@@ -237,16 +223,4 @@ func (g *Graph) DegreeHistogram() map[int64]int64 {
 		h[g.Degree(v)]++
 	}
 	return h
-}
-
-// SortedDegrees returns the distinct degrees present in ascending order; it
-// pairs with DegreeHistogram for deterministic reporting.
-func (g *Graph) SortedDegrees() []int64 {
-	h := g.DegreeHistogram()
-	ds := make([]int64, 0, len(h))
-	for d := range h {
-		ds = append(ds, d)
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	return ds
 }

@@ -111,20 +111,6 @@ func TestDegreeHistogram(t *testing.T) {
 	if h[3] != 1 || h[1] != 3 {
 		t.Errorf("histogram = %v, want {3:1, 1:3}", h)
 	}
-	ds := star.SortedDegrees()
-	if len(ds) != 2 || ds[0] != 1 || ds[1] != 3 {
-		t.Errorf("SortedDegrees = %v, want [1 3]", ds)
-	}
-}
-
-func TestMaxDegree(t *testing.T) {
-	if d := triangle().MaxDegree(); d != 2 {
-		t.Errorf("MaxDegree = %d, want 2", d)
-	}
-	empty := NewBuilder(0, 0).Build()
-	if d := empty.MaxDegree(); d != 0 {
-		t.Errorf("MaxDegree of empty = %d, want 0", d)
-	}
 }
 
 func TestEmptyGraph(t *testing.T) {

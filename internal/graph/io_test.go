@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -65,5 +66,30 @@ func TestWriteReadFile(t *testing.T) {
 func TestReadFileMissing(t *testing.T) {
 	if _, err := ReadFile(filepath.Join(t.TempDir(), "nope.bin")); err == nil {
 		t.Fatal("expected error for missing file")
+	}
+}
+
+// TestReadRejectsMalformed: every malformed stream is an error wrapping
+// ErrBadFormat, never a panic — including the endpoint faults Builder
+// would panic on.
+func TestReadRejectsMalformed(t *testing.T) {
+	hdr := func(n, m uint64, body ...byte) []byte { return append(AppendHeader(nil, n, m), body...) }
+	cases := map[string][]byte{
+		"badMagic":           []byte("NOTGRPH1\x04\x01\x00\x01"),
+		"headerOnly":         hdr(4, 2),
+		"headerCut":          hdr(300, 2)[:9],
+		"outOfRange":         hdr(4, 1, 0, 9),
+		"selfLoop":           hdr(4, 1, 1, 1),
+		"undecodableVarints": hdr(4, 8, bytes.Repeat([]byte{0x80}, 16)...),
+		"truncated":          hdr(4, 2, 0, 1, 1),
+		"trailing":           hdr(4, 1, 0, 1, 0),
+		"implausibleCounts":  hdr(1<<41, 0),
+	}
+	for name, data := range cases {
+		t.Run(name, func(t *testing.T) {
+			if _, err := Read(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("Read error %v, want one wrapping ErrBadFormat", err)
+			}
+		})
 	}
 }

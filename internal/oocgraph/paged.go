@@ -1,3 +1,9 @@
+// Package oocgraph is the out-of-core graph subsystem: a paged CSR
+// (PagedGraph) whose adjacency lives on disk behind a bounded LRU of
+// partition pages, built from an EULGRPH1 file by an external scatter
+// that reads the file through graph.Scanner.  It lets the service
+// partition and tour graphs far larger than the process heap while
+// producing byte-identical circuits to the in-memory path.
 package oocgraph
 
 import (
@@ -48,7 +54,8 @@ type BuildOptions struct {
 	// PageHalves is the halves-per-page granularity (0 =
 	// DefaultPageHalves); a page holds PageHalves*16 bytes.
 	PageHalves int64
-	// BlockSize is the edge-file scan block size (0 = default).
+	// BlockSize is the edge-file scan block size (0 =
+	// graph.DefaultBlockSize).
 	BlockSize int
 }
 
@@ -108,7 +115,7 @@ func BuildPaged(edgePath string, opt BuildOptions) (*PagedGraph, error) {
 		opt.PageHalves = DefaultPageHalves
 	}
 	if opt.BlockSize <= 0 {
-		opt.BlockSize = DefaultBlockSize
+		opt.BlockSize = graph.DefaultBlockSize
 	}
 	if opt.MemBytes <= 0 {
 		opt.MemBytes = defaultMemBytes
@@ -118,38 +125,12 @@ func BuildPaged(edgePath string, opt BuildOptions) (*PagedGraph, error) {
 		maxPages = 2
 	}
 
-	// Pass 1: degrees.
-	br, closeFile, err := OpenBlockFile(edgePath, opt.BlockSize)
+	offs, m, err := degreeOffsets(edgePath, opt.BlockSize)
 	if err != nil {
 		return nil, err
 	}
-	n, m := br.NumVertices(), br.NumEdges()
-	if n > int64(1)<<31 {
-		closeFile()
-		return nil, fmt.Errorf("oocgraph: %d vertices exceed the paged CSR range", n)
-	}
-	offs := make([]int64, n+1)
-	for {
-		block, err := br.Next()
-		if err != nil {
-			if err == io.EOF {
-				break
-			}
-			closeFile()
-			return nil, err
-		}
-		for _, e := range block {
-			offs[e.U+1]++
-			offs[e.V+1]++
-		}
-	}
-	closeFile()
-	for v := int64(1); v <= n; v++ {
-		offs[v] += offs[v-1]
-	}
-
 	pg := &PagedGraph{
-		n: n, m: m, offs: offs,
+		n: int64(len(offs) - 1), m: m, offs: offs,
 		edgePath:   edgePath,
 		blockSz:    opt.BlockSize,
 		pageHalves: opt.PageHalves,
@@ -160,6 +141,37 @@ func BuildPaged(edgePath string, opt BuildOptions) (*PagedGraph, error) {
 		return nil, err
 	}
 	return pg, nil
+}
+
+// degreeOffsets runs pass 1: it scans the file once to count degrees
+// and returns the CSR offsets (O(V) memory) and the edge count.
+func degreeOffsets(edgePath string, blockSize int) ([]int64, int64, error) {
+	f, err := os.Open(edgePath)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer f.Close()
+	sc, err := graph.NewScanner(f, blockSize)
+	if err != nil {
+		return nil, 0, err
+	}
+	n := sc.NumVertices()
+	if n > int64(1)<<31 {
+		return nil, 0, fmt.Errorf("oocgraph: %d vertices exceed the paged CSR range", n)
+	}
+	offs := make([]int64, n+1)
+	err = sc.ForEachEdge(func(e graph.Edge) error {
+		offs[e.U+1]++
+		offs[e.V+1]++
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	for v := int64(1); v <= n; v++ {
+		offs[v] += offs[v-1]
+	}
+	return offs, sc.NumEdges(), nil
 }
 
 // scatter runs pass 2: half records into bucket files, buckets into
@@ -215,33 +227,20 @@ func (pg *PagedGraph) scatter(opt BuildOptions) error {
 		_, err := writers[pos/span].Write(rec[:])
 		return err
 	}
-	br, closeFile, err := OpenBlockFile(pg.edgePath, opt.BlockSize)
+	err = pg.ForEachEdge(func(e graph.Edge) error {
+		if err := put(next[e.U], e.V, e.ID); err != nil {
+			return err
+		}
+		next[e.U]++
+		if err := put(next[e.V], e.U, e.ID); err != nil {
+			return err
+		}
+		next[e.V]++
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	for {
-		block, err := br.Next()
-		if err != nil {
-			if err == io.EOF {
-				break
-			}
-			closeFile()
-			return err
-		}
-		for _, e := range block {
-			if err := put(next[e.U], e.V, e.ID); err != nil {
-				closeFile()
-				return err
-			}
-			next[e.U]++
-			if err := put(next[e.V], e.U, e.ID); err != nil {
-				closeFile()
-				return err
-			}
-			next[e.V]++
-		}
-	}
-	closeFile()
 	next = nil
 
 	// Place each bucket and append it to the blob in position order.
@@ -334,25 +333,16 @@ func (pg *PagedGraph) Adj(v graph.VertexID) []graph.Half {
 
 // ForEachEdge re-scans the original EULGRPH1 file in blocks.
 func (pg *PagedGraph) ForEachEdge(fn func(graph.Edge) error) error {
-	br, closeFile, err := OpenBlockFile(pg.edgePath, pg.blockSz)
+	f, err := os.Open(pg.edgePath)
 	if err != nil {
 		return err
 	}
-	defer closeFile()
-	for {
-		block, err := br.Next()
-		if err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return err
-		}
-		for _, e := range block {
-			if err := fn(e); err != nil {
-				return err
-			}
-		}
+	defer f.Close()
+	sc, err := graph.NewScanner(f, pg.blockSz)
+	if err != nil {
+		return err
 	}
+	return sc.ForEachEdge(fn)
 }
 
 // page returns the page with the given index, faulting it in from the

@@ -1,10 +1,11 @@
 package oocgraph
 
 import (
-	"io"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -38,29 +39,28 @@ func testFamilies(t *testing.T) map[string]*graph.Graph {
 	}
 }
 
+// TestBlockReaderMatchesRead: the paged graph's block scans (both build
+// passes and ForEachEdge) must replay the file's exact edge list at any
+// block size; a tiny one forces varints to straddle block boundaries
+// constantly.
 func TestBlockReaderMatchesRead(t *testing.T) {
 	for name, g := range testFamilies(t) {
 		t.Run(name, func(t *testing.T) {
 			path := writeGraphFile(t, g)
-			// A tiny block size forces varints to straddle block
-			// boundaries constantly.
-			for _, bs := range []int{64, 101, DefaultBlockSize} {
-				br, done, err := OpenBlockFile(path, bs)
+			for _, bs := range []int{64, 101, graph.DefaultBlockSize} {
+				pg, err := BuildPaged(path, BuildOptions{Dir: t.TempDir(), BlockSize: bs})
 				if err != nil {
 					t.Fatalf("block %d: %v", bs, err)
 				}
 				var edges []graph.Edge
-				for {
-					blk, err := br.Next()
-					edges = append(edges, blk...)
-					if err == io.EOF {
-						break
-					}
-					if err != nil {
-						t.Fatalf("block %d: %v", bs, err)
-					}
+				err = pg.ForEachEdge(func(e graph.Edge) error {
+					edges = append(edges, e)
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("block %d: %v", bs, err)
 				}
-				if err := done(); err != nil {
+				if err := pg.Close(); err != nil {
 					t.Fatal(err)
 				}
 				want := g.Edges()
@@ -74,6 +74,35 @@ func TestBlockReaderMatchesRead(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEdgeScanAllocation gates what one full edge scan of the torus-paged
+// file (384x384, 294 912 edges) allocates: one scan block and a few
+// small objects, whatever the graph's size.
+func TestEdgeScanAllocation(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	pg, err := BuildPaged(writeGraphFile(t, gen.Torus(384, 384)), BuildOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pg.Close()
+	var before, after runtime.MemStats
+	edges := 0
+	runtime.ReadMemStats(&before)
+	err = pg.ForEachEdge(func(graph.Edge) error {
+		edges++
+		return nil
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if edges != 2*384*384 {
+		t.Fatalf("scanned %d edges, want %d", edges, 2*384*384)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("one edge scan allocated %d bytes, want < 1 MiB", alloc)
 	}
 }
 
@@ -165,6 +194,8 @@ func TestPagedGraphRandomAccess(t *testing.T) {
 	}
 }
 
+// TestBlockReaderRejectsMalformed: BuildPaged refuses a malformed edge
+// file with an error wrapping graph.ErrBadFormat.
 func TestBlockReaderRejectsMalformed(t *testing.T) {
 	g := gen.Cycle(10)
 	path := writeGraphFile(t, g)
@@ -185,19 +216,13 @@ func TestBlockReaderRejectsMalformed(t *testing.T) {
 			if err := os.WriteFile(p, body, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			br, done, err := OpenBlockFile(p, 64)
-			if err != nil {
-				return // header rejection is a pass
+			pg, err := BuildPaged(p, BuildOptions{Dir: t.TempDir(), BlockSize: 64})
+			if err == nil {
+				pg.Close()
+				t.Fatal("built a paged graph, want an error")
 			}
-			defer done()
-			for {
-				_, err := br.Next()
-				if err == io.EOF {
-					t.Fatalf("%s: parsed cleanly, want error", name)
-				}
-				if err != nil {
-					return
-				}
+			if !errors.Is(err, graph.ErrBadFormat) {
+				t.Fatalf("error %v does not wrap graph.ErrBadFormat", err)
 			}
 		})
 	}

@@ -7,11 +7,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"io"
 	"math/bits"
+	"os"
 
 	"repro/internal/graph"
-	"repro/internal/oocgraph"
 )
 
 // Fingerprint is the content address of one circuit computation: a
@@ -154,24 +153,25 @@ func FingerprintGraph(g *graph.Graph, opts SolveOptions) Fingerprint {
 
 // FingerprintUpload computes the same fingerprint as FingerprintGraph
 // over a saved EULGRPH1 upload without ever building the graph in
-// memory: the file is scanned in blocks and each block is folded into
-// the multiset sum.  Peak memory is one parse block regardless of graph
-// size.
+// memory: one scan of the file folds each edge into the multiset sum.
+// Peak memory is one scan block regardless of graph size.
 func FingerprintUpload(path string, opts SolveOptions) (Fingerprint, error) {
-	br, closeFile, err := oocgraph.OpenBlockFile(path, oocgraph.DefaultBlockSize)
+	f, err := os.Open(path)
 	if err != nil {
 		return Fingerprint{}, err
 	}
-	defer closeFile()
-	var m edgeMultiset
-	for {
-		block, err := br.Next()
-		if err == io.EOF {
-			return m.fingerprint(br.NumVertices(), opts), nil
-		}
-		if err != nil {
-			return Fingerprint{}, err
-		}
-		m.add(block)
+	defer f.Close()
+	sc, err := graph.NewScanner(f, graph.DefaultBlockSize)
+	if err != nil {
+		return Fingerprint{}, err
 	}
+	var m edgeMultiset
+	err = sc.ForEachEdge(func(e graph.Edge) error {
+		m.add([]graph.Edge{e})
+		return nil
+	})
+	if err != nil {
+		return Fingerprint{}, err
+	}
+	return m.fingerprint(sc.NumVertices(), opts), nil
 }

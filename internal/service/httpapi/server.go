@@ -704,49 +704,45 @@ func (s *Server) decodeSubmission(r *http.Request, dir string) (job.Spec, int, e
 	return spec, 0, nil
 }
 
-// saveUpload streams an uploaded graph body to path in 64 KiB chunks —
-// the body is never resident — and returns the header's declared edge
-// count.  It rejects bodies without the EULGRPH1 magic, bounds the
-// declared vertex/edge counts before anything downstream allocates from
-// them (so a 20-byte body cannot demand a terabyte graph at run time),
-// and classifies over-cap counts and over-limit bodies as errTooLarge
-// so the handler answers 413 rather than a generic 400.
+// saveUpload streams an uploaded graph body to path through the
+// EULGRPH1 scanner — the body is never resident, and every record is
+// checked as it is saved — and returns the header's declared edge count.
+// It bounds the declared vertex/edge counts before decoding any record
+// (so a 20-byte body cannot demand a terabyte graph at run time), and
+// classifies over-cap counts and over-limit bodies as errTooLarge so the
+// handler answers 413 rather than a generic 400.
 func saveUpload(path string, body io.Reader) (int64, error) {
-	br := bufio.NewReaderSize(body, 1<<16)
-	vertices, edges, err := graph.ReadHeader(br)
-	if err != nil {
-		return 0, fmt.Errorf("upload is not an EULGRPH1 graph file: %v", err)
-	}
-	if err := job.ValidateUploadCounts(vertices, edges); err != nil {
-		return 0, &errTooLarge{msg: err.Error()}
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return 0, fmt.Errorf("saving upload: %v", err)
 	}
-	// Re-frame the consumed header (uvarint re-encoding is
-	// value-preserving) and stream the rest through.
-	if _, err := f.Write(graph.AppendHeader(nil, vertices, edges)); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("saving upload: %v", err)
+	edges, err := scanUpload(io.TeeReader(body, f))
+	if closeErr := f.Close(); err == nil && closeErr != nil {
+		err = fmt.Errorf("saving upload: %v", closeErr)
 	}
-	bodyBytes, err := io.Copy(f, br)
-	if err != nil {
-		f.Close()
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return 0, &errTooLarge{msg: fmt.Sprintf("upload body exceeds the %d-byte limit", mbe.Limit)}
+	return edges, err
+}
+
+// scanUpload decodes an upload body to its end and returns its declared
+// edge count, or the refusal to answer with.
+func scanUpload(body io.Reader) (int64, error) {
+	sc, err := graph.NewScanner(body, graph.DefaultBlockSize)
+	if err == nil {
+		if err := job.ValidateUploadCounts(uint64(sc.NumVertices()), uint64(sc.NumEdges())); err != nil {
+			return 0, &errTooLarge{msg: err.Error()}
 		}
-		return 0, fmt.Errorf("saving upload: %v", err)
+		err = sc.ForEachEdge(func(graph.Edge) error { return nil })
 	}
-	// An edge is at least two varint bytes, so a tiny body cannot
-	// claim a huge edge count and force the builder's up-front
-	// allocation at run time.
-	if edges > uint64(bodyBytes)/2 {
-		f.Close()
-		return 0, fmt.Errorf("uploaded graph declares %d edges but the body has only %d bytes", edges, bodyBytes)
+	var mbe *http.MaxBytesError
+	switch {
+	case err == nil:
+		return sc.NumEdges(), nil
+	case errors.As(err, &mbe):
+		return 0, &errTooLarge{msg: fmt.Sprintf("upload body exceeds the %d-byte limit", mbe.Limit)}
+	case errors.Is(err, graph.ErrBadFormat):
+		return 0, fmt.Errorf("upload is not a valid EULGRPH1 graph file: %w", err)
 	}
-	return int64(edges), f.Close()
+	return 0, fmt.Errorf("saving upload: %v", err)
 }
 
 // pagedInput reports whether a job solves from a paged disk CSR instead

@@ -25,9 +25,8 @@ func jobDirs(t *testing.T, s *Server) []string {
 }
 
 // undecodableUpload is an EULGRPH1 body declaring edges edges whose
-// endpoint varints never terminate: it passes the upload checks (the
-// body has two bytes per declared edge) but neither builds nor
-// fingerprints.
+// endpoint varints never terminate: two bytes per declared edge, none of
+// which decodes.
 func undecodableUpload(edges int) string {
 	body := append([]byte("EULGRPH1"), appendUvarint(appendUvarint(nil, 4), uint64(edges))...)
 	return string(append(body, bytes.Repeat([]byte{0x80}, 2*edges)...))
@@ -61,8 +60,7 @@ func TestRefusedSubmissionLeavesNoTrace(t *testing.T) {
 		want      int
 	}{
 		{"generator out of range", "application/json", `{"generator":{"family":"torus","width":2,"height":2}}`, false, http.StatusBadRequest},
-		{"upload fails building", "application/octet-stream", undecodableUpload(8), false, http.StatusBadRequest},
-		{"upload fails fingerprinting", "application/octet-stream", undecodableUpload(keepGraphMaxEdges + 1), false, http.StatusBadRequest},
+		{"undecodable upload", "application/octet-stream", undecodableUpload(8), false, http.StatusBadRequest},
 		{"unknown delta base", "application/json", fmt.Sprintf(`{"base":%q,"diff":{"add":[[0,1],[0,1]]}}`, strings.Repeat("ab", 32)), false, http.StatusConflict},
 		{"non-Eulerian patch", "application/json", fmt.Sprintf(`{"base":%q,"diff":{"add":[[0,1]]}}`, fp), false, http.StatusBadRequest},
 		{"cancelled waiting for a build slot", "application/json", `{"generator":{"family":"torus","width":5,"height":5}}`, true, 0},
