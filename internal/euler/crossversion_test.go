@@ -91,7 +91,7 @@ func TestV3ReencodeByteIdentical(t *testing.T) {
 			{U: 1, V: 4, Kind: ItemEdge, Ref: 9},
 			{U: 4, V: 1, Kind: ItemPath, Ref: 11},
 		},
-		Remote: []RemoteEdge{{Local: 4, Remote: 17, Edge: 23, ConvertLevel: 2}},
+		Remote: [][]RemoteEdge{{{Local: 4, Remote: 17, Edge: 23, ConvertLevel: 2}}},
 		Stubs:  []Stub{{Vertex: 1, ConvertLevel: 1, Count: 3}},
 	}
 	enc := EncodeState(st)

@@ -251,12 +251,14 @@ func encodedStateLen(s *PartState) int {
 		n += uvarintLen(zigzag(e.U-prevU)<<1|uint64(e.Kind&1)) + varintLen(e.V-e.U) + varintLen(e.Ref-prevRef)
 		prevU, prevRef = e.U, e.Ref
 	}
-	n += uvarintLen(uint64(len(s.Remote)))
+	n += uvarintLen(uint64(s.remoteLen()))
 	var prevLocal, prevRemote, prevEdge int64
-	for _, r := range s.Remote {
-		n += varintLen(r.Local-prevLocal) + varintLen(r.Remote-prevRemote) +
-			varintLen(r.Edge-prevEdge) + varintLen(int64(r.ConvertLevel))
-		prevLocal, prevRemote, prevEdge = r.Local, r.Remote, r.Edge
+	for _, run := range s.Remote {
+		for _, r := range run {
+			n += varintLen(r.Local-prevLocal) + varintLen(r.Remote-prevRemote) +
+				varintLen(r.Edge-prevEdge) + varintLen(int64(r.ConvertLevel))
+			prevLocal, prevRemote, prevEdge = r.Local, r.Remote, r.Edge
+		}
 	}
 	n += uvarintLen(uint64(len(s.Stubs)))
 	var prevVert int64
@@ -290,8 +292,8 @@ func AppendState(dst []byte, s *PartState) []byte {
 		dst = binary.AppendVarint(dst, e.Ref-prevRef)
 		prevU, prevRef = e.U, e.Ref
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(s.Remote)))
-	dst = appendRemoteEdges(dst, s.Remote)
+	dst = binary.AppendUvarint(dst, uint64(s.remoteLen()))
+	dst = appendRemoteEdges(dst, s.Remote...)
 	dst = binary.AppendUvarint(dst, uint64(len(s.Stubs)))
 	var prevVert int64
 	for _, st := range s.Stubs {
@@ -365,9 +367,11 @@ func DecodeState(buf []byte) (*PartState, error) {
 	if nr > uint64(len(d.buf)-d.off)/4 {
 		return nil, fmt.Errorf("euler: remote edge count %d exceeds payload size", nr)
 	}
-	if s.Remote, err = decodeRemoteEdges(d, nr); err != nil {
+	remote, err := decodeRemoteEdges(d, nr)
+	if err != nil {
 		return nil, err
 	}
+	s.Remote = oneRun(remote)
 	ns, err := d.uvarint()
 	if err != nil {
 		return nil, err
@@ -395,16 +399,19 @@ func DecodeState(buf []byte) (*PartState, error) {
 	return s, nil
 }
 
-// appendRemoteEdges delta-encodes one remote-edge stream (no count; the
-// caller frames it).
-func appendRemoteEdges(dst []byte, edges []RemoteEdge) []byte {
+// appendRemoteEdges delta-encodes one remote-edge stream, the runs
+// concatenated (no count; the caller frames it).  The deltas carry across
+// run boundaries, so the bytes do not depend on how the stream is split.
+func appendRemoteEdges(dst []byte, runs ...[]RemoteEdge) []byte {
 	var prevLocal, prevRemote, prevEdge int64
-	for _, r := range edges {
-		dst = binary.AppendVarint(dst, r.Local-prevLocal)
-		dst = binary.AppendVarint(dst, r.Remote-prevRemote)
-		dst = binary.AppendVarint(dst, r.Edge-prevEdge)
-		dst = binary.AppendVarint(dst, int64(r.ConvertLevel))
-		prevLocal, prevRemote, prevEdge = r.Local, r.Remote, r.Edge
+	for _, run := range runs {
+		for _, r := range run {
+			dst = binary.AppendVarint(dst, r.Local-prevLocal)
+			dst = binary.AppendVarint(dst, r.Remote-prevRemote)
+			dst = binary.AppendVarint(dst, r.Edge-prevEdge)
+			dst = binary.AppendVarint(dst, int64(r.ConvertLevel))
+			prevLocal, prevRemote, prevEdge = r.Local, r.Remote, r.Edge
+		}
 	}
 	return dst
 }

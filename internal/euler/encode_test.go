@@ -55,9 +55,9 @@ func TestStateRoundTrip(t *testing.T) {
 			{U: 5, V: 9, Kind: ItemEdge, Ref: 17},
 			{U: 9, V: 2, Kind: ItemPath, Ref: MakePathID(0, 1, 0)},
 		},
-		Remote: []RemoteEdge{
+		Remote: [][]RemoteEdge{{
 			{Local: 5, Remote: 100, Edge: 3, ConvertLevel: 2},
-		},
+		}},
 		Stubs: []Stub{
 			{Vertex: 9, ConvertLevel: 1, Count: 4},
 		},
@@ -156,12 +156,14 @@ func TestQuickStateRoundTrip(t *testing.T) {
 				Kind: ItemKind(rng.Intn(2)), Ref: rng.Int63n(1 << 40),
 			})
 		}
+		var remote []RemoteEdge
 		for i := 0; i < int(nr%20); i++ {
-			s.Remote = append(s.Remote, RemoteEdge{
+			remote = append(remote, RemoteEdge{
 				Local: rng.Int63n(1000), Remote: rng.Int63n(1000),
 				Edge: rng.Int63n(1 << 30), ConvertLevel: int32(rng.Intn(8)),
 			})
 		}
+		s.Remote = oneRun(remote)
 		for i := 0; i < int(ns%10); i++ {
 			s.Stubs = append(s.Stubs, Stub{
 				Vertex: rng.Int63n(1000), ConvertLevel: int32(rng.Intn(8)),

@@ -51,7 +51,7 @@ func (o *longsObserver) Compute(ctx *bsp.Context) error {
 		want = st.Longs()
 	case plan.IsParent[s-1][w]:
 		var child *PartState
-		var delivered []RemoteEdge
+		var delivered [][]RemoteEdge
 		for _, msg := range ctx.Received() {
 			var err error
 			switch {
@@ -62,7 +62,7 @@ func (o *longsObserver) Compute(ctx *bsp.Context) error {
 			case msg.Payload[0] == msgParked:
 				var batch []RemoteEdge
 				batch, err = DecodeRemoteBatch(msg.Payload[1:])
-				delivered = append(delivered, batch...)
+				delivered = append(delivered, batch)
 			}
 			if err != nil {
 				return err

@@ -36,7 +36,7 @@ func BuildLeafStates(g graph.Source, a partition.Assignment, tree *MergeTree, mo
 			CoarseEdge{U: e.U, V: e.V, Kind: ItemEdge, Ref: e.ID})
 		return nil
 	}, func(p int32, remote []RemoteEdge, stubs []Stub) error {
-		states[p].Remote = remote
+		states[p].Remote = oneRun(remote)
 		states[p].Stubs = stubs
 		return nil
 	})
@@ -224,21 +224,25 @@ type mergeScratch struct {
 // given level (Phase 2): remote edges whose ConvertLevel equals level
 // become local coarse edges, stubs at that level are retired, and
 // everything else is carried.  delivered carries parked remote edges
-// shipped from leaf hosts in ModeProposed.  Both input states must already
-// have had Phase 1 applied (their Local sets are OB-pair edges only).
+// shipped from leaf hosts in ModeProposed, one run per batch.  Both input
+// states must already have had Phase 1 applied (their Local sets are
+// OB-pair edges only).
 //
-// Every input is validated before parent is touched.  Then each part of
-// the merged state is written once into memory sized beforehand: Local
-// into the scratch buffer, Remote compacted inside the parent's own slice
-// (reallocated once, exactly, when the carried edges outgrow it), Stubs
-// into the spare list.  Converted edges keep the order of their first
-// stored copy in parent, child, delivered order.  child is left unchanged;
-// parent.Local aliases the scratch until the scratch's next merge, so the
-// caller tours parent before the scratch merges again.
+// Every input is validated before parent is touched.  Then Local is
+// written into the scratch buffer and Stubs into the spare list, each
+// sized beforehand, and the remote edges move rather than being copied:
+// every run of parent, child and delivered, in that order, is compacted
+// where it lies, and the non-empty runs become parent's list.  Converted
+// edges keep the order of their first stored copy in parent, child,
+// delivered order.  The merge allocates no remote-edge storage; it
+// consumes child, whose runs now belong to parent (child.Remote is
+// cleared), and the runs of delivered.  parent.Local aliases the scratch
+// until the scratch's next merge, so the caller tours parent before the
+// scratch merges again.
 //
 // sink is the time spent on the parent's own state (Fig. 6's copy-sink
 // term); the caller books the rest of the call as create-obj.
-func (ms *mergeScratch) merge(parent, child *PartState, level int, mode Mode, delivered []RemoteEdge) (sink time.Duration, err error) {
+func (ms *mergeScratch) merge(parent, child *PartState, level int, mode Mode, delivered [][]RemoteEdge) (sink time.Duration, err error) {
 	lvl := int32(level)
 	want := 1
 	if mode == ModeCurrent {
@@ -246,18 +250,18 @@ func (ms *mergeScratch) merge(parent, child *PartState, level int, mode Mode, de
 	}
 
 	t := time.Now()
-	keepP, convP, err := countRemote(parent.Remote, lvl)
+	convP, err := countRemote(parent.Remote, lvl)
 	if err != nil {
 		return 0, err
 	}
 	ms.convA, ms.convTmp = sortedConverting(ms.convA, ms.convTmp, convP, lvl, parent.Remote)
 	sink = time.Since(t)
 
-	keepC, convC, err := countRemote(child.Remote, lvl)
+	convC, err := countRemote(child.Remote, lvl)
 	if err != nil {
 		return 0, err
 	}
-	keepD, convD, err := countRemote(delivered, lvl)
+	convD, err := countRemote(delivered, lvl)
 	if err != nil {
 		return 0, err
 	}
@@ -279,32 +283,42 @@ func (ms *mergeScratch) merge(parent, child *PartState, level int, mode Mode, de
 	}
 
 	// The parent's own state: its Local moves into the merge buffer, its
-	// Remote is compacted where it lies.
+	// runs are compacted where they lie.
 	t = time.Now()
 	nConv := (convP + convC + convD) / want
 	ms.local = grow(ms.local, len(parent.Local)+len(child.Local)+nConv)
 	copy(ms.local, parent.Local)
 	converted := ms.local[len(parent.Local)+len(child.Local):][:0]
-	remote := parent.Remote[:0]
-	if need := keepP + keepC + keepD; cap(remote) < need {
-		remote = make([]RemoteEdge, 0, need)
-	}
-	for _, r := range parent.Remote { // reads stay ahead of the compacting writes
-		if r.ConvertLevel != lvl {
-			remote = append(remote, r)
-		} else if !twice || ms.firstCopy(r.Edge, false) {
-			converted = append(converted, CoarseEdge{U: r.Local, V: r.Remote, Kind: ItemEdge, Ref: r.Edge})
+	runs := parent.Remote[:0]
+	for _, run := range parent.Remote { // reads stay ahead of the compacting writes
+		kept := run[:0]
+		for _, r := range run {
+			if r.ConvertLevel != lvl {
+				kept = append(kept, r)
+			} else if !twice || ms.firstCopy(r.Edge, false) {
+				converted = append(converted, CoarseEdge{U: r.Local, V: r.Remote, Kind: ItemEdge, Ref: r.Edge})
+			}
+		}
+		if len(kept) > 0 {
+			runs = append(runs, kept)
 		}
 	}
 	sink += time.Since(t)
 
 	copy(ms.local[len(parent.Local):], child.Local)
-	for _, list := range [2][]RemoteEdge{child.Remote, delivered} {
-		for _, r := range list {
-			if r.ConvertLevel != lvl {
-				remote = append(remote, r)
-			} else if want == 1 || (twice && ms.firstCopy(r.Edge, true)) {
-				converted = append(converted, CoarseEdge{U: r.Local, V: r.Remote, Kind: ItemEdge, Ref: r.Edge})
+	runs = slices.Grow(runs, len(child.Remote)+len(delivered))
+	for _, side := range [2][][]RemoteEdge{child.Remote, delivered} {
+		for _, run := range side {
+			kept := run[:0]
+			for _, r := range run {
+				if r.ConvertLevel != lvl {
+					kept = append(kept, r)
+				} else if want == 1 || (twice && ms.firstCopy(r.Edge, true)) {
+					converted = append(converted, CoarseEdge{U: r.Local, V: r.Remote, Kind: ItemEdge, Ref: r.Edge})
+				}
+			}
+			if len(kept) > 0 {
+				runs = append(runs, kept)
 			}
 		}
 	}
@@ -312,7 +326,7 @@ func (ms *mergeScratch) merge(parent, child *PartState, level int, mode Mode, de
 		return 0, fmt.Errorf("euler: merge at level %d converted %d edges, counted %d (internal inconsistency)",
 			level, len(converted), nConv)
 	}
-	parent.Local, parent.Remote = ms.local, remote
+	parent.Local, parent.Remote, child.Remote = ms.local, runs, nil
 
 	// Retire stubs for this level; coalesce the rest.
 	stubs := ms.stubs[:0]
@@ -347,31 +361,34 @@ func (ms *mergeScratch) merge(parent, child *PartState, level int, mode Mode, de
 	return sink, nil
 }
 
-// countRemote returns how many of edges are carried past level and how
-// many convert at it; an edge that should have converted earlier is an
-// error.
-func countRemote(edges []RemoteEdge, lvl int32) (keep, conv int, err error) {
-	for _, r := range edges {
-		switch {
-		case r.ConvertLevel == lvl:
-			conv++
-		case r.ConvertLevel < lvl:
-			return 0, 0, fmt.Errorf("euler: merge at level %d found stale remote edge %d (convert level %d)",
-				lvl, r.Edge, r.ConvertLevel)
+// countRemote returns how many edges of runs convert at lvl; an edge that
+// should have converted earlier is an error.
+func countRemote(runs [][]RemoteEdge, lvl int32) (conv int, err error) {
+	for _, run := range runs {
+		for _, r := range run {
+			switch {
+			case r.ConvertLevel == lvl:
+				conv++
+			case r.ConvertLevel < lvl:
+				return 0, fmt.Errorf("euler: merge at level %d found stale remote edge %d (convert level %d)",
+					lvl, r.Edge, r.ConvertLevel)
+			}
 		}
 	}
-	return len(edges) - conv, conv, nil
+	return conv, nil
 }
 
-// sortedConverting returns, sorted, the IDs of the n edges of lists that
-// convert at lvl.  buf and tmp are scratch slices, reallocated here when
-// too small; the result lives in one, spare is the other.
-func sortedConverting(buf, tmp []graph.EdgeID, n int, lvl int32, lists ...[]RemoteEdge) (ids, spare []graph.EdgeID) {
+// sortedConverting returns, sorted, the IDs of the n edges of sides' runs
+// that convert at lvl.  buf and tmp are scratch slices, reallocated here
+// when too small; the result lives in one, spare is the other.
+func sortedConverting(buf, tmp []graph.EdgeID, n int, lvl int32, sides ...[][]RemoteEdge) (ids, spare []graph.EdgeID) {
 	buf = grow(buf, n)[:0]
-	for _, list := range lists {
-		for _, r := range list {
-			if r.ConvertLevel == lvl {
-				buf = append(buf, r.Edge)
+	for _, runs := range sides {
+		for _, run := range runs {
+			for _, r := range run {
+				if r.ConvertLevel == lvl {
+					buf = append(buf, r.Edge)
+				}
 			}
 		}
 	}
@@ -470,17 +487,19 @@ func (ms *mergeScratch) firstCopy(id graph.EdgeID, childSide bool) bool {
 
 // copyCountError names the first converting edge, in parent, child,
 // delivered order, whose stored copies do not number want.
-func (ms *mergeScratch) copyCountError(level int, mode Mode, want int, lists ...[]RemoteEdge) error {
-	for _, list := range lists {
-		for _, r := range list {
-			if int(r.ConvertLevel) != level {
-				continue
-			}
-			i, _ := slices.BinarySearch(ms.convA, r.Edge)
-			j, _ := slices.BinarySearch(ms.convB, r.Edge)
-			if c := runLen(ms.convA[i:], r.Edge) + runLen(ms.convB[j:], r.Edge); c != want {
-				return fmt.Errorf("euler: merge at level %d: edge %d has %d stored copies, want %d (mode %v)",
-					level, r.Edge, c, want, mode)
+func (ms *mergeScratch) copyCountError(level int, mode Mode, want int, sides ...[][]RemoteEdge) error {
+	for _, runs := range sides {
+		for _, run := range runs {
+			for _, r := range run {
+				if int(r.ConvertLevel) != level {
+					continue
+				}
+				i, _ := slices.BinarySearch(ms.convA, r.Edge)
+				j, _ := slices.BinarySearch(ms.convB, r.Edge)
+				if c := runLen(ms.convA[i:], r.Edge) + runLen(ms.convB[j:], r.Edge); c != want {
+					return fmt.Errorf("euler: merge at level %d: edge %d has %d stored copies, want %d (mode %v)",
+						level, r.Edge, c, want, mode)
+				}
 			}
 		}
 	}

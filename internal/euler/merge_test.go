@@ -35,7 +35,7 @@ func TestBuildLeafStatesCurrent(t *testing.T) {
 	// Fig. 1a has 5 cut edges; each is stored by both sides: 10 copies.
 	var copies int
 	for _, s := range states {
-		copies += len(s.Remote)
+		copies += s.remoteLen()
 		if len(s.Stubs) != 0 {
 			t.Errorf("partition %d has stubs in current mode", s.Parent)
 		}
@@ -65,7 +65,7 @@ func TestBuildLeafStatesDedup(t *testing.T) {
 	states, _, parked := figure1Setup(t, ModeDedup)
 	var copies, stubbed int64
 	for _, s := range states {
-		copies += int64(len(s.Remote))
+		copies += int64(s.remoteLen())
 		for _, st := range s.Stubs {
 			stubbed += st.Count
 		}
@@ -88,7 +88,7 @@ func TestBuildLeafStatesProposedParks(t *testing.T) {
 	states, tree, parked := figure1Setup(t, ModeProposed)
 	var inState, parkedCount int
 	for i, s := range states {
-		inState += len(s.Remote)
+		inState += s.remoteLen()
 		for lvl, batch := range parked[i] {
 			parkedCount += len(batch)
 			if lvl < 1 {
@@ -118,7 +118,7 @@ func TestBuildLeafStatesProposedParks(t *testing.T) {
 }
 
 // mergeStates folds child into parent in place with a fresh scratch.
-func mergeStates(parent, child *PartState, level int, mode Mode, delivered []RemoteEdge) error {
+func mergeStates(parent, child *PartState, level int, mode Mode, delivered [][]RemoteEdge) error {
 	_, err := new(mergeScratch).merge(parent, child, level, mode, delivered)
 	return err
 }
@@ -138,8 +138,8 @@ func TestMergeStatesFigure1Level0(t *testing.T) {
 		t.Fatalf("merged locals = %d, want %d", len(merged.Local), wantLocals)
 	}
 	// Remaining remote edges: P4's e1,14 and e3,13 sides (2 copies).
-	if len(merged.Remote) != 2 {
-		t.Fatalf("merged remotes = %d, want 2", len(merged.Remote))
+	if merged.remoteLen() != 2 {
+		t.Fatalf("merged remotes = %d, want 2", merged.remoteLen())
 	}
 	if err := merged.CheckParity(); err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestMergeStatesFigure1Level0(t *testing.T) {
 
 // wantMergeError runs both the in-place merge and the old copying merge on
 // the same inputs and requires the same error from both.
-func wantMergeError(t *testing.T, parent, child *PartState, level int, mode Mode, delivered []RemoteEdge, text string) {
+func wantMergeError(t *testing.T, parent, child *PartState, level int, mode Mode, delivered [][]RemoteEdge, text string) {
 	t.Helper()
 	_, oldErr := oldMergeStates(parent, child, level, mode, delivered)
 	err := mergeStates(parent, child, level, mode, delivered)
@@ -165,9 +165,9 @@ func wantMergeError(t *testing.T, parent, child *PartState, level int, mode Mode
 
 func TestMergeStatesRejectsStale(t *testing.T) {
 	parent := &PartState{Parent: 1, Leaves: []int{1},
-		Remote: []RemoteEdge{{Local: 1, Remote: 2, Edge: 0, ConvertLevel: 0}}}
+		Remote: [][]RemoteEdge{{{Local: 1, Remote: 2, Edge: 0, ConvertLevel: 0}}}}
 	child := &PartState{Parent: 0, Leaves: []int{0},
-		Remote: []RemoteEdge{{Local: 2, Remote: 1, Edge: 0, ConvertLevel: 0}}}
+		Remote: [][]RemoteEdge{{{Local: 2, Remote: 1, Edge: 0, ConvertLevel: 0}}}}
 	wantMergeError(t, parent, child, 1, ModeCurrent, nil, "stale remote edge 0")
 
 	stub := &PartState{Parent: 1, Leaves: []int{1}, Stubs: []Stub{{Vertex: 4, ConvertLevel: 0, Count: 1}}}
@@ -177,7 +177,7 @@ func TestMergeStatesRejectsStale(t *testing.T) {
 func TestMergeStatesRejectsMissingCopy(t *testing.T) {
 	// Current mode expects both copies of a converting edge.
 	parent := &PartState{Parent: 1, Leaves: []int{1},
-		Remote: []RemoteEdge{{Local: 1, Remote: 2, Edge: 0, ConvertLevel: 0}}}
+		Remote: [][]RemoteEdge{{{Local: 1, Remote: 2, Edge: 0, ConvertLevel: 0}}}}
 	child := &PartState{Parent: 0, Leaves: []int{0}}
 	wantMergeError(t, parent, child, 0, ModeCurrent, nil, "edge 0 has 1 stored copies, want 2")
 }
@@ -188,14 +188,14 @@ func TestMergeStatesRejectsExtraCopies(t *testing.T) {
 	}
 	// A duplicate copy in a de-duplicating mode, on either side or split.
 	for _, mode := range []Mode{ModeDedup, ModeProposed} {
-		parent := &PartState{Leaves: []int{1}, Remote: []RemoteEdge{re(5, 0), re(7, 0)}}
-		child := &PartState{Leaves: []int{0}, Remote: []RemoteEdge{re(9, 1)}}
-		wantMergeError(t, parent, child, 0, mode, []RemoteEdge{re(7, 0)}, "edge 7 has 2 stored copies, want 1")
+		parent := &PartState{Leaves: []int{1}, Remote: [][]RemoteEdge{{re(5, 0), re(7, 0)}}}
+		child := &PartState{Leaves: []int{0}, Remote: [][]RemoteEdge{{re(9, 1)}}}
+		wantMergeError(t, parent, child, 0, mode, [][]RemoteEdge{{re(7, 0)}}, "edge 7 has 2 stored copies, want 1")
 	}
 	// Three copies in the duplicating mode: the first bad edge in parent,
 	// child, delivered order is reported, after a well-formed one.
-	parent := &PartState{Leaves: []int{1}, Remote: []RemoteEdge{re(3, 0), re(8, 0)}}
-	child := &PartState{Leaves: []int{0}, Remote: []RemoteEdge{re(8, 0), re(3, 0), re(8, 0)}}
+	parent := &PartState{Leaves: []int{1}, Remote: [][]RemoteEdge{{re(3, 0), re(8, 0)}}}
+	child := &PartState{Leaves: []int{0}, Remote: [][]RemoteEdge{{re(8, 0)}, {re(3, 0), re(8, 0)}}}
 	wantMergeError(t, parent, child, 0, ModeCurrent, nil, "edge 8 has 3 stored copies, want 2")
 }
 
@@ -222,17 +222,19 @@ func TestMergeStatesRejectsUnsortedStubs(t *testing.T) {
 
 func TestMergeStatesDelivered(t *testing.T) {
 	// Proposed mode: the converting edge arrives via a parked delivery; a
-	// delivered edge of a later level is carried, after the child's.
+	// delivered edge of a later level is carried, after the child's.  The
+	// two delivered batches are two runs; the one that converts entirely
+	// leaves no run behind.
 	parent := &PartState{Parent: 1, Leaves: []int{1},
-		Remote: []RemoteEdge{{Local: 1, Remote: 8, Edge: 2, ConvertLevel: 1}},
+		Remote: [][]RemoteEdge{{{Local: 1, Remote: 8, Edge: 2, ConvertLevel: 1}}},
 		Stubs:  []Stub{{Vertex: 1, ConvertLevel: 0, Count: 1}}}
 	child := &PartState{Parent: 0, Leaves: []int{0},
-		Remote: []RemoteEdge{{Local: 2, Remote: 9, Edge: 3, ConvertLevel: 2}},
+		Remote: [][]RemoteEdge{{{Local: 2, Remote: 9, Edge: 3, ConvertLevel: 2}}},
 		Stubs:  []Stub{{Vertex: 2, ConvertLevel: 0, Count: 1}}}
-	delivered := []RemoteEdge{
-		{Local: 5, Remote: 6, Edge: 11, ConvertLevel: 1},
-		{Local: 2, Remote: 1, Edge: 7, ConvertLevel: 0},
-		{Local: 5, Remote: 7, Edge: 4, ConvertLevel: 3},
+	delivered := [][]RemoteEdge{
+		{{Local: 5, Remote: 6, Edge: 11, ConvertLevel: 1}},
+		{{Local: 2, Remote: 1, Edge: 7, ConvertLevel: 0}},
+		{{Local: 5, Remote: 7, Edge: 4, ConvertLevel: 3}},
 	}
 	want, err := oldMergeStates(parent, child, 0, ModeProposed, delivered)
 	if err != nil {
@@ -248,11 +250,14 @@ func TestMergeStatesDelivered(t *testing.T) {
 		t.Fatalf("stubs not retired: %+v", parent.Stubs)
 	}
 	var carried []int64
-	for _, r := range parent.Remote {
+	for _, r := range slices.Concat(parent.Remote...) {
 		carried = append(carried, r.Edge)
 	}
 	if !slices.Equal(carried, []int64{2, 3, 11, 4}) {
 		t.Fatalf("carried remote edges = %v, want [2 3 11 4]", carried)
+	}
+	if len(parent.Remote) != 4 || child.Remote != nil {
+		t.Fatalf("parent holds %d runs, want 4; child keeps %d", len(parent.Remote), len(child.Remote))
 	}
 	if !sameState(parent, want) {
 		t.Fatalf("in-place merge %+v\nold merge %+v", parent, want)
@@ -264,7 +269,7 @@ func TestMergeStatesEmptyChild(t *testing.T) {
 	// parked) still hands over its leaves.
 	parent := &PartState{Parent: 3, Leaves: []int{2, 3},
 		Local:  []CoarseEdge{{U: 1, V: 2, Kind: ItemPath, Ref: 77}},
-		Remote: []RemoteEdge{{Local: 1, Remote: 5, Edge: 4, ConvertLevel: 2}},
+		Remote: [][]RemoteEdge{{{Local: 1, Remote: 5, Edge: 4, ConvertLevel: 2}}},
 		Stubs:  []Stub{{Vertex: 2, ConvertLevel: 1, Count: 3}}}
 	child := &PartState{Parent: 1, Leaves: []int{0, 1}}
 	for _, mode := range allModes {
@@ -283,18 +288,17 @@ func TestMergeStatesEmptyChild(t *testing.T) {
 }
 
 // oldMergeStates is the copying, map-based merge this package used before
-// the in-place fold, kept verbatim as the oracle the new code is compared
-// against.
-func oldMergeStates(parent, child *PartState, level int, mode Mode, delivered []RemoteEdge) (*PartState, error) {
+// the in-place fold, kept as the oracle the new code is compared against.
+// It reads every remote list as its runs concatenated, leaves its inputs
+// as they are, and returns the carried edges as one run.
+func oldMergeStates(parent, child *PartState, level int, mode Mode, delivered [][]RemoteEdge) (*PartState, error) {
 	merged := &PartState{Parent: parent.Parent}
 	merged.Leaves = append(append([]int{}, parent.Leaves...), child.Leaves...)
 	sort.Ints(merged.Leaves)
 	merged.Local = append(append([]CoarseEdge{}, parent.Local...), child.Local...)
 
-	all := make([]RemoteEdge, 0, len(parent.Remote)+len(child.Remote)+len(delivered))
-	all = append(all, parent.Remote...)
-	all = append(all, child.Remote...)
-	all = append(all, delivered...)
+	all := slices.Concat(slices.Concat(parent.Remote...), slices.Concat(child.Remote...), slices.Concat(delivered...))
+	var carried []RemoteEdge
 
 	seen := make(map[graph.EdgeID]int8)
 	for _, r := range all {
@@ -306,8 +310,9 @@ func oldMergeStates(parent, child *PartState, level int, mode Mode, delivered []
 			return nil, fmt.Errorf("euler: merge at level %d found stale remote edge %d (convert level %d)",
 				level, r.Edge, r.ConvertLevel)
 		}
-		merged.Remote = append(merged.Remote, r)
+		carried = append(carried, r)
 	}
+	merged.Remote = oneRun(carried)
 	wantCopies := int8(1)
 	if mode == ModeCurrent {
 		wantCopies = 2 // the directed-pair duplication stores both sides
@@ -347,24 +352,30 @@ func oldMergeStates(parent, child *PartState, level int, mode Mode, delivered []
 	return merged, nil
 }
 
-// cloneState deep-copies a state, so one input can go through both merges.
+// cloneState deep-copies a state, run by run, so one input can go through
+// both merges.
 func cloneState(s *PartState) *PartState {
-	return &PartState{Parent: s.Parent, Leaves: slices.Clone(s.Leaves),
-		Local: slices.Clone(s.Local), Remote: slices.Clone(s.Remote), Stubs: slices.Clone(s.Stubs)}
+	c := &PartState{Parent: s.Parent, Leaves: slices.Clone(s.Leaves),
+		Local: slices.Clone(s.Local), Stubs: slices.Clone(s.Stubs)}
+	for _, run := range s.Remote {
+		c.Remote = append(c.Remote, slices.Clone(run))
+	}
+	return c
 }
 
-// sameState compares two states field by field; nil and empty slices are
-// the same state.
+// sameState compares two states field by field, each remote list as its
+// runs concatenated; nil and empty slices are the same state.
 func sameState(a, b *PartState) bool {
 	return a.Parent == b.Parent && slices.Equal(a.Leaves, b.Leaves) && slices.Equal(a.Local, b.Local) &&
-		slices.Equal(a.Remote, b.Remote) && slices.Equal(a.Stubs, b.Stubs)
+		slices.Equal(slices.Concat(a.Remote...), slices.Concat(b.Remote...)) && slices.Equal(a.Stubs, b.Stubs)
 }
 
 // randomMergeCase draws one merge input.  Most draws are well formed for
 // their mode; about one in four is then damaged (a copy dropped, added or
 // moved to the wrong side, a level made stale) so the error paths and the
-// stored-twice-on-one-side path are compared as well.
-func randomMergeCase(rng *rand.Rand) (parent, child *PartState, level int, mode Mode, delivered []RemoteEdge) {
+// stored-twice-on-one-side path are compared as well.  Each side's remote
+// list is then cut into runs at random points, some of them empty.
+func randomMergeCase(rng *rand.Rand) (parent, child *PartState, level int, mode Mode, delivered [][]RemoteEdge) {
 	mode = allModes[rng.Intn(len(allModes))]
 	level = rng.Intn(3)
 	parent = &PartState{Parent: 7, Leaves: []int{5, 7}}
@@ -378,9 +389,10 @@ func randomMergeCase(rng *rand.Rand) (parent, child *PartState, level int, mode 
 	}
 	parent.Local, child.Local = coarse(rng.Intn(6)), coarse(rng.Intn(6))
 
-	sides := []*[]RemoteEdge{&parent.Remote, &child.Remote}
+	var parentRemote, childRemote, deliveredRemote []RemoteEdge
+	sides := []*[]RemoteEdge{&parentRemote, &childRemote}
 	if mode == ModeProposed {
-		sides = append(sides, &delivered)
+		sides = append(sides, &deliveredRemote)
 	}
 	for e, n := int64(0), rng.Intn(40); e < int64(n); e++ {
 		r := RemoteEdge{Local: rng.Int63n(50), Remote: 50 + rng.Int63n(50), Edge: e, ConvertLevel: int32(level + rng.Intn(3))}
@@ -421,12 +433,24 @@ func randomMergeCase(rng *rand.Rand) (parent, child *PartState, level int, mode 
 			child.Stubs[len(child.Stubs)-1].ConvertLevel = int32(level - 1)
 		}
 	}
-	return parent, child, level, mode, delivered
+	parent.Remote, child.Remote = randomRuns(rng, parentRemote), randomRuns(rng, childRemote)
+	return parent, child, level, mode, randomRuns(rng, deliveredRemote)
+}
+
+// randomRuns cuts edges into runs of random length, empty ones included.
+func randomRuns(rng *rand.Rand, edges []RemoteEdge) [][]RemoteEdge {
+	var runs [][]RemoteEdge
+	for len(edges) > 0 || rng.Intn(4) == 0 {
+		n := rng.Intn(len(edges) + 1)
+		runs, edges = append(runs, edges[:n:n]), edges[n:]
+	}
+	return runs
 }
 
 // TestMergeStatesMatchesOldMerge is the old-versus-new comparison: on
 // 1000 seeded random inputs the in-place fold returns the same error text
-// or leaves the parent equal to what the copying merge returned, reusing
+// and leaves both inputs as they were, or leaves the parent's sequence
+// equal to what the copying merge returned and consumes the child, reusing
 // one scratch throughout as a worker does.
 func TestMergeStatesMatchesOldMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -434,18 +458,21 @@ func TestMergeStatesMatchesOldMerge(t *testing.T) {
 	var failed, twice int
 	for i := 0; i < 1000; i++ {
 		parent, child, level, mode, delivered := randomMergeCase(rng)
-		childBefore := cloneState(child)
+		parentBefore, childBefore := cloneState(parent), cloneState(child)
 		want, wantErr := oldMergeStates(parent, child, level, mode, delivered)
 		_, err := ms.merge(parent, child, level, mode, delivered)
 		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 			t.Fatalf("case %d (level %d, %v): in-place merge: %v\nold merge: %v", i, level, mode, err, wantErr)
 		}
-		if !sameState(child, childBefore) {
-			t.Fatalf("case %d: the merge changed its child", i)
-		}
 		if err != nil {
+			if !sameState(child, childBefore) || !sameState(parent, parentBefore) {
+				t.Fatalf("case %d: a refused merge changed its inputs", i)
+			}
 			failed++
 			continue
+		}
+		if child.Remote != nil {
+			t.Fatalf("case %d: the child keeps %d runs after the merge", i, len(child.Remote))
 		}
 		if !sameState(parent, want) {
 			t.Fatalf("case %d (level %d, %v):\nin-place %+v\nold      %+v", i, level, mode, parent, want)
@@ -467,7 +494,7 @@ func TestStateLongsAccounting(t *testing.T) {
 		Parent: 0,
 		Leaves: []int{0},
 		Local:  []CoarseEdge{{U: 1, V: 2, Kind: ItemEdge, Ref: 0}},
-		Remote: []RemoteEdge{{Local: 1, Remote: 5, Edge: 1, ConvertLevel: 0}},
+		Remote: [][]RemoteEdge{{{Local: 1, Remote: 5, Edge: 1, ConvertLevel: 0}}},
 		Stubs:  []Stub{{Vertex: 2, ConvertLevel: 1, Count: 1}},
 	}
 	// Vertices {1,2}: 4 longs; 1 local edge: 3; 1 remote: 2; 1 stub: 3.

@@ -80,7 +80,7 @@ func BenchmarkBuildLeafStates(b *testing.B) {
 // BenchmarkMergeStates measures the four level-0 merges of the same run,
 // each parent folding its child in place with its own scratch, as the
 // workers do.  Only the folds are timed; restoring the toured leaf states
-// between iterations is not.  Its allocs/op budget is a handful of
+// between iterations (a merge consumes its child) is not.  Its allocs/op budget is a handful of
 // exactly-sized buffers per merge: a map or an unsized append in the merge
 // would multiply it.
 func BenchmarkMergeStates(b *testing.B) {
@@ -102,13 +102,13 @@ func BenchmarkMergeStates(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		parents := make([]*PartState, len(pairs))
+		parents, children := make([]*PartState, len(pairs)), make([]*PartState, len(pairs))
 		for j, pr := range pairs {
-			parents[j] = cloneState(toured[pr.Parent])
+			parents[j], children[j] = cloneState(toured[pr.Parent]), cloneState(toured[pr.Child])
 		}
 		b.StartTimer()
-		for j, pr := range pairs {
-			if _, err := scratch[j].merge(parents[j], toured[pr.Child], 0, ModeCurrent, nil); err != nil {
+		for j := range pairs {
+			if _, err := scratch[j].merge(parents[j], children[j], 0, ModeCurrent, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

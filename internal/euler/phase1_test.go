@@ -148,10 +148,10 @@ func TestPhase1TrivialEB(t *testing.T) {
 	st := &PartState{
 		Parent: 0,
 		Leaves: []int{0},
-		Remote: []RemoteEdge{
+		Remote: [][]RemoteEdge{{
 			{Local: 7, Remote: 9, Edge: 0, ConvertLevel: 0},
 			{Local: 7, Remote: 10, Edge: 1, ConvertLevel: 0},
-		},
+		}},
 	}
 	res, err := phase1(st, 0, discardBody, nil, nil)
 	if err != nil {

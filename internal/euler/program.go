@@ -153,7 +153,7 @@ func (p *partProgram) Compute(ctx *bsp.Context) error {
 		computing = true
 	} else {
 		var child *PartState
-		var delivered []RemoteEdge
+		var delivered [][]RemoteEdge
 		// The local engine delivers mail in ascending sender order (its
 		// barrier walks workers in ID order); a distributed inbox sees
 		// same-node mail before routed mail instead.  Restoring sender
@@ -181,7 +181,7 @@ func (p *partProgram) Compute(ctx *bsp.Context) error {
 					return fmt.Errorf("worker %d: decoding parked batch from %d: %w", w, msg.From, err)
 				}
 				pr.CopySrc += time.Since(t0)
-				delivered = append(delivered, batch...)
+				delivered = append(delivered, batch)
 				continue
 			default:
 				return fmt.Errorf("worker %d: unknown message tag %q", w, msg.Payload[0])
@@ -214,7 +214,7 @@ func (p *partProgram) Compute(ctx *bsp.Context) error {
 
 	if computing {
 		pr.Level, pr.Part = s, w
-		pr.RemoteEdges = int64(len(wc.state.Remote))
+		pr.RemoteEdges = int64(wc.state.remoteLen())
 		pr.StubGroups = int64(len(wc.state.Stubs))
 		if plan.Validate {
 			if err := wc.state.CheckParity(); err != nil {

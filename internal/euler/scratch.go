@@ -17,10 +17,13 @@ import "repro/internal/graph"
 // same call.  The merge builds the merged Local in its slot's mergeScratch
 // and the tour in the same call replaces it with the fresh OBPairs (the
 // merge writes there, never into this scratch: the tour appends OB pairs
-// while it still reads the merged Local).  The merge's stub-list swap
-// hands the parent's old list to the slot, which no state references
-// afterwards.  A state may therefore move to another worker, by pointer or
-// encoded, and the slot may tour any other state next.
+// while it still reads the merged Local).  The merge moves the child's
+// remote-edge runs, and the delivered parked batches, into the parent and
+// consumes the child: no other state points at those runs afterwards.
+// The merge's stub-list swap hands the parent's old list to the slot,
+// which no state references afterwards.  A state may therefore move to
+// another worker, by pointer or encoded, and the slot may tour any other
+// state next.
 type phase1Scratch struct {
 	verts   []graph.VertexID // interned vertex IDs, first-occurrence order
 	htab    []int32          // open-addressing vertex→index table (idx+1, 0=empty)
@@ -67,7 +70,8 @@ const internStartBits = 10
 // The count is exactly the vertex term of PartState.Longs, which is how
 // the run keeps the Fig. 8 accounting without building a vertex set.
 func (sc *phase1Scratch) intern(state *PartState) int32 {
-	occ := 2*len(state.Local) + len(state.Remote) + len(state.Stubs)
+	nr := state.remoteLen()
+	occ := 2*len(state.Local) + nr + len(state.Stubs)
 	tabBits := 3
 	for tabBits < internStartBits && (1<<tabBits) < 2*occ {
 		tabBits++
@@ -123,11 +127,13 @@ func (sc *phase1Scratch) intern(state *PartState) int32 {
 		eu[i] = idxOf(e.U)
 		ev[i] = idxOf(e.V)
 	}
-	ri := grow(sc.ri, len(state.Remote))
-	sc.ri = ri
-	for i, r := range state.Remote {
-		ri[i] = idxOf(r.Local)
+	ri := grow(sc.ri, nr)[:0]
+	for _, run := range state.Remote {
+		for _, r := range run {
+			ri = append(ri, idxOf(r.Local))
+		}
 	}
+	sc.ri = ri
 	si := grow(sc.si, len(state.Stubs))
 	sc.si = si
 	for i, st := range state.Stubs {

@@ -26,7 +26,7 @@ func internReference(st *PartState) (verts []graph.VertexID, eu, ev, ri, si []in
 		eu = append(eu, idx(e.U))
 		ev = append(ev, idx(e.V))
 	}
-	for _, r := range st.Remote {
+	for _, r := range slices.Concat(st.Remote...) {
 		ri = append(ri, idx(r.Local))
 	}
 	for _, s := range st.Stubs {
@@ -50,8 +50,9 @@ func fibColliding(n int) []graph.VertexID {
 
 // randomInternState draws a state over about nv vertices: local edges
 // with many parallel copies, remote edges whose Local endpoint is often
-// remote-only, and stubs whose vertex is often stub-only.  Half of the
-// vertex IDs come from colliding.
+// remote-only, split into runs of random length (some empty), and stubs
+// whose vertex is often stub-only.  Half of the vertex IDs come from
+// colliding.
 func randomInternState(rng *rand.Rand, nv int, colliding []graph.VertexID) *PartState {
 	ids := make([]graph.VertexID, nv)
 	for i := range ids {
@@ -74,7 +75,14 @@ func randomInternState(rng *rand.Rand, nv int, colliding []graph.VertexID) *Part
 		if rng.Intn(3) == 0 || remoteN == localN {
 			lo = 0
 		}
-		st.Remote = append(st.Remote, RemoteEdge{Local: pick(lo, remoteN), Remote: pick(0, nv), Edge: graph.EdgeID(i)})
+		if len(st.Remote) == 0 || rng.Intn(8) == 0 {
+			if rng.Intn(4) == 0 {
+				st.Remote = append(st.Remote, []RemoteEdge{})
+			}
+			st.Remote = append(st.Remote, nil)
+		}
+		run := &st.Remote[len(st.Remote)-1]
+		*run = append(*run, RemoteEdge{Local: pick(lo, remoteN), Remote: pick(0, nv), Edge: graph.EdgeID(i)})
 	}
 	for i := rng.Intn(nv/2 + 1); i > 0; i-- {
 		lo := remoteN
@@ -103,7 +111,7 @@ func checkIntern(t *testing.T, sc *phase1Scratch, st *PartState) {
 	}
 	if n := len(sc.htab); 2*int(nv) > n || n > max(1<<internStartBits, 4*int(nv)) {
 		t.Fatalf("table of %d slots for %d vertices (%d endpoint occurrences)",
-			n, nv, 2*len(st.Local)+len(st.Remote)+len(st.Stubs))
+			n, nv, 2*len(st.Local)+st.remoteLen()+len(st.Stubs))
 	}
 }
 

@@ -82,7 +82,7 @@ func BuildSpilledLeafStates(g graph.Source, a partition.Assignment, tree *MergeT
 		if _, err := files[i].Seek(0, io.SeekStart); err != nil {
 			return nil, err
 		}
-		st := &PartState{Parent: i, Leaves: []int{i}, Remote: extras[i].remote, Stubs: extras[i].stubs,
+		st := &PartState{Parent: i, Leaves: []int{i}, Remote: oneRun(extras[i].remote), Stubs: extras[i].stubs,
 			Local: make([]CoarseEdge, 0, locals[i])}
 		rd := bufio.NewReaderSize(files[i], 256<<10)
 		for {

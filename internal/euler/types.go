@@ -191,8 +191,12 @@ type PartState struct {
 	// Local is the coarse local multigraph: OB-pair edges from prior
 	// Phase 1 runs plus remote edges converted by merges.
 	Local []CoarseEdge
-	// Remote holds this partition's stored remote-edge copies.
-	Remote []RemoteEdge
+	// Remote holds this partition's stored remote-edge copies as an
+	// ordered list of runs: the logical list is the runs concatenated.  A
+	// leaf state has one run (none when it stores no remote edge); a merge
+	// appends the child's runs to the parent's, so carried edges move from
+	// state to state and are never copied.  A run may be empty.
+	Remote [][]RemoteEdge
 	// Stubs holds remote-degree owed by unstored edges (Section 5 modes).
 	Stubs []Stub
 }
@@ -201,8 +205,10 @@ type PartState struct {
 // remote edges plus stubs.
 func (s *PartState) RemoteDegree() map[graph.VertexID]int64 {
 	deg := make(map[graph.VertexID]int64)
-	for _, r := range s.Remote {
-		deg[r.Local]++
+	for _, run := range s.Remote {
+		for _, r := range run {
+			deg[r.Local]++
+		}
 	}
 	for _, st := range s.Stubs {
 		deg[st.Vertex] += st.Count
@@ -235,8 +241,10 @@ func (s *PartState) Longs() int64 {
 		verts[e.U] = struct{}{}
 		verts[e.V] = struct{}{}
 	}
-	for _, r := range s.Remote {
-		verts[r.Local] = struct{}{}
+	for _, run := range s.Remote {
+		for _, r := range run {
+			verts[r.Local] = struct{}{}
+		}
 	}
 	for _, st := range s.Stubs {
 		verts[st.Vertex] = struct{}{}
@@ -248,7 +256,24 @@ func (s *PartState) Longs() int64 {
 // vertex count.
 func (s *PartState) longsWith(verts int64) int64 {
 	return 2*verts + 3*int64(len(s.Local)) +
-		2*int64(len(s.Remote)) + 3*int64(len(s.Stubs))
+		2*int64(s.remoteLen()) + 3*int64(len(s.Stubs))
+}
+
+// remoteLen returns the number of stored remote-edge copies in all runs.
+func (s *PartState) remoteLen() int {
+	n := 0
+	for _, run := range s.Remote {
+		n += len(run)
+	}
+	return n
+}
+
+// oneRun makes a freshly built remote list a state's only run.
+func oneRun(edges []RemoteEdge) [][]RemoteEdge {
+	if len(edges) == 0 {
+		return nil
+	}
+	return [][]RemoteEdge{edges}
 }
 
 // CheckParity verifies the Eulerian partition invariant δL(v)+δR(v) ≡ 0

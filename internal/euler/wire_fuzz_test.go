@@ -73,7 +73,7 @@ func bandSeeds() [][]byte {
 			Parent: 3,
 			Leaves: []int{1, 3},
 			Local:  []CoarseEdge{{Kind: ItemEdge, Ref: 2, U: 0, V: 1}},
-			Remote: []RemoteEdge{{Local: 1, Remote: 9, Edge: 12, ConvertLevel: 1}},
+			Remote: [][]RemoteEdge{{{Local: 1, Remote: 9, Edge: 12, ConvertLevel: 1}}},
 		}),
 		AppendRemoteBatch(nil, []RemoteEdge{{Local: 0, Remote: 4, Edge: 7}}),
 		foreignBody,
