@@ -1,8 +1,10 @@
 package euler
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -177,5 +179,44 @@ func TestQuickStateRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStateRunsEncodeAsFlattened holds the codec to the remote list's
+// logical sequence: a state whose remote edges lie in several runs, empty
+// runs included and with run boundaries inside the delta streams (the
+// deltas carry across them), encodes byte for byte as its one-run
+// flattening, through EncodeState, through AppendState after a message
+// tag, and in encodedStateLen; it decodes to the flattening.
+func TestStateRunsEncodeAsFlattened(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 200; i++ {
+		var edges []RemoteEdge
+		for n := rng.Intn(60); len(edges) < n; {
+			edges = append(edges, RemoteEdge{
+				Local: rng.Int63n(1 << 20), Remote: rng.Int63n(1 << 20),
+				Edge: rng.Int63n(1 << 30), ConvertLevel: int32(1 + rng.Intn(4)),
+			})
+		}
+		multi := &PartState{Parent: 5, Leaves: []int{4, 5},
+			Local:  []CoarseEdge{{U: 3, V: 8, Kind: ItemPath, Ref: 41}},
+			Remote: randomRuns(rng, edges),
+			Stubs:  []Stub{{Vertex: 2, ConvertLevel: 3, Count: 2}}}
+		flat := &PartState{Parent: multi.Parent, Leaves: multi.Leaves, Local: multi.Local,
+			Remote: oneRun(slices.Concat(multi.Remote...)), Stubs: multi.Stubs}
+		want := EncodeState(flat)
+		if got := EncodeState(multi); !bytes.Equal(got, want) {
+			t.Fatalf("case %d (%d runs): EncodeState differs from the flattening's", i, len(multi.Remote))
+		}
+		if got := AppendState([]byte{msgState}, multi); got[0] != msgState || !bytes.Equal(got[1:], want) {
+			t.Fatalf("case %d (%d runs): AppendState after a tag differs from the flattening's", i, len(multi.Remote))
+		}
+		if n := encodedStateLen(multi); n != len(want) {
+			t.Fatalf("case %d (%d runs): encodedStateLen %d, flattening encodes to %d bytes", i, len(multi.Remote), n, len(want))
+		}
+		got, err := DecodeState(want)
+		if err != nil || !reflect.DeepEqual(got, flat) {
+			t.Fatalf("case %d: decoded %+v (%v), want %+v", i, got, err, flat)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package euler
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -486,6 +487,63 @@ func TestMergeStatesMatchesOldMerge(t *testing.T) {
 	// edge stored twice on one side, not only well-formed merges.
 	if failed < 50 || failed > 500 || twice == 0 {
 		t.Fatalf("%d of 1000 cases failed in both merges, %d took the stored-twice path", failed, twice)
+	}
+}
+
+// levelOnePair builds a level-1 merge input in ModeCurrent: parent and
+// child each hold two runs, as a level-0 merge leaves them, carrying
+// carried remote edges past level 1 and both copies of 512 edges that
+// convert at it.
+func levelOnePair(carried int) (parent, child *PartState) {
+	const converting = 512
+	side := func(leaves []int, base int64, first bool) *PartState {
+		st := &PartState{Parent: leaves[1], Leaves: leaves}
+		var runs [2][]RemoteEdge
+		for e := int64(0); e < converting; e++ {
+			u, v := 2*e, 2*e+1
+			if !first {
+				u, v = v, u
+			}
+			runs[e%2] = append(runs[e%2], RemoteEdge{Local: u, Remote: v, Edge: e, ConvertLevel: 1})
+		}
+		for i := 0; i < carried; i++ {
+			e := base + int64(i)
+			runs[i%2] = append(runs[i%2], RemoteEdge{Local: e % 4096, Remote: 1 << 20, Edge: e, ConvertLevel: 2})
+		}
+		st.Remote = [][]RemoteEdge{runs[0], runs[1]}
+		return st
+	}
+	return side([]int{2, 3}, 1<<20, true), side([]int{0, 1}, 1<<21, false)
+}
+
+// TestMergeMovesRemoteEdges: a warm level-1 merge allocates the same few
+// bytes whether it carries 10 k or 40 k remote edges, because it moves
+// the child's runs into the parent instead of copying the carried edges
+// into a list of their own.
+func TestMergeMovesRemoteEdges(t *testing.T) {
+	ms := new(mergeScratch)
+	var bytes [2]uint64
+	for i, carried := range []int{10_000, 40_000} {
+		warmP, warmC := levelOnePair(carried) // the scratch is sized by this merge
+		if _, err := ms.merge(warmP, warmC, 1, ModeCurrent, nil); err != nil {
+			t.Fatal(err)
+		}
+		parent, child := levelOnePair(carried)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ms.merge(parent, child, 1, ModeCurrent, nil)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := parent.remoteLen(); n != 2*carried || len(parent.Local) != 512 {
+			t.Fatalf("merged state carries %d remote edges and %d local, want %d and 512", n, len(parent.Local), 2*carried)
+		}
+		bytes[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	if bytes[1] > bytes[0] || bytes[0] > 1024 {
+		t.Fatalf("warm merges carrying 20 k and 80 k remote edges allocated %d and %d bytes; want at most 1 KiB, not growing with the edges",
+			bytes[0], bytes[1])
 	}
 }
 
