@@ -23,7 +23,7 @@ import (
 // failure the job is aborted cluster-wide and an error returned; nothing
 // of the partial run is retained.
 func RunOverCluster(ctx context.Context, hub *bsp.Hub, g *graph.Graph, a partition.Assignment, cfg Config, minNodes int) (*Result, *bsp.JobStats, error) {
-	plan, tree, err := BuildPlan(g, a, cfg)
+	plan, tree, err := buildPlan(g, a, cfg, true)
 	if err != nil {
 		return nil, nil, err
 	}

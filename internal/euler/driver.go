@@ -12,6 +12,13 @@ import (
 )
 
 // Config configures a distributed run.
+//
+// Where the level-0 leaves live follows from the source and from where
+// they run, not from a field: a resident *graph.Graph's leaves are held
+// in place, with no copy of their edges, unless the run records or
+// replays (Record, Replay) or ships its plan to a cluster, whose leaves
+// are copied and encoded; any other source's leaves are copied, or
+// spilled to InitStore.
 type Config struct {
 	// Mode selects the remote-edge strategy (ModeCurrent reproduces the
 	// paper's implementation; ModeProposed its Section 5 heuristics).

@@ -2,6 +2,7 @@ package euler
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"time"
@@ -24,6 +25,11 @@ import (
 // (keyed by convert level), to be shipped from the leaf host directly to
 // the merging ancestor at the right superstep (deferred transfer).
 // Parked edges are likewise stub-covered in the state.
+//
+// Every state copies its same-partition edges into Local, so it can be
+// encoded, shipped or toured anywhere.  A plan whose leaves are toured in
+// the process that built it from a resident graph builds them in place
+// instead (buildInPlaceLeaves).
 func BuildLeafStates(g graph.Source, a partition.Assignment, tree *MergeTree, mode Mode) ([]*PartState, []map[int32][]RemoteEdge, error) {
 	n := int(a.Parts)
 	states := make([]*PartState, n)
@@ -38,6 +44,88 @@ func BuildLeafStates(g graph.Source, a partition.Assignment, tree *MergeTree, mo
 	}, func(p int32, remote []RemoteEdge, stubs []Stub) error {
 		states[p].Remote = oneRun(remote)
 		states[p].Stubs = stubs
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return states, parked, nil
+}
+
+// graphLeaf is the in-place form of a level-0 leaf's local edges: they
+// are the edges of the resident graph with both endpoints in part, and
+// verts lists the leaf's vertices in the order intern would find them in
+// the copied leaf, so that the partition object Phase 1 builds from the
+// graph is the one it builds from the copy.
+type graphLeaf struct {
+	*inPlace
+	part   int32
+	locals int64            // same-part edges
+	verts  []graph.VertexID // local-edge endpoints, remote Local endpoints, stub vertices
+}
+
+// inPlace is what every in-place leaf of one plan shares.  Parts are
+// vertex-disjoint and so are their local edges: leaves toured at once on
+// different engine slots read the graph, of and idx, and each writes only
+// its own local edges' open marks.  A cut edge is never open, so a tour
+// tells a local half from a cut one by its mark alone.  A leaf is toured
+// once; the marks are not reset.
+type inPlace struct {
+	g    *graph.Graph
+	of   []int32 // the assignment: vertex → part
+	idx  []int32 // vertex → its index in its part's verts (-1: none)
+	open []bool  // per EdgeID: a local edge no tour has consumed yet
+}
+
+// buildInPlaceLeaves is BuildLeafStates for leaves toured in place over
+// the resident graph g: a leaf holds its remote edges and stubs as
+// BuildLeafStates' does, and instead of Local its local-edge count and
+// vertex order.  The scan visits edges in EdgeID order, so local-edge
+// endpoints come first (U before V); remote Local endpoints, then stub
+// vertices, follow once the scan is done.  That is intern's order.
+func buildInPlaceLeaves(g *graph.Graph, a partition.Assignment, tree *MergeTree, mode Mode) ([]*PartState, []map[int32][]RemoteEdge, error) {
+	n := int(a.Parts)
+	ip := &inPlace{g: g, of: a.Of, idx: make([]int32, len(a.Of)), open: make([]bool, g.NumEdges())}
+	// A part's vertices bound its verts list: carve every list from one
+	// backing array.
+	ends := make([]int, n+1)
+	for v, p := range a.Of {
+		ip.idx[v] = -1
+		ends[p+1]++
+	}
+	for p := 1; p <= n; p++ {
+		ends[p] += ends[p-1]
+	}
+	verts := make([]graph.VertexID, ends[n])
+	states := make([]*PartState, n)
+	// see appends v to its part's verts unless it is there already.
+	see := func(l *graphLeaf, v graph.VertexID) {
+		if ip.idx[v] < 0 {
+			ip.idx[v] = int32(len(l.verts))
+			l.verts = append(l.verts, v)
+		}
+	}
+	parked, err := buildLeafStates(g, a, tree, mode, func(locals []int64) {
+		for i := range states {
+			states[i] = &PartState{Parent: i, Leaves: []int{i}, onGraph: &graphLeaf{
+				inPlace: ip, part: int32(i), locals: locals[i], verts: verts[ends[i]:ends[i]:ends[i+1]],
+			}}
+		}
+	}, func(p int32, e graph.Edge) error {
+		l := states[p].onGraph
+		see(l, e.U)
+		see(l, e.V)
+		ip.open[e.ID] = true
+		return nil
+	}, func(p int32, remote []RemoteEdge, stubs []Stub) error {
+		st := states[p]
+		st.Remote, st.Stubs = oneRun(remote), stubs
+		for _, r := range remote {
+			see(st.onGraph, r.Local)
+		}
+		for _, s := range stubs {
+			see(st.onGraph, s.Vertex)
+		}
 		return nil
 	})
 	if err != nil {
@@ -103,8 +191,9 @@ func buildLeafStates(g graph.Source, a partition.Assignment, tree *MergeTree, mo
 	}
 
 	// Every pair's edges land in one place per mode, so the pair counts
-	// size each remote list and parked pool exactly.
+	// size each remote list, parked pool and stub key list exactly.
 	remoteCap := make([]int64, n)
+	stubCap := make([]int64, n)
 	parkedCap := make([]map[int32]int64, n)
 	for i := range parkedCap {
 		parkedCap[i] = make(map[int32]int64)
@@ -115,23 +204,41 @@ func buildLeafStates(g graph.Source, a partition.Assignment, tree *MergeTree, mo
 			if c == 0 {
 				continue
 			}
-			keeper := keeperOf(int32(i), int32(j))
+			keeper, other := keeperOf(int32(i), int32(j)), int32(j)
+			if keeper == other {
+				other = int32(i)
+			}
 			switch lvl := tree.ConvertLevel(i, j); {
 			case mode == ModeCurrent:
 				remoteCap[i] += c
 				remoteCap[j] += c
 			case mode == ModeProposed && lvl >= 1:
 				parkedCap[keeper][lvl] += c
+				stubCap[keeper] += c
+				stubCap[other] += c
 			default:
 				remoteCap[keeper] += c
+				stubCap[other] += c
 			}
 		}
 	}
 	remotes := make([][]RemoteEdge, n)
 	parked := make([]map[int32][]RemoteEdge, n)
+	// stubKeys[p] holds one key per edge end p stubs, (vertex, level)
+	// packed vertex-high so that an integer sort puts them in stubLess
+	// order; finish sorts and coalesces them into p's stub groups.
+	lvlBits := bits.Len(uint(tree.Height()))
+	if bits.Len64(uint64(g.NumVertices()))+lvlBits > 64 {
+		return nil, fmt.Errorf("euler: %d vertices and merge-tree height %d overflow a stub key", g.NumVertices(), tree.Height())
+	}
+	stubKey := func(v graph.VertexID, lvl int32) uint64 { return uint64(v)<<lvlBits | uint64(lvl) }
+	stubKeys := make([][]uint64, n)
 	for i := 0; i < n; i++ {
 		if remoteCap[i] > 0 {
 			remotes[i] = make([]RemoteEdge, 0, remoteCap[i])
+		}
+		if stubCap[i] > 0 {
+			stubKeys[i] = make([]uint64, 0, stubCap[i])
 		}
 		parked[i] = make(map[int32][]RemoteEdge, len(parkedCap[i]))
 		for lvl, c := range parkedCap[i] {
@@ -139,11 +246,6 @@ func buildLeafStates(g graph.Source, a partition.Assignment, tree *MergeTree, mo
 		}
 	}
 	start(locals)
-
-	stubCount := make([]map[[2]int64]int64, n) // (vertex, level) → count
-	for i := range stubCount {
-		stubCount[i] = make(map[[2]int64]int64)
-	}
 
 	err = g.ForEachEdge(func(e graph.Edge) error {
 		pu, pv := a.Of[e.U], a.Of[e.V]
@@ -166,11 +268,11 @@ func buildLeafStates(g graph.Source, a partition.Assignment, tree *MergeTree, mo
 		re := RemoteEdge{Local: kLocal, Remote: kRemote, Edge: e.ID, ConvertLevel: lvl}
 		if mode == ModeProposed && lvl >= 1 {
 			parked[keeper][lvl] = append(parked[keeper][lvl], re)
-			stubCount[keeper][[2]int64{kLocal, int64(lvl)}]++
+			stubKeys[keeper] = append(stubKeys[keeper], stubKey(kLocal, lvl))
 		} else {
 			remotes[keeper] = append(remotes[keeper], re)
 		}
-		stubCount[other][[2]int64{oLocal, int64(lvl)}]++
+		stubKeys[other] = append(stubKeys[other], stubKey(oLocal, lvl))
 		return nil
 	})
 	if err != nil {
@@ -178,22 +280,35 @@ func buildLeafStates(g graph.Source, a partition.Assignment, tree *MergeTree, mo
 	}
 
 	for i := 0; i < n; i++ {
-		if err := finish(int32(i), remotes[i], stubsFromMap(stubCount[i])); err != nil {
+		if err := finish(int32(i), remotes[i], coalesceStubs(stubKeys[i], lvlBits)); err != nil {
 			return nil, err
 		}
 	}
 	return parked, nil
 }
 
-func stubsFromMap(m map[[2]int64]int64) []Stub {
-	if len(m) == 0 {
+// coalesceStubs sorts one part's stub keys, (vertex, level) packed with
+// the level in the low lvlBits bits, and turns each run of equal keys
+// into one stub counting them: the stubs come out in stubLess order.
+func coalesceStubs(keys []uint64, lvlBits int) []Stub {
+	if len(keys) == 0 {
 		return nil
 	}
-	stubs := make([]Stub, 0, len(m))
-	for k, c := range m {
-		stubs = append(stubs, Stub{Vertex: k[0], ConvertLevel: int32(k[1]), Count: c})
+	slices.Sort(keys)
+	groups := 1
+	for i := 1; i < len(keys); i++ {
+		if keys[i] != keys[i-1] {
+			groups++
+		}
 	}
-	sort.Slice(stubs, func(i, j int) bool { return stubLess(stubs[i], stubs[j]) })
+	stubs := make([]Stub, 0, groups)
+	for i, k := range keys {
+		if i > 0 && k == keys[i-1] {
+			stubs[len(stubs)-1].Count++
+			continue
+		}
+		stubs = append(stubs, Stub{Vertex: graph.VertexID(k >> lvlBits), ConvertLevel: int32(k & (1<<lvlBits - 1)), Count: 1})
+	}
 	return stubs
 }
 

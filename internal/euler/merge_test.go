@@ -353,6 +353,28 @@ func oldMergeStates(parent, child *PartState, level int, mode Mode, delivered []
 	return merged, nil
 }
 
+// stubsFromMap lists coalesced stub counts in stubLess order, the
+// reference oldMergeStates' stub retirement builds with.
+func stubsFromMap(m map[[2]int64]int64) []Stub {
+	if len(m) == 0 {
+		return nil
+	}
+	stubs := make([]Stub, 0, len(m))
+	for k, c := range m {
+		stubs = append(stubs, Stub{Vertex: k[0], ConvertLevel: int32(k[1]), Count: c})
+	}
+	slices.SortFunc(stubs, func(a, b Stub) int {
+		if stubLess(a, b) {
+			return -1
+		}
+		if stubLess(b, a) {
+			return 1
+		}
+		return 0
+	})
+	return stubs
+}
+
 // cloneState deep-copies a state, run by run, so one input can go through
 // both merges.
 func cloneState(s *PartState) *PartState {

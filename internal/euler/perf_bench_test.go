@@ -3,6 +3,7 @@ package euler
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -17,6 +18,14 @@ func discardBody(PathID, []byte) error { return nil }
 // benchLeafState builds partition 0's level-0 state of an Eulerian RMAT
 // graph with 2^scale vertices split over parts partitions.
 func benchLeafState(b *testing.B, scale int, parts int32) *PartState {
+	copied, _ := benchLeafStates(b, scale, parts)
+	return copied
+}
+
+// benchLeafStates builds the state of benchLeafState twice: with its
+// Local copy, and held in place over the graph as a resident run's plan
+// holds it.
+func benchLeafStates(b *testing.B, scale int, parts int32) (copied, inPlace *PartState) {
 	b.Helper()
 	g, _ := gen.EulerianRMAT(gen.DefaultRMAT(scale, 7))
 	a := partition.LDG(g, parts, 1)
@@ -29,19 +38,40 @@ func benchLeafState(b *testing.B, scale int, parts int32) *PartState {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return states[0]
+	held, _, err := buildInPlaceLeaves(g, a, tree, ModeCurrent)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return states[0], held[0]
 }
 
 // BenchmarkPhase1 measures one Phase 1 tour over a single partition state
-// at increasing local-edge counts |L| (the Fig. 6/7 hot path).
+// at increasing local-edge counts |L| (the Fig. 6/7 hot path): over the
+// copied leaf, the form of every level ≥ 1 state and every shipped leaf,
+// and over the same leaf held in place, the form a resident run tours at
+// level 0.  An in-place leaf can be toured once, so its edges' open marks
+// are restored, untimed, before each tour.
 func BenchmarkPhase1(b *testing.B) {
 	for _, scale := range []int{12, 14, 16} {
-		st := benchLeafState(b, scale, 4)
+		st, held := benchLeafStates(b, scale, 4)
 		b.Run(fmt.Sprintf("L=%d", len(st.Local)), func(b *testing.B) {
 			scratch := newPhase1Scratch()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := phase1(st, 0, discardBody, nil, scratch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		open := slices.Clone(held.onGraph.open)
+		b.Run(fmt.Sprintf("in-place/L=%d", held.localLen()), func(b *testing.B) {
+			scratch := newPhase1Scratch()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copy(held.onGraph.open, open)
+				b.StartTimer()
+				if _, err := phase1(held, 0, discardBody, nil, scratch); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -63,17 +93,31 @@ func benchRMAT50k(b *testing.B) (*graph.Graph, partition.Assignment, *MergeTree)
 	return g, a, BuildMergeTree(meta, GreedyMaxWeight)
 }
 
-// BenchmarkBuildLeafStates measures the level-0 state build.  Its
-// allocs/op budget (scripts/alloc_budget.txt) is a few per partition: an
-// append that regrows a per-partition slice again would multiply it.
+// BenchmarkBuildLeafStates measures the level-0 state build: copied, as
+// BuildLeafStates builds it for a shipped, retained or paged run, in
+// ModeCurrent and in ModeDedup (whose stub keys are sorted and coalesced
+// per partition), and held in place, as a resident run's plan builds it.
+// Its allocs/op budgets (scripts/alloc_budget.txt) are a few per
+// partition: an append that regrows a per-partition slice again, or a map
+// per partition, would multiply them.
 func BenchmarkBuildLeafStates(b *testing.B) {
 	g, a, tree := benchRMAT50k(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := BuildLeafStates(g, a, tree, ModeCurrent); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name  string
+		build func() error
+	}{
+		{"current", func() error { _, _, err := BuildLeafStates(g, a, tree, ModeCurrent); return err }},
+		{"dedup", func() error { _, _, err := BuildLeafStates(g, a, tree, ModeDedup); return err }},
+		{"in-place", func() error { _, _, err := buildInPlaceLeaves(g, a, tree, ModeCurrent); return err }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.build(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

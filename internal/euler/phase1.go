@@ -56,7 +56,7 @@ type Phase1Result struct {
 // half is one direction of a coarse local edge in the partition-local CSR.
 type half struct {
 	to   int32 // local vertex index
-	edge int32 // index into the local edge slice
+	edge int32 // index into the local edge slice; the EdgeID for a leaf held in place
 }
 
 // phase1 executes Alg. 1 on a partition state: OB paths first, then EB
@@ -64,6 +64,14 @@ type half struct {
 // vertices (the constructive form of Lemma 3).  Bodies go to putBody, which
 // must not keep the slice, under deterministic PathIDs; state.Local is
 // consumed and replaced by the returned OBPairs by the caller.
+//
+// A leaf held in place (state.onGraph) brings no Local copy: its
+// partition object is built from the resident graph.  Its vertices come
+// in the order the leaf recorded, which is intern's order over the copied
+// leaf, and each vertex's halves are the graph's open halves, in EdgeID
+// order, which is the copied leaf's CSR: both tours emit the same bodies.
+// A half then names its edge by EdgeID, the walk consumes the leaf's open
+// marks, and such a leaf can be toured once.
 //
 // globallyVisited reports whether a vertex was absorbed into any body at an
 // earlier level; seed cycles prefer such vertices so that Phase 3 can
@@ -78,54 +86,33 @@ func phase1(state *PartState, level int, putBody func(PathID, []byte) error, glo
 	}
 	res := &Phase1Result{}
 
-	nv := sc.intern(state)
-	verts, eu, ev, ri, si := sc.verts, sc.eu, sc.ev, sc.ri, sc.si
-
-	// Boundary classification straight off the remote edges and stubs,
-	// replacing the RemoteDegree map (only the >0 test was ever used).
-	isBoundary := growBool(sc.isBoundary, int(nv))
-	sc.isBoundary = isBoundary
-	for _, i := range ri {
-		isBoundary[i] = true
-	}
-	for i, st := range state.Stubs {
-		if st.Count > 0 {
-			isBoundary[si[i]] = true
+	// open[h.edge] tells an unwalked half: the leaf's marks by EdgeID for
+	// a leaf held in place, one mark per local edge otherwise.
+	var nv int32
+	var verts []graph.VertexID
+	var open []bool
+	l := state.onGraph
+	if l != nil {
+		verts, open = l.verts, l.open
+		nv = int32(len(verts))
+		sc.buildCSRInPlace(state, l)
+	} else {
+		nv = sc.intern(state)
+		verts = sc.verts
+		sc.buildCSR(state, nv)
+		open = grow(sc.open, len(state.Local))
+		sc.open = open
+		for i := range open {
+			open[i] = true
 		}
 	}
-
-	// CSR over the coarse local multigraph.
-	adjOff := grow(sc.adjOff, int(nv)+1)
-	sc.adjOff = adjOff
-	clear(adjOff)
-	for i := range eu {
-		adjOff[eu[i]+1]++
-		adjOff[ev[i]+1]++
-	}
-	for i := int32(1); i <= nv; i++ {
-		adjOff[i] += adjOff[i-1]
-	}
-	adjHalf := grow(sc.adjHalf, 2*len(state.Local))
-	sc.adjHalf = adjHalf
-	cursor := grow(sc.cursor, int(nv))
-	sc.cursor = cursor
-	copy(cursor, adjOff[:nv])
-	for ei := range eu {
-		u, v := eu[ei], ev[ei]
-		adjHalf[cursor[u]] = half{to: v, edge: int32(ei)}
-		cursor[u]++
-		adjHalf[cursor[v]] = half{to: u, edge: int32(ei)}
-		cursor[v]++
-	}
+	isBoundary, adjOff, adjHalf, cursor := sc.isBoundary, sc.adjOff, sc.adjHalf, sc.cursor
 
 	unvis := grow(sc.unvis, int(nv))
 	sc.unvis = unvis
 	for i := int32(0); i < nv; i++ {
 		unvis[i] = adjOff[i+1] - adjOff[i]
 	}
-	copy(cursor, adjOff[:nv]) // reset walk cursors
-	edgeVisited := growBool(sc.edgeVisited, len(state.Local))
-	sc.edgeVisited = edgeVisited
 	localVisited := growBool(sc.localVisited, int(nv)) // touched by a walk in this run
 	sc.localVisited = localVisited
 	pending := sc.pending[:0] // visited vertices that kept unvisited edges
@@ -140,7 +127,7 @@ func phase1(state *PartState, level int, putBody func(PathID, []byte) error, glo
 			res.Stats.Internal++
 		}
 	}
-	res.Stats.Local = int64(len(state.Local))
+	res.Stats.Local = state.localLen()
 	for i := int32(0); i < nv; i++ {
 		localDeg := adjOff[i+1] - adjOff[i]
 		if localDeg%2 == 1 {
@@ -160,8 +147,8 @@ func phase1(state *PartState, level int, putBody func(PathID, []byte) error, glo
 	res.Seeds = sc.seeds[:0]
 	// No walk is longer than the local edge set; one buffer of that size
 	// never regrows mid-walk.
-	if cap(sc.items) < len(state.Local) {
-		sc.items = make([]Item, 0, len(state.Local))
+	if int64(cap(sc.items)) < res.Stats.Local {
+		sc.items = make([]Item, 0, res.Stats.Local)
 	}
 	defer func() {
 		// Hand the (possibly regrown) backing arrays back for the next tour.
@@ -178,7 +165,7 @@ func phase1(state *PartState, level int, putBody func(PathID, []byte) error, glo
 	next := func(v int32) (half, bool) {
 		for cursor[v] < adjOff[v+1] {
 			h := adjHalf[cursor[v]]
-			if !edgeVisited[h.edge] {
+			if open[h.edge] {
 				return h, true
 			}
 			cursor[v]++
@@ -206,14 +193,15 @@ func phase1(state *PartState, level int, putBody func(PathID, []byte) error, glo
 				sc.items = items
 				return items, cur
 			}
-			e := state.Local[h.edge]
-			edgeVisited[h.edge] = true
+			open[h.edge] = false
+			it := Item{Kind: ItemEdge, Ref: int64(h.edge), From: verts[cur], To: verts[h.to]}
+			if l == nil {
+				e := state.Local[h.edge]
+				it.Kind, it.Ref = e.Kind, e.Ref
+			}
 			unvis[cur]--
 			unvis[h.to]--
-			items = append(items, Item{
-				Kind: e.Kind, Ref: e.Ref,
-				From: verts[cur], To: verts[h.to],
-			})
+			items = append(items, it)
 			if unvis[cur] > 0 && !inPending[cur] {
 				inPending[cur] = true
 				pending = append(pending, cur)
@@ -297,12 +285,7 @@ func phase1(state *PartState, level int, putBody func(PathID, []byte) error, glo
 	// --- IV phase (lines 11–13): cycles from vertices already on a prior
 	// walk (Lemma 3 made constructive by the pending stack), with seeding
 	// for components no walk of this run has touched.
-	remaining := int64(0)
-	for _, v := range edgeVisited {
-		if !v {
-			remaining++
-		}
-	}
+	remaining := res.Stats.Local - res.Stats.Items // every item consumed one local edge
 	for remaining > 0 {
 		start := int32(-1)
 		for len(pending) > 0 {
@@ -361,4 +344,87 @@ func phase1(state *PartState, level int, putBody func(PathID, []byte) error, glo
 	}
 
 	return res, nil
+}
+
+// buildCSR fills the scratch's partition object for a state interned by
+// intern (nv vertices): boundary flags, and the CSR over Local, whose
+// halves name their edge by index in Local, with every walk cursor at the
+// start of its vertex's halves.
+func (sc *phase1Scratch) buildCSR(state *PartState, nv int32) {
+	// Boundary classification straight off the remote edges and stubs,
+	// replacing the RemoteDegree map (only the >0 test was ever used).
+	isBoundary := growBool(sc.isBoundary, int(nv))
+	sc.isBoundary = isBoundary
+	for _, i := range sc.ri {
+		isBoundary[i] = true
+	}
+	for i, st := range state.Stubs {
+		if st.Count > 0 {
+			isBoundary[sc.si[i]] = true
+		}
+	}
+
+	eu, ev := sc.eu, sc.ev
+	adjOff := grow(sc.adjOff, int(nv)+1)
+	sc.adjOff = adjOff
+	clear(adjOff)
+	for i := range eu {
+		adjOff[eu[i]+1]++
+		adjOff[ev[i]+1]++
+	}
+	for i := int32(1); i <= nv; i++ {
+		adjOff[i] += adjOff[i-1]
+	}
+	adjHalf := grow(sc.adjHalf, 2*len(state.Local))
+	sc.adjHalf = adjHalf
+	cursor := grow(sc.cursor, int(nv))
+	sc.cursor = cursor
+	copy(cursor, adjOff[:nv])
+	for ei := range eu {
+		u, v := eu[ei], ev[ei]
+		adjHalf[cursor[u]] = half{to: v, edge: int32(ei)}
+		cursor[u]++
+		adjHalf[cursor[v]] = half{to: u, edge: int32(ei)}
+		cursor[v]++
+	}
+	copy(cursor, adjOff[:nv]) // reset walk cursors
+}
+
+// buildCSRInPlace is buildCSR for a leaf held in place: it compacts each
+// vertex's open graph halves, in EdgeID order, into the CSR, each half
+// naming its edge by EdgeID.  Nothing is interned or copied out of a
+// Local set.
+func (sc *phase1Scratch) buildCSRInPlace(state *PartState, l *graphLeaf) {
+	nv := len(l.verts)
+	isBoundary := growBool(sc.isBoundary, nv)
+	sc.isBoundary = isBoundary
+	for _, run := range state.Remote {
+		for _, r := range run {
+			isBoundary[l.idx[r.Local]] = true
+		}
+	}
+	for _, st := range state.Stubs {
+		if st.Count > 0 {
+			isBoundary[l.idx[st.Vertex]] = true
+		}
+	}
+
+	adjOff := grow(sc.adjOff, nv+1)
+	sc.adjOff = adjOff
+	adjHalf := grow(sc.adjHalf, int(2*l.locals))
+	sc.adjHalf = adjHalf
+	k := int32(0)
+	for i, v := range l.verts {
+		adjOff[i] = k
+		for _, h := range l.g.Adj(v) {
+			if l.open[h.Edge] {
+				adjHalf[k] = half{to: l.idx[h.To], edge: int32(h.Edge)}
+				k++
+			}
+		}
+	}
+	adjOff[nv] = k
+	cursor := grow(sc.cursor, nv)
+	sc.cursor = cursor
+	copy(cursor, adjOff[:nv])
 }

@@ -3,6 +3,7 @@ package euler
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/graph"
@@ -12,15 +13,17 @@ import (
 // Plan is the static schedule of one distributed run, computed once by the
 // coordinator: the merge tree flattened into dense per-level lookup tables,
 // plus every leaf partition's initial state and parked remote-edge pools.
-// A Plan (or a slice of one) is everything a worker needs to host its
-// range of the run — workers never see the input graph itself.
+// A Plan slice is everything a remote worker needs to host its range of
+// the run: such a worker never sees the input graph.
 //
 // Lo and Hi bound the worker range the per-worker slices cover: leaves[w-Lo]
 // and Parked[w-Lo] belong to worker w.  A full plan has Lo == 0,
 // Hi == NumWorkers.  A leaf state stays decoded while the plan is only run
-// in the process that built it; it is held encoded once it has crossed a
-// process boundary (DecodePlanSlice) or has to be shipped or retained
-// (encodeLeaves).  A run takes each leaf out of the plan at superstep 0.
+// in the process that built it; built from a resident graph it is then
+// held in place, borrowing the graph read-only until its tour (see
+// graphLeaf).  It is held encoded once it has crossed a process boundary
+// (DecodePlanSlice) or has to be shipped or retained (encodeLeaves).  A
+// run takes each leaf out of the plan at superstep 0.
 type Plan struct {
 	NumWorkers  int
 	NumVertices int64
@@ -51,8 +54,9 @@ type Plan struct {
 	ParkedLongsAt []int64
 }
 
-// leafSlot holds one worker's leaf state either decoded (state) or as its
-// EncodeState bytes (enc); both are nil once the run has taken it.
+// leafSlot holds one worker's leaf state either decoded (state, possibly
+// held in place) or as its EncodeState bytes (enc); both are nil once the
+// run has taken it.
 type leafSlot struct {
 	state *PartState
 	enc   []byte
@@ -63,6 +67,7 @@ type leafSlot struct {
 // once lets every slice, the retained plan and the replay diff share the
 // bytes, and drops the decoded states the coordinator never runs.
 func (p *Plan) encodeLeaves() {
+	p.copyInPlaceLeaves()
 	for i := range p.leaves {
 		if l := &p.leaves[i]; l.state != nil {
 			*l = leafSlot{enc: EncodeState(l.state)}
@@ -70,11 +75,46 @@ func (p *Plan) encodeLeaves() {
 	}
 }
 
+// copyInPlaceLeaves gives every leaf held in place its Local copy, in one
+// pass over the graph's edges in EdgeID order, which makes it the state
+// BuildLeafStates builds: it then encodes to the same bytes.
+func (p *Plan) copyInPlaceLeaves() {
+	var ip *inPlace
+	byPart := make([]*PartState, p.NumWorkers)
+	for _, l := range p.leaves {
+		if st := l.state; st != nil && st.onGraph != nil {
+			ip = st.onGraph.inPlace
+			byPart[st.onGraph.part] = st
+			st.Local = make([]CoarseEdge, 0, st.onGraph.locals)
+			st.onGraph = nil
+		}
+	}
+	if ip == nil {
+		return
+	}
+	for _, e := range ip.g.Edges() {
+		if pu := ip.of[e.U]; pu == ip.of[e.V] && byPart[pu] != nil {
+			byPart[pu].Local = append(byPart[pu].Local, CoarseEdge{U: e.U, V: e.V, Kind: ItemEdge, Ref: e.ID})
+		}
+	}
+}
+
 // BuildPlan validates the input and computes the run schedule: meta-graph,
 // merge tree, leaf states, and the dense per-level lookup tables the BSP
 // program reads.  The returned tree is the schedule's source (kept for
-// reporting); the plan is self-contained.
+// reporting); the plan is self-contained but for leaves held in place.
+//
+// A resident *graph.Graph's leaves are held in place unless the plan is
+// built to be recorded or replayed (cfg.Record, cfg.Replay), whose leaves
+// are encoded before they run.
 func BuildPlan(g graph.Source, a partition.Assignment, cfg Config) (*Plan, *MergeTree, error) {
+	return buildPlan(g, a, cfg, cfg.Record || cfg.Replay != nil)
+}
+
+// buildPlan is BuildPlan; encoded says the leaves will be encoded for
+// shipment or retention rather than toured by this process, so they are
+// built with their Local copies.
+func buildPlan(g graph.Source, a partition.Assignment, cfg Config, encoded bool) (*Plan, *MergeTree, error) {
 	if err := a.Validate(g); err != nil {
 		return nil, nil, err
 	}
@@ -128,7 +168,14 @@ func BuildPlan(g graph.Source, a partition.Assignment, cfg Config) (*Plan, *Merg
 		}
 		p.Parked = parkedPools
 	} else {
-		states, parkedPools, err := BuildLeafStates(g, a, tree, cfg.Mode)
+		var states []*PartState
+		var parkedPools []map[int32][]RemoteEdge
+		// An in-place CSR half names its edge by an int32 EdgeID.
+		if resident, ok := g.(*graph.Graph); ok && !encoded && g.NumEdges() <= math.MaxInt32 {
+			states, parkedPools, err = buildInPlaceLeaves(resident, a, tree, cfg.Mode)
+		} else {
+			states, parkedPools, err = BuildLeafStates(g, a, tree, cfg.Mode)
+		}
 		if err != nil {
 			return nil, nil, err
 		}
@@ -180,7 +227,8 @@ func BuildPlan(g graph.Source, a partition.Assignment, cfg Config) (*Plan, *Merg
 // EncodeSlice serialises the plan restricted to workers [lo, hi) for
 // shipment to the node hosting that range.  The schedule tables are global
 // (every worker needs the full merge schedule to address its sends); only
-// the per-worker state is sliced.
+// the per-worker state is sliced.  Leaves held in place get their Local
+// copies first, so they encode as BuildLeafStates' leaves do.
 func (p *Plan) EncodeSlice(lo, hi int) ([]byte, error) {
 	if lo < p.Lo || hi > p.Hi || lo >= hi {
 		return nil, fmt.Errorf("euler: plan slice [%d, %d) outside held range [%d, %d)", lo, hi, p.Lo, p.Hi)
@@ -188,6 +236,7 @@ func (p *Plan) EncodeSlice(lo, hi int) ([]byte, error) {
 	if p.leaves == nil {
 		return nil, fmt.Errorf("euler: out-of-core plan (spilled leaf states) cannot be sliced for shipment")
 	}
+	p.copyInPlaceLeaves()
 	dst := binary.AppendUvarint([]byte{WireV3}, uint64(p.NumWorkers))
 	dst = binary.AppendUvarint(dst, uint64(p.NumVertices))
 	dst = binary.AppendUvarint(dst, uint64(p.Height))

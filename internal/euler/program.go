@@ -232,9 +232,9 @@ func (p *partProgram) Compute(ctx *bsp.Context) error {
 			return fmt.Errorf("worker %d superstep %d: %d OB paths for %d OBs (Lemma 1 count violated)",
 				w, s, res.Stats.Paths, res.Stats.OB)
 		}
-		// Phase 1 interned every vertex of the state it toured.
+		// Phase 1 classified every vertex of the state it toured.
 		pr.LongsAtStart = wc.state.longsWith(res.Stats.Boundary + res.Stats.Internal)
-		wc.state.Local = res.OBPairs
+		wc.state.Local, wc.state.onGraph = res.OBPairs, nil
 		wc.carried = res.Stats.Boundary
 		isRoot := s == plan.Height && w == plan.Root
 		if err := p.deps.absorb(w, res, isRoot); err != nil {

@@ -11,19 +11,23 @@ import "repro/internal/graph"
 //
 // The ownership rule that makes this safe: a PartState owns everything it
 // points to, and nothing in a scratch outlives the Compute call that
-// filled it.  Phase 1 writes OBPairs, the state's next Local set, into a
-// fresh exactly sized slice.  Recs, Seeds and Visited stay in the scratch;
-// the registry absorb and the retention recorder copy them within the
-// same call.  The merge builds the merged Local in its slot's mergeScratch
-// and the tour in the same call replaces it with the fresh OBPairs (the
-// merge writes there, never into this scratch: the tour appends OB pairs
-// while it still reads the merged Local).  The merge moves the child's
-// remote-edge runs, and the delivered parked batches, into the parent and
-// consumes the child: no other state points at those runs afterwards.
-// The merge's stub-list swap hands the parent's old list to the slot,
-// which no state references afterwards.  A state may therefore move to
-// another worker, by pointer or encoded, and the slot may tour any other
-// state next.
+// filled it.  The one exception is a leaf held in place (graphLeaf): it
+// borrows the resident graph and the assignment read-only for the run and
+// shares its plan's vertex index and open marks with the other leaves,
+// writing only its own edges' marks; the caller drops the borrow when it
+// gives the toured state its OB pairs.  Phase 1 writes OBPairs, the
+// state's next Local set, into a fresh exactly sized slice.  Recs, Seeds
+// and Visited stay in the scratch; the registry absorb and the retention
+// recorder copy them within the same call.  The merge builds the merged
+// Local in its slot's mergeScratch and the tour in the same call replaces
+// it with the fresh OBPairs (the merge writes there, never into this
+// scratch: the tour appends OB pairs while it still reads the merged
+// Local).  The merge moves the child's remote-edge runs, and the delivered
+// parked batches, into the parent and consumes the child: no other state
+// points at those runs afterwards.  The merge's stub-list swap hands the
+// parent's old list to the slot, which no state references afterwards.
+// A toured state may therefore move to another worker, by pointer or
+// encoded, and the slot may tour any other state next.
 type phase1Scratch struct {
 	verts   []graph.VertexID // interned vertex IDs, first-occurrence order
 	htab    []int32          // open-addressing vertex→index table (idx+1, 0=empty)
@@ -32,10 +36,10 @@ type phase1Scratch struct {
 	si      []int32          // per-stub vertex index
 	adjOff  []int32          // CSR offsets (nv+1)
 	adjHalf []half           // CSR halves (2·|L|)
+	open    []bool           // per-local-edge not yet walked
 	cursor  []int32          // per-vertex next-half cursor
 	unvis   []int32          // per-vertex unvisited local degree
 
-	edgeVisited  []bool
 	localVisited []bool
 	inPending    []bool
 	isBoundary   []bool

@@ -109,8 +109,11 @@ func loopbackExecutor(tb testing.TB) Executor {
 }
 
 // solveEquivalence solves a random Eulerian multigraph under random parts,
-// seed and mode through four specs:
-//   - in memory, retaining a replay record;
+// seed and mode through five specs:
+//   - in memory, retaining a replay record (its leaves are copied and
+//     encoded for the record before they are toured);
+//   - in memory without a record, its leaves toured in place over the
+//     resident graph;
 //   - from a PagedGraph of its EULGRPH1 file whose page budget is the
 //     two-page floor, so adjacency pages are evicted throughout the run;
 //   - over a loopback cluster of two worker nodes that every input
@@ -159,6 +162,8 @@ func solveEquivalence(t *testing.T, overCluster Executor, seed int64, size, part
 	retain := spec
 	retain.Retain = true
 	want, wantReport, record := solve(g, g, retain)
+	inPlace, _, _ := solve(g, g, spec)
+	same("in-place", inPlace, want)
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, "graph.bin")

@@ -183,6 +183,10 @@ func ParseMode(s string) (Mode, error) {
 // PartState is the in-memory state of one (possibly merged) partition
 // between levels: the coarse local multigraph plus its stored remote edges
 // and stubs.  Vertex sets are implicit in the edges.
+//
+// A level-0 leaf built over a resident graph for an in-process run may
+// hold its local edges in place instead (onGraph): Local is then empty,
+// and the tour that consumes the leaf fills Local with its OB pairs.
 type PartState struct {
 	// Parent is the leaf partition ID that names this (merged) partition.
 	Parent int
@@ -199,6 +203,18 @@ type PartState struct {
 	Remote [][]RemoteEdge
 	// Stubs holds remote-degree owed by unstored edges (Section 5 modes).
 	Stubs []Stub
+
+	// onGraph, when set, stands for Local: the state's local edges are
+	// the resident graph's edges with both endpoints in the leaf's part.
+	onGraph *graphLeaf
+}
+
+// localLen returns the number of coarse local edges.
+func (s *PartState) localLen() int64 {
+	if s.onGraph != nil {
+		return s.onGraph.locals
+	}
+	return int64(len(s.Local))
 }
 
 // RemoteDegree returns the per-vertex remote degree implied by stored
@@ -219,6 +235,15 @@ func (s *PartState) RemoteDegree() map[graph.VertexID]int64 {
 // LocalDegree returns the per-vertex coarse local degree.
 func (s *PartState) LocalDegree() map[graph.VertexID]int64 {
 	deg := make(map[graph.VertexID]int64)
+	if l := s.onGraph; l != nil {
+		for _, v := range l.verts {
+			for _, h := range l.g.Adj(v) {
+				if l.of[h.To] == l.part {
+					deg[v]++
+				}
+			}
+		}
+	}
 	for _, e := range s.Local {
 		deg[e.U]++
 		deg[e.V]++
@@ -237,9 +262,8 @@ func (s *PartState) LocalDegree() map[graph.VertexID]int64 {
 // count Phase 1 already has.
 func (s *PartState) Longs() int64 {
 	verts := make(map[graph.VertexID]struct{})
-	for _, e := range s.Local {
-		verts[e.U] = struct{}{}
-		verts[e.V] = struct{}{}
+	for v := range s.LocalDegree() {
+		verts[v] = struct{}{}
 	}
 	for _, run := range s.Remote {
 		for _, r := range run {
@@ -255,7 +279,7 @@ func (s *PartState) Longs() int64 {
 // longsWith is Longs for a caller that already knows the state's distinct
 // vertex count.
 func (s *PartState) longsWith(verts int64) int64 {
-	return 2*verts + 3*int64(len(s.Local)) +
+	return 2*verts + 3*s.localLen() +
 		2*int64(s.remoteLen()) + 3*int64(len(s.Stubs))
 }
 
