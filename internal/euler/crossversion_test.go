@@ -75,12 +75,12 @@ func TestV3ReencodeByteIdentical(t *testing.T) {
 		{Kind: ItemPath, Ref: -2, From: 3, To: 3},
 		{Kind: ItemEdge, Ref: 40, From: 3, To: 1},
 	}
-	body := AppendBody(nil, items)
+	body := refAppendBody(nil, items)
 	decItems, err := decodeBody(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again := AppendBody(nil, decItems); !bytes.Equal(again, body) {
+	if again := refAppendBody(nil, decItems); !bytes.Equal(again, body) {
 		t.Fatalf("body re-encode diverged:\n  %x\n  %x", again, body)
 	}
 

@@ -92,8 +92,9 @@ func Run(g graph.Source, a partition.Assignment, cfg Config) (*Result, error) {
 	n := plan.NumWorkers
 
 	registry := NewRegistry(cfg.Store, g.NumVertices(), n)
+	registry.keepEncoded = cfg.Record
 	deps := progDeps{
-		putBody: registry.putBody,
+		bodies:  registry.sink(),
 		visited: registry.IsVisited,
 		absorb:  registry.Absorb,
 		init:    cfg.InitStore,

@@ -3,10 +3,12 @@ package euler
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
 	"repro/internal/bsp"
+	"repro/internal/graph"
 )
 
 // Binary encodings for path bodies (spill store payloads) and partition
@@ -104,34 +106,39 @@ func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 // varintLen is the byte length of binary.AppendVarint(nil, x).
 func varintLen(x int64) int { return uvarintLen(zigzag(x)) }
 
-// AppendBody appends the serialisation of a path/cycle body to dst and
-// returns the extended buffer, so hot paths can reuse one encode buffer.
-// Items chain (an item's From is usually the previous item's To), so the
-// per-item fields are the ref delta, the from-vs-previous-to delta
-// (usually zero), and the to-vs-from hop.  Kinds live in a leading
-// bitmap rather than folded into a delta: refs span the full int64
-// range, so a zigzagged ref delta can already need all 64 bits and has
-// no room for a flag bit.
-func AppendBody(dst []byte, items []Item) []byte {
-	dst = append(dst, WireV3)
-	dst = binary.AppendUvarint(dst, uint64(len(items)))
-	dst = appendKindBitmap(dst, items)
-	var prevRef, prevTo int64
-	for _, it := range items {
-		dst = binary.AppendVarint(dst, it.Ref-prevRef)
-		dst = binary.AppendVarint(dst, it.From-prevTo)
-		dst = binary.AppendVarint(dst, it.To-it.From)
-		prevRef, prevTo = it.Ref, it.To
-	}
-	return dst
+// bodyItem is one item of a body held typed in process, in 16 B where
+// an Item takes 32: ref is the Item's Ref with the sign bit set for
+// ItemPath, and the item runs from the previous item's to (the record's
+// Src for the first item) to to.  Edge and path refs are never negative,
+// so the sign bit is free.
+type bodyItem struct {
+	ref int64
+	to  graph.VertexID
 }
 
-// appendKindBitmap packs one bit per item (set for ItemPath) into
-// ceil(n/8) bytes, LSB-first within each byte.
-func appendKindBitmap(dst []byte, items []Item) []byte {
+// packRef folds an item kind into a ref's sign bit.
+func packRef(kind ItemKind, ref int64) int64 { return ref | int64(kind&1)<<63 }
+
+func (it bodyItem) kind() ItemKind { return ItemKind(uint64(it.ref) >> 63) }
+
+// id returns the item's Ref without its kind bit.
+func (it bodyItem) id() int64 { return it.ref & math.MaxInt64 }
+
+// appendBody appends the serialisation of a typed body whose first item
+// leaves from src to dst and returns the extended buffer, so hot paths
+// can reuse one encode buffer.  Per item it writes the ref delta, the
+// from-vs-previous-to delta (zero after the first item) and the
+// to-vs-from hop: the format carries each item's from, which a typed
+// body leaves implicit.  Kinds live in a leading bitmap rather than
+// folded into a delta: a decoded ref spans the full int64 range, so a
+// zigzagged ref delta can already need all 64 bits and has no room for a
+// flag bit.
+func appendBody(dst []byte, src graph.VertexID, items []bodyItem) []byte {
+	dst = append(dst, WireV3)
+	dst = binary.AppendUvarint(dst, uint64(len(items)))
 	var acc byte
 	for i, it := range items {
-		acc |= byte(it.Kind&1) << (i & 7)
+		acc |= byte(it.kind()) << (i & 7)
 		if i&7 == 7 {
 			dst = append(dst, acc)
 			acc = 0
@@ -140,25 +147,60 @@ func appendKindBitmap(dst []byte, items []Item) []byte {
 	if len(items)&7 != 0 {
 		dst = append(dst, acc)
 	}
+	var prevRef, prevTo int64
+	from := src
+	for _, it := range items {
+		ref := it.id()
+		dst = binary.AppendVarint(dst, ref-prevRef)
+		dst = binary.AppendVarint(dst, from-prevTo)
+		dst = binary.AppendVarint(dst, it.to-from)
+		prevRef, prevTo, from = ref, it.to, it.to
+	}
 	return dst
 }
 
-// decodeBody parses a body written by AppendBody.
-func decodeBody(buf []byte) ([]Item, error) {
-	c, err := newBodyCursor(buf)
-	if err != nil {
-		return nil, err
-	}
-	items, err := c.appendTo(make([]Item, 0, c.n))
-	if err != nil {
-		return nil, err
-	}
-	return items, nil
+// bodyError is an encoded body that has no typed form: its items do not
+// chain from the record's source, or an item's ref is negative.
+type bodyError struct {
+	item uint64
+	what string
 }
 
-// bodyCursor iterates a body written by AppendBody straight off its
-// bytes, one item per next call, so Phase 3 can walk a body without a
-// slice to hold it.  It is the only body parser: decodeBody drains one.
+func (e *bodyError) Error() string {
+	return fmt.Sprintf("euler: body item %d %s", e.item, e.what)
+}
+
+// appendBodyItems decodes a body written by appendBody, whose first item
+// should leave from src, and appends its typed items to dst.
+func appendBodyItems(dst []bodyItem, buf []byte, src graph.VertexID) ([]bodyItem, error) {
+	c, err := newBodyCursor(buf)
+	if err != nil {
+		return dst, err
+	}
+	dst = slices.Grow(dst, int(c.n))
+	prevTo := src
+	for {
+		i := c.i
+		it, ok, err := c.next()
+		if !ok {
+			return dst, err
+		}
+		switch {
+		case it.From != prevTo && i == 0:
+			return dst, &bodyError{i, fmt.Sprintf("leaves from %d, not from the body's source %d", it.From, src)}
+		case it.From != prevTo:
+			return dst, &bodyError{i, fmt.Sprintf("leaves from %d, not from %d where item %d ends", it.From, prevTo, i-1)}
+		case it.Ref < 0:
+			return dst, &bodyError{i, fmt.Sprintf("has negative ref %d", it.Ref)}
+		}
+		dst = append(dst, bodyItem{ref: packRef(it.Kind, it.Ref), to: it.To})
+		prevTo = it.To
+	}
+}
+
+// bodyCursor iterates a body written by appendBody straight off its
+// bytes, one item per next call.  It is the only body parser:
+// appendBodyItems drains one.
 type bodyCursor struct {
 	d               decoder
 	bitmap          []byte
@@ -217,18 +259,6 @@ func (c *bodyCursor) next() (it Item, ok bool, err error) {
 	c.prevRef, c.prevTo = it.Ref, it.To
 	c.i++
 	return it, true, nil
-}
-
-// appendTo appends the cursor's remaining items to dst, checking the
-// payload ends after them.
-func (c *bodyCursor) appendTo(dst []Item) ([]Item, error) {
-	for {
-		it, ok, err := c.next()
-		if !ok {
-			return dst, err
-		}
-		dst = append(dst, it)
-	}
 }
 
 // EncodeState serialises a PartState for transfer to a merge parent, into

@@ -2,12 +2,153 @@ package euler
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/graph"
 )
+
+// refAppendBody is the []Item body encoder this package had before bodies
+// were held typed, kept as the reference appendBody must match byte for
+// byte and as the way tests write an arbitrary (unchained) body.
+func refAppendBody(dst []byte, items []Item) []byte {
+	dst = append(dst, WireV3)
+	dst = binary.AppendUvarint(dst, uint64(len(items)))
+	var acc byte
+	for i, it := range items {
+		acc |= byte(it.Kind&1) << (i & 7)
+		if i&7 == 7 {
+			dst = append(dst, acc)
+			acc = 0
+		}
+	}
+	if len(items)&7 != 0 {
+		dst = append(dst, acc)
+	}
+	var prevRef, prevTo int64
+	for _, it := range items {
+		dst = binary.AppendVarint(dst, it.Ref-prevRef)
+		dst = binary.AppendVarint(dst, it.From-prevTo)
+		dst = binary.AppendVarint(dst, it.To-it.From)
+		prevRef, prevTo = it.Ref, it.To
+	}
+	return dst
+}
+
+// decodeBody drains a body cursor into Items, each with its From: the
+// form tests compare bodies in.
+func decodeBody(buf []byte) ([]Item, error) {
+	c, err := newBodyCursor(buf)
+	if err != nil {
+		return nil, err
+	}
+	items := make([]Item, 0, c.n)
+	for {
+		it, ok, err := c.next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return items, nil
+		}
+		items = append(items, it)
+	}
+}
+
+// typedBody returns a chained body's typed items and the vertex its
+// first item leaves from.
+func typedBody(items []Item) (graph.VertexID, []bodyItem) {
+	var src graph.VertexID
+	if len(items) > 0 {
+		src = items[0].From
+	}
+	body := make([]bodyItem, len(items))
+	for i, it := range items {
+		body[i] = bodyItem{ref: packRef(it.Kind, it.Ref), to: it.To}
+	}
+	return src, body
+}
+
+// chainedItems is a random body with a typed form: n items chained from
+// src, refs anywhere in [0, 2⁶³) so that their deltas run both ways, and
+// hops of either sign.
+func chainedItems(rng *rand.Rand, n int, src graph.VertexID) []Item {
+	items := make([]Item, n)
+	at := src
+	for i := range items {
+		kind := ItemEdge
+		if rng.Intn(3) == 0 {
+			kind = ItemPath
+		}
+		ref := rng.Int63n(1 << uint(1+rng.Intn(62)))
+		if kind == ItemPath && ref == 0 {
+			ref = 1
+		}
+		to := at + rng.Int63n(1<<20) - 1<<19
+		items[i] = Item{Kind: kind, Ref: ref, From: at, To: to}
+		at = to
+	}
+	return items
+}
+
+// TestTypedBodyEncoding pins the typed body codec to the []Item one: the
+// bytes are the reference encoder's, decoding gives the typed items back,
+// and a body with no typed form is refused with a bodyError.
+func TestTypedBodyEncoding(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	cases := [][]Item{
+		nil,
+		{{Kind: ItemEdge, Ref: 5, From: 3, To: 4}},
+		{{Kind: ItemPath, Ref: MakePathID(2, 7, 9), From: 9, To: 1}},
+		{{Kind: ItemPath, Ref: math.MaxInt64, From: 0, To: math.MaxInt64}},
+		// Descending refs and vertices: every delta negative.
+		{{Kind: ItemEdge, Ref: 900, From: 50, To: 40}, {Kind: ItemPath, Ref: 30, From: 40, To: 2}, {Kind: ItemEdge, Ref: 0, From: 2, To: 0}},
+	}
+	for n := 0; n < 40; n++ {
+		cases = append(cases, chainedItems(rng, rng.Intn(70), rng.Int63n(1<<40)))
+	}
+	for ci, items := range cases {
+		src, body := typedBody(items)
+		enc := appendBody(nil, src, body)
+		if want := refAppendBody(nil, items); !bytes.Equal(enc, want) {
+			t.Fatalf("case %d: appendBody %x, reference %x", ci, enc, want)
+		}
+		got, err := appendBodyItems(nil, enc, src)
+		if err != nil || !slices.Equal(got, body) {
+			t.Fatalf("case %d: decoded %v, %v; want %v", ci, got, err, body)
+		}
+		// Appending keeps what dst held.
+		lead := []bodyItem{{ref: 1, to: 2}}
+		got, err = appendBodyItems(lead, enc, src)
+		if err != nil || !slices.Equal(got, append(slices.Clone(lead), body...)) {
+			t.Fatalf("case %d: appended %v, %v", ci, got, err)
+		}
+	}
+
+	for _, tc := range []struct {
+		name  string
+		items []Item
+		src   graph.VertexID
+		item  uint64
+	}{
+		{"first from is not the source", []Item{edgeItem(1, 4, 5)}, 3, 0},
+		{"from is not the previous to", []Item{edgeItem(1, 3, 5), edgeItem(2, 5, 6), edgeItem(3, 7, 3)}, 3, 2},
+		{"negative edge ref", []Item{edgeItem(1, 3, 5), edgeItem(-2, 5, 3)}, 3, 1},
+		{"negative path ref", []Item{pathItem(-1, 3, 4)}, 3, 0},
+	} {
+		_, err := appendBodyItems(nil, refAppendBody(nil, tc.items), tc.src)
+		var be *bodyError
+		if !errors.As(err, &be) || be.item != tc.item {
+			t.Errorf("%s: err = %v, want a bodyError at item %d", tc.name, err, tc.item)
+		}
+	}
+}
 
 func TestBodyRoundTrip(t *testing.T) {
 	items := []Item{
@@ -15,7 +156,7 @@ func TestBodyRoundTrip(t *testing.T) {
 		{Kind: ItemPath, Ref: MakePathID(1, 2, 3), From: 2, To: 9},
 		{Kind: ItemEdge, Ref: 0, From: 9, To: 1},
 	}
-	got, err := decodeBody(AppendBody(nil, items))
+	got, err := decodeBody(refAppendBody(nil, items))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +166,7 @@ func TestBodyRoundTrip(t *testing.T) {
 }
 
 func TestBodyEmpty(t *testing.T) {
-	got, err := decodeBody(AppendBody(nil, nil))
+	got, err := decodeBody(refAppendBody(nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +176,7 @@ func TestBodyEmpty(t *testing.T) {
 }
 
 func TestBodyCorruption(t *testing.T) {
-	buf := AppendBody(nil, []Item{{Kind: ItemEdge, Ref: 1, From: 2, To: 3}})
+	buf := refAppendBody(nil, []Item{{Kind: ItemEdge, Ref: 1, From: 2, To: 3}})
 	if _, err := decodeBody(buf[:len(buf)-1]); err == nil {
 		t.Error("truncated body should fail")
 	}
@@ -129,7 +270,7 @@ func TestQuickBodyRoundTrip(t *testing.T) {
 				To:   rng.Int63n(1 << 30),
 			}
 		}
-		got, err := decodeBody(AppendBody(nil, items))
+		got, err := decodeBody(refAppendBody(nil, items))
 		if err != nil {
 			return false
 		}

@@ -113,7 +113,7 @@ func TestHandoffLocalByReference(t *testing.T) {
 					}
 					registry := NewRegistry(nil, g.NumVertices(), plan.NumWorkers)
 					engine := bsp.New(plan.NumWorkers, bsp.WithTransport(bsp.LocalTransport{}))
-					program := newPartProgram(plan, progDeps{putBody: registry.putBody, visited: registry.IsVisited, absorb: registry.Absorb}, engine.Slots())
+					program := newPartProgram(plan, progDeps{bodies: registry.sink(), visited: registry.IsVisited, absorb: registry.Absorb}, engine.Slots())
 					var refs, payloads atomic.Int64
 					obs := &handoffObserver{t: t, inner: program, lo: 0, hi: plan.NumWorkers, refs: &refs, payloads: &payloads}
 					if _, err := engine.Run(obs); err != nil {

@@ -103,7 +103,7 @@ func runObserved(t *testing.T, g *graph.Graph, a partition.Assignment, mode Mode
 	}
 	registry := NewRegistry(nil, g.NumVertices(), plan.NumWorkers)
 	recorder := &runRecorder{}
-	deps := progDeps{putBody: registry.putBody, visited: registry.IsVisited, absorb: registry.Absorb, record: recorder.record}
+	deps := progDeps{bodies: registry.sink(), visited: registry.IsVisited, absorb: registry.Absorb, record: recorder.record}
 	if replay != nil {
 		set := buildReplaySet(plan, replay)
 		if len(set) == 0 {

@@ -13,7 +13,7 @@ import (
 
 // discardBody drops every body, isolating the walk and encode cost of
 // Phase 1 from body retention in the micro-benchmarks.
-func discardBody(PathID, []byte) error { return nil }
+var discardBody = bodySink{encoded: func(PathID, []byte) error { return nil }}
 
 // benchLeafState builds partition 0's level-0 state of an Eulerian RMAT
 // graph with 2^scale vertices split over parts partitions.
@@ -199,38 +199,43 @@ func benchBodyItems(n int) []Item {
 	return items
 }
 
-// BenchmarkAppendBody measures spilled-body serialisation alone, the
-// per-path write each Phase 1 walk performs.
+// BenchmarkAppendBody measures body serialisation alone, the per-path
+// write of a Phase 1 tour whose bodies leave the process or spill.
 func BenchmarkAppendBody(b *testing.B) {
-	items := benchBodyItems(4096)
+	src, body := typedBody(benchBodyItems(4096))
 	var buf []byte
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = AppendBody(buf[:0], items)
+		buf = appendBody(buf[:0], src, body)
 	}
 	b.SetBytes(int64(len(buf)))
 }
 
-// BenchmarkDecodeBody measures spilled-body deserialisation alone, the
-// per-path read Phase 3 unrolling performs.
+// BenchmarkDecodeBody measures body deserialisation into typed items
+// alone, the per-path read Phase 3 performs on a body that arrived
+// encoded.
 func BenchmarkDecodeBody(b *testing.B) {
-	buf := AppendBody(nil, benchBodyItems(4096))
+	src, body := typedBody(benchBodyItems(4096))
+	buf := appendBody(nil, src, body)
 	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()
+	b.ResetTimer()
+	var items []bodyItem
 	for i := 0; i < b.N; i++ {
-		if _, err := decodeBody(buf); err != nil {
+		var err error
+		if items, err = appendBodyItems(items[:0], buf, src); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkUnroll measures Phase 3 alone, after the run that fills the
-// registry: the torus has floating cycles, so every root expands into the
-// one circuit buffer before the stitch; the RMAT graph has none, so steps
-// go from the walker straight to emit.  The allocs/op budgets
-// (scripts/alloc_budget.txt) are a handful of sized buffers plus the
-// reversed-body arena's growth; a slice per body or a map per vertex
-// would cost thousands.
+// registry: the torus has floating cycles, so every root's walk is logged
+// as runs of body items before the stitch; the RMAT graph has none, so
+// steps go from the walker straight to emit.  The allocs/op budgets
+// (scripts/alloc_budget.txt) are a handful of sized buffers; a slice per
+// body or a map per vertex would cost thousands.
 func BenchmarkUnroll(b *testing.B) {
 	rmat, _ := gen.EulerianRMAT(gen.RMATParams{Vertices: 50_000, AvgDegree: 5, A: 0.57, B: 0.19, C: 0.19, Seed: 42})
 	for _, in := range []struct {

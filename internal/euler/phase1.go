@@ -61,9 +61,9 @@ type half struct {
 
 // phase1 executes Alg. 1 on a partition state: OB paths first, then EB
 // cycles, then internal-vertex cycles started from previously visited
-// vertices (the constructive form of Lemma 3).  Bodies go to putBody, which
-// must not keep the slice, under deterministic PathIDs; state.Local is
-// consumed and replaced by the returned OBPairs by the caller.
+// vertices (the constructive form of Lemma 3).  Bodies go to the sink under
+// deterministic PathIDs; state.Local is consumed and replaced by the
+// returned OBPairs by the caller.
 //
 // A leaf held in place (state.onGraph) brings no Local copy: its
 // partition object is built from the resident graph.  Its vertices come
@@ -79,7 +79,7 @@ type half struct {
 //
 // sc supplies reusable working memory; nil allocates a private scratch, in
 // which case no slice of the result aliases shared storage.
-func phase1(state *PartState, level int, putBody func(PathID, []byte) error, globallyVisited func(graph.VertexID) bool, sc *phase1Scratch) (*Phase1Result, error) {
+func phase1(state *PartState, level int, sink bodySink, globallyVisited func(graph.VertexID) bool, sc *phase1Scratch) (*Phase1Result, error) {
 	prepStart := time.Now()
 	if sc == nil {
 		sc = newPhase1Scratch()
@@ -145,13 +145,25 @@ func phase1(state *PartState, level int, putBody func(PathID, []byte) error, glo
 	res.OBPairs = make([]CoarseEdge, 0, res.Stats.OB/2) // one per OB pair (Lemma 1)
 	res.Recs = sc.recs[:0]
 	res.Seeds = sc.seeds[:0]
-	// No walk is longer than the local edge set; one buffer of that size
-	// never regrows mid-walk.
-	if int64(cap(sc.items)) < res.Stats.Local {
-		sc.items = make([]Item, 0, res.Stats.Local)
+	// The tour's bodies lie back to back in one block: a tour consumes
+	// every local edge once, so the block takes exactly Stats.Local items
+	// and never regrows.  A sink that keeps typed bodies gets a fresh
+	// block, which it then owns; otherwise the slot's scratch block
+	// serves every tour.
+	var block []bodyItem
+	if sink.typed == nil {
+		if int64(cap(sc.block)) < res.Stats.Local {
+			sc.block = make([]bodyItem, 0, res.Stats.Local)
+		}
+		block = sc.block[:0]
+	} else if res.Stats.Local > 0 {
+		block = make([]bodyItem, 0, res.Stats.Local)
 	}
 	defer func() {
 		// Hand the (possibly regrown) backing arrays back for the next tour.
+		if sink.typed == nil {
+			sc.block = block[:0]
+		}
 		sc.pending = pending
 		sc.visited = res.Visited
 		sc.recs = res.Recs
@@ -181,27 +193,24 @@ func phase1(state *PartState, level int, putBody func(PathID, []byte) error, glo
 	}
 
 	// walk traverses a maximal trail from start, consuming unvisited local
-	// edges, and returns the oriented body items and the end vertex.  The
-	// returned slice is scratch memory, valid until the next walk.
-	walk := func(start int32) ([]Item, int32) {
-		items := sc.items[:0]
+	// edges, appends its items to the block and returns the end vertex.
+	walk := func(start int32) int32 {
 		cur := start
 		touch(cur)
 		for {
 			h, ok := next(cur)
 			if !ok {
-				sc.items = items
-				return items, cur
+				return cur
 			}
 			open[h.edge] = false
-			it := Item{Kind: ItemEdge, Ref: int64(h.edge), From: verts[cur], To: verts[h.to]}
+			ref := int64(h.edge) // held in place: an edge item, by EdgeID
 			if l == nil {
-				e := state.Local[h.edge]
-				it.Kind, it.Ref = e.Kind, e.Ref
+				e := &state.Local[h.edge]
+				ref = packRef(e.Kind, e.Ref)
 			}
 			unvis[cur]--
 			unvis[h.to]--
-			items = append(items, it)
+			block = append(block, bodyItem{ref: ref, to: verts[h.to]})
 			if unvis[cur] > 0 && !inPending[cur] {
 				inPending[cur] = true
 				pending = append(pending, cur)
@@ -211,24 +220,32 @@ func phase1(state *PartState, level int, putBody func(PathID, []byte) error, glo
 		}
 	}
 
+	// record registers the body the last walk appended after mark.
 	var seq int64
-	record := func(t PathType, src, dst graph.VertexID, items []Item) (PathID, error) {
+	record := func(t PathType, src, dst graph.VertexID, mark int) (PathID, error) {
 		id := MakePathID(level, state.Parent, seq)
 		seq++
-		// Header, kind bitmap and ~8 varint bytes per item: one
-		// allocation instead of append's doubling chain on a long path.
-		if n := len(items); cap(sc.enc) < 16+n/8+8*n {
-			sc.enc = make([]byte, 0, 16+n/8+8*n)
+		body := block[mark:len(block):len(block)]
+		var err error
+		if sink.typed != nil {
+			err = sink.typed(id, body)
+		} else {
+			// Header, kind bitmap and ~8 varint bytes per item: one
+			// allocation instead of append's doubling chain on a long path.
+			if n := len(body); cap(sc.enc) < 16+n/8+8*n {
+				sc.enc = make([]byte, 0, 16+n/8+8*n)
+			}
+			sc.enc = appendBody(sc.enc[:0], src, body)
+			err = sink.encoded(id, sc.enc)
 		}
-		sc.enc = AppendBody(sc.enc[:0], items)
-		if err := putBody(id, sc.enc); err != nil {
+		if err != nil {
 			return 0, fmt.Errorf("euler: spilling path %d: %w", id, err)
 		}
 		res.Recs = append(res.Recs, PathRec{
 			ID: id, Type: t, Src: src, Dst: dst,
-			Level: level, Part: state.Parent, Items: int64(len(items)),
+			Level: level, Part: state.Parent, Items: int64(len(body)),
 		})
-		res.Stats.Items += int64(len(items))
+		res.Stats.Items += int64(len(body))
 		return id, nil
 	}
 
@@ -240,7 +257,8 @@ func phase1(state *PartState, level int, putBody func(PathID, []byte) error, glo
 		if unvis[i]%2 != 1 {
 			continue
 		}
-		items, end := walk(i)
+		mark := len(block)
+		end := walk(i)
 		if end == i {
 			return nil, fmt.Errorf("euler: partition %d level %d: OB walk from %d returned to start (parity bug)",
 				state.Parent, level, verts[i])
@@ -249,7 +267,7 @@ func phase1(state *PartState, level int, putBody func(PathID, []byte) error, glo
 			return nil, fmt.Errorf("euler: partition %d level %d: OB walk from %d ended at internal vertex %d (Lemma 1 violated)",
 				state.Parent, level, verts[i], verts[end])
 		}
-		id, err := record(OBPath, verts[i], verts[end], items)
+		id, err := record(OBPath, verts[i], verts[end], mark)
 		if err != nil {
 			return nil, err
 		}
@@ -271,12 +289,13 @@ func phase1(state *PartState, level int, putBody func(PathID, []byte) error, glo
 			res.Stats.Trivial++
 			continue
 		}
-		items, end := walk(i)
+		mark := len(block)
+		end := walk(i)
 		if end != i {
 			return nil, fmt.Errorf("euler: partition %d level %d: EB walk from %d ended at %d (Lemma 2 violated)",
 				state.Parent, level, verts[i], verts[end])
 		}
-		if _, err := record(EBCycle, verts[i], verts[i], items); err != nil {
+		if _, err := record(EBCycle, verts[i], verts[i], mark); err != nil {
 			return nil, err
 		}
 		res.Stats.Cycles++
@@ -327,12 +346,13 @@ func phase1(state *PartState, level int, putBody func(PathID, []byte) error, glo
 					state.Parent, level, remaining)
 			}
 		}
-		items, end := walk(start)
+		mark := len(block)
+		end := walk(start)
 		if end != start {
 			return nil, fmt.Errorf("euler: partition %d level %d: IV walk from %d ended at %d (Lemma 2 violated)",
 				state.Parent, level, verts[start], verts[end])
 		}
-		id, err := record(IVCycle, verts[start], verts[start], items)
+		id, err := record(IVCycle, verts[start], verts[start], mark)
 		if err != nil {
 			return nil, err
 		}
@@ -340,7 +360,7 @@ func phase1(state *PartState, level int, putBody func(PathID, []byte) error, glo
 			res.Seeds = append(res.Seeds, id)
 		}
 		res.Stats.Cycles++
-		remaining -= int64(len(items))
+		remaining -= int64(len(block) - mark)
 	}
 
 	return res, nil

@@ -36,7 +36,7 @@ func TestPhase1Figure1PartitionP3(t *testing.T) {
 		bodies[id] = slices.Clone(data)
 		return nil
 	}
-	res, err := phase1(st, 0, keep, nil, nil)
+	res, err := phase1(st, 0, bodySink{encoded: keep}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package euler
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/graph"
 )
@@ -32,10 +33,14 @@ type Step = graph.Step
 // one closed walk over every edge.
 //
 // With no floating cycles (the usual case) the master's walk is the
-// circuit and its steps go straight to emit.  Otherwise all roots expand
-// into one buffer first, because where a pool walk splices in depends on
-// walks expanded after the master's.  Either way emit may have received a
-// prefix of the circuit when Unroll returns an error.
+// circuit and its steps go straight to emit.  Otherwise where a pool walk
+// splices in depends on walks expanded after the master's, so every root
+// expands before the stitch emits anything.  When every body is typed in
+// memory the walks are logged as runs of body items and the stitch reads
+// their steps back off the bodies; a registry with bodies in a spill
+// store or encoded buffers the steps instead, rather than read and decode
+// its bodies twice.  Either way emit may have received a prefix of the
+// circuit when Unroll returns an error.
 //
 // Unroll verifies completeness: every registered path and cycle must be
 // consumed exactly once and the stitched walk must be a single closed
@@ -55,20 +60,25 @@ func (r *Registry) Unroll(emit func(Step) error) error {
 		emitted: make([]uint64, (len(r.recs)+63)/64),
 		spliced: make([]int32, len(r.anchorVerts)),
 	}
-	if len(seeds) == 0 {
+	switch {
+	case len(seeds) == 0:
 		w.emit = emit
-	} else {
-		w.buf = make([]Step, 0, r.circuitCap())
+	case r.store == nil && r.encoded == nil && r.steps <= math.MaxInt32:
+		// About one run per record: every body's edges run back to back
+		// unless a splice or a path reference cuts them.
+		w.log = make([]stepRun, 0, len(r.recs))
+	default:
+		w.buf = make([]Step, 0, circuitCap(r.steps))
 	}
 
 	// Expand each root (the master, plus any floating seed not already
 	// spliced into an earlier walk) into a closed walk of original edges.
-	var starts []int // where each root's walk begins in w.buf
+	var starts []int // where each root's walk begins
 	for _, root := range append([]PathID{master}, seeds...) {
 		if !w.takeID(root) {
 			continue
 		}
-		starts = append(starts, len(w.buf))
+		starts = append(starts, w.steps)
 		w.rootSteps = 0
 		if err := w.walk(root, true); err != nil {
 			return err
@@ -88,46 +98,113 @@ func (r *Registry) Unroll(emit func(Step) error) error {
 	if w.emit != nil {
 		return nil
 	}
-	return stitchEmit(w.buf, append(starts, len(w.buf)), r.numVerts, emit)
+	starts = append(starts, w.steps)
+	if w.log != nil {
+		return stitchEmit(&runLog{reg: r, runs: w.log}, starts, r.numVerts, emit)
+	}
+	return stitchEmit(stepBuf(w.buf), starts, r.numVerts, emit)
 }
 
-// circuitCap is the capacity to give a buffer for the whole circuit: the
-// step count the sealed records imply, which is exact for a registry the
-// driver built.  Item counts can also arrive over the cluster wire, so an
-// absurd total is dropped and the buffer grows by append instead.
-func (r *Registry) circuitCap() int {
+// circuitCap is the capacity to give a buffer for the steps the sealed
+// records imply, which is exact for a registry the driver built.  Item
+// counts can also arrive over the cluster wire, so an absurd count is
+// dropped and the buffer grows by append instead.
+func circuitCap(steps int64) int {
 	const trusted = 1 << 28 // steps; 6 GiB of buffer
-	if r.steps < 0 || r.steps > trusted {
+	if steps < 0 || steps > trusted {
 		return 0
 	}
-	return int(r.steps)
+	return int(steps)
 }
 
-// stitchEmit emits the closed walks buf[starts[i]:starts[i+1]] as one
-// closed walk without building it: it walks the first and, at each step,
-// splices every not-yet-used pool walk that passes through the step's
-// source vertex — rotated to start there, emitted recursively so walks
-// that only touch the circuit transitively still merge.  Walks found at
-// one position splice in reverse discovery order (discovery is by walk,
-// then position), the order a copy-based insert-in-front stitch produces.
+// stepSeq is the expanded roots' steps, read back by position.
+type stepSeq interface {
+	// steps returns the steps at positions lo..hi-1, built in *buf when
+	// they are not held as steps; hi-lo is at most stitchChunk.
+	steps(lo, hi int, buf *[]Step) []Step
+}
+
+// stepBuf is a stepSeq held as steps.
+type stepBuf []Step
+
+func (b stepBuf) steps(lo, hi int, _ *[]Step) []Step { return b[lo:hi] }
+
+// stepRun is a stretch of a logged walk: the |n| edge items from index
+// lo of the typed body at pathMap rank k, emitted back to back from
+// position at on, from lo+|n|-1 down to lo when n is negative.  A logged
+// walk has at most 2³¹−1 steps.
+type stepRun struct {
+	at, k, lo, n int32
+}
+
+// len returns the number of steps the run emits.
+func (r *stepRun) len() int { return int(max(r.n, -r.n)) }
+
+// runLog is a stepSeq logged as runs and read back off the registry's
+// typed bodies.
+type runLog struct {
+	reg  *Registry
+	runs []stepRun
+}
+
+// find returns the index of the run holding position at.
+func (l *runLog) find(at int) int {
+	return sort.Search(len(l.runs), func(r int) bool { return int(l.runs[r].at) > at }) - 1
+}
+
+// step returns the step run emits at position at.
+func (l *runLog) step(run *stepRun, at int) Step {
+	e := at - int(run.at)
+	i, rev := int(run.lo)+e, run.n < 0
+	if rev {
+		i = int(run.lo) + run.len() - 1 - e
+	}
+	it := itemOf(l.reg.typed[run.k], l.reg.recs[run.k].Src, i, rev)
+	return Step{Edge: it.Ref, From: it.From, To: it.To}
+}
+
+func (l *runLog) steps(lo, hi int, buf *[]Step) []Step {
+	if *buf == nil {
+		*buf = make([]Step, 0, stitchChunk)
+	}
+	out := (*buf)[:0]
+	for r := l.find(lo); lo < hi; r++ {
+		run := &l.runs[r]
+		for end := min(hi, int(run.at)+run.len()); lo < end; lo++ {
+			out = append(out, l.step(run, lo))
+		}
+	}
+	*buf = out
+	return out
+}
+
+// stitchEmit emits the closed walks at positions starts[i]..starts[i+1]-1
+// of walks as one closed walk without building it: it walks the first
+// and, at each step, splices every not-yet-used pool walk that passes
+// through the step's source vertex — rotated to start there, emitted
+// recursively so walks that only touch the circuit transitively still
+// merge.  Walks found at one position splice in reverse discovery order
+// (discovery is by walk, then position), the order a copy-based
+// insert-in-front stitch produces.  Steps are read stitchChunk at a time,
+// a run log's into one buffer per recursion depth.
 //
 // The pool index is flat: head[v] starts the chain of pool steps leaving
 // v, in discovery order, and a step that meets no pool walk — all but a
 // few — costs one load.  Vertices outside [0, numVerts), which only a
-// corrupt body can name, share one chain.
-func stitchEmit(buf []Step, starts []int, numVerts int64, emit func(Step) error) error {
-	remaining := len(starts) - 2
-	if remaining == 0 {
-		for _, s := range buf {
-			if err := emit(s); err != nil {
-				return err
-			}
+// corrupt body can name, share one chain, and far holds the source of
+// each step on it.
+func stitchEmit[S stepSeq](walks S, starts []int, numVerts int64, emit func(Step) error) error {
+	var bufs [][]Step
+	bufAt := func(depth int) *[]Step {
+		for len(bufs) <= depth {
+			bufs = append(bufs, nil)
 		}
-		return nil
+		return &bufs[depth]
 	}
-	pool := buf[starts[1]:]
-	if len(pool) > math.MaxInt32 {
-		return fmt.Errorf("euler: %d floating-cycle steps overflow the stitch index", len(pool))
+	remaining := len(starts) - 2
+	poolAt, end := starts[1], starts[len(starts)-1]
+	if end-poolAt > math.MaxInt32 {
+		return fmt.Errorf("euler: %d floating-cycle steps overflow the stitch index", end-poolAt)
 	}
 	chain := func(v graph.VertexID) int64 {
 		if uint64(v) < uint64(numVerts) {
@@ -136,50 +213,70 @@ func stitchEmit(buf []Step, starts []int, numVerts int64, emit func(Step) error)
 		return numVerts
 	}
 	// Chain links are pool positions plus one; zero ends a chain.
-	head := make([]int32, numVerts+1)
-	next := make([]int32, len(pool))
-	walkOf := make([]int32, len(pool))
-	for walk := len(starts) - 2; walk >= 1; walk-- {
-		for at := starts[walk+1] - 1; at >= starts[walk]; at-- {
-			i, c := at-starts[1], chain(buf[at].From)
+	var head, next, walkOf []int32
+	var far map[int32]graph.VertexID
+	if remaining > 0 {
+		head = make([]int32, numVerts+1)
+		next = make([]int32, end-poolAt)
+		walkOf = make([]int32, end-poolAt)
+	}
+	walk := len(starts) - 2
+	for hi := end; hi > poolAt; {
+		lo := max(poolAt, hi-stitchChunk)
+		steps := walks.steps(lo, hi, bufAt(0))
+		for j := len(steps) - 1; j >= 0; j-- {
+			for lo+j < starts[walk] {
+				walk--
+			}
+			i, c := lo+j-poolAt, chain(steps[j].From)
 			next[i], head[c] = head[c], int32(i+1)
 			walkOf[i] = int32(walk)
+			if c == numVerts {
+				if far == nil {
+					far = make(map[int32]graph.VertexID)
+				}
+				far[int32(i)] = steps[j].From
+			}
 		}
+		hi = lo
 	}
 
 	spliced := make([]bool, len(starts))
 	var picked []int32 // pool positions found by the probes in progress
-	var emitSeq func(steps []Step) error
-	emitSeq = func(steps []Step) error {
-		for _, st := range steps {
-			if remaining > 0 {
-				base := len(picked)
-				for link := head[chain(st.From)]; link != 0; link = next[link-1] {
-					if i := link - 1; !spliced[walkOf[i]] && pool[i].From == st.From {
-						spliced[walkOf[i]] = true
-						remaining--
-						picked = append(picked, i)
+	var emitSeq func(lo, hi, depth int) error
+	emitSeq = func(lo, hi, depth int) error {
+		for ; lo < hi; lo += stitchChunk {
+			for _, st := range walks.steps(lo, min(hi, lo+stitchChunk), bufAt(depth)) {
+				if remaining > 0 {
+					base := len(picked)
+					c := chain(st.From)
+					for link := head[c]; link != 0; link = next[link-1] {
+						if i := link - 1; !spliced[walkOf[i]] && (c < numVerts || far[i] == st.From) {
+							spliced[walkOf[i]] = true
+							remaining--
+							picked = append(picked, i)
+						}
+					}
+					for len(picked) > base {
+						i := picked[len(picked)-1]
+						picked = picked[:len(picked)-1]
+						at, walk := poolAt+int(i), walkOf[i]
+						if err := emitSeq(at, starts[walk+1], depth+1); err != nil {
+							return err
+						}
+						if err := emitSeq(starts[walk], at, depth+1); err != nil {
+							return err
+						}
 					}
 				}
-				for len(picked) > base {
-					i := picked[len(picked)-1]
-					picked = picked[:len(picked)-1]
-					at, walk := starts[1]+int(i), walkOf[i]
-					if err := emitSeq(buf[at:starts[walk+1]]); err != nil {
-						return err
-					}
-					if err := emitSeq(buf[starts[walk]:at]); err != nil {
-						return err
-					}
+				if err := emit(st); err != nil {
+					return err
 				}
-			}
-			if err := emit(st); err != nil {
-				return err
 			}
 		}
 		return nil
 	}
-	if err := emitSeq(buf[:starts[1]]); err != nil {
+	if err := emitSeq(0, poolAt, 0); err != nil {
 		return err
 	}
 	if remaining > 0 {
@@ -187,6 +284,9 @@ func stitchEmit(buf []Step, starts []int, numVerts int64, emit func(Step) error)
 	}
 	return nil
 }
+
+// stitchChunk is how many steps the stitch reads at a time.
+const stitchChunk = 64
 
 // walker is the state of one Unroll: which paths and anchored cycles
 // have been consumed, indexed by the registry's sealed ranks, and where
@@ -200,14 +300,50 @@ type walker struct {
 	// anchored there have already been taken, so re-visits continue where
 	// the last splice stopped.
 	spliced []int32
-	// arena holds the items of the reversed bodies on the walk's stack.
-	arena []Item
-	// Steps go to emit when it is set, to buf otherwise.
-	emit func(Step) error
-	buf  []Step
+	// arena holds the decoded items of the encoded bodies on the walk's
+	// stack.
+	arena []bodyItem
+	// at is the position of the item being walked, for the run log.
+	at itemAt
+	// Steps go to emit when it is set, to log when it is not nil, and to
+	// buf otherwise; steps counts those logged or buffered.
+	emit  func(Step) error
+	log   []stepRun
+	buf   []Step
+	steps int
 	// rootSteps, first and last describe the current root's walk so far.
 	rootSteps   int
 	first, last graph.VertexID
+}
+
+// itemAt is an item's position: index i of the typed body at pathMap
+// rank k, walked backwards when rev is set.
+type itemAt struct {
+	k, i int32
+	rev  bool
+}
+
+// logStep logs the edge item at as the walk's next step: the last run
+// grows when the item continues it, and a new run starts otherwise.
+func (w *walker) logStep(at itemAt) {
+	if n := len(w.log); n > 0 {
+		r := &w.log[n-1]
+		switch {
+		case r.k != at.k:
+		case !at.rev && r.n > 0 && r.lo+r.n == at.i:
+			r.n++
+			return
+		case at.rev && r.n < 0 && r.lo == at.i+1:
+			r.lo--
+			r.n--
+			return
+		}
+	}
+	n := int32(1)
+	if at.rev {
+		n = -1
+	}
+	w.log = append(w.log, stepRun{at: int32(w.steps), k: at.k, lo: at.i, n: n})
 }
 
 // take marks the path at pathMap rank k consumed, reporting false if it
@@ -253,42 +389,54 @@ func (w *walker) splice(v graph.VertexID) error {
 	return nil
 }
 
-// walk expands one body.  forward selects the traversal direction: an
-// OB-pair edge traversed Dst→Src unrolls its body reversed with each
-// item's endpoints swapped.  A forward body is iterated off its encoded
-// bytes; a reversed one has to be decoded first, into the shared arena.
-func (w *walker) walk(id PathID, forward bool) error {
-	body, err := w.reg.body(id)
-	if err != nil {
-		return fmt.Errorf("euler: loading body %d: %w", id, err)
+// load returns the typed items of path id, its pathMap rank (-1 if it has
+// none) and the vertex its first item leaves from.  A body kept typed is
+// returned as it lies in the registry; an encoded one is decoded onto the
+// arena, where nested walks may move it.
+func (w *walker) load(id PathID) ([]bodyItem, int, graph.VertexID, error) {
+	r := w.reg
+	k, ok := r.rank(id)
+	if !ok {
+		k = -1
+	} else if r.typed != nil && r.typed[k] != nil {
+		return r.typed[k], k, r.recs[k].Src, nil
 	}
-	c, err := newBodyCursor(body)
+	raw, err := r.body(id)
 	if err != nil {
-		return badBody(id, err)
+		return nil, k, 0, fmt.Errorf("euler: loading body %d: %w", id, err)
 	}
-	if forward {
-		for {
-			it, ok, err := c.next()
-			if err != nil {
-				return badBody(id, err)
-			}
-			if !ok {
-				return nil
-			}
-			if err := w.item(id, it); err != nil {
-				return err
-			}
-		}
+	var src graph.VertexID
+	if ok {
+		src = r.recs[k].Src
 	}
 	base := len(w.arena)
-	if w.arena, err = c.appendTo(w.arena); err != nil {
-		return badBody(id, err)
+	if w.arena, err = appendBodyItems(w.arena, raw, src); err != nil {
+		return nil, k, 0, badBody(id, err)
 	}
-	// Nested walks push and pop above len(w.arena) and may move it.
-	for i := len(w.arena) - 1; i >= base; i-- {
-		it := w.arena[i]
-		it.From, it.To = it.To, it.From
-		if err := w.item(id, it); err != nil {
+	return w.arena[base:], k, src, nil
+}
+
+// walk expands one body.  forward selects the traversal direction: an
+// OB-pair edge traversed Dst→Src unrolls its body reversed with each
+// item's endpoints swapped.
+func (w *walker) walk(id PathID, forward bool) error {
+	base := len(w.arena)
+	body, k, src, err := w.load(id)
+	if err != nil {
+		return err
+	}
+	onArena := len(w.arena) > base
+	n := len(body)
+	for j := 0; j < n; j++ {
+		if onArena {
+			body = w.arena[base : base+n]
+		}
+		i := j
+		if !forward {
+			i = n - 1 - j
+		}
+		w.at = itemAt{k: int32(k), i: int32(i), rev: !forward}
+		if err := w.item(id, itemOf(body, src, i, !forward)); err != nil {
 			return err
 		}
 	}
@@ -296,12 +444,27 @@ func (w *walker) walk(id PathID, forward bool) error {
 	return nil
 }
 
+// itemOf returns item i of a typed body whose first item leaves from
+// src, with its endpoints swapped when rev is set.
+func itemOf(body []bodyItem, src graph.VertexID, i int, rev bool) Item {
+	it := Item{Kind: body[i].kind(), Ref: body[i].id(), From: src, To: body[i].to}
+	if i > 0 {
+		it.From = body[i-1].to
+	}
+	if rev {
+		it.From, it.To = it.To, it.From
+	}
+	return it
+}
+
 func badBody(id PathID, err error) error {
 	return fmt.Errorf("euler: decoding body %d: %w", id, err)
 }
 
-// item advances the walk over one oriented item of body id.
+// item advances the walk over one oriented item of body id, found at
+// w.at.
 func (w *walker) item(id PathID, it Item) error {
+	at := w.at
 	// The walk is now at it.From: consume any cycles pivoting here.
 	if w.reg.anchorScreen.mayHold(it.From) {
 		if err := w.splice(it.From); err != nil {
@@ -315,11 +478,15 @@ func (w *walker) item(id PathID, it Item) error {
 		}
 		w.last = it.To
 		w.rootSteps++
-		st := Step{Edge: it.Ref, From: it.From, To: it.To}
 		if w.emit != nil {
-			return w.emit(st)
+			return w.emit(Step{Edge: it.Ref, From: it.From, To: it.To})
 		}
-		w.buf = append(w.buf, st)
+		if w.log != nil {
+			w.logStep(at)
+		} else {
+			w.buf = append(w.buf, Step{Edge: it.Ref, From: it.From, To: it.To})
+		}
+		w.steps++
 		return nil
 	case ItemPath:
 		k, ok := w.reg.rank(it.Ref)
@@ -346,7 +513,7 @@ func (r *Registry) CollectCircuit() ([]Step, error) {
 	if err := r.ensureSealed(); err != nil {
 		return nil, err
 	}
-	steps := make([]Step, 0, r.circuitCap())
+	steps := make([]Step, 0, circuitCap(r.steps))
 	err := r.Unroll(func(s Step) error {
 		steps = append(steps, s)
 		return nil

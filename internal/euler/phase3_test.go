@@ -1,9 +1,11 @@
 package euler
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -77,7 +79,7 @@ func stitch(t *testing.T, streams [][]Step) ([]Step, error) {
 		return err
 	})
 	for _, numVerts := range []int64{64, 0} {
-		out, err := collect(func(emit func(Step) error) error { return stitchEmit(buf, starts, numVerts, emit) })
+		out, err := collect(func(emit func(Step) error) error { return stitchEmit(stepBuf(buf), starts, numVerts, emit) })
 		if !slices.Equal(out, want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Fatalf("stitchEmit over %d vertices = %v, %v\nold stitch = %v, %v", numVerts, out, err, want, wantErr)
 		}
@@ -400,7 +402,7 @@ func buildRegistry(t *testing.T, roots []PathID, paths ...testPath) *Registry {
 	for _, p := range paths {
 		body := p.raw
 		if body == nil {
-			body = AppendBody(nil, p.items)
+			body = refAppendBody(nil, p.items)
 		}
 		if !p.missing {
 			if err := reg.putBody(p.rec.ID, body); err != nil {
@@ -588,7 +590,7 @@ func TestUnrollMatchesOldUnrollRandom(t *testing.T) {
 func TestUnrollErrors(t *testing.T) {
 	triangle := closedItems(0, 1, 2, 3)
 	obPath := testPath{rec: PathRec{ID: 2, Type: OBPath, Src: 2, Dst: 3}, items: []Item{edgeItem(5, 2, 3)}}
-	encoded := AppendBody(nil, triangle)
+	encoded := refAppendBody(nil, triangle)
 	cases := []struct {
 		name  string
 		roots []PathID
@@ -633,7 +635,7 @@ func TestUnrollErrors(t *testing.T) {
 			"euler: decoding body 1: euler: body item count 127 exceeds payload size"},
 		{"reversed body truncated", []PathID{1},
 			[]testPath{{rec: cycleRec(1, 1), items: []Item{edgeItem(0, 1, 3), pathItem(2, 3, 2), edgeItem(1, 2, 1)}},
-				{rec: obPath.rec, raw: AppendBody(nil, []Item{edgeItem(5, 2, 4), edgeItem(6, 4, 3)})[:8]}},
+				{rec: obPath.rec, raw: refAppendBody(nil, []Item{edgeItem(5, 2, 4), edgeItem(6, 4, 3)})[:8]}},
 			"euler: decoding body 2: euler: truncated varint at offset 8"},
 		{"legacy body", []PathID{1},
 			[]testPath{{rec: cycleRec(1, 1), raw: encoded[1:]}},
@@ -698,7 +700,7 @@ func TestUnrollErrorAfterDirectEmission(t *testing.T) {
 // the failed seal leaves behind.
 func TestUnrollReportsLazySealError(t *testing.T) {
 	reg := NewRegistry(nil, 16, 2)
-	if err := reg.putBody(1, AppendBody(nil, closedItems(0, 1, 2, 3))); err != nil {
+	if err := reg.putBody(1, refAppendBody(nil, closedItems(0, 1, 2, 3))); err != nil {
 		t.Fatal(err)
 	}
 	for w := 0; w < 2; w++ {
@@ -713,5 +715,116 @@ func TestUnrollReportsLazySealError(t *testing.T) {
 	}
 	if len(steps) != 0 {
 		t.Fatalf("%d steps emitted from an unsealable registry", len(steps))
+	}
+}
+
+// --- Body forms.
+
+// bodyForms counts the bodies a sealed registry keeps typed and encoded.
+func bodyForms(r *Registry) (typed, encoded int) {
+	for k := range r.recs {
+		if r.typed != nil && r.typed[k] != nil {
+			typed++
+		}
+		if r.encoded != nil && r.encoded[k] != nil {
+			encoded++
+		}
+	}
+	return typed, encoded
+}
+
+// TestUnrollMixedBodyForms unrolls registries whose bodies came typed
+// from an in-process tour, encoded from a retained record (a delta
+// replay, beside the dirty nodes' typed bodies) and encoded from a
+// loopback cluster's absorb bands, over inputs with floating cycles: each
+// circuit must be the from-scratch in-memory solve's.
+func TestUnrollMixedBodyForms(t *testing.T) {
+	solveOnCluster := loopbackExecutor(t)
+	for _, in := range []struct {
+		name  string
+		g     *graph.Graph
+		parts int32
+	}{
+		{"floating", gen.Torus(12, 8), 5},
+		{"torus64", gen.Torus(64, 64), 8},
+		{"cliques", gen.RingOfCliques(64, 7), 8},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			unroll := func(res *Result, err error) []Step {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+				steps, err := res.Registry.CollectCircuit()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return steps
+			}
+			a := partition.LDG(in.g, in.parts, 1)
+			scratch, err := Run(in.g, a, Config{})
+			want := unroll(scratch, err)
+			if len(scratch.Registry.Seeds()) == 0 {
+				t.Fatal("input has no floating cycles")
+			}
+			if typed, encoded := bodyForms(scratch.Registry); typed == 0 || encoded != 0 {
+				t.Fatalf("in-memory registry keeps %d typed and %d encoded bodies, want typed only", typed, encoded)
+			}
+			if err := verify.Circuit(in.g, want); err != nil {
+				t.Fatal(err)
+			}
+
+			if got := unroll(solveOnCluster(context.Background(), in.g, a, Config{})); !slices.Equal(got, want) {
+				t.Fatal("loopback cluster circuit differs from the in-memory solve")
+			}
+
+			retained, err := Run(in.g, a, Config{Record: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			patched := withTriangle(rand.New(rand.NewSource(2)), in.g)
+			delta, err := Run(patched, a, Config{Replay: retained.Retained})
+			got := unroll(delta, err)
+			if typed, encoded := bodyForms(delta.Registry); typed == 0 || encoded == 0 {
+				t.Fatalf("delta registry keeps %d typed and %d encoded bodies, want both", typed, encoded)
+			}
+			if got2 := unroll(Run(patched, a, Config{})); !slices.Equal(got, got2) {
+				t.Fatal("delta circuit differs from the patched graph's in-memory solve")
+			}
+		})
+	}
+}
+
+// TestUnrollAllocation bounds what an in-memory Unroll allocates on a
+// torus, whose floating cycles make every root expand before the stitch:
+// the walks are logged as runs, so the allocation is the run log, the
+// stitch index and the per-path marks, not a buffer of the circuit's
+// 24 B steps.
+func TestUnrollAllocation(t *testing.T) {
+	g := gen.Torus(256, 256)
+	res, err := Run(g, partition.LDG(g, 8, 1), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Registry.Seeds()) == 0 {
+		t.Fatal("input has no floating cycles")
+	}
+	var steps int64
+	emit := func(Step) error { steps++; return nil }
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	err = res.Registry.Unroll(emit)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if steps != g.NumEdges() {
+		t.Fatalf("unrolled %d steps of %d edges", steps, g.NumEdges())
+	}
+	perStep := float64(after.TotalAlloc-before.TotalAlloc) / float64(steps)
+	t.Logf("%.2f B per step", perStep)
+	if perStep >= 4 {
+		t.Fatalf("Unroll allocated %.2f B per step, want under 4", perStep)
 	}
 }

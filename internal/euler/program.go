@@ -17,7 +17,7 @@ import (
 // coordinator at each barrier, so the program itself never assumes shared
 // memory.
 type progDeps struct {
-	putBody func(PathID, []byte) error
+	bodies  bodySink
 	visited func(graph.VertexID) bool
 	absorb  func(w int, res *Phase1Result, isRoot bool) error
 	// record, when non-nil, snapshots every computing node's Phase 1
@@ -30,6 +30,17 @@ type progDeps struct {
 	// core (it holds no leaves): superstep 0 loads worker w's state from
 	// init under key int64(w).
 	init spill.Store
+}
+
+// bodySink is where Phase 1 puts the bodies it tours, under their IDs.
+// Exactly one of its funcs is set.  typed takes a body as typed items and
+// keeps the slice: the tour then writes its bodies into a fresh block
+// that typed's holder owns.  encoded takes a body as appendBody bytes and
+// must not keep the slice: the encoder runs only for a sink that sends
+// bodies out of the process, spills them or records them.
+type bodySink struct {
+	typed   func(PathID, []bodyItem) error
+	encoded func(PathID, []byte) error
 }
 
 // workerState is the per-worker mutable state of one run.  It holds no
@@ -221,7 +232,7 @@ func (p *partProgram) Compute(ctx *bsp.Context) error {
 				return fmt.Errorf("worker %d superstep %d: %w", w, s, err)
 			}
 		}
-		res, err := phase1(wc.state, s, p.deps.putBody, p.deps.visited, sc)
+		res, err := phase1(wc.state, s, p.deps.bodies, p.deps.visited, sc)
 		if err != nil {
 			return err
 		}

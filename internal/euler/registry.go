@@ -17,7 +17,10 @@ import (
 // pathMap metadata of every path and cycle, the anchored-cycle index used
 // by Phase 3's pivot-vertex splicing, and the global visited-vertex map
 // that keeps seed cycles splicable.  Path bodies live in the run's spill
-// store when it has one, otherwise here, one slot per pathMap rank.
+// store when it has one, otherwise here, one slot per pathMap rank: typed
+// as Phase 1 toured them, or encoded as they arrived (an absorb band, a
+// retained record, or a run that records and so keeps the bytes it will
+// retain).
 //
 // Concurrency model: workers absorb their Phase 1 results concurrently
 // within a superstep, and their active vertex sets are disjoint (a vertex
@@ -30,6 +33,9 @@ import (
 // bookkeeping (a few entries per run) takes a mutex.
 type Registry struct {
 	store spill.Store
+	// keepEncoded makes Phase 1 hand this registry its bodies encoded, as
+	// a run that records needs them.
+	keepEncoded bool
 
 	// visited is the global visited-vertex bitset, one bit per vertex,
 	// updated with atomic OR and read with atomic loads.
@@ -54,8 +60,10 @@ type Registry struct {
 	// over a few entries per partition and level, not over every record.
 	recs   []PathRec
 	idRuns []idRun
-	// bodies[k] is the body of recs[k] when the registry keeps bodies.
-	bodies [][]byte
+	// typed[k] or encoded[k] is the body of recs[k] when the registry
+	// keeps bodies; each is nil until a body of its form arrives.
+	typed   [][]bodyItem
+	encoded [][]byte
 	// The anchored-cycle index: anchorIDs[anchorOff[k]:anchorOff[k+1]] are
 	// the cycles pivoting at anchorVerts[k] (ascending), in discovery
 	// order.  anchorScreen holds the pivots, so the Phase 3 walker pays one
@@ -105,15 +113,28 @@ type anchor struct {
 // registryShard is one worker's private absorption buffer.  Padding keeps
 // concurrently appended shards off each other's cache lines.
 type registryShard struct {
-	recs   []PathRec
-	bodies [][]shardBody // kept bodies, in doubling chunks never copied to grow
-	_      [16]byte
+	recs    []PathRec
+	typed   [][]keptBody[[]bodyItem]
+	encoded [][]keptBody[[]byte]
+	_       [56]byte
 }
 
-// shardBody is a kept body on its way to its rank slot.
-type shardBody struct {
+// keptBody is a kept body on its way to its rank slot.
+type keptBody[B any] struct {
 	id   PathID
-	data []byte
+	body B
+}
+
+// appendKept appends a kept body to a shard's list, which grows in
+// doubling chunks that are never copied.
+func appendKept[B any](chunks [][]keptBody[B], b keptBody[B]) [][]keptBody[B] {
+	n := len(chunks)
+	if n == 0 || len(chunks[n-1]) == cap(chunks[n-1]) {
+		chunks = append(chunks, make([]keptBody[B], 0, 64<<min(n, 6)))
+		n++
+	}
+	chunks[n-1] = append(chunks[n-1], b)
+	return chunks
 }
 
 // NewRegistry creates a Registry over a graph with numVertices vertices
@@ -177,34 +198,63 @@ func (r *Registry) Absorb(w int, res *Phase1Result, isRoot bool) error {
 	return nil
 }
 
-// putBody writes data out to the spill store, or copies it into the shard
-// of id's part, unlocked: only that part's worker writes there.  Seal
+// sink is Phase 1's body seam into this registry: it keeps typed bodies
+// as toured, unless the bodies spill or the run records them.
+func (r *Registry) sink() bodySink {
+	if r.store != nil || r.keepEncoded {
+		return bodySink{encoded: r.putBody}
+	}
+	return bodySink{typed: r.putItems}
+}
+
+// shard returns the shard of id's part, which only that part's worker
+// writes, so puts go in unlocked.
+func (r *Registry) shard(id PathID) (*registryShard, error) {
+	part := pathPart(id)
+	if part >= len(r.shards) {
+		return nil, fmt.Errorf("euler: body %d names part %d outside the %d shards", id, part, len(r.shards))
+	}
+	return &r.shards[part], nil
+}
+
+// putItems keeps a typed body, and with it the block it lies in.  Seal
 // rejects a body with no pathMap record and a second body under one ID.
+func (r *Registry) putItems(id PathID, items []bodyItem) error {
+	sh, err := r.shard(id)
+	if err != nil {
+		return err
+	}
+	sh.typed = appendKept(sh.typed, keptBody[[]bodyItem]{id, items})
+	return nil
+}
+
+// putBody writes an encoded body out to the spill store, or keeps a copy
+// of it encoded; it does not keep data.
 func (r *Registry) putBody(id PathID, data []byte) error {
 	if r.store != nil {
 		return r.store.Put(id, data)
 	}
-	part := pathPart(id)
-	if part >= len(r.shards) {
-		return fmt.Errorf("euler: body %d names part %d outside the %d shards", id, part, len(r.shards))
+	sh, err := r.shard(id)
+	if err != nil {
+		return err
 	}
-	sh := &r.shards[part]
-	n := len(sh.bodies)
-	if n == 0 || len(sh.bodies[n-1]) == cap(sh.bodies[n-1]) {
-		sh.bodies = append(sh.bodies, make([]shardBody, 0, 64<<min(n, 6)))
-		n++
-	}
-	sh.bodies[n-1] = append(sh.bodies[n-1], shardBody{id: id, data: append([]byte(nil), data...)})
+	sh.encoded = appendKept(sh.encoded, keptBody[[]byte]{id, append([]byte(nil), data...)})
 	return nil
 }
 
-// body returns the body of path id.  It requires a sealed registry.
+// body returns the encoded body of path id, encoding a typed one.  It
+// requires a sealed registry.
 func (r *Registry) body(id PathID) ([]byte, error) {
 	if r.store != nil {
 		return r.store.Get(id)
 	}
-	if k, ok := r.rank(id); ok && r.bodies[k] != nil {
-		return r.bodies[k], nil
+	if k, ok := r.rank(id); ok {
+		if r.encoded != nil && r.encoded[k] != nil {
+			return r.encoded[k], nil
+		}
+		if r.typed != nil && r.typed[k] != nil {
+			return appendBody(nil, r.recs[k].Src, r.typed[k]), nil
+		}
 	}
 	return nil, fmt.Errorf("euler: path %d has no body", id)
 }
@@ -268,24 +318,45 @@ func (r *Registry) buildIndex(recs []PathRec, anch []anchor) error {
 			steps--
 		}
 	}
-	var bodies [][]byte
-	if r.store == nil {
-		bodies = make([][]byte, len(recs))
-		for i := range r.shards {
-			for _, chunk := range r.shards[i].bodies {
-				for _, b := range chunk {
-					k, ok := rankIn(runs, len(recs), b.id)
-					switch {
-					case !ok:
-						return fmt.Errorf("euler: body %d has no pathMap record", b.id)
-					case bodies[k] != nil:
-						return fmt.Errorf("euler: duplicate body %d", b.id)
-					}
-					bodies[k] = b.data
-				}
-			}
-			r.shards[i].bodies = nil
+	var typed [][]bodyItem
+	var encoded [][]byte
+	slot := func(id PathID) (int, error) {
+		k, ok := rankIn(runs, len(recs), id)
+		switch {
+		case !ok:
+			return 0, fmt.Errorf("euler: body %d has no pathMap record", id)
+		case typed != nil && typed[k] != nil, encoded != nil && encoded[k] != nil:
+			return 0, fmt.Errorf("euler: duplicate body %d", id)
 		}
+		return k, nil
+	}
+	for i := range r.shards {
+		sh := &r.shards[i]
+		for _, chunk := range sh.typed {
+			for _, b := range chunk {
+				k, err := slot(b.id)
+				if err != nil {
+					return err
+				}
+				if typed == nil {
+					typed = make([][]bodyItem, len(recs))
+				}
+				typed[k] = b.body
+			}
+		}
+		for _, chunk := range sh.encoded {
+			for _, b := range chunk {
+				k, err := slot(b.id)
+				if err != nil {
+					return err
+				}
+				if encoded == nil {
+					encoded = make([][]byte, len(recs))
+				}
+				encoded[k] = b.body
+			}
+		}
+		sh.typed, sh.encoded = nil, nil
 	}
 	slices.SortStableFunc(anch, func(a, b anchor) int { return cmp.Compare(a.v, b.v) })
 	r.anchorScreen = newVertexScreen(r.numVerts)
@@ -299,7 +370,7 @@ func (r *Registry) buildIndex(recs []PathRec, anch []anchor) error {
 		r.anchorIDs[i] = a.id
 	}
 	r.anchorOff = append(r.anchorOff, int32(len(anch)))
-	r.recs, r.idRuns, r.bodies, r.steps = recs, runs, bodies, steps
+	r.recs, r.idRuns, r.typed, r.encoded, r.steps = recs, runs, typed, encoded, steps
 	return nil
 }
 

@@ -196,7 +196,7 @@ func TestRegistryBodiesConcurrentShards(t *testing.T) {
 	const workers, levels, perLevel = 8, 3, 40
 	reg := NewRegistry(nil, 16, workers)
 	bodyOf := func(id PathID) []byte {
-		return AppendBody(nil, []Item{edgeItem(id, 1, 2), edgeItem(id+1, 2, 1)})
+		return refAppendBody(nil, []Item{edgeItem(id, 1, 2), edgeItem(id+1, 2, 1)})
 	}
 	for level := 0; level < levels; level++ {
 		var wg sync.WaitGroup
@@ -245,7 +245,7 @@ func TestRegistryBodiesConcurrentShards(t *testing.T) {
 // case is an error, never a panic.  (A record without a body is
 // TestUnrollErrors' "store Get failure" case.)
 func TestRegistryBodyChecks(t *testing.T) {
-	triangle := AppendBody(nil, closedItems(0, 1, 2, 3))
+	triangle := refAppendBody(nil, closedItems(0, 1, 2, 3))
 	master := &Phase1Result{Recs: []PathRec{cycleRec(1, 1)}, Seeds: []PathID{1}}
 	cases := []struct {
 		name  string

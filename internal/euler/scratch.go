@@ -26,7 +26,12 @@ import "repro/internal/graph"
 // parked batches, into the parent and consumes the child: no other state
 // points at those runs afterwards.  The merge's stub-list swap hands the
 // parent's old list to the slot, which no state references afterwards.
-// A toured state may therefore move to another worker, by pointer or
+// A tour's bodies go into one block of typed items.  When the sink keeps
+// typed bodies (the in-process registry) the tour allocates the block
+// fresh and the block belongs to the registry, which holds each body as
+// a subslice of it; otherwise the block is this scratch's, and the tour
+// hands the sink each body encoded before it walks the next.  A toured
+// state may therefore move to another worker, by pointer or
 // encoded, and the slot may tour any other state next.
 type phase1Scratch struct {
 	verts   []graph.VertexID // interned vertex IDs, first-occurrence order
@@ -45,7 +50,7 @@ type phase1Scratch struct {
 	isBoundary   []bool
 	pending      []int32
 
-	items   []Item           // body of the walk in progress
+	block   []bodyItem       // the tour's bodies, when the sink does not keep them
 	enc     []byte           // body encode buffer
 	visited []graph.VertexID // Phase1Result.Visited backing
 	recs    []PathRec        // Phase1Result.Recs backing

@@ -47,7 +47,7 @@ type WorkerProgram struct {
 func NewWorkerProgram(plan *Plan, slots int) *WorkerProgram {
 	wp := &WorkerProgram{visited: make([]atomic.Uint32, (plan.NumVertices+31)/32)}
 	wp.prog = newPartProgram(plan, progDeps{
-		putBody: wp.putBody,
+		bodies:  bodySink{encoded: wp.putBody},
 		visited: wp.isVisited,
 		absorb:  wp.absorb,
 	}, slots)

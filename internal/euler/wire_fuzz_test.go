@@ -1,7 +1,9 @@
 package euler
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -68,7 +70,7 @@ func bandSeeds() [][]byte {
 		wpDense.band,
 		band[:len(band)/2], // truncated mid-record
 		band[1:],           // marker stripped: a v2-shaped legacy band
-		AppendBody(nil, []Item{{Kind: ItemEdge, Ref: 4, From: 1, To: 2}, {Kind: ItemPath, Ref: 9, From: 2, To: 1}}),
+		refAppendBody(nil, []Item{{Kind: ItemEdge, Ref: 4, From: 1, To: 2}, {Kind: ItemPath, Ref: 9, From: 2, To: 1}}),
 		EncodeState(&PartState{
 			Parent: 3,
 			Leaves: []int{1, 3},
@@ -104,7 +106,7 @@ func FuzzDecodeBand(f *testing.F) {
 		}
 
 		if items, err := decodeBody(data); err == nil {
-			again, err := decodeBody(AppendBody(nil, items))
+			again, err := decodeBody(refAppendBody(nil, items))
 			if err != nil || !reflect.DeepEqual(items, again) {
 				t.Fatalf("body round trip diverged: %v", err)
 			}
@@ -212,7 +214,9 @@ func refDecodeBody(buf []byte) ([]Item, error) {
 // Phase 3 walks bodies with — bodies reach the coordinator's registry
 // over the cluster wire and are first parsed there.  The cursor must never
 // panic and must agree with the reference decoder item for item and error
-// for error, as must decodeBody, which drains a cursor.
+// for error, as must decodeBody, which drains a cursor.  The typed decoder
+// must accept exactly the bodies with a typed form and re-encode them to
+// the reference bytes.
 func FuzzBodyCursor(f *testing.F) {
 	for _, s := range bodySeeds(f) {
 		f.Add(s)
@@ -239,7 +243,47 @@ func FuzzBodyCursor(f *testing.F) {
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) || (err == nil && !slices.Equal(items, want)) || (err != nil && items != nil) {
 			t.Fatalf("decodeBody = %v, %v; reference %v, %v", items, err, want, wantErr)
 		}
+
+		// The typed round trip: a body chained from its first item's
+		// source with no negative ref decodes to its typed items, which
+		// encode back to the reference bytes; any other body is refused,
+		// with a bodyError when it parses.
+		var src graph.VertexID
+		if len(want) > 0 {
+			src = want[0].From
+		}
+		typed, err := appendBodyItems(nil, data, src)
+		var be *bodyError
+		switch {
+		case wantErr != nil:
+			if err == nil {
+				t.Fatalf("typed decode accepted a body the reference refuses (%v)", wantErr)
+			}
+		case !hasTypedForm(want):
+			if !errors.As(err, &be) {
+				t.Fatalf("typed decode of an unchained body: %v, want a bodyError", err)
+			}
+		default:
+			wantSrc, wantTyped := typedBody(want)
+			if err != nil || wantSrc != src || !slices.Equal(typed, wantTyped) {
+				t.Fatalf("typed decode = %v, %v; want %v", typed, err, wantTyped)
+			}
+			if enc, ref := appendBody(nil, src, typed), refAppendBody(nil, want); !bytes.Equal(enc, ref) {
+				t.Fatalf("typed re-encode %x, reference %x", enc, ref)
+			}
+		}
 	})
+}
+
+// hasTypedForm reports whether items chain, each leaving from where the
+// previous one ends, and carry no negative ref.
+func hasTypedForm(items []Item) bool {
+	for i, it := range items {
+		if it.Ref < 0 || i > 0 && it.From != items[i-1].To {
+			return false
+		}
+	}
+	return true
 }
 
 // TestWriteFuzzCorpus refreshes the checked-in seed corpora from
