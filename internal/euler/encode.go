@@ -180,26 +180,34 @@ func appendBodyItems(dst []bodyItem, buf []byte, src graph.VertexID) ([]bodyItem
 	dst = slices.Grow(dst, int(c.n))
 	prevTo := src
 	for {
-		i := c.i
 		it, ok, err := c.next()
 		if !ok {
 			return dst, err
 		}
-		switch {
-		case it.From != prevTo && i == 0:
-			return dst, &bodyError{i, fmt.Sprintf("leaves from %d, not from the body's source %d", it.From, src)}
-		case it.From != prevTo:
-			return dst, &bodyError{i, fmt.Sprintf("leaves from %d, not from %d where item %d ends", it.From, prevTo, i-1)}
-		case it.Ref < 0:
-			return dst, &bodyError{i, fmt.Sprintf("has negative ref %d", it.Ref)}
+		if it.From != prevTo || it.Ref < 0 {
+			return dst, unchained(c.i-1, it, prevTo)
 		}
 		dst = append(dst, bodyItem{ref: packRef(it.Kind, it.Ref), to: it.To})
 		prevTo = it.To
 	}
 }
 
+// unchained is the bodyError of item i of a body, which either does not
+// leave from prevTo, where the body is (its source for the first item),
+// or has a negative ref.
+func unchained(i uint64, it Item, prevTo graph.VertexID) error {
+	switch {
+	case it.From != prevTo && i == 0:
+		return &bodyError{i, fmt.Sprintf("leaves from %d, not from the body's source %d", it.From, prevTo)}
+	case it.From != prevTo:
+		return &bodyError{i, fmt.Sprintf("leaves from %d, not from %d where item %d ends", it.From, prevTo, i-1)}
+	}
+	return &bodyError{i, fmt.Sprintf("has negative ref %d", it.Ref)}
+}
+
 // bodyCursor iterates a body written by appendBody straight off its
-// bytes, one item per next call.  It is the only body parser:
+// bytes, one item per next call, so Phase 3 can walk a body forward
+// without a slice to hold it.  It is the only body parser:
 // appendBodyItems drains one.
 type bodyCursor struct {
 	d               decoder

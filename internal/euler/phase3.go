@@ -137,8 +137,8 @@ type stepRun struct {
 	at, k, lo, n int32
 }
 
-// len returns the number of steps the run emits.
-func (r *stepRun) len() int { return int(max(r.n, -r.n)) }
+// size returns the number of steps the run emits.
+func (r *stepRun) size() int { return int(max(r.n, -r.n)) }
 
 // runLog is a stepSeq logged as runs and read back off the registry's
 // typed bodies.
@@ -157,7 +157,7 @@ func (l *runLog) step(run *stepRun, at int) Step {
 	e := at - int(run.at)
 	i, rev := int(run.lo)+e, run.n < 0
 	if rev {
-		i = int(run.lo) + run.len() - 1 - e
+		i = int(run.lo) + run.size() - 1 - e
 	}
 	it := itemOf(l.reg.typed[run.k], l.reg.recs[run.k].Src, i, rev)
 	return Step{Edge: it.Ref, From: it.From, To: it.To}
@@ -170,7 +170,7 @@ func (l *runLog) steps(lo, hi int, buf *[]Step) []Step {
 	out := (*buf)[:0]
 	for r := l.find(lo); lo < hi; r++ {
 		run := &l.runs[r]
-		for end := min(hi, int(run.at)+run.len()); lo < end; lo++ {
+		for end := min(hi, int(run.at)+run.size()); lo < end; lo++ {
 			out = append(out, l.step(run, lo))
 		}
 	}
@@ -220,25 +220,23 @@ func stitchEmit[S stepSeq](walks S, starts []int, numVerts int64, emit func(Step
 		next = make([]int32, end-poolAt)
 		walkOf = make([]int32, end-poolAt)
 	}
-	walk := len(starts) - 2
-	for hi := end; hi > poolAt; {
-		lo := max(poolAt, hi-stitchChunk)
-		steps := walks.steps(lo, hi, bufAt(0))
-		for j := len(steps) - 1; j >= 0; j-- {
-			for lo+j < starts[walk] {
-				walk--
-			}
-			i, c := lo+j-poolAt, chain(steps[j].From)
-			next[i], head[c] = head[c], int32(i+1)
-			walkOf[i] = int32(walk)
-			if c == numVerts {
-				if far == nil {
-					far = make(map[int32]graph.VertexID)
+	for walk := len(starts) - 2; walk >= 1; walk-- {
+		for hi := starts[walk+1]; hi > starts[walk]; {
+			lo := max(starts[walk], hi-stitchChunk)
+			steps := walks.steps(lo, hi, bufAt(0))
+			for j := len(steps) - 1; j >= 0; j-- {
+				i, c := lo+j-poolAt, chain(steps[j].From)
+				next[i], head[c] = head[c], int32(i+1)
+				walkOf[i] = int32(walk)
+				if c == numVerts {
+					if far == nil {
+						far = make(map[int32]graph.VertexID)
+					}
+					far[int32(i)] = steps[j].From
 				}
-				far[int32(i)] = steps[j].From
 			}
+			hi = lo
 		}
-		hi = lo
 	}
 
 	spliced := make([]bool, len(starts))
@@ -300,11 +298,9 @@ type walker struct {
 	// anchored there have already been taken, so re-visits continue where
 	// the last splice stopped.
 	spliced []int32
-	// arena holds the decoded items of the encoded bodies on the walk's
-	// stack.
+	// arena holds the decoded items of the reversed encoded bodies on
+	// the walk's stack.
 	arena []bodyItem
-	// at is the position of the item being walked, for the run log.
-	at itemAt
 	// Steps go to emit when it is set, to log when it is not nil, and to
 	// buf otherwise; steps counts those logged or buffered.
 	emit  func(Step) error
@@ -389,54 +385,67 @@ func (w *walker) splice(v graph.VertexID) error {
 	return nil
 }
 
-// load returns the typed items of path id, its pathMap rank (-1 if it has
-// none) and the vertex its first item leaves from.  A body kept typed is
-// returned as it lies in the registry; an encoded one is decoded onto the
-// arena, where nested walks may move it.
-func (w *walker) load(id PathID) ([]bodyItem, int, graph.VertexID, error) {
+// walk expands one body.  forward selects the traversal direction: an
+// OB-pair edge traversed Dst→Src unrolls its body reversed with each
+// item's endpoints swapped.  A typed body is read in place either way.
+// An encoded body walked forward is iterated off its bytes; a reversed
+// one has to be decoded first, onto the arena.
+func (w *walker) walk(id PathID, forward bool) error {
 	r := w.reg
 	k, ok := r.rank(id)
-	if !ok {
-		k = -1
-	} else if r.typed != nil && r.typed[k] != nil {
-		return r.typed[k], k, r.recs[k].Src, nil
+	if ok && r.typed != nil && r.typed[k] != nil {
+		body, src := r.typed[k], r.recs[k].Src
+		for j := range body {
+			i := j
+			if !forward {
+				i = len(body) - 1 - j
+			}
+			at := itemAt{k: int32(k), i: int32(i), rev: !forward}
+			if err := w.item(id, itemOf(body, src, i, !forward), at); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	raw, err := r.body(id)
 	if err != nil {
-		return nil, k, 0, fmt.Errorf("euler: loading body %d: %w", id, err)
+		return fmt.Errorf("euler: loading body %d: %w", id, err)
 	}
 	var src graph.VertexID
 	if ok {
 		src = r.recs[k].Src
 	}
+	if forward {
+		c, err := newBodyCursor(raw)
+		if err != nil {
+			return badBody(id, err)
+		}
+		prevTo := src
+		for {
+			it, more, err := c.next()
+			if err != nil {
+				return badBody(id, err)
+			}
+			if !more {
+				return nil
+			}
+			if it.From != prevTo || it.Ref < 0 {
+				return badBody(id, unchained(c.i-1, it, prevTo))
+			}
+			prevTo = it.To
+			if err := w.item(id, it, itemAt{}); err != nil {
+				return err
+			}
+		}
+	}
 	base := len(w.arena)
 	if w.arena, err = appendBodyItems(w.arena, raw, src); err != nil {
-		return nil, k, 0, badBody(id, err)
+		return badBody(id, err)
 	}
-	return w.arena[base:], k, src, nil
-}
-
-// walk expands one body.  forward selects the traversal direction: an
-// OB-pair edge traversed Dst→Src unrolls its body reversed with each
-// item's endpoints swapped.
-func (w *walker) walk(id PathID, forward bool) error {
-	base := len(w.arena)
-	body, k, src, err := w.load(id)
-	if err != nil {
-		return err
-	}
-	onArena := len(w.arena) > base
-	n := len(body)
-	for j := 0; j < n; j++ {
-		if onArena {
-			body = w.arena[base : base+n]
-		}
-		i := j
-		if !forward {
-			i = n - 1 - j
-		}
-		w.at = itemAt{k: int32(k), i: int32(i), rev: !forward}
-		if err := w.item(id, itemOf(body, src, i, !forward)); err != nil {
+	// Nested walks push and pop above base+n and may move the arena.
+	n := len(w.arena) - base
+	for i := n - 1; i >= 0; i-- {
+		if err := w.item(id, itemOf(w.arena[base:base+n], src, i, true), itemAt{}); err != nil {
 			return err
 		}
 	}
@@ -461,10 +470,10 @@ func badBody(id PathID, err error) error {
 	return fmt.Errorf("euler: decoding body %d: %w", id, err)
 }
 
-// item advances the walk over one oriented item of body id, found at
-// w.at.
-func (w *walker) item(id PathID, it Item) error {
-	at := w.at
+// item advances the walk over one oriented item of body id.  at is the
+// item's place in a typed body, for the run log; an encoded body's items
+// pass the zero itemAt, since a registry with encoded bodies logs none.
+func (w *walker) item(id PathID, it Item, at itemAt) error {
 	// The walk is now at it.From: consume any cycles pivoting here.
 	if w.reg.anchorScreen.mayHold(it.From) {
 		if err := w.splice(it.From); err != nil {

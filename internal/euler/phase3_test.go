@@ -656,7 +656,7 @@ func TestUnrollErrors(t *testing.T) {
 	if err := w.reg.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	err := w.item(1, Item{Kind: 7, From: 1, To: 2})
+	err := w.item(1, Item{Kind: 7, From: 1, To: 2}, itemAt{})
 	if want := "euler: body 1 has bad item kind 7"; err == nil || err.Error() != want {
 		t.Fatalf("err = %v, want %s", err, want)
 	}
