@@ -83,6 +83,20 @@ func TestV3ReencodeByteIdentical(t *testing.T) {
 	if again := refAppendBody(nil, decItems); !bytes.Equal(again, body) {
 		t.Fatalf("body re-encode diverged:\n  %x\n  %x", again, body)
 	}
+	// A chained body with no negative ref has a typed form, which the
+	// in-process encoder writes back to the same bytes.
+	chained := refAppendBody(nil, []Item{
+		{Kind: ItemEdge, Ref: 5, From: 0, To: 3},
+		{Kind: ItemPath, Ref: 2, From: 3, To: 3},
+		{Kind: ItemEdge, Ref: 40, From: 3, To: 1},
+	})
+	typed, err := appendBodyItems(nil, chained, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := appendBody(nil, 0, typed); !bytes.Equal(again, chained) {
+		t.Fatalf("typed body re-encode diverged:\n  %x\n  %x", again, chained)
+	}
 
 	st := &PartState{
 		Parent: 2,

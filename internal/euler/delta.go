@@ -89,11 +89,18 @@ func (r *runRecorder) sorted() []NodeRecord {
 }
 
 // collectBodies reads every recorded path's body back from the sealed
-// registry, whose Seal has already rejected a repeated path ID.
+// registry, whose Seal has already rejected a repeated path ID, and
+// encodes the typed ones: the record keeps bodies as bytes.
 func collectBodies(reg *Registry, nodes []NodeRecord) (map[PathID][]byte, error) {
 	bodies := make(map[PathID][]byte)
+	var buf []byte
 	for i := range nodes {
 		for _, rec := range nodes[i].Recs {
+			if k, ok := reg.rank(rec.ID); ok && reg.typed != nil && reg.typed[k] != nil {
+				buf = appendBody(buf[:0], reg.recs[k].Src, reg.typed[k])
+				bodies[rec.ID] = append([]byte(nil), buf...)
+				continue
+			}
 			body, err := reg.body(rec.ID)
 			if err != nil {
 				return nil, fmt.Errorf("euler: retaining body %d: %w", rec.ID, err)

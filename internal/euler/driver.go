@@ -92,7 +92,6 @@ func Run(g graph.Source, a partition.Assignment, cfg Config) (*Result, error) {
 	n := plan.NumWorkers
 
 	registry := NewRegistry(cfg.Store, g.NumVertices(), n)
-	registry.keepEncoded = cfg.Record
 	deps := progDeps{
 		bodies:  registry.sink(),
 		visited: registry.IsVisited,

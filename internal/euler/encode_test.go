@@ -61,6 +61,15 @@ func decodeBody(buf []byte) ([]Item, error) {
 	}
 }
 
+// encodedBody returns the bytes of path id's body in a sealed registry,
+// encoding a typed one as collectBodies does.
+func encodedBody(r *Registry, id PathID) ([]byte, error) {
+	if k, ok := r.rank(id); ok && r.typed != nil && r.typed[k] != nil {
+		return appendBody(nil, r.recs[k].Src, r.typed[k]), nil
+	}
+	return r.body(id)
+}
+
 // typedBody returns a chained body's typed items and the vertex its
 // first item leaves from.
 func typedBody(items []Item) (graph.VertexID, []bodyItem) {

@@ -12,8 +12,13 @@ import (
 )
 
 // discardBody drops every body, isolating the walk and encode cost of
-// Phase 1 from body retention in the micro-benchmarks.
-var discardBody = bodySink{encoded: func(PathID, []byte) error { return nil }}
+// Phase 1 from body retention in the micro-benchmarks: the path of a
+// worker node or a spilling run.  discardTyped drops every typed block,
+// the path of an in-memory run, which encodes nothing.
+var (
+	discardBody  = bodySink{encoded: func(PathID, []byte) error { return nil }}
+	discardTyped = bodySink{typed: func(PathID, []bodyItem) error { return nil }}
+)
 
 // benchLeafState builds partition 0's level-0 state of an Eulerian RMAT
 // graph with 2^scale vertices split over parts partitions.
@@ -48,21 +53,27 @@ func benchLeafStates(b *testing.B, scale int, parts int32) (copied, inPlace *Par
 // BenchmarkPhase1 measures one Phase 1 tour over a single partition state
 // at increasing local-edge counts |L| (the Fig. 6/7 hot path): over the
 // copied leaf, the form of every level ≥ 1 state and every shipped leaf,
-// and over the same leaf held in place, the form a resident run tours at
+// with its bodies encoded and, as an in-memory run keeps them, typed; and
+// over the same leaf held in place, the form a resident run tours at
 // level 0.  An in-place leaf can be toured once, so its edges' open marks
 // are restored, untimed, before each tour.
 func BenchmarkPhase1(b *testing.B) {
 	for _, scale := range []int{12, 14, 16} {
 		st, held := benchLeafStates(b, scale, 4)
-		b.Run(fmt.Sprintf("L=%d", len(st.Local)), func(b *testing.B) {
-			scratch := newPhase1Scratch()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := phase1(st, 0, discardBody, nil, scratch); err != nil {
-					b.Fatal(err)
+		for _, sink := range []struct {
+			name string
+			bodySink
+		}{{"", discardBody}, {"typed/", discardTyped}} {
+			b.Run(fmt.Sprintf("%sL=%d", sink.name, len(st.Local)), func(b *testing.B) {
+				scratch := newPhase1Scratch()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := phase1(st, 0, sink.bodySink, nil, scratch); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 		open := slices.Clone(held.onGraph.open)
 		b.Run(fmt.Sprintf("in-place/L=%d", held.localLen()), func(b *testing.B) {
 			scratch := newPhase1Scratch()

@@ -35,12 +35,12 @@ type Step = graph.Step
 // With no floating cycles (the usual case) the master's walk is the
 // circuit and its steps go straight to emit.  Otherwise where a pool walk
 // splices in depends on walks expanded after the master's, so every root
-// expands before the stitch emits anything.  When every body is typed in
-// memory the walks are logged as runs of body items and the stitch reads
-// their steps back off the bodies; a registry with bodies in a spill
-// store or encoded buffers the steps instead, rather than read and decode
-// its bodies twice.  Either way emit may have received a prefix of the
-// circuit when Unroll returns an error.
+// expands before the stitch emits anything: the walks are logged as runs
+// of typed body items, and the stitch reads their steps back off the
+// bodies.  An encoded body (spilled, absorbed or restored) is decoded
+// once for this, and the typed copy is kept until the stitch is done.
+// Either way emit may have received a prefix of the circuit when Unroll
+// returns an error.
 //
 // Unroll verifies completeness: every registered path and cycle must be
 // consumed exactly once and the stitched walk must be a single closed
@@ -59,16 +59,18 @@ func (r *Registry) Unroll(emit func(Step) error) error {
 		reg:     r,
 		emitted: make([]uint64, (len(r.recs)+63)/64),
 		spliced: make([]int32, len(r.anchorVerts)),
+		bodies:  r.typed,
 	}
-	switch {
-	case len(seeds) == 0:
+	if len(seeds) == 0 {
 		w.emit = emit
-	case r.store == nil && r.encoded == nil && r.steps <= math.MaxInt32:
+	} else {
 		// About one run per record: every body's edges run back to back
 		// unless a splice or a path reference cuts them.
 		w.log = make([]stepRun, 0, len(r.recs))
-	default:
-		w.buf = make([]Step, 0, circuitCap(r.steps))
+		if r.store != nil || r.encoded != nil || r.typed == nil {
+			w.bodies = make([][]bodyItem, len(r.recs))
+			copy(w.bodies, r.typed)
+		}
 	}
 
 	// Expand each root (the master, plus any floating seed not already
@@ -99,10 +101,7 @@ func (r *Registry) Unroll(emit func(Step) error) error {
 		return nil
 	}
 	starts = append(starts, w.steps)
-	if w.log != nil {
-		return stitchEmit(&runLog{reg: r, runs: w.log}, starts, r.numVerts, emit)
-	}
-	return stitchEmit(stepBuf(w.buf), starts, r.numVerts, emit)
+	return stitchEmit(&runLog{bodies: w.bodies, recs: r.recs, runs: w.log}, starts, r.numVerts, emit)
 }
 
 // circuitCap is the capacity to give a buffer for the steps the sealed
@@ -117,18 +116,6 @@ func circuitCap(steps int64) int {
 	return int(steps)
 }
 
-// stepSeq is the expanded roots' steps, read back by position.
-type stepSeq interface {
-	// steps returns the steps at positions lo..hi-1, built in *buf when
-	// they are not held as steps; hi-lo is at most stitchChunk.
-	steps(lo, hi int, buf *[]Step) []Step
-}
-
-// stepBuf is a stepSeq held as steps.
-type stepBuf []Step
-
-func (b stepBuf) steps(lo, hi int, _ *[]Step) []Step { return b[lo:hi] }
-
 // stepRun is a stretch of a logged walk: the |n| edge items from index
 // lo of the typed body at pathMap rank k, emitted back to back from
 // position at on, from lo+|n|-1 down to lo when n is negative.  A logged
@@ -140,11 +127,12 @@ type stepRun struct {
 // size returns the number of steps the run emits.
 func (r *stepRun) size() int { return int(max(r.n, -r.n)) }
 
-// runLog is a stepSeq logged as runs and read back off the registry's
-// typed bodies.
+// runLog is the expanded roots' steps, logged as runs and read back by
+// position off the typed bodies (by pathMap rank) and their records.
 type runLog struct {
-	reg  *Registry
-	runs []stepRun
+	bodies [][]bodyItem
+	recs   []PathRec
+	runs   []stepRun
 }
 
 // find returns the index of the run holding position at.
@@ -152,48 +140,61 @@ func (l *runLog) find(at int) int {
 	return sort.Search(len(l.runs), func(r int) bool { return int(l.runs[r].at) > at }) - 1
 }
 
-// step returns the step run emits at position at.
-func (l *runLog) step(run *stepRun, at int) Step {
-	e := at - int(run.at)
-	i, rev := int(run.lo)+e, run.n < 0
-	if rev {
-		i = int(run.lo) + run.size() - 1 - e
-	}
-	it := itemOf(l.reg.typed[run.k], l.reg.recs[run.k].Src, i, rev)
-	return Step{Edge: it.Ref, From: it.From, To: it.To}
-}
-
+// steps returns the steps at positions lo..hi-1, built in *buf; hi-lo
+// is at most stitchChunk.
 func (l *runLog) steps(lo, hi int, buf *[]Step) []Step {
 	if *buf == nil {
-		*buf = make([]Step, 0, stitchChunk)
+		*buf = make([]Step, stitchChunk)
 	}
-	out := (*buf)[:0]
-	for r := l.find(lo); lo < hi; r++ {
+	out := (*buf)[:hi-lo]
+	for r, j := l.find(lo), 0; j < len(out); r++ {
 		run := &l.runs[r]
-		for end := min(hi, int(run.at)+run.size()); lo < end; lo++ {
-			out = append(out, l.step(run, lo))
+		body, src := l.bodies[run.k], l.recs[run.k].Src
+		e := lo + j - int(run.at) // the run's first step to copy
+		n := min(len(out)-j, run.size()-e)
+		if run.n > 0 {
+			i := int(run.lo) + e
+			from := src
+			if i > 0 {
+				from = body[i-1].to
+			}
+			for _, it := range body[i : i+n] {
+				out[j] = Step{Edge: it.id(), From: from, To: it.to}
+				from = it.to
+				j++
+			}
+			continue
+		}
+		// Backwards, item i runs from its to to where item i-1 ends.
+		for i := int(run.lo) + run.size() - 1 - e; n > 0; n-- {
+			to := src
+			if i > 0 {
+				to = body[i-1].to
+			}
+			out[j] = Step{Edge: body[i].id(), From: body[i].to, To: to}
+			i--
+			j++
 		}
 	}
-	*buf = out
 	return out
 }
 
 // stitchEmit emits the closed walks at positions starts[i]..starts[i+1]-1
-// of walks as one closed walk without building it: it walks the first
+// of the log as one closed walk without building it: it walks the first
 // and, at each step, splices every not-yet-used pool walk that passes
 // through the step's source vertex — rotated to start there, emitted
 // recursively so walks that only touch the circuit transitively still
 // merge.  Walks found at one position splice in reverse discovery order
 // (discovery is by walk, then position), the order a copy-based
 // insert-in-front stitch produces.  Steps are read stitchChunk at a time,
-// a run log's into one buffer per recursion depth.
+// into one buffer per recursion depth.
 //
 // The pool index is flat: head[v] starts the chain of pool steps leaving
 // v, in discovery order, and a step that meets no pool walk — all but a
 // few — costs one load.  Vertices outside [0, numVerts), which only a
 // corrupt body can name, share one chain, and far holds the source of
 // each step on it.
-func stitchEmit[S stepSeq](walks S, starts []int, numVerts int64, emit func(Step) error) error {
+func stitchEmit(walks *runLog, starts []int, numVerts int64, emit func(Step) error) error {
 	var bufs [][]Step
 	bufAt := func(depth int) *[]Step {
 		for len(bufs) <= depth {
@@ -298,14 +299,17 @@ type walker struct {
 	// anchored there have already been taken, so re-visits continue where
 	// the last splice stopped.
 	spliced []int32
+	// bodies are the typed bodies by rank: the registry's, or, when the
+	// walk is logged and the registry holds encoded bodies, a copy that
+	// walk fills with each encoded body it decodes.
+	bodies [][]bodyItem
 	// arena holds the decoded items of the reversed encoded bodies on
-	// the walk's stack.
+	// the walk's stack when the walk is not logged.
 	arena []bodyItem
-	// Steps go to emit when it is set, to log when it is not nil, and to
-	// buf otherwise; steps counts those logged or buffered.
+	// Steps go to emit when it is set, and to log otherwise; steps counts
+	// those logged.
 	emit  func(Step) error
 	log   []stepRun
-	buf   []Step
 	steps int
 	// rootSteps, first and last describe the current root's walk so far.
 	rootSteps   int
@@ -389,12 +393,14 @@ func (w *walker) splice(v graph.VertexID) error {
 // OB-pair edge traversed Dst→Src unrolls its body reversed with each
 // item's endpoints swapped.  A typed body is read in place either way.
 // An encoded body walked forward is iterated off its bytes; a reversed
-// one has to be decoded first, onto the arena.
+// one has to be decoded first, onto the arena, or, in a logged walk,
+// into a block of its own that the log's replay reads again, as it
+// reads the items a logged walk keeps of a forward one.
 func (w *walker) walk(id PathID, forward bool) error {
 	r := w.reg
 	k, ok := r.rank(id)
-	if ok && r.typed != nil && r.typed[k] != nil {
-		body, src := r.typed[k], r.recs[k].Src
+	if ok && w.bodies != nil && w.bodies[k] != nil {
+		body, src := w.bodies[k], r.recs[k].Src
 		for j := range body {
 			i := j
 			if !forward {
@@ -415,10 +421,23 @@ func (w *walker) walk(id PathID, forward bool) error {
 	if ok {
 		src = r.recs[k].Src
 	}
+	// A logged walk keeps the typed items of what it decodes, which the
+	// log's replay reads again.
+	keep := ok && w.log != nil
+	if keep && !forward {
+		if w.bodies[k], err = appendBodyItems(nil, raw, src); err != nil {
+			return badBody(id, err)
+		}
+		return w.walk(id, forward)
+	}
 	if forward {
 		c, err := newBodyCursor(raw)
 		if err != nil {
 			return badBody(id, err)
+		}
+		var kept []bodyItem
+		if keep {
+			kept = make([]bodyItem, 0, c.n)
 		}
 		prevTo := src
 		for {
@@ -427,13 +446,21 @@ func (w *walker) walk(id PathID, forward bool) error {
 				return badBody(id, err)
 			}
 			if !more {
+				if keep {
+					w.bodies[k] = kept
+				}
 				return nil
 			}
 			if it.From != prevTo || it.Ref < 0 {
 				return badBody(id, unchained(c.i-1, it, prevTo))
 			}
 			prevTo = it.To
-			if err := w.item(id, it, itemAt{}); err != nil {
+			var at itemAt
+			if keep {
+				at = itemAt{k: int32(k), i: int32(len(kept))}
+				kept = append(kept, bodyItem{ref: packRef(it.Kind, it.Ref), to: it.To})
+			}
+			if err := w.item(id, it, at); err != nil {
 				return err
 			}
 		}
@@ -471,8 +498,9 @@ func badBody(id PathID, err error) error {
 }
 
 // item advances the walk over one oriented item of body id.  at is the
-// item's place in a typed body, for the run log; an encoded body's items
-// pass the zero itemAt, since a registry with encoded bodies logs none.
+// item's place in a typed body, for the run log; the items of an encoded
+// body walked off its bytes or the arena pass the zero itemAt, since
+// such a walk is not logged.
 func (w *walker) item(id PathID, it Item, at itemAt) error {
 	// The walk is now at it.From: consume any cycles pivoting here.
 	if w.reg.anchorScreen.mayHold(it.From) {
@@ -490,11 +518,10 @@ func (w *walker) item(id PathID, it Item, at itemAt) error {
 		if w.emit != nil {
 			return w.emit(Step{Edge: it.Ref, From: it.From, To: it.To})
 		}
-		if w.log != nil {
-			w.logStep(at)
-		} else {
-			w.buf = append(w.buf, Step{Edge: it.Ref, From: it.From, To: it.To})
+		if w.steps == math.MaxInt32 {
+			return fmt.Errorf("euler: a circuit with floating cycles has more than %d steps", math.MaxInt32)
 		}
+		w.logStep(at)
 		w.steps++
 		return nil
 	case ItemPath:

@@ -64,22 +64,28 @@ func collect(run func(emit func(Step) error) error) ([]Step, error) {
 // stitch drives stitchEmit over separate walks, once with every vertex
 // inside the pool index's vertex range and once with every vertex beyond
 // it (one shared chain), and checks both emissions against the old
-// map-indexed stitch.
+// map-indexed stitch.  The walks are logged one run per step, each step
+// a one-item body of its own, so a walk need not chain.
 func stitch(t *testing.T, streams [][]Step) ([]Step, error) {
 	t.Helper()
-	var buf []Step
+	log := &runLog{}
 	var starts []int
 	for _, s := range streams {
-		starts = append(starts, len(buf))
-		buf = append(buf, s...)
+		starts = append(starts, len(log.runs))
+		for _, st := range s {
+			k := int32(len(log.runs))
+			log.bodies = append(log.bodies, []bodyItem{{ref: packRef(ItemEdge, st.Edge), to: st.To}})
+			log.recs = append(log.recs, PathRec{Src: st.From})
+			log.runs = append(log.runs, stepRun{at: k, k: k, n: 1})
+		}
 	}
-	starts = append(starts, len(buf))
+	starts = append(starts, len(log.runs))
 	want, wantErr := collect(func(emit func(Step) error) error {
 		_, err := oldStitchEmit(streams, emit)
 		return err
 	})
 	for _, numVerts := range []int64{64, 0} {
-		out, err := collect(func(emit func(Step) error) error { return stitchEmit(stepBuf(buf), starts, numVerts, emit) })
+		out, err := collect(func(emit func(Step) error) error { return stitchEmit(log, starts, numVerts, emit) })
 		if !slices.Equal(out, want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Fatalf("stitchEmit over %d vertices = %v, %v\nold stitch = %v, %v", numVerts, out, err, want, wantErr)
 		}
@@ -312,7 +318,7 @@ func (u *oldUnroller) splice(v graph.VertexID) error {
 }
 
 func (u *oldUnroller) walk(id PathID, forward bool) error {
-	body, err := u.reg.body(id)
+	body, err := encodedBody(u.reg, id)
 	if err != nil {
 		return fmt.Errorf("euler: loading body %d: %w", id, err)
 	}
@@ -735,9 +741,10 @@ func bodyForms(r *Registry) (typed, encoded int) {
 
 // TestUnrollMixedBodyForms unrolls registries whose bodies came typed
 // from an in-process tour, encoded from a retained record (a delta
-// replay, beside the dirty nodes' typed bodies) and encoded from a
-// loopback cluster's absorb bands, over inputs with floating cycles: each
-// circuit must be the from-scratch in-memory solve's.
+// replay, beside the dirty nodes' typed bodies), encoded from a loopback
+// cluster's absorb bands and spilled to a disk store, over inputs with
+// floating cycles: each circuit must be the from-scratch in-memory
+// solve's.
 func TestUnrollMixedBodyForms(t *testing.T) {
 	solveOnCluster := loopbackExecutor(t)
 	for _, in := range []struct {
@@ -776,6 +783,14 @@ func TestUnrollMixedBodyForms(t *testing.T) {
 
 			if got := unroll(solveOnCluster(context.Background(), in.g, a, Config{})); !slices.Equal(got, want) {
 				t.Fatal("loopback cluster circuit differs from the in-memory solve")
+			}
+			ds, err := spill.NewDiskStore(filepath.Join(t.TempDir(), "bodies.log"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+			if got := unroll(Run(in.g, a, Config{Store: ds})); !slices.Equal(got, want) {
+				t.Fatal("spilled circuit differs from the in-memory solve")
 			}
 
 			retained, err := Run(in.g, a, Config{Record: true})

@@ -173,11 +173,11 @@ func TestAbsorbSinkBandRoundTrip(t *testing.T) {
 		t.Fatalf("registry has %d paths, local %d", reg.NumPaths(), local.Registry.NumPaths())
 	}
 	for _, rec := range local.Registry.recs {
-		got, err := reg.body(rec.ID)
+		got, err := encodedBody(reg, rec.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want, _ := local.Registry.body(rec.ID); !bytes.Equal(got, want) {
+		if want, _ := encodedBody(local.Registry, rec.ID); !bytes.Equal(got, want) {
 			t.Fatalf("body %d differs from the local run's", rec.ID)
 		}
 	}

@@ -37,7 +37,7 @@ type progDeps struct {
 // keeps the slice: the tour then writes its bodies into a fresh block
 // that typed's holder owns.  encoded takes a body as appendBody bytes and
 // must not keep the slice: the encoder runs only for a sink that sends
-// bodies out of the process, spills them or records them.
+// bodies out of the process or spills them.
 type bodySink struct {
 	typed   func(PathID, []bodyItem) error
 	encoded func(PathID, []byte) error

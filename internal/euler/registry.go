@@ -18,9 +18,8 @@ import (
 // by Phase 3's pivot-vertex splicing, and the global visited-vertex map
 // that keeps seed cycles splicable.  Path bodies live in the run's spill
 // store when it has one, otherwise here, one slot per pathMap rank: typed
-// as Phase 1 toured them, or encoded as they arrived (an absorb band, a
-// retained record, or a run that records and so keeps the bytes it will
-// retain).
+// as Phase 1 toured them, or encoded as they arrived (an absorb band or
+// a retained record).
 //
 // Concurrency model: workers absorb their Phase 1 results concurrently
 // within a superstep, and their active vertex sets are disjoint (a vertex
@@ -33,9 +32,6 @@ import (
 // bookkeeping (a few entries per run) takes a mutex.
 type Registry struct {
 	store spill.Store
-	// keepEncoded makes Phase 1 hand this registry its bodies encoded, as
-	// a run that records needs them.
-	keepEncoded bool
 
 	// visited is the global visited-vertex bitset, one bit per vertex,
 	// updated with atomic OR and read with atomic loads.
@@ -199,9 +195,9 @@ func (r *Registry) Absorb(w int, res *Phase1Result, isRoot bool) error {
 }
 
 // sink is Phase 1's body seam into this registry: it keeps typed bodies
-// as toured, unless the bodies spill or the run records them.
+// as toured, unless the bodies spill.
 func (r *Registry) sink() bodySink {
-	if r.store != nil || r.keepEncoded {
+	if r.store != nil {
 		return bodySink{encoded: r.putBody}
 	}
 	return bodySink{typed: r.putItems}
@@ -242,19 +238,14 @@ func (r *Registry) putBody(id PathID, data []byte) error {
 	return nil
 }
 
-// body returns the encoded body of path id, encoding a typed one.  It
-// requires a sealed registry.
+// body returns the encoded body of path id, from the spill store or as
+// it arrived; a typed body has none.  It requires a sealed registry.
 func (r *Registry) body(id PathID) ([]byte, error) {
 	if r.store != nil {
 		return r.store.Get(id)
 	}
-	if k, ok := r.rank(id); ok {
-		if r.encoded != nil && r.encoded[k] != nil {
-			return r.encoded[k], nil
-		}
-		if r.typed != nil && r.typed[k] != nil {
-			return appendBody(nil, r.recs[k].Src, r.typed[k]), nil
-		}
+	if k, ok := r.rank(id); ok && r.encoded != nil && r.encoded[k] != nil {
+		return r.encoded[k], nil
 	}
 	return nil, fmt.Errorf("euler: path %d has no body", id)
 }

@@ -110,6 +110,13 @@ func FuzzDecodeBand(f *testing.F) {
 			if err != nil || !reflect.DeepEqual(items, again) {
 				t.Fatalf("body round trip diverged: %v", err)
 			}
+			src, _ := typedBody(items)
+			if typed, err := appendBodyItems(nil, data, src); err == nil {
+				back, err := appendBodyItems(nil, appendBody(nil, src, typed), src)
+				if err != nil || !slices.Equal(typed, back) {
+					t.Fatalf("typed body round trip diverged: %v", err)
+				}
+			}
 		}
 		if st, err := DecodeState(data); err == nil {
 			again, err := DecodeState(EncodeState(st))
@@ -140,7 +147,7 @@ func bodySeeds(tb testing.TB) [][]byte {
 	var seeds [][]byte
 	shortest := -1
 	for _, rec := range res.Registry.recs {
-		body, err := res.Registry.body(rec.ID)
+		body, err := encodedBody(res.Registry, rec.ID)
 		if err != nil {
 			tb.Fatal(err)
 		}
