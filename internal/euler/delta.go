@@ -90,14 +90,20 @@ func (r *runRecorder) sorted() []NodeRecord {
 
 // collectBodies reads every recorded path's body back from the sealed
 // registry, whose Seal has already rejected a repeated path ID, and
-// encodes the typed ones: the record keeps bodies as bytes.
-func collectBodies(reg *Registry, nodes []NodeRecord) (map[PathID][]byte, error) {
+// encodes the kept ones: the record keeps bodies as bytes.  A node
+// replayed from base keeps base's bytes, which restoreBodies decoded.
+func collectBodies(reg *Registry, nodes []NodeRecord, replayed map[nodeKey]*NodeRecord, base *RunRecord) (map[PathID][]byte, error) {
 	bodies := make(map[PathID][]byte)
 	var buf []byte
 	for i := range nodes {
+		_, reuse := replayed[nodeKey{nodes[i].W, nodes[i].S}]
 		for _, rec := range nodes[i].Recs {
-			if k, ok := reg.rank(rec.ID); ok && reg.typed != nil && reg.typed[k] != nil {
-				buf = appendBody(buf[:0], reg.recs[k].Src, reg.typed[k])
+			if reuse {
+				bodies[rec.ID] = base.Bodies[rec.ID]
+				continue
+			}
+			if k, ok := reg.rank(rec.ID); ok && reg.bodies != nil && reg.bodies[k] != nil {
+				buf = appendBody(buf[:0], reg.recs[k].Src, reg.bodies[k])
 				bodies[rec.ID] = append([]byte(nil), buf...)
 				continue
 			}
@@ -219,7 +225,8 @@ func poolsEqual(a, b map[int32][]RemoteEdge) bool {
 
 // restoreBodies re-inserts the retained bodies of every replayed node into
 // the run's registry, so Phase 3 unrolls them exactly as a from-scratch
-// run would.  Dirty nodes write their own fresh bodies under disjoint IDs.
+// run would; putBody decodes each once, unless the run spills.  Dirty
+// nodes write their own fresh bodies under disjoint IDs.
 func restoreBodies(reg *Registry, replay map[nodeKey]*NodeRecord, bodies map[PathID][]byte) error {
 	for _, rec := range replay {
 		for _, pr := range rec.Recs {
@@ -338,39 +345,22 @@ func DecodeRunRecord(buf []byte) (*RunRecord, error) {
 		}
 		nr.Recs = make([]PathRec, nrecs)
 		for j := range nr.Recs {
-			rec := &nr.Recs[j]
 			id, err := d.uvarint()
 			if err != nil {
 				return nil, err
 			}
-			rec.ID = PathID(id)
 			t, err := d.byteVal()
 			if err != nil {
 				return nil, err
 			}
-			rec.Type = PathType(t)
-			src, err := d.uvarint()
-			if err != nil {
-				return nil, err
+			var v [5]uint64 // Src, Dst, Level, Part, Items
+			for f := range v {
+				if v[f], err = d.uvarint(); err != nil {
+					return nil, err
+				}
 			}
-			dst, err := d.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			rec.Src, rec.Dst = graph.VertexID(src), graph.VertexID(dst)
-			lvl, err := d.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			part, err := d.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			items, err := d.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			rec.Level, rec.Part, rec.Items = int(lvl), int(part), int64(items)
+			nr.Recs[j] = PathRec{ID: PathID(id), Type: PathType(t), Src: graph.VertexID(v[0]), Dst: graph.VertexID(v[1]),
+				Level: int(v[2]), Part: int(v[3]), Items: int64(v[4])}
 		}
 		nseeds, err := d.uvarint()
 		if err != nil {

@@ -117,8 +117,9 @@ func Run(g graph.Source, a partition.Assignment, cfg Config) (*Result, error) {
 		retained = &RunRecord{PlanBytes: planBytes}
 	}
 	reused := 0
+	var replaySet map[nodeKey]*NodeRecord
 	if cfg.Replay != nil {
-		replaySet := buildReplaySet(plan, cfg.Replay)
+		replaySet = buildReplaySet(plan, cfg.Replay)
 		if len(replaySet) > 0 {
 			if err := restoreBodies(registry, replaySet, cfg.Replay.Bodies); err != nil {
 				return nil, err
@@ -153,7 +154,7 @@ func Run(g graph.Source, a partition.Assignment, cfg Config) (*Result, error) {
 	report.ReusedParts = reused
 	if recorder != nil {
 		retained.Nodes = recorder.sorted()
-		bodies, err := collectBodies(registry, retained.Nodes)
+		bodies, err := collectBodies(registry, retained.Nodes, replaySet, cfg.Replay)
 		if err != nil {
 			return nil, err
 		}

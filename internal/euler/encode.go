@@ -192,6 +192,18 @@ func appendBodyItems(dst []bodyItem, buf []byte, src graph.VertexID) ([]bodyItem
 	}
 }
 
+// bodySource returns the vertex the first item of a body written by
+// appendBody leaves from, for decoding a body whose record has not
+// arrived: zero when the body is empty or does not decode.
+func bodySource(buf []byte) graph.VertexID {
+	c, err := newBodyCursor(buf)
+	if err != nil {
+		return 0
+	}
+	it, _, _ := c.next()
+	return it.From
+}
+
 // unchained is the bodyError of item i of a body, which either does not
 // leave from prevTo, where the body is (its source for the first item),
 // or has a negative ref.
@@ -205,10 +217,8 @@ func unchained(i uint64, it Item, prevTo graph.VertexID) error {
 	return &bodyError{i, fmt.Sprintf("has negative ref %d", it.Ref)}
 }
 
-// bodyCursor iterates a body written by appendBody straight off its
-// bytes, one item per next call, so Phase 3 can walk a body forward
-// without a slice to hold it.  It is the only body parser:
-// appendBodyItems drains one.
+// bodyCursor iterates a body written by appendBody, one item per next
+// call.  It is the only body parser: appendBodyItems drains one.
 type bodyCursor struct {
 	d               decoder
 	bitmap          []byte

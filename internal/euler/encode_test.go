@@ -62,10 +62,10 @@ func decodeBody(buf []byte) ([]Item, error) {
 }
 
 // encodedBody returns the bytes of path id's body in a sealed registry,
-// encoding a typed one as collectBodies does.
+// encoding a kept one as collectBodies does.
 func encodedBody(r *Registry, id PathID) ([]byte, error) {
-	if k, ok := r.rank(id); ok && r.typed != nil && r.typed[k] != nil {
-		return appendBody(nil, r.recs[k].Src, r.typed[k]), nil
+	if k, ok := r.rank(id); ok && r.bodies != nil && r.bodies[k] != nil {
+		return appendBody(nil, r.recs[k].Src, r.bodies[k]), nil
 	}
 	return r.body(id)
 }

@@ -106,16 +106,25 @@ func TestUnrollEmitError(t *testing.T) {
 func TestCorruptedBodySurfaces(t *testing.T) {
 	// A registry pointing at garbage bodies must fail decoding, not emit a
 	// wrong circuit.
-	reg := NewRegistry(nil, 4, 1)
-	if err := reg.putBody(1, []byte{0xFF, 0xFF, 0xFF}); err != nil {
+	// A kept body is decoded where it is put, a spilled one when Unroll
+	// reaches it.
+	ds, err := spill.NewDiskStore(filepath.Join(t.TempDir(), "bodies.log"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	res := &Phase1Result{Recs: []PathRec{{ID: 1, Type: IVCycle, Src: 0, Dst: 0}}}
-	if err := reg.Absorb(0, res, true); err != nil {
-		t.Fatal(err)
-	}
-	_, err := reg.CollectCircuit()
-	if err == nil {
-		t.Fatal("corrupted body accepted")
+	defer ds.Close()
+	for _, store := range []spill.Store{nil, ds} {
+		reg := NewRegistry(store, 4, 1)
+		err := reg.putBody(1, []byte{0xFF, 0xFF, 0xFF})
+		if err == nil {
+			res := &Phase1Result{Recs: []PathRec{{ID: 1, Type: IVCycle, Src: 0, Dst: 0}}}
+			if err := reg.Absorb(0, res, true); err != nil {
+				t.Fatal(err)
+			}
+			_, err = reg.CollectCircuit()
+		}
+		if err == nil {
+			t.Fatalf("corrupted body accepted (store %v)", store)
+		}
 	}
 }

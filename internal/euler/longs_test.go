@@ -104,8 +104,9 @@ func runObserved(t *testing.T, g *graph.Graph, a partition.Assignment, mode Mode
 	registry := NewRegistry(nil, g.NumVertices(), plan.NumWorkers)
 	recorder := &runRecorder{}
 	deps := progDeps{bodies: registry.sink(), visited: registry.IsVisited, absorb: registry.Absorb, record: recorder.record}
+	var set map[nodeKey]*NodeRecord
 	if replay != nil {
-		set := buildReplaySet(plan, replay)
+		set = buildReplaySet(plan, replay)
 		if len(set) == 0 {
 			t.Fatal("an identical re-run replays nothing")
 		}
@@ -131,7 +132,7 @@ func runObserved(t *testing.T, g *graph.Graph, a partition.Assignment, mode Mode
 		t.Fatal(err)
 	}
 	nodes := recorder.sorted()
-	bodies, err := collectBodies(registry, nodes)
+	bodies, err := collectBodies(registry, nodes, set, replay)
 	if err != nil {
 		t.Fatal(err)
 	}

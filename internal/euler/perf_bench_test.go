@@ -3,12 +3,14 @@ package euler
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/partition"
+	"repro/internal/spill"
 )
 
 // discardBody drops every body, isolating the walk and encode cost of
@@ -17,7 +19,7 @@ import (
 // the path of an in-memory run, which encodes nothing.
 var (
 	discardBody  = bodySink{encoded: func(PathID, []byte) error { return nil }}
-	discardTyped = bodySink{typed: func(PathID, []bodyItem) error { return nil }}
+	discardTyped = bodySink{typed: func(PathID, graph.VertexID, []bodyItem) error { return nil }}
 )
 
 // benchLeafState builds partition 0's level-0 state of an Eulerian RMAT
@@ -224,8 +226,8 @@ func BenchmarkAppendBody(b *testing.B) {
 }
 
 // BenchmarkDecodeBody measures body deserialisation into typed items
-// alone, the per-path read Phase 3 performs on a body that arrived
-// encoded.
+// alone, the per-path decode where an encoded body enters the registry
+// and where Phase 3 reads a spilled one.
 func BenchmarkDecodeBody(b *testing.B) {
 	src, body := typedBody(benchBodyItems(4096))
 	buf := appendBody(nil, src, body)
@@ -244,21 +246,46 @@ func BenchmarkDecodeBody(b *testing.B) {
 // BenchmarkUnroll measures Phase 3 alone, after the run that fills the
 // registry: the torus has floating cycles, so every root's walk is logged
 // as runs of body items before the stitch; the RMAT graph has none, so
-// steps go from the walker straight to emit.  The allocs/op budgets
-// (scripts/alloc_budget.txt) are a handful of sized buffers; a slice per
-// body or a map per vertex would cost thousands.
+// steps go from the walker straight to emit.  spilled is the torus with
+// its bodies in a disk store, each decoded as the walk reaches it;
+// replayed is a ring of cliques solved from its own retained record,
+// whose bodies were decoded once as the replay restored them.  The
+// allocs/op budgets (scripts/alloc_budget.txt) are a handful of sized
+// buffers, and for spilled a read and a decoded block per body; a slice
+// per item or a map per vertex would cost far more.
 func BenchmarkUnroll(b *testing.B) {
 	rmat, _ := gen.EulerianRMAT(gen.RMATParams{Vertices: 50_000, AvgDegree: 5, A: 0.57, B: 0.19, C: 0.19, Seed: 42})
+	torus := gen.Torus(256, 256)
+	inMemory := func(b *testing.B, g *graph.Graph, a partition.Assignment) (*Result, error) {
+		return Run(g, a, Config{})
+	}
 	for _, in := range []struct {
 		name      string
 		g         *graph.Graph
+		parts     int32
 		multiRoot bool
+		run       func(b *testing.B, g *graph.Graph, a partition.Assignment) (*Result, error)
 	}{
-		{"torus", gen.Torus(256, 256), true},
-		{"rmat", rmat, false},
+		{"torus", torus, 8, true, inMemory},
+		{"rmat", rmat, 8, false, inMemory},
+		{"spilled", torus, 8, true, func(b *testing.B, g *graph.Graph, a partition.Assignment) (*Result, error) {
+			ds, err := spill.NewDiskStore(filepath.Join(b.TempDir(), "bodies.log"))
+			if err != nil {
+				return nil, err
+			}
+			b.Cleanup(func() { ds.Close() })
+			return Run(g, a, Config{Store: ds})
+		}},
+		{"replayed", gen.RingOfCliques(4096, 13), 16, true, func(b *testing.B, g *graph.Graph, a partition.Assignment) (*Result, error) {
+			recorded, err := Run(g, a, Config{Record: true})
+			if err != nil {
+				return nil, err
+			}
+			return Run(g, a, Config{Replay: recorded.Retained})
+		}},
 	} {
 		b.Run(in.name, func(b *testing.B) {
-			res, err := Run(in.g, partition.LDG(in.g, 8, 1), Config{})
+			res, err := in.run(b, in.g, partition.LDG(in.g, in.parts, 1))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -228,7 +228,7 @@ func phase1(state *PartState, level int, sink bodySink, globallyVisited func(gra
 		body := block[mark:len(block):len(block)]
 		var err error
 		if sink.typed != nil {
-			err = sink.typed(id, body)
+			err = sink.typed(id, src, body)
 		} else {
 			// Header, kind bitmap and ~8 varint bytes per item: one
 			// allocation instead of append's doubling chain on a long path.

@@ -37,10 +37,11 @@ type Step = graph.Step
 // splices in depends on walks expanded after the master's, so every root
 // expands before the stitch emits anything: the walks are logged as runs
 // of typed body items, and the stitch reads their steps back off the
-// bodies.  An encoded body (spilled, absorbed or restored) is decoded
-// once for this, and the typed copy is kept until the stitch is done.
-// Either way emit may have received a prefix of the circuit when Unroll
-// returns an error.
+// bodies.  The walk reads only typed bodies: the registry's, decoded
+// where they entered it, or a spilled body decoded as the walk reaches
+// it, onto the walk's stack, or, in a logged walk, into a block kept
+// until the stitch is done.  Either way emit may have received a prefix
+// of the circuit when Unroll returns an error.
 //
 // Unroll verifies completeness: every registered path and cycle must be
 // consumed exactly once and the stitched walk must be a single closed
@@ -59,7 +60,11 @@ func (r *Registry) Unroll(emit func(Step) error) error {
 		reg:     r,
 		emitted: make([]uint64, (len(r.recs)+63)/64),
 		spliced: make([]int32, len(r.anchorVerts)),
-		bodies:  r.typed,
+		bodies:  r.bodies,
+	}
+	if w.bodies == nil {
+		// A spilling registry keeps no bodies.
+		w.bodies = make([][]bodyItem, len(r.recs))
 	}
 	if len(seeds) == 0 {
 		w.emit = emit
@@ -67,22 +72,22 @@ func (r *Registry) Unroll(emit func(Step) error) error {
 		// About one run per record: every body's edges run back to back
 		// unless a splice or a path reference cuts them.
 		w.log = make([]stepRun, 0, len(r.recs))
-		if r.store != nil || r.encoded != nil || r.typed == nil {
-			w.bodies = make([][]bodyItem, len(r.recs))
-			copy(w.bodies, r.typed)
-		}
 	}
 
 	// Expand each root (the master, plus any floating seed not already
 	// spliced into an earlier walk) into a closed walk of original edges.
 	var starts []int // where each root's walk begins
 	for _, root := range append([]PathID{master}, seeds...) {
-		if !w.takeID(root) {
+		k, ok := r.rank(root)
+		if !ok {
+			return fmt.Errorf("euler: root cycle %d has no pathMap record", root)
+		}
+		if !w.take(k) {
 			continue
 		}
 		starts = append(starts, w.steps)
 		w.rootSteps = 0
-		if err := w.walk(root, true); err != nil {
+		if err := w.walk(k, true); err != nil {
 			return err
 		}
 		if w.rootSteps == 0 {
@@ -191,9 +196,8 @@ func (l *runLog) steps(lo, hi int, buf *[]Step) []Step {
 //
 // The pool index is flat: head[v] starts the chain of pool steps leaving
 // v, in discovery order, and a step that meets no pool walk — all but a
-// few — costs one load.  Vertices outside [0, numVerts), which only a
-// corrupt body can name, share one chain, and far holds the source of
-// each step on it.
+// few — costs one load.  The walker has checked that every step's
+// vertices lie in [0, numVerts).
 func stitchEmit(walks *runLog, starts []int, numVerts int64, emit func(Step) error) error {
 	var bufs [][]Step
 	bufAt := func(depth int) *[]Step {
@@ -207,17 +211,10 @@ func stitchEmit(walks *runLog, starts []int, numVerts int64, emit func(Step) err
 	if end-poolAt > math.MaxInt32 {
 		return fmt.Errorf("euler: %d floating-cycle steps overflow the stitch index", end-poolAt)
 	}
-	chain := func(v graph.VertexID) int64 {
-		if uint64(v) < uint64(numVerts) {
-			return v
-		}
-		return numVerts
-	}
 	// Chain links are pool positions plus one; zero ends a chain.
 	var head, next, walkOf []int32
-	var far map[int32]graph.VertexID
 	if remaining > 0 {
-		head = make([]int32, numVerts+1)
+		head = make([]int32, numVerts)
 		next = make([]int32, end-poolAt)
 		walkOf = make([]int32, end-poolAt)
 	}
@@ -226,15 +223,9 @@ func stitchEmit(walks *runLog, starts []int, numVerts int64, emit func(Step) err
 			lo := max(starts[walk], hi-stitchChunk)
 			steps := walks.steps(lo, hi, bufAt(0))
 			for j := len(steps) - 1; j >= 0; j-- {
-				i, c := lo+j-poolAt, chain(steps[j].From)
-				next[i], head[c] = head[c], int32(i+1)
+				i, v := lo+j-poolAt, steps[j].From
+				next[i], head[v] = head[v], int32(i+1)
 				walkOf[i] = int32(walk)
-				if c == numVerts {
-					if far == nil {
-						far = make(map[int32]graph.VertexID)
-					}
-					far[int32(i)] = steps[j].From
-				}
 			}
 			hi = lo
 		}
@@ -248,9 +239,8 @@ func stitchEmit(walks *runLog, starts []int, numVerts int64, emit func(Step) err
 			for _, st := range walks.steps(lo, min(hi, lo+stitchChunk), bufAt(depth)) {
 				if remaining > 0 {
 					base := len(picked)
-					c := chain(st.From)
-					for link := head[c]; link != 0; link = next[link-1] {
-						if i := link - 1; !spliced[walkOf[i]] && (c < numVerts || far[i] == st.From) {
+					for link := head[st.From]; link != 0; link = next[link-1] {
+						if i := link - 1; !spliced[walkOf[i]] {
 							spliced[walkOf[i]] = true
 							remaining--
 							picked = append(picked, i)
@@ -300,11 +290,10 @@ type walker struct {
 	// the last splice stopped.
 	spliced []int32
 	// bodies are the typed bodies by rank: the registry's, or, when the
-	// walk is logged and the registry holds encoded bodies, a copy that
-	// walk fills with each encoded body it decodes.
+	// bodies spill, the ones a logged walk has decoded.
 	bodies [][]bodyItem
-	// arena holds the decoded items of the reversed encoded bodies on
-	// the walk's stack when the walk is not logged.
+	// arena holds the decoded items of the spilled bodies on the walk's
+	// stack when the walk is not logged.
 	arena []bodyItem
 	// Steps go to emit when it is set, and to log otherwise; steps counts
 	// those logged.
@@ -357,17 +346,6 @@ func (w *walker) take(k int) bool {
 	return true
 }
 
-// takeID is take for a root or an anchored cycle.  An ID the pathMap does
-// not hold (a corrupt Phase 1 result off the cluster wire can name one) is
-// only counted: its walk finds no body, or the count check catches it.
-func (w *walker) takeID(id PathID) bool {
-	if k, ok := w.reg.rank(id); ok {
-		return w.take(k)
-	}
-	w.consumed++
-	return true
-}
-
 // splice unrolls every not-yet-consumed cycle anchored at v.  Splicing may
 // recursively pass v again; the per-vertex count makes that re-entrant.
 func (w *walker) splice(v graph.VertexID) error {
@@ -377,102 +355,53 @@ func (w *walker) splice(v graph.VertexID) error {
 	}
 	cycles := w.reg.anchorIDs[w.reg.anchorOff[k]:w.reg.anchorOff[k+1]]
 	for int(w.spliced[k]) < len(cycles) {
-		id := cycles[w.spliced[k]]
+		// Seal anchors only cycles of the pathMap.
+		c, _ := w.reg.rank(cycles[w.spliced[k]])
 		w.spliced[k]++
-		if !w.takeID(id) {
+		if !w.take(c) {
 			continue
 		}
-		if err := w.walk(id, true); err != nil {
+		if err := w.walk(c, true); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// walk expands one body.  forward selects the traversal direction: an
-// OB-pair edge traversed Dst→Src unrolls its body reversed with each
-// item's endpoints swapped.  A typed body is read in place either way.
-// An encoded body walked forward is iterated off its bytes; a reversed
-// one has to be decoded first, onto the arena, or, in a logged walk,
-// into a block of its own that the log's replay reads again, as it
-// reads the items a logged walk keeps of a forward one.
-func (w *walker) walk(id PathID, forward bool) error {
+// walk expands the body at pathMap rank k.  forward selects the
+// traversal direction: an OB-pair edge traversed Dst→Src unrolls its body
+// reversed with each item's endpoints swapped.  A kept body is read in
+// place; a spilled one is decoded first, onto the arena, or, in a logged
+// walk, into a block of its own that the log's replay reads again.
+func (w *walker) walk(k int, forward bool) error {
 	r := w.reg
-	k, ok := r.rank(id)
-	if ok && w.bodies != nil && w.bodies[k] != nil {
-		body, src := w.bodies[k], r.recs[k].Src
-		for j := range body {
-			i := j
-			if !forward {
-				i = len(body) - 1 - j
-			}
-			at := itemAt{k: int32(k), i: int32(i), rev: !forward}
-			if err := w.item(id, itemOf(body, src, i, !forward), at); err != nil {
-				return err
-			}
+	body := w.bodies[k]
+	id, src, base := r.recs[k].ID, r.recs[k].Src, len(w.arena)
+	if body == nil {
+		raw, err := r.body(id)
+		if err != nil {
+			return fmt.Errorf("euler: loading body %d: %w", id, err)
 		}
-		return nil
-	}
-	raw, err := r.body(id)
-	if err != nil {
-		return fmt.Errorf("euler: loading body %d: %w", id, err)
-	}
-	var src graph.VertexID
-	if ok {
-		src = r.recs[k].Src
-	}
-	// A logged walk keeps the typed items of what it decodes, which the
-	// log's replay reads again.
-	keep := ok && w.log != nil
-	if keep && !forward {
-		if w.bodies[k], err = appendBodyItems(nil, raw, src); err != nil {
-			return badBody(id, err)
+		if w.log != nil {
+			body, err = appendBodyItems(nil, raw, src)
+			w.bodies[k] = body
+		} else {
+			// Nested walks push and pop above base and may move the
+			// arena; body keeps the array it was decoded into.
+			w.arena, err = appendBodyItems(w.arena, raw, src)
+			body = w.arena[base:]
 		}
-		return w.walk(id, forward)
-	}
-	if forward {
-		c, err := newBodyCursor(raw)
 		if err != nil {
 			return badBody(id, err)
 		}
-		var kept []bodyItem
-		if keep {
-			kept = make([]bodyItem, 0, c.n)
-		}
-		prevTo := src
-		for {
-			it, more, err := c.next()
-			if err != nil {
-				return badBody(id, err)
-			}
-			if !more {
-				if keep {
-					w.bodies[k] = kept
-				}
-				return nil
-			}
-			if it.From != prevTo || it.Ref < 0 {
-				return badBody(id, unchained(c.i-1, it, prevTo))
-			}
-			prevTo = it.To
-			var at itemAt
-			if keep {
-				at = itemAt{k: int32(k), i: int32(len(kept))}
-				kept = append(kept, bodyItem{ref: packRef(it.Kind, it.Ref), to: it.To})
-			}
-			if err := w.item(id, it, at); err != nil {
-				return err
-			}
-		}
 	}
-	base := len(w.arena)
-	if w.arena, err = appendBodyItems(w.arena, raw, src); err != nil {
-		return badBody(id, err)
-	}
-	// Nested walks push and pop above base+n and may move the arena.
-	n := len(w.arena) - base
-	for i := n - 1; i >= 0; i-- {
-		if err := w.item(id, itemOf(w.arena[base:base+n], src, i, true), itemAt{}); err != nil {
+	for j := range body {
+		i := j
+		if !forward {
+			i = len(body) - 1 - j
+		}
+		at := itemAt{k: int32(k), i: int32(i), rev: !forward}
+		if err := w.item(id, itemOf(body, src, i, !forward), at); err != nil {
 			return err
 		}
 	}
@@ -498,10 +427,11 @@ func badBody(id PathID, err error) error {
 }
 
 // item advances the walk over one oriented item of body id.  at is the
-// item's place in a typed body, for the run log; the items of an encoded
-// body walked off its bytes or the arena pass the zero itemAt, since
-// such a walk is not logged.
+// item's place in its typed body, for the run log.
 func (w *walker) item(id PathID, it Item, at itemAt) error {
+	if n := uint64(w.reg.numVerts); uint64(it.From) >= n || uint64(it.To) >= n {
+		return fmt.Errorf("euler: body %d steps %d → %d, outside the graph's %d vertices", id, it.From, it.To, n)
+	}
 	// The walk is now at it.From: consume any cycles pivoting here.
 	if w.reg.anchorScreen.mayHold(it.From) {
 		if err := w.splice(it.From); err != nil {
@@ -538,7 +468,7 @@ func (w *walker) item(id PathID, it Item, at itemAt) error {
 			return fmt.Errorf("euler: body %d enters path %d at %d, which is neither endpoint (%d,%d)",
 				id, it.Ref, it.From, sub.Src, sub.Dst)
 		}
-		return w.walk(it.Ref, subForward)
+		return w.walk(k, subForward)
 	}
 	return fmt.Errorf("euler: body %d has bad item kind %d", id, it.Kind)
 }

@@ -1,6 +1,7 @@
 package euler
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
@@ -61,11 +62,9 @@ func collect(run func(emit func(Step) error) error) ([]Step, error) {
 	return out, err
 }
 
-// stitch drives stitchEmit over separate walks, once with every vertex
-// inside the pool index's vertex range and once with every vertex beyond
-// it (one shared chain), and checks both emissions against the old
-// map-indexed stitch.  The walks are logged one run per step, each step
-// a one-item body of its own, so a walk need not chain.
+// stitch drives stitchEmit over separate walks and checks its emission
+// against the old map-indexed stitch.  The walks are logged one run per
+// step, each step a one-item body of its own, so a walk need not chain.
 func stitch(t *testing.T, streams [][]Step) ([]Step, error) {
 	t.Helper()
 	log := &runLog{}
@@ -84,11 +83,9 @@ func stitch(t *testing.T, streams [][]Step) ([]Step, error) {
 		_, err := oldStitchEmit(streams, emit)
 		return err
 	})
-	for _, numVerts := range []int64{64, 0} {
-		out, err := collect(func(emit func(Step) error) error { return stitchEmit(log, starts, numVerts, emit) })
-		if !slices.Equal(out, want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
-			t.Fatalf("stitchEmit over %d vertices = %v, %v\nold stitch = %v, %v", numVerts, out, err, want, wantErr)
-		}
+	out, err := collect(func(emit func(Step) error) error { return stitchEmit(log, starts, 64, emit) })
+	if !slices.Equal(out, want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("stitchEmit = %v, %v\nold stitch = %v, %v", out, err, want, wantErr)
 	}
 	return want, wantErr
 }
@@ -398,12 +395,22 @@ func closedItems(firstEdge graph.EdgeID, verts ...graph.VertexID) []Item {
 	return items
 }
 
-// buildRegistry absorbs paths as the root partition's result over 16
-// vertices: roots[0] becomes the master and the other roots floating
-// seeds.  The registry is left for its first reader to seal.
+// buildRegistry is putPaths into a registry over 16 vertices that keeps
+// its bodies, failing the test on a put error.
 func buildRegistry(t *testing.T, roots []PathID, paths ...testPath) *Registry {
 	t.Helper()
 	reg := NewRegistry(nil, 16, 1)
+	if err := putPaths(reg, roots, paths...); err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
+// putPaths puts the paths' bodies into reg and absorbs their records as
+// the root partition's result: roots[0] becomes the master and the other
+// roots floating seeds.  The registry is left for its first reader to
+// seal.
+func putPaths(reg *Registry, roots []PathID, paths ...testPath) error {
 	res := &Phase1Result{Seeds: roots}
 	for _, p := range paths {
 		body := p.raw
@@ -412,16 +419,13 @@ func buildRegistry(t *testing.T, roots []PathID, paths ...testPath) *Registry {
 		}
 		if !p.missing {
 			if err := reg.putBody(p.rec.ID, body); err != nil {
-				t.Fatal(err)
+				return err
 			}
 		}
 		p.rec.Items = int64(len(p.items))
 		res.Recs = append(res.Recs, p.rec)
 	}
-	if err := reg.Absorb(0, res, true); err != nil {
-		t.Fatal(err)
-	}
-	return reg
+	return reg.Absorb(0, res, true)
 }
 
 // transitiveRegistry is TestStitchTransitiveChain as a registry: cycle 2
@@ -592,7 +596,12 @@ func TestUnrollMatchesOldUnrollRandom(t *testing.T) {
 // --- Error paths.
 
 // TestUnrollErrors drives every Phase 3 failure through a hand-built
-// registry and pins its text, which is also what the old Phase 3 said.
+// registry, once keeping its bodies and once spilling them to a disk
+// store, and pins its text, which is also what the old Phase 3 said.
+// A kept body is decoded where it is put, so a malformed one fails there,
+// and one that does not leave from its record's Src fails at Seal; a
+// spilled one is decoded as the walk reaches it, so the same checks fail
+// in Unroll.
 func TestUnrollErrors(t *testing.T) {
 	triangle := closedItems(0, 1, 2, 3)
 	obPath := testPath{rec: PathRec{ID: 2, Type: OBPath, Src: 2, Dst: 3}, items: []Item{edgeItem(5, 2, 3)}}
@@ -602,56 +611,98 @@ func TestUnrollErrors(t *testing.T) {
 		roots []PathID
 		paths []testPath
 		want  string
+		// kept is where a registry that keeps its bodies fails, "put" or
+		// "seal", when not in Unroll; spilled is the spilled registry's
+		// error when it is not want.
+		kept, spilled string
+		// oldMisses marks a check the old Phase 3 did not make.
+		oldMisses bool
 	}{
-		{"unknown path", []PathID{1},
-			[]testPath{{rec: cycleRec(1, 1), items: []Item{edgeItem(0, 1, 2), pathItem(99, 2, 1)}}},
-			"euler: body 1 references unknown path 99"},
-		{"path referenced twice", []PathID{1},
-			[]testPath{{rec: cycleRec(1, 1), items: []Item{edgeItem(0, 1, 2), pathItem(2, 2, 3), edgeItem(1, 3, 2), pathItem(2, 2, 3), edgeItem(2, 3, 1)}}, obPath},
-			"euler: path 2 referenced twice"},
-		{"entry at neither endpoint", []PathID{1},
-			[]testPath{{rec: cycleRec(1, 1), items: []Item{edgeItem(0, 1, 4), pathItem(2, 4, 3), edgeItem(1, 3, 1)}}, obPath},
-			"euler: body 1 enters path 2 at 4, which is neither endpoint (2,3)"},
-		{"empty root", []PathID{1},
-			[]testPath{{rec: cycleRec(1, 1)}},
-			"euler: root cycle 1 expanded to an empty walk"},
-		{"unclosed root", []PathID{1},
-			[]testPath{{rec: cycleRec(1, 1), items: []Item{edgeItem(0, 1, 2)}}},
-			"euler: root cycle 1 expansion is not closed (1 → 2)"},
-		{"unclosed floating root", []PathID{1, 2},
-			[]testPath{{rec: cycleRec(1, 1), items: triangle}, {rec: cycleRec(2, 7), items: []Item{edgeItem(9, 7, 8)}}},
-			"euler: root cycle 2 expansion is not closed (7 → 8)"},
-		{"incomplete circuit", []PathID{1},
-			[]testPath{{rec: cycleRec(1, 1), items: triangle}, obPath},
-			"euler: circuit incomplete: 1 of 2 paths/cycles unrolled (registry corruption)"},
-		{"disconnected pool walk", []PathID{1, 2},
-			[]testPath{{rec: cycleRec(1, 1), items: triangle}, {rec: cycleRec(2, 7), items: closedItems(10, 7, 8, 9)}},
-			"euler: 1 closed walks share no vertex with the circuit: input graph is disconnected"},
-		{"store Get failure", []PathID{1},
-			[]testPath{{rec: cycleRec(1, 1), items: []Item{edgeItem(0, 1, 2), pathItem(2, 2, 3), edgeItem(1, 3, 1)}}, {rec: obPath.rec, missing: true}},
-			"euler: loading body 2: euler: path 2 has no body"},
-		{"truncated body", []PathID{1},
-			[]testPath{{rec: cycleRec(1, 1), raw: encoded[:len(encoded)-1]}},
-			"euler: decoding body 1: euler: truncated varint at offset 11"},
-		{"trailing bytes", []PathID{1},
-			[]testPath{{rec: cycleRec(1, 1), raw: append(slices.Clone(encoded), 0)}},
-			"euler: decoding body 1: euler: 1 trailing bytes"},
-		{"item count beyond payload", []PathID{1},
-			[]testPath{{rec: cycleRec(1, 1), raw: []byte{WireV3, 0x7f}}},
-			"euler: decoding body 1: euler: body item count 127 exceeds payload size"},
-		{"reversed body truncated", []PathID{1},
-			[]testPath{{rec: cycleRec(1, 1), items: []Item{edgeItem(0, 1, 3), pathItem(2, 3, 2), edgeItem(1, 2, 1)}},
+		{name: "unknown path", roots: []PathID{1},
+			paths: []testPath{{rec: cycleRec(1, 1), items: []Item{edgeItem(0, 1, 2), pathItem(99, 2, 1)}}},
+			want:  "euler: body 1 references unknown path 99"},
+		{name: "path referenced twice", roots: []PathID{1},
+			paths: []testPath{{rec: cycleRec(1, 1), items: []Item{edgeItem(0, 1, 2), pathItem(2, 2, 3), edgeItem(1, 3, 2), pathItem(2, 2, 3), edgeItem(2, 3, 1)}}, obPath},
+			want:  "euler: path 2 referenced twice"},
+		{name: "entry at neither endpoint", roots: []PathID{1},
+			paths: []testPath{{rec: cycleRec(1, 1), items: []Item{edgeItem(0, 1, 4), pathItem(2, 4, 3), edgeItem(1, 3, 1)}}, obPath},
+			want:  "euler: body 1 enters path 2 at 4, which is neither endpoint (2,3)"},
+		{name: "empty root", roots: []PathID{1},
+			paths: []testPath{{rec: cycleRec(1, 1)}},
+			want:  "euler: root cycle 1 expanded to an empty walk"},
+		{name: "unclosed root", roots: []PathID{1},
+			paths: []testPath{{rec: cycleRec(1, 1), items: []Item{edgeItem(0, 1, 2)}}},
+			want:  "euler: root cycle 1 expansion is not closed (1 → 2)"},
+		{name: "unclosed floating root", roots: []PathID{1, 2},
+			paths: []testPath{{rec: cycleRec(1, 1), items: triangle}, {rec: cycleRec(2, 7), items: []Item{edgeItem(9, 7, 8)}}},
+			want:  "euler: root cycle 2 expansion is not closed (7 → 8)"},
+		{name: "incomplete circuit", roots: []PathID{1},
+			paths: []testPath{{rec: cycleRec(1, 1), items: triangle}, obPath},
+			want:  "euler: circuit incomplete: 1 of 2 paths/cycles unrolled (registry corruption)"},
+		{name: "disconnected pool walk", roots: []PathID{1, 2},
+			paths: []testPath{{rec: cycleRec(1, 1), items: triangle}, {rec: cycleRec(2, 7), items: closedItems(10, 7, 8, 9)}},
+			want:  "euler: 1 closed walks share no vertex with the circuit: input graph is disconnected"},
+		{name: "store Get failure", roots: []PathID{1},
+			paths: []testPath{{rec: cycleRec(1, 1), items: []Item{edgeItem(0, 1, 2), pathItem(2, 2, 3), edgeItem(1, 3, 1)}}, {rec: obPath.rec, missing: true}},
+			want:  "euler: loading body 2: euler: path 2 has no body", spilled: "euler: loading body 2: spill: record 2 not found"},
+		{name: "truncated body", roots: []PathID{1},
+			paths: []testPath{{rec: cycleRec(1, 1), raw: encoded[:len(encoded)-1]}},
+			want:  "euler: decoding body 1: euler: truncated varint at offset 11", kept: "put"},
+		{name: "trailing bytes", roots: []PathID{1},
+			paths: []testPath{{rec: cycleRec(1, 1), raw: append(slices.Clone(encoded), 0)}},
+			want:  "euler: decoding body 1: euler: 1 trailing bytes", kept: "put"},
+		{name: "item count beyond payload", roots: []PathID{1},
+			paths: []testPath{{rec: cycleRec(1, 1), raw: []byte{WireV3, 0x7f}}},
+			want:  "euler: decoding body 1: euler: body item count 127 exceeds payload size", kept: "put"},
+		{name: "reversed body truncated", roots: []PathID{1},
+			paths: []testPath{{rec: cycleRec(1, 1), items: []Item{edgeItem(0, 1, 3), pathItem(2, 3, 2), edgeItem(1, 2, 1)}},
 				{rec: obPath.rec, raw: refAppendBody(nil, []Item{edgeItem(5, 2, 4), edgeItem(6, 4, 3)})[:8]}},
-			"euler: decoding body 2: euler: truncated varint at offset 8"},
-		{"legacy body", []PathID{1},
-			[]testPath{{rec: cycleRec(1, 1), raw: encoded[1:]}},
-			"euler: decoding body 1: " + errLegacy("body").Error()},
+			want: "euler: decoding body 2: euler: truncated varint at offset 8", kept: "put"},
+		{name: "legacy body", roots: []PathID{1},
+			paths: []testPath{{rec: cycleRec(1, 1), raw: encoded[1:]}},
+			want:  "euler: decoding body 1: " + errLegacy("body").Error(), kept: "put"},
+		{name: "vertex outside the graph", roots: []PathID{1},
+			paths: []testPath{{rec: cycleRec(1, 1), items: closedItems(0, 1, 20, 3)}},
+			want:  "euler: body 1 steps 1 → 20, outside the graph's 16 vertices", oldMisses: true},
+		{name: "wrong source", roots: []PathID{1},
+			paths: []testPath{{rec: cycleRec(1, 1), items: closedItems(0, 2, 3, 4)}},
+			want:  "euler: decoding body 1: euler: body item 0 leaves from 2, not from the body's source 1", kept: "seal", oldMisses: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := matchOldUnroll(t, buildRegistry(t, tc.roots, tc.paths...))
-			if err == nil || err.Error() != tc.want {
-				t.Fatalf("err = %v\nwant  %s", err, tc.want)
+			unroll := func(reg *Registry) error {
+				if tc.oldMisses {
+					_, err := collect(reg.Unroll)
+					return err
+				}
+				_, _, err := matchOldUnroll(t, reg)
+				return err
+			}
+
+			reg := NewRegistry(nil, 16, 1)
+			stage, err := "put", putPaths(reg, tc.roots, tc.paths...)
+			if err == nil {
+				stage, err = "seal", reg.Seal()
+			}
+			if err == nil {
+				stage, err = "", unroll(reg)
+			}
+			if err == nil || err.Error() != tc.want || stage != tc.kept {
+				t.Fatalf("kept: err = %v at %q\nwant  %s at %q", err, stage, tc.want, tc.kept)
+			}
+
+			ds, err := spill.NewDiskStore(filepath.Join(t.TempDir(), "bodies.log"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+			reg = NewRegistry(ds, 16, 1)
+			if err := putPaths(reg, tc.roots, tc.paths...); err != nil {
+				t.Fatal(err)
+			}
+			want := cmp.Or(tc.spilled, tc.want)
+			if err := unroll(reg); err == nil || err.Error() != want {
+				t.Fatalf("spilled: err = %v\nwant  %s", err, want)
 			}
 		})
 	}
@@ -726,22 +777,19 @@ func TestUnrollReportsLazySealError(t *testing.T) {
 
 // --- Body forms.
 
-// bodyForms counts the bodies a sealed registry keeps typed and encoded.
-func bodyForms(r *Registry) (typed, encoded int) {
+// keptBodies counts the bodies a sealed registry keeps.
+func keptBodies(r *Registry) (kept int) {
 	for k := range r.recs {
-		if r.typed != nil && r.typed[k] != nil {
-			typed++
-		}
-		if r.encoded != nil && r.encoded[k] != nil {
-			encoded++
+		if r.bodies != nil && r.bodies[k] != nil {
+			kept++
 		}
 	}
-	return typed, encoded
+	return kept
 }
 
 // TestUnrollMixedBodyForms unrolls registries whose bodies came typed
-// from an in-process tour, encoded from a retained record (a delta
-// replay, beside the dirty nodes' typed bodies), encoded from a loopback
+// from an in-process tour, decoded from a retained record (a delta
+// replay, beside the dirty nodes' toured bodies), decoded from a loopback
 // cluster's absorb bands and spilled to a disk store, over inputs with
 // floating cycles: each circuit must be the from-scratch in-memory
 // solve's.
@@ -774,8 +822,8 @@ func TestUnrollMixedBodyForms(t *testing.T) {
 			if len(scratch.Registry.Seeds()) == 0 {
 				t.Fatal("input has no floating cycles")
 			}
-			if typed, encoded := bodyForms(scratch.Registry); typed == 0 || encoded != 0 {
-				t.Fatalf("in-memory registry keeps %d typed and %d encoded bodies, want typed only", typed, encoded)
+			if kept, n := keptBodies(scratch.Registry), scratch.Registry.NumPaths(); kept != n {
+				t.Fatalf("in-memory registry keeps %d of %d bodies", kept, n)
 			}
 			if err := verify.Circuit(in.g, want); err != nil {
 				t.Fatal(err)
@@ -800,9 +848,6 @@ func TestUnrollMixedBodyForms(t *testing.T) {
 			patched := withTriangle(rand.New(rand.NewSource(2)), in.g)
 			delta, err := Run(patched, a, Config{Replay: retained.Retained})
 			got := unroll(delta, err)
-			if typed, encoded := bodyForms(delta.Registry); typed == 0 || encoded == 0 {
-				t.Fatalf("delta registry keeps %d typed and %d encoded bodies, want both", typed, encoded)
-			}
 			if got2 := unroll(Run(patched, a, Config{})); !slices.Equal(got, got2) {
 				t.Fatal("delta circuit differs from the patched graph's in-memory solve")
 			}

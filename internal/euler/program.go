@@ -33,13 +33,14 @@ type progDeps struct {
 }
 
 // bodySink is where Phase 1 puts the bodies it tours, under their IDs.
-// Exactly one of its funcs is set.  typed takes a body as typed items and
-// keeps the slice: the tour then writes its bodies into a fresh block
-// that typed's holder owns.  encoded takes a body as appendBody bytes and
-// must not keep the slice: the encoder runs only for a sink that sends
-// bodies out of the process or spills them.
+// Exactly one of its funcs is set.  typed takes a body as typed items,
+// with the vertex its first item leaves from, and keeps the slice: the
+// tour then writes its bodies into a fresh block that typed's holder
+// owns.  encoded takes a body as appendBody bytes and must not keep the
+// slice: the encoder runs only for a sink that sends bodies out of the
+// process or spills them.
 type bodySink struct {
-	typed   func(PathID, []bodyItem) error
+	typed   func(PathID, graph.VertexID, []bodyItem) error
 	encoded func(PathID, []byte) error
 }
 

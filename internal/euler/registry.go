@@ -17,9 +17,9 @@ import (
 // pathMap metadata of every path and cycle, the anchored-cycle index used
 // by Phase 3's pivot-vertex splicing, and the global visited-vertex map
 // that keeps seed cycles splicable.  Path bodies live in the run's spill
-// store when it has one, otherwise here, one slot per pathMap rank: typed
-// as Phase 1 toured them, or encoded as they arrived (an absorb band or
-// a retained record).
+// store when it has one, otherwise here as typed items, one slot per
+// pathMap rank: as Phase 1 toured them, or decoded once as they arrived
+// (an absorb band or a retained record).
 //
 // Concurrency model: workers absorb their Phase 1 results concurrently
 // within a superstep, and their active vertex sets are disjoint (a vertex
@@ -56,10 +56,9 @@ type Registry struct {
 	// over a few entries per partition and level, not over every record.
 	recs   []PathRec
 	idRuns []idRun
-	// typed[k] or encoded[k] is the body of recs[k] when the registry
-	// keeps bodies; each is nil until a body of its form arrives.
-	typed   [][]bodyItem
-	encoded [][]byte
+	// bodies[k] is the body of recs[k] when the registry keeps bodies;
+	// bodies is nil until one arrives.
+	bodies [][]bodyItem
 	// The anchored-cycle index: anchorIDs[anchorOff[k]:anchorOff[k+1]] are
 	// the cycles pivoting at anchorVerts[k] (ascending), in discovery
 	// order.  anchorScreen holds the pivots, so the Phase 3 walker pays one
@@ -109,24 +108,26 @@ type anchor struct {
 // registryShard is one worker's private absorption buffer.  Padding keeps
 // concurrently appended shards off each other's cache lines.
 type registryShard struct {
-	recs    []PathRec
-	typed   [][]keptBody[[]bodyItem]
-	encoded [][]keptBody[[]byte]
-	_       [56]byte
+	recs   []PathRec
+	bodies [][]keptBody
+	_      [56]byte
 }
 
-// keptBody is a kept body on its way to its rank slot.
-type keptBody[B any] struct {
+// keptBody is a kept body on its way to its rank slot.  from is where its
+// first item leaves from, which Seal checks against the record's Src: a
+// body can arrive before its record.
+type keptBody struct {
 	id   PathID
-	body B
+	from graph.VertexID
+	body []bodyItem
 }
 
 // appendKept appends a kept body to a shard's list, which grows in
 // doubling chunks that are never copied.
-func appendKept[B any](chunks [][]keptBody[B], b keptBody[B]) [][]keptBody[B] {
+func appendKept(chunks [][]keptBody, b keptBody) [][]keptBody {
 	n := len(chunks)
 	if n == 0 || len(chunks[n-1]) == cap(chunks[n-1]) {
-		chunks = append(chunks, make([]keptBody[B], 0, 64<<min(n, 6)))
+		chunks = append(chunks, make([]keptBody, 0, 64<<min(n, 6)))
 		n++
 	}
 	chunks[n-1] = append(chunks[n-1], b)
@@ -213,41 +214,41 @@ func (r *Registry) shard(id PathID) (*registryShard, error) {
 	return &r.shards[part], nil
 }
 
-// putItems keeps a typed body, and with it the block it lies in.  Seal
-// rejects a body with no pathMap record and a second body under one ID.
-func (r *Registry) putItems(id PathID, items []bodyItem) error {
+// putItems keeps a typed body whose first item leaves from src, and with
+// it the block it lies in.  Seal rejects a body with no pathMap record, a
+// second body under one ID and a body that does not leave from its
+// record's Src.
+func (r *Registry) putItems(id PathID, src graph.VertexID, items []bodyItem) error {
 	sh, err := r.shard(id)
 	if err != nil {
 		return err
 	}
-	sh.typed = appendKept(sh.typed, keptBody[[]bodyItem]{id, items})
+	sh.bodies = appendKept(sh.bodies, keptBody{id, src, items})
 	return nil
 }
 
-// putBody writes an encoded body out to the spill store, or keeps a copy
-// of it encoded; it does not keep data.
+// putBody writes an encoded body out to the spill store, or decodes it
+// into a block of its own and keeps that; it does not keep data.
 func (r *Registry) putBody(id PathID, data []byte) error {
 	if r.store != nil {
 		return r.store.Put(id, data)
 	}
-	sh, err := r.shard(id)
+	// The empty non-nil dst keeps an empty body distinct from a missing one.
+	src := bodySource(data)
+	items, err := appendBodyItems([]bodyItem{}, data, src)
 	if err != nil {
-		return err
+		return badBody(id, err)
 	}
-	sh.encoded = appendKept(sh.encoded, keptBody[[]byte]{id, append([]byte(nil), data...)})
-	return nil
+	return r.putItems(id, src, items)
 }
 
-// body returns the encoded body of path id, from the spill store or as
-// it arrived; a typed body has none.  It requires a sealed registry.
+// body returns the encoded body of path id from the spill store; a
+// registry without one keeps every body it has typed.
 func (r *Registry) body(id PathID) ([]byte, error) {
-	if r.store != nil {
-		return r.store.Get(id)
+	if r.store == nil {
+		return nil, fmt.Errorf("euler: path %d has no body", id)
 	}
-	if k, ok := r.rank(id); ok && r.encoded != nil && r.encoded[k] != nil {
-		return r.encoded[k], nil
-	}
-	return nil, fmt.Errorf("euler: path %d has no body", id)
+	return r.store.Get(id)
 }
 
 // Seal merges the per-worker absorption shards into the read-optimised
@@ -291,8 +292,9 @@ func (r *Registry) sealLocked() error {
 
 // buildIndex installs the sealed indexes from the pathMap records (in any
 // order; sorted in place), the anchored cycles (in discovery order, which
-// is kept within each vertex) and the shards' kept bodies, each moved to
-// the slot of its record's rank.  On error nothing is installed.
+// is kept within each vertex) and the shards' kept bodies, each checked
+// against its record and moved to the slot of the record's rank.  On
+// error nothing is installed.
 func (r *Registry) buildIndex(recs []PathRec, anch []anchor) error {
 	slices.SortFunc(recs, func(a, b PathRec) int { return cmp.Compare(a.ID, b.ID) })
 	var steps int64
@@ -309,45 +311,26 @@ func (r *Registry) buildIndex(recs []PathRec, anch []anchor) error {
 			steps--
 		}
 	}
-	var typed [][]bodyItem
-	var encoded [][]byte
-	slot := func(id PathID) (int, error) {
-		k, ok := rankIn(runs, len(recs), id)
-		switch {
-		case !ok:
-			return 0, fmt.Errorf("euler: body %d has no pathMap record", id)
-		case typed != nil && typed[k] != nil, encoded != nil && encoded[k] != nil:
-			return 0, fmt.Errorf("euler: duplicate body %d", id)
-		}
-		return k, nil
-	}
+	var bodies [][]bodyItem
 	for i := range r.shards {
-		sh := &r.shards[i]
-		for _, chunk := range sh.typed {
+		for _, chunk := range r.shards[i].bodies {
 			for _, b := range chunk {
-				k, err := slot(b.id)
-				if err != nil {
-					return err
+				k, ok := rankIn(runs, len(recs), b.id)
+				switch {
+				case !ok:
+					return fmt.Errorf("euler: body %d has no pathMap record", b.id)
+				case bodies != nil && bodies[k] != nil:
+					return fmt.Errorf("euler: duplicate body %d", b.id)
+				case len(b.body) > 0 && b.from != recs[k].Src:
+					return badBody(b.id, unchained(0, Item{From: b.from}, recs[k].Src))
 				}
-				if typed == nil {
-					typed = make([][]bodyItem, len(recs))
+				if bodies == nil {
+					bodies = make([][]bodyItem, len(recs))
 				}
-				typed[k] = b.body
+				bodies[k] = b.body
 			}
 		}
-		for _, chunk := range sh.encoded {
-			for _, b := range chunk {
-				k, err := slot(b.id)
-				if err != nil {
-					return err
-				}
-				if encoded == nil {
-					encoded = make([][]byte, len(recs))
-				}
-				encoded[k] = b.body
-			}
-		}
-		sh.typed, sh.encoded = nil, nil
+		r.shards[i].bodies = nil
 	}
 	slices.SortStableFunc(anch, func(a, b anchor) int { return cmp.Compare(a.v, b.v) })
 	r.anchorScreen = newVertexScreen(r.numVerts)
@@ -361,7 +344,7 @@ func (r *Registry) buildIndex(recs []PathRec, anch []anchor) error {
 		r.anchorIDs[i] = a.id
 	}
 	r.anchorOff = append(r.anchorOff, int32(len(anch)))
-	r.recs, r.idRuns, r.typed, r.encoded, r.steps = recs, runs, typed, encoded, steps
+	r.recs, r.idRuns, r.bodies, r.steps = recs, runs, bodies, steps
 	return nil
 }
 

@@ -3,8 +3,10 @@ package euler
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -229,7 +231,7 @@ func TestRegistryBodiesConcurrentShards(t *testing.T) {
 		for level := 0; level < levels; level++ {
 			for s := 0; s < perLevel; s++ {
 				id := MakePathID(level, w, int64(s))
-				got, err := reg.body(id)
+				got, err := encodedBody(reg, id)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -292,5 +294,33 @@ func TestRegistryBodyChecks(t *testing.T) {
 	sink := NewAbsorbSink(NewRegistry(nil, 16, 2))
 	if err := sink.Apply(0, 0, 2, band); err == nil || !strings.Contains(err.Error(), "outside the 2 shards") {
 		t.Fatalf("band body for part 5 of 2: err = %v", err)
+	}
+}
+
+// TestAbsorbedBodyLeavesFromSrc hands the coordinator a band whose body
+// does not leave from its record's Src.  A band's body arrives before
+// its record, so the check is Seal's: Seal must fail with a bodyError,
+// and Unroll must emit nothing.
+func TestAbsorbedBodyLeavesFromSrc(t *testing.T) {
+	wp := &WorkerProgram{visited: make([]atomic.Uint32, 1)}
+	if err := wp.putBody(1, refAppendBody(nil, closedItems(0, 2, 3, 4))); err != nil {
+		t.Fatal(err)
+	}
+	rec := cycleRec(1, 1)
+	rec.Items = 3
+	if err := wp.absorb(0, &Phase1Result{Recs: []PathRec{rec}, Seeds: []PathID{1}}, true); err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry(nil, 16, 1)
+	if err := NewAbsorbSink(reg).Apply(0, 0, 1, wp.band); err != nil {
+		t.Fatal(err)
+	}
+	var be *bodyError
+	if err := reg.Seal(); !errors.As(err, &be) {
+		t.Fatalf("Seal err = %v, want a bodyError", err)
+	}
+	steps, err := collect(reg.Unroll)
+	if err == nil || len(steps) != 0 {
+		t.Fatalf("Unroll emitted %d steps, err = %v; want none and the seal error", len(steps), err)
 	}
 }

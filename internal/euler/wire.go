@@ -349,40 +349,24 @@ func (s *AbsorbSink) Apply(step, lo, hi int, data []byte) error {
 			}
 			var prevID, prevSrc int64
 			for i := uint64(0); i < nRecs; i++ {
-				var rec PathRec
 				dID, err := d.varint()
 				if err != nil {
 					return err
 				}
-				rec.ID = prevID + dID
 				if d.off >= len(d.buf) {
 					return fmt.Errorf("euler: truncated pathMap record in band")
 				}
-				rec.Type = PathType(d.buf[d.off])
+				t := d.buf[d.off]
 				d.off++
-				dSrc, err := d.varint()
-				if err != nil {
-					return err
+				var v [5]int64 // Src delta, Dst-Src span, Level, Part, Items
+				for f := range v {
+					if v[f], err = d.varint(); err != nil {
+						return err
+					}
 				}
-				rec.Src = prevSrc + dSrc
-				span, err := d.varint()
-				if err != nil {
-					return err
-				}
-				rec.Dst = rec.Src + span
-				lvl, err := d.varint()
-				if err != nil {
-					return err
-				}
-				rec.Level = int(lvl)
-				part, err := d.varint()
-				if err != nil {
-					return err
-				}
-				rec.Part = int(part)
-				if rec.Items, err = d.varint(); err != nil {
-					return err
-				}
+				rec := PathRec{ID: prevID + dID, Type: PathType(t), Src: prevSrc + v[0],
+					Level: int(v[2]), Part: int(v[3]), Items: v[4]}
+				rec.Dst = rec.Src + v[1]
 				prevID, prevSrc = rec.ID, rec.Src
 				res.Recs = append(res.Recs, rec)
 			}

@@ -217,8 +217,8 @@ func refDecodeBody(buf []byte) ([]Item, error) {
 	return items, d.done()
 }
 
-// FuzzBodyCursor drives arbitrary bytes through the in-place body cursor
-// Phase 3 walks bodies with — bodies reach the coordinator's registry
+// FuzzBodyCursor drives arbitrary bytes through the body cursor every
+// encoded body is decoded with — bodies reach the coordinator's registry
 // over the cluster wire and are first parsed there.  The cursor must never
 // panic and must agree with the reference decoder item for item and error
 // for error, as must decodeBody, which drains a cursor.  The typed decoder

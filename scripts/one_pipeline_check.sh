@@ -12,9 +12,13 @@
 # fails when non-test code under cmd/eulerd/ or internal/service/ calls
 # sched.NewFair( more than once: the service runs one scheduler.  Also
 # fails when a non-test .go file other than ./euler.go calls
-# context.TODO(: every solve runs under a caller's context.  Then prints
-# the three sizes ROADMAP aim 2 tracks per PR, and internal/euler's
-# exported declaration count, the size ROADMAP item 23 gates on.
+# context.TODO(: every solve runs under a caller's context.  Also fails
+# when non-test code in internal/euler outside encode.go calls
+# newBodyCursor(: Phase 3 walks typed bodies only, and an encoded body is
+# decoded once, by appendBodyItems, where it enters.  Then prints the
+# three sizes ROADMAP aim 2 tracks per PR, internal/euler's exported
+# declaration count, the size ROADMAP item 23 gates on, and
+# internal/euler's non-test line count, which ROADMAP item 31 gates on.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -55,6 +59,14 @@ if [ -n "$todo" ]; then
 	exit 1
 fi
 
+# shellcheck disable=SC2046
+cursor=$(grep -nF 'newBodyCursor(' $(find internal/euler -name '*.go' ! -name '*_test.go' ! -name 'encode.go') || true)
+if [ -n "$cursor" ]; then
+	echo "encoded body walked outside its decoder (decode with appendBodyItems where it enters):" >&2
+	echo "$cursor" >&2
+	exit 1
+fi
+
 lines=$({ ls ./*.go | grep -v '_test\.go$'
 	find internal/euler internal/cluster internal/jobkind internal/postman \
 		internal/sched internal/service cmd/eulerd -name '*.go' ! -name '*_test.go'; } | xargs cat | wc -l)
@@ -64,8 +76,10 @@ exported=$(grep -hcE '^(func|type) [A-Z]|^	[A-Z][A-Za-z0-9_]* += ' $(ls ./*.go |
 flags=$(grep -oE 'flag\.(Bool|BoolFunc|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var)\(' \
 	cmd/eulerd/main.go | wc -l)
 euler_exports=$(go doc -short ./internal/euler | wc -l)
+euler_lines=$(find internal/euler -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 echo "one pipeline: ok"
 echo "non-test Go lines (root + internal/{euler,cluster,jobkind,postman,sched,service} + cmd/eulerd): $lines"
 echo "root package exported identifiers: $exported"
 echo "eulerd flags: $flags"
 echo "internal/euler exported declarations: $euler_exports"
+echo "internal/euler non-test Go lines: $euler_lines"
